@@ -18,4 +18,4 @@ class DataError(Exception):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure that survived the escalation ladder (e.g. Cholesky)."""
+    """Numerical failure: a singular kernel factor, or a Cholesky past the jitter ladder."""

@@ -16,6 +16,11 @@ One sampler iteration cycles these block updates:
     (``_rescale_emission``),
 (e) adaptive random-walk Metropolis on the whitened pooled coefficients.
 
+The whitened latents map to the path through the exponential kernel's
+closed-form Markov factor (:func:`~gpratings.model.markov_factor`): a kernel
+rebuild, an unwhitening and a whitening each cost O(n), and no n-by-n matrix
+is formed.
+
 Proposal scales adapt toward ~30% acceptance during warmup and are frozen
 afterwards.  Every entity owns an independent seeded RNG stream, so results
 are bit-reproducible for a fixed seed at any worker count.
@@ -34,9 +39,9 @@ from scipy.special import gammaincc, gammainccinv, logsumexp, ndtr, ndtri
 
 from .errors import InvalidInputError, NumericalError
 from .model import (
-    JITTER_BASE,
     EntityHistory,
     emission_loglik,
+    markov_factor,
     _dirichlet_logpdf,  # noqa: F401  (eta prior; _update_cutpoints samples it as cutpoints)
     _halfcauchy_logpdf,
     _halfnormal_logpdf,
@@ -204,7 +209,8 @@ def _whitening_matrix(X):
 # ---------------------------------------------------------------------------
 
 def whiten(f, L, mean=0.0):
-    """Map latents to whitened coordinates: f_tilde = L^-1 (f - mean)."""
+    """Map latents to whitened coordinates with a dense lower factor L:
+    f_tilde = L^-1 (f - mean).  The sampler uses the O(n) MarkovFactor."""
     return solve_triangular(L, np.asarray(f, dtype=float) - mean, lower=True)
 
 
@@ -221,9 +227,9 @@ class _EntityState:
     """Mutable sampler workspace for one entity within one chain."""
 
     __slots__ = (
-        "h", "rng", "D", "prior", "n_r", "flat",
+        "h", "rng", "prior", "n_r", "flat",
         "log_rho", "log_sigma", "log_kappa", "eta", "z_cuts",
-        "f_tilde", "L", "mean", "f", "ll", "ll_sum",
+        "f_tilde", "factor", "mean", "f", "ll", "ll_sum",
         "scale_rs", "scale_kappa", "scale_cut", "scale_shift", "scale_amp",
         "acc_rs", "acc_kappa", "acc_cut", "acc_shift", "acc_amp", "Q_star",
     )
@@ -231,7 +237,6 @@ class _EntityState:
     def __init__(self, history, prior, n_r, rng, flat):
         self.h = history
         self.rng = rng
-        self.D = history.distances
         self.prior = prior
         self.n_r = n_r
         self.flat = flat
@@ -253,23 +258,20 @@ class _EntityState:
         return emission_loglik(self.h.ratings, f, kappa, cuts)
 
     def rebuild_kernel(self, log_rho=None, log_sigma=None):
-        """Cholesky of the kernel at (possibly proposed) hyperparameters.
+        """Markov factor of the kernel at (possibly proposed) hyperparameters.
 
-        Returns None when the factorization fails, which the Metropolis step
+        Returns None when the factor is singular, which the Metropolis step
         treats as a rejected proposal.
         """
         lr = self.log_rho if log_rho is None else log_rho
         ls = self.log_sigma if log_sigma is None else log_sigma
-        sigma2 = math.exp(2.0 * ls)
-        K = sigma2 * np.exp(-self.D / math.exp(lr))
-        K[np.diag_indices_from(K)] += JITTER_BASE * sigma2
         try:
-            return np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
+            return markov_factor(self.h.timestamps, math.exp(lr), math.exp(ls))
+        except NumericalError:
             return None
 
     def refresh_caches(self):
-        self.f = self.L @ self.f_tilde + self.mean
+        self.f = self.factor.unwhiten(self.f_tilde) + self.mean
         self.ll = self.loglik(self.f)
         self.ll_sum = float(self.ll.sum())
 
@@ -295,10 +297,9 @@ def _init_entity(h, prior, n_r, rng, flat):
         st.log_rho = math.log(scale / (shape + 1.0)) + 0.2 * rng.standard_normal()
     st.log_sigma = 0.2 * rng.standard_normal()
     st.f_tilde = 0.1 * rng.standard_normal(h.n)
-    L = st.rebuild_kernel()
-    if L is None:
+    st.factor = st.rebuild_kernel()
+    if st.factor is None:
         raise NumericalError(f"initial kernel factorization failed for {h.entity_id!r}")
-    st.L = L
     return st
 
 
@@ -326,7 +327,7 @@ def _elliptical_slice(st: _EntityState):
     rng = st.rng
     n = st.h.n
     nu = rng.standard_normal(n)
-    L_nu = st.L @ nu
+    L_nu = st.factor.unwhiten(nu)
     centered = st.f - st.mean
     log_y = st.ll_sum + math.log(1.0 - rng.random())
     phi = rng.uniform(0.0, _TWO_PI)
@@ -356,14 +357,14 @@ def _update_kernel_params(st: _EntityState, gamma):
     lr_new = st.log_rho + step[0]
     ls_new = st.log_sigma + step[1]
     accepted = False
-    L_new = st.rebuild_kernel(lr_new, ls_new)
-    if L_new is not None:
-        f_new = L_new @ st.f_tilde + st.mean
+    factor_new = st.rebuild_kernel(lr_new, ls_new)
+    if factor_new is not None:
+        f_new = factor_new.unwhiten(st.f_tilde) + st.mean
         ll_new = st.loglik(f_new)
         cur = _rho_sigma_log_target(st.ll_sum, st.log_rho, st.log_sigma, st.prior)
         new = _rho_sigma_log_target(float(ll_new.sum()), lr_new, ls_new, st.prior)
         if math.log(1.0 - rng.random()) < new - cur:
-            st.log_rho, st.log_sigma, st.L = lr_new, ls_new, L_new
+            st.log_rho, st.log_sigma, st.factor = lr_new, ls_new, factor_new
             st.f, st.ll, st.ll_sum = f_new, ll_new, float(ll_new.sum())
             accepted = True
     else:
@@ -453,7 +454,7 @@ def _shift_emission(st: _EntityState, gamma):
     eta_new = np.diff(ndtr(z_new), prepend=0.0, append=1.0)
     accepted = False
     if np.all(eta_new > 1e-12):
-        u = solve_triangular(st.L, np.ones(st.h.n), lower=True)
+        u = st.factor.whiten(np.ones(st.h.n))
         log_a = (-delta * float(st.f_tilde @ u)
                  - 0.5 * delta * delta * float(u @ u)
                  + 0.5 * float(st.z_cuts @ st.z_cuts - z_new @ z_new))
@@ -477,8 +478,8 @@ def _rescale_emission(st: _EntityState, gamma):
     the latent amplitude, so the likelihood is nearly flat along a joint
     rescaling of all three.  Proposing that direction directly lets the
     chain traverse the ridge instead of random-walking across it.  The
-    whitened latents are untouched (both kernel terms carry sigma^2, so
-    the Cholesky factor scales exactly); only the likelihood, the two
+    whitened latents are untouched (the kernel carries sigma^2, so only the
+    factor's innovation scales c_k change); only the likelihood, the two
     scale priors, and the log-coordinate Jacobians enter the ratio.
     """
     rng = st.rng
@@ -496,7 +497,7 @@ def _rescale_emission(st: _EntityState, gamma):
     accepted = math.log(1.0 - rng.random()) < new - cur
     if accepted:
         st.log_kappa, st.log_sigma = lk_new, ls_new
-        st.L = s * st.L
+        st.factor = st.factor._replace(c=s * st.factor.c)
         st.f, st.ll, st.ll_sum = f_new, ll_new, float(ll_new.sum())
     if gamma:
         st.scale_amp *= math.exp(gamma * ((1.0 if accepted else 0.0) - _ACCEPT_TARGET))

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtbtrs
 from scipy.special import gammaln, ndtr, ndtri, xlogy
 
 from .errors import InvalidInputError, NumericalError
 
 LOG_PROB_FLOOR = 1e-300  # probit cells underflow for |f| large; floored before log
-JITTER_BASE = 1e-8       # relative to sigma^2
+JITTER_BASE = 1e-8       # relative to sigma^2; dense blocks only, the latent prior has none
 JITTER_MAX = 1e-4
 SIMPLEX_TOL = 1e-10      # |sum(x) - 1| allowed for a point of the simplex
 
@@ -89,12 +88,6 @@ class EntityHistory:
     @property
     def d(self) -> int:
         return self.covariates.shape[1]
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """Pairwise |t_j - t_k| matrix, cached (kernel evaluations reuse it)."""
-        t = self.timestamps
-        return np.abs(t[:, None] - t[None, :])
 
     @classmethod
     def from_records(cls, entity_id: str, records) -> "EntityHistory":
@@ -202,9 +195,11 @@ def eta_from_cutpoints(cutpoints, kappa):
 
 
 def kernel_matrix(history: EntityHistory, kp: KernelParams, jitter: float | None = None):
-    """Exponential-decay covariance over the entity's timestamps.
+    """Dense exponential-decay covariance over the entity's timestamps.
 
     K[j, k] = sigma^2 * exp(-|t_j - t_k| / rho) + jitter * 1{j == k}
+
+    The dense reference for :func:`markov_factor`, which fits and predictions use.
 
     Parameters
     ----------
@@ -222,31 +217,66 @@ def kernel_matrix(history: EntityHistory, kp: KernelParams, jitter: float | None
         jitter = JITTER_BASE * kp.sigma ** 2
     elif jitter < 0:
         raise InvalidInputError("jitter must be >= 0")
-    K = kp.sigma ** 2 * np.exp(-history.distances / kp.rho)
+    t = history.timestamps
+    K = kp.sigma ** 2 * np.exp(-np.abs(t[:, None] - t[None, :]) / kp.rho)
     if jitter:
         K[np.diag_indices_from(K)] += jitter
     return K
 
 
-def cholesky_with_jitter(K, sigma2, entity_id="?"):
-    """Lower Cholesky factor with an escalating diagonal jitter ladder.
+class MarkovFactor(NamedTuple):
+    """Closed-form lower Cholesky factor L of the exponential kernel.
 
-    Starts from the matrix as given; on failure adds sigma2-relative jitter
-    multiplied by 10 per attempt up to 1e-4 * sigma2, then raises
-    :class:`NumericalError` naming the entity.
+    The kernel is an Ornstein-Uhlenbeck process, Markov in time: over sorted
+    times f_k = a_k f_{k-1} + c_k z_k with a_k = exp(-dt_k / rho), c_0 = sigma
+    and c_k = sigma sqrt(1 - a_k^2).  So L = B^-1 diag(c) with B unit
+    lower-bidiagonal, held in LAPACK lower-band storage: ``band[1, k]`` is
+    -a_{k+1} (last entry unused).  log det K = 2 sum_k log c_k.
     """
-    try:
-        return _cholesky(K, lower=True)
-    except np.linalg.LinAlgError:
-        pass
-    except ValueError:
-        pass
+
+    band: np.ndarray
+    c: np.ndarray
+
+    def unwhiten(self, z):
+        """L z for a whitened (n,) vector: one bidiagonal solve."""
+        return dtbtrs(self.band, self.c * z, uplo="L", overwrite_b=1)[0]
+
+    def whiten(self, r):
+        """L^-1 r for an (n,) vector: w_k = (r_k - a_k r_{k-1}) / c_k."""
+        w = np.array(r, dtype=float)
+        w[1:] += self.band[1, :-1] * w[:-1]
+        return w / self.c
+
+
+def markov_factor(timestamps, rho, sigma, entity_id="?") -> MarkovFactor:
+    """The exponential kernel's Markov factor over strictly increasing times.
+
+    O(n) and exact, with no jitter.  Raises :class:`NumericalError` when some
+    c_k underflows to zero (a gap negligible against rho).
+    """
+    # an infinite gap before the first rating gives a_0 = 0 and c_0 = sigma
+    scaled_gaps = np.diff(timestamps, prepend=-np.inf) / rho
+    band = np.ones((2, scaled_gaps.size))
+    band[1, :-1] = -np.exp(-scaled_gaps[1:])
+    c = sigma * np.sqrt(-np.expm1(-2.0 * scaled_gaps))
+    if not (c > 0.0).all():
+        raise NumericalError(f"kernel factor of entity {entity_id!r} is singular")
+    return MarkovFactor(band, c)
+
+
+def cholesky_with_jitter(K, sigma2, entity_id="?"):
+    """``(L, jitter)``: Cholesky of K + jitter * I for dense kernel blocks.
+
+    The jitter starts at ``JITTER_BASE * sigma2`` and grows tenfold per failed
+    attempt up to ``JITTER_MAX * sigma2``; then :class:`NumericalError` names
+    the entity.  Callers keep derived quantities consistent with the jitter.
+    """
     jitter = JITTER_BASE * sigma2
     eye = np.eye(K.shape[0])
     while jitter <= JITTER_MAX * sigma2 * (1 + 1e-12):
         try:
-            return _cholesky(K + jitter * eye, lower=True)
-        except (np.linalg.LinAlgError, ValueError):
+            return np.linalg.cholesky(K + jitter * eye), jitter
+        except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(f"Cholesky failed for entity {entity_id!r} after jitter escalation")
 
@@ -323,13 +353,6 @@ def rating_cell_probs(f, kappa, cutpoints, n_r):
 # joint log-density
 # ---------------------------------------------------------------------------
 
-def gp_logpdf(f, mean, K, entity_id="?"):
-    """Multivariate normal log-density of f under N(mean, K)."""
-    L = cholesky_with_jitter(K, float(K[0, 0]), entity_id)
-    z = solve_triangular(L, f - mean, lower=True)
-    return float(-0.5 * z @ z - np.log(np.diag(L)).sum() - 0.5 * f.size * _LOG_2PI)
-
-
 def _halfnormal_logpdf(x):
     return 0.5 * math.log(2.0 / math.pi) - 0.5 * x * x if x > 0 else -np.inf
 
@@ -379,9 +402,9 @@ def joint_logdensity(histories, params: ModelParams, latents, priors) -> float:
         f = latents[h.entity_id].f
         if f.shape[0] != h.n:
             raise InvalidInputError(f"latent length mismatch for entity {h.entity_id!r}")
-        m = mean_vector(h, theta)
-        K = kernel_matrix(h, kp)
-        total += gp_logpdf(f, m, K, h.entity_id)
+        factor = markov_factor(h.timestamps, kp.rho, kp.sigma, h.entity_id)
+        w = factor.whiten(f - mean_vector(h, theta))
+        total += float(-0.5 * w @ w - np.log(factor.c).sum() - 0.5 * h.n * _LOG_2PI)
         total += emission_loglik(h.ratings, f, ep.kappa, ep.cutpoints).sum()
         # hyperparameter priors
         shape, scale = priors.lengthscale[h.entity_id]

@@ -4,7 +4,11 @@ Given a fitted backend, the predictive distribution at a query point
 averages ordered-probit cell probabilities over posterior draws, with the
 latent value at the query integrated out in closed form: each draw supplies
 Gaussian conditional moments (mu_s, nu_s^2), and the cell probability uses
-the inflated scale sqrt(kappa^2 + nu_s^2). Deployment scores marginalize the
+the inflated scale sqrt(kappa^2 + nu_s^2). The exponential kernel is Markov
+in time, so under an MCMC draw a query after the last rating depends on the
+path only through its last value: with a = exp(-delta / rho),
+mu = x* . theta + a (f_n - x_n . theta) and nu^2 = sigma^2 (1 - a^2), computed
+for all draws and queries at once. Deployment scores marginalize the
 query over time gaps and covariate rows resampled from the entity's own
 history, so prediction never touches covariates of unseen future reviews.
 """
@@ -18,14 +22,8 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from .errors import InvalidInputError
-from .model import (
-    EntityHistory,
-    KernelParams,
-    _cell_prob,
-    cholesky_with_jitter,
-    kernel_matrix,
-)
-from .svi import VariationalState, _chol_jittered
+from .model import KernelParams, _cell_prob, cholesky_with_jitter
+from .svi import VariationalState
 
 _VAR_FLOOR_REL = 1e-12
 
@@ -82,21 +80,18 @@ def _check_query_time(history, query_time):
             "query_time must not precede the last observed timestamp")
 
 
-def _cross_kernel(history, times, kp: KernelParams):
-    d = np.abs(history.timestamps[:, None] - np.asarray(times, dtype=float)[None, :])
-    return kp.sigma ** 2 * np.exp(-d / kp.rho)
+def _mcmc_draw_moments(history, theta, rho, sigma, f_last, times, xs):
+    """Conditional moments at every query under every draw, each (S, L).
 
-
-def _mcmc_draw_moments(history, theta, kp, latent, times, xs):
-    """Conditional mean and variance at each query under one draw."""
-    K = kernel_matrix(history, kp)
-    L = cholesky_with_jitter(K, kp.sigma ** 2, history.entity_id)
-    k_star = _cross_kernel(history, times, kp)
-    a = solve_triangular(L, k_star, lower=True)
-    resid = solve_triangular(L, latent - history.covariates @ theta, lower=True)
-    mu = xs @ theta + a.T @ resid
-    nu2 = np.maximum(kp.sigma ** 2 - np.einsum("ij,ij->j", a, a),
-                     _VAR_FLOOR_REL * kp.sigma ** 2)
+    ``theta`` is (S, d); ``rho``, ``sigma`` and ``f_last`` (the latent value
+    at the last rating) are (S,); ``times`` is (L,) and ``xs`` is (L, d).
+    """
+    delta = np.maximum(np.asarray(times, dtype=float) - history.timestamps[-1], 0.0)
+    decay = delta[None, :] / rho[:, None]
+    resid = f_last - theta @ history.covariates[-1]
+    mu = theta @ xs.T + np.exp(-decay) * resid[:, None]
+    sigma2 = (sigma ** 2)[:, None]
+    nu2 = np.maximum(-sigma2 * np.expm1(-2.0 * decay), _VAR_FLOOR_REL * sigma2)
     return mu, nu2
 
 
@@ -109,7 +104,7 @@ def _vi_moments(history, state: VariationalState, times, xs):
     z = state.inducing_times[eid]
     sigma2 = kp.sigma ** 2
     k_uu = sigma2 * np.exp(-np.abs(z[:, None] - z[None, :]) / kp.rho)
-    L, jitter = _chol_jittered(k_uu, sigma2)
+    L, jitter = cholesky_with_jitter(k_uu, sigma2, eid)
     k_star = sigma2 * np.exp(-np.abs(z[:, None] - np.asarray(times)[None, :]) / kp.rho)
     half = solve_triangular(L, k_star, lower=True)
     a = solve_triangular(L.T, half, lower=False)
@@ -136,9 +131,11 @@ def conditional_moments(history, draw_state, query_time, query_covariates):
     if isinstance(draw_state, VariationalState):
         mu, nu2 = _vi_moments(history, draw_state, times, xs)
     else:
-        mu, nu2 = _mcmc_draw_moments(
-            history, np.asarray(draw_state.theta, dtype=float), draw_state.kernel,
-            np.asarray(draw_state.latent, dtype=float), times, xs)
+        kp = draw_state.kernel
+        (mu,), (nu2,) = _mcmc_draw_moments(
+            history, np.asarray(draw_state.theta, dtype=float)[None, :],
+            np.array([kp.rho]), np.array([kp.sigma]),
+            np.asarray(draw_state.latent, dtype=float)[-1:], times, xs)
     return float(mu[0]), float(nu2[0])
 
 
@@ -176,16 +173,9 @@ def _query_distribution(history, fit, times, xs):
     sel = fit.latent_draw_indices
     if sel.size == 0:
         raise InvalidInputError("fit holds no latent draws for prediction")
-    latents = fit.latents[history.entity_id]
-    S = sel.size
-    L_q = len(times)
-    mu = np.empty((S, L_q))
-    nu2 = np.empty((S, L_q))
-    for s in range(S):
-        g = sel[s]
-        kp = KernelParams(rho=float(fit.rho[g, idx]), sigma=float(fit.sigma[g, idx]))
-        mu[s], nu2[s] = _mcmc_draw_moments(
-            history, fit.theta[g], kp, latents[s], times, xs)
+    mu, nu2 = _mcmc_draw_moments(
+        history, fit.theta[sel], fit.rho[sel, idx], fit.sigma[sel, idx],
+        fit.latents[history.entity_id][:, -1], times, xs)
     kappa = fit.kappa[sel, idx]
     cuts = _cutpoints_rows(fit.eta[sel, idx, :], kappa[:, None])
     return _probs_from_moments(mu, nu2, kappa, cuts)

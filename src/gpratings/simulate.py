@@ -1,8 +1,9 @@
 """Synthetic data from the generative model, plus the recovery harness.
 
 ``simulate`` draws entities whose latent quality follows the exponential-
-kernel process exactly (multivariate normal via Cholesky) and emits ordinal
-ratings through the probit link. ``recover`` fits a backend on such data and
+kernel process exactly, through its Markov recursion f_k = a_k f_{k-1} +
+c_k z_k (:func:`~gpratings.model.markov_factor`), and emits ordinal ratings
+through the probit link. ``recover`` fits a backend on such data and
 reports bias, RMSE, and coverage against the known truths.
 ``regime_shift_scenario`` builds the step-change histories used to show how
 the sample mean lags a quality shift.
@@ -19,7 +20,7 @@ from scipy.special import ndtri
 
 from .errors import InvalidInputError
 from .mcmc import McmcConfig, PosteriorEnsemble, run_mcmc
-from .model import EntityHistory
+from .model import EntityHistory, markov_factor
 from .svi import SviConfig, fit_svi
 
 DEFAULT_HORIZON_YEARS = 4.0
@@ -70,12 +71,9 @@ def _balanced_cutpoints(n_r: int) -> np.ndarray:
 
 
 def _gp_draw(rng, timestamps, rho, sigma, mean):
-    """Exact latent draw: mean + Cholesky(kernel matrix) @ standard normals."""
+    """Exact latent draw over sorted times: mean + Markov factor @ standard normals."""
     t = np.asarray(timestamps, dtype=float)
-    gaps = np.abs(t[:, None] - t[None, :])
-    K = sigma ** 2 * np.exp(-gaps / rho) + 1e-8 * sigma ** 2 * np.eye(t.size)
-    L = np.linalg.cholesky(K)
-    return mean + L @ rng.standard_normal(t.size)
+    return mean + markov_factor(t, rho, sigma).unwhiten(rng.standard_normal(t.size))
 
 
 def _probit_ratings(rng, latent, kappa, cutpoints):

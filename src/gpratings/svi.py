@@ -30,11 +30,10 @@ from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError, NumericalError
 from .model import (
-    JITTER_BASE,
-    JITTER_MAX,
     EmissionParams,
     EntityHistory,
     KernelParams,
+    cholesky_with_jitter,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -140,22 +139,6 @@ def select_inducing(history: EntityHistory, m_max: int = _MAX_INDUCING):
     return np.minimum(z, float(t[-1]) + eps * z.size)
 
 
-def _chol_jittered(k_pure, sigma2):
-    """Cholesky of k_pure + jitter*I, escalating jitter from the base level.
-
-    Returns the factor together with the jitter actually applied so callers
-    can keep derived quantities consistent with the factored matrix.
-    """
-    jitter = JITTER_BASE * sigma2
-    eye = np.eye(k_pure.shape[0])
-    while jitter <= JITTER_MAX * sigma2 * (1 + 1e-12):
-        try:
-            return np.linalg.cholesky(k_pure + jitter * eye), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise NumericalError("inducing-point Cholesky failed after jitter escalation")
-
-
 def _emission_quadrature(mu, s, y, lam, log_kappa, xq, wbar, want_beta):
     """One Gauss-Hermite pass over every rating.
 
@@ -245,7 +228,7 @@ class _EntityVi:
         rho = math.exp(self.log_rho)
         sigma2 = math.exp(2.0 * self.log_sigma)
         self.k_uu_pure = sigma2 * np.exp(-self.d_uu / rho)
-        L_E, jitter = _chol_jittered(self.k_uu_pure, sigma2)
+        L_E, jitter = cholesky_with_jitter(self.k_uu_pure, sigma2, self.eid)
         # Fortran order lets the per-iteration LAPACK solve skip a copy.
         self.L_E = np.asfortranarray(L_E)
         self.k_uf = sigma2 * np.exp(-self.d_uf / rho)
@@ -573,7 +556,7 @@ def _elbo_reference(history, z, nu, c_chol, theta, rho, sigma, kappa, eta, n_nod
     c_chol = np.asarray(c_chol, dtype=float)
     sigma2 = sigma ** 2
     k_uu_pure = sigma2 * np.exp(-np.abs(z[:, None] - z[None, :]) / rho)
-    L_E, jitter = _chol_jittered(k_uu_pure, sigma2)
+    L_E, jitter = cholesky_with_jitter(k_uu_pure, sigma2, history.entity_id)
     k_uf = sigma2 * np.exp(-np.abs(z[:, None] - history.timestamps[None, :]) / rho)
     A = cho_solve((L_E, True), k_uf)
     mu = history.covariates @ np.asarray(theta, dtype=float) + A.T @ nu

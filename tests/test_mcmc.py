@@ -19,8 +19,10 @@ from gpratings.mcmc import (
     McmcConfig,
     PriorSpec,
     _dirichlet_logpdf,
+    _init_entity,
     _kappa_log_target,
     _rho_sigma_log_target,
+    _update_kernel_params,
     _whitening_matrix,
     build_prior_spec,
     effective_sample_size,
@@ -158,6 +160,27 @@ def test_whitened_gp_draws_are_standard_normal():
     corr = np.corrcoef(white.T)
     off = corr[np.triu_indices(5, k=1)]
     assert np.all(np.abs(off) < 3 * se_mean)
+
+
+def test_singular_kernel_proposal_is_rejected_and_consumes_one_uniform():
+    # at rho ~ 1e304 the innovation scale of a 1e-150-year gap underflows to
+    # zero, so the proposed factor is singular
+    h = make_history([0.0, 1e-150], ratings=[2, 4])
+    st_ = _init_entity(h, (3.0, 1e-150), 5, np.random.default_rng(3), False)
+    st_.mean = np.zeros(h.n)
+    st_.refresh_caches()
+    st_.log_rho = 700.0
+    assert st_.rebuild_kernel() is None
+    before = (st_.log_rho, st_.log_sigma, st_.factor, st_.f.copy(), st_.ll_sum)
+    replay = np.random.default_rng()
+    replay.bit_generator.state = st_.rng.bit_generator.state
+    _update_kernel_params(st_, 0.0)
+    assert st_.acc_rs == 0.0
+    assert (st_.log_rho, st_.log_sigma, st_.factor) == before[:3]
+    assert np.array_equal(st_.f, before[3]) and st_.ll_sum == before[4]
+    replay.standard_normal(2)
+    replay.random()
+    assert st_.rng.random() == replay.random()
 
 
 def test_whitening_matrix_orthogonalizes_covariates():

@@ -30,6 +30,7 @@ from gpratings.model import (
     eta_from_cutpoints,
     joint_logdensity,
     kernel_matrix,
+    markov_factor,
     mean_vector,
     rating_cell_probs,
 )
@@ -95,6 +96,49 @@ def test_kernel_symmetric_and_choleskyable(seed):
     assert np.max(np.abs(K - K.T)) <= 1e-12
     L = np.linalg.cholesky(K)
     assert np.all(np.diag(L) > 0)
+
+
+def tied_times(seed, n, n_ties, tie_gap):
+    """Sorted times with n_ties consecutive gaps shrunk to tie_gap."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(0.3, n - 1)
+    gaps[rng.choice(n - 1, min(n_ties, n - 1), replace=False)] = tie_gap
+    return 1.5 + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), rho=st.floats(0.05, 5.0), sigma=st.floats(0.1, 3.0),
+       n_ties=st.integers(0, 5), seed=st.integers(0, 10 ** 6))
+def test_markov_factor_matches_dense_cholesky(n, rho, sigma, n_ties, seed):
+    # oracle: the dense Cholesky factor of the exact (jitter-free) kernel,
+    # including histories with 1e-6-year ties like those ingest produces.
+    # At a tie the dense factor computes L_kk^2 = sigma^2 - sum_j L_kj^2 with
+    # cancellation, so the oracle itself carries a relative error of about
+    # eps * sigma^2 / L_kk^2 there (up to 1e-9 in L @ z and in log det K,
+    # checked against 40-digit arithmetic); the bounds are normwise and
+    # include that rounding term.
+    h = make_history(tied_times(seed, n, n_ties, 1e-6))
+    kp = KernelParams(rho=rho, sigma=sigma)
+    L = np.linalg.cholesky(kernel_matrix(h, kp, jitter=0.0))
+    factor = markov_factor(h.timestamps, rho, sigma)
+    z = np.random.default_rng(seed + 1).standard_normal(n)
+    err = np.linalg.norm(factor.unwhiten(z) - L @ z)
+    assert err <= 1e-10 * np.linalg.norm(L) * np.linalg.norm(z)
+    dense_logdet = 2.0 * np.log(np.diag(L)).sum()
+    rounding = 16 * np.finfo(float).eps * np.sum(sigma ** 2 / np.diag(L) ** 2)
+    logdet = 2.0 * np.log(factor.c).sum()
+    assert abs(logdet - dense_logdet) <= 1e-10 * abs(dense_logdet) + rounding
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 60), rho=st.floats(0.05, 50.0), sigma=st.floats(0.1, 3.0),
+       n_ties=st.integers(1, 10), tie_gap=st.sampled_from([1e-9, 1e-6]),
+       seed=st.integers(0, 10 ** 6))
+def test_markov_whiten_round_trip_on_near_ties(n, rho, sigma, n_ties, tie_gap, seed):
+    factor = markov_factor(tied_times(seed, n, n_ties, tie_gap), rho, sigma)
+    r = 2.0 * np.random.default_rng(seed + 1).standard_normal(n)
+    back = factor.unwhiten(factor.whiten(r))
+    assert np.max(np.abs(back - r)) <= 1e-10 * np.max(np.abs(r))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +317,7 @@ def test_joint_logdensity_matches_termwise_oracle():
     ep = params.emission["e1"]
     f = latents["e1"].f
     dt = np.abs(h.timestamps[:, None] - h.timestamps[None, :])
-    K = kp.sigma ** 2 * np.exp(-dt / kp.rho) + 1e-8 * kp.sigma ** 2 * np.eye(3)
+    K = kp.sigma ** 2 * np.exp(-dt / kp.rho)
     m = h.covariates @ params.theta.theta
     expected = stats.multivariate_normal(mean=m, cov=K).logpdf(f)
     cuts = ep.kappa * stats.norm.ppf(np.cumsum(ep.eta)[:-1])
@@ -306,7 +350,7 @@ def test_joint_logdensity_single_rating_entity():
     priors = PriorSpec(lengthscale={"e1": (3.0, 2.0)}, r_star=None)
 
     result = joint_logdensity([h], params, latents, priors)
-    var = 1.5 ** 2 * (1 + 1e-8)
+    var = 1.5 ** 2
     gp_term = stats.norm(scale=math.sqrt(var)).logpdf(0.7)
     # strip the GP term; the rest must be the emission plus priors
     assert np.isfinite(result)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gpratings.errors import InvalidInputError
 from gpratings.mcmc import McmcConfig, run_mcmc
@@ -13,6 +14,7 @@ from gpratings.predict import (
     MarginalizationDraw,
     PredictiveDistribution,
     _probs_from_moments,
+    _query_distribution,
     conditional_moments,
     marginalization_draws,
     marginalize,
@@ -79,7 +81,7 @@ def test_marginalization_draw_requires_positive_gap():
 def dense_moments(h, theta, kp, latent, t_star, x_star):
     """Independent oracle using a full solve instead of Cholesky factors."""
     d = np.abs(h.timestamps[:, None] - h.timestamps[None, :])
-    K = kp.sigma ** 2 * np.exp(-d / kp.rho) + 1e-8 * kp.sigma ** 2 * np.eye(h.n)
+    K = kp.sigma ** 2 * np.exp(-d / kp.rho)
     k_star = kp.sigma ** 2 * np.exp(-np.abs(t_star - h.timestamps) / kp.rho)
     mu = float(x_star @ theta + k_star @ np.linalg.solve(K, latent - h.covariates @ theta))
     nu2 = float(kp.sigma ** 2 - k_star @ np.linalg.solve(K, k_star))
@@ -98,6 +100,30 @@ def test_mcmc_moments_match_dense_solver():
     mu_o, nu2_o = dense_moments(h, theta, kp, latent, t_star, x_star)
     assert mu == pytest.approx(mu_o, rel=1e-9)
     assert nu2 == pytest.approx(nu2_o, rel=1e-7)
+
+
+def test_multi_draw_predictive_matches_per_draw_loop(mcmc_fit):
+    # oracle: one conditional_moments call per retained draw and query,
+    # averaged through the same probability step
+    hs, fit = mcmc_fit
+    h = hs[1]
+    eid = h.entity_id
+    idx = fit.entity_index(eid)
+    sel = fit.latent_draw_indices
+    times = h.timestamps[-1] + np.array([0.0, 0.03, 0.4, 2.5])
+    xs = np.random.default_rng(8).normal(size=(times.size, 2))
+    mu = np.empty((sel.size, times.size))
+    nu2 = np.empty_like(mu)
+    for s, g in enumerate(sel):
+        state = DrawState(fit.theta[g], KernelParams(fit.rho[g, idx], fit.sigma[g, idx]),
+                          fit.latents[eid][s])
+        for j, (t, x) in enumerate(zip(times, xs)):
+            mu[s, j], nu2[s, j] = conditional_moments(h, state, float(t), x)
+    kappa = fit.kappa[sel, idx]
+    cuts = kappa[:, None] * stats.norm.ppf(np.cumsum(fit.eta[sel, idx], axis=1)[:, :-1])
+    want = _probs_from_moments(mu, nu2, kappa, cuts)
+    got = _query_distribution(h, fit, times, xs)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_moments_interpolate_at_last_observation():
