@@ -8,6 +8,7 @@ is {schema_version, backend, config, payload}.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import asdict, dataclass
@@ -211,6 +212,26 @@ def _listify(value):
     return value
 
 
+def _lower_rows(c):
+    """Each row of a lower-triangular matrix up to its diagonal; the zeros above are implied."""
+    return [row[: i + 1] for i, row in enumerate(c.tolist())]
+
+
+def _square_from_rows(rows, path):
+    """Inverse of :func:`_lower_rows`; full-square rows, as older artifacts hold, load as is."""
+    m = len(rows)
+    lengths = [len(r) for r in rows]
+    if lengths == [m] * m:
+        return np.asarray(rows, dtype=float)
+    if lengths != list(range(1, m + 1)):
+        raise DataError(f"{path}: malformed artifact (q_chol rows are neither "
+                        "lower-triangular nor square)")
+    out = np.zeros((m, m))
+    out[np.tril_indices(m)] = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=float, count=m * (m + 1) // 2)
+    return out
+
+
 def save_fit(fit, path) -> None:
     """Persist a fitted model as versioned JSON (see load_fit)."""
     backend = getattr(fit, "backend", None)
@@ -234,7 +255,7 @@ def save_fit(fit, path) -> None:
             "entity_ids": list(fit.entity_ids),
             "inducing_times": _listify(fit.inducing_times),
             "q_mean": _listify(fit.q_mean),
-            "q_chol": _listify(fit.q_chol),
+            "q_chol": {e: _lower_rows(c) for e, c in fit.q_chol.items()},
             "theta": fit.theta.tolist(),
             "kernel": {e: {"rho": kp.rho, "sigma": kp.sigma}
                        for e, kp in fit.kernel.items()},
@@ -313,7 +334,7 @@ def load_fit(path, expect_backend: str = None):
                                 for e, v in payload["inducing_times"].items()},
                 q_mean={e: np.asarray(v, dtype=float)
                         for e, v in payload["q_mean"].items()},
-                q_chol={e: np.asarray(v, dtype=float)
+                q_chol={e: _square_from_rows(v, path)
                         for e, v in payload["q_chol"].items()},
                 theta=np.asarray(payload["theta"], dtype=float),
                 kernel={e: KernelParams(**kp)

@@ -8,9 +8,13 @@ the inflated scale sqrt(kappa^2 + nu_s^2). The exponential kernel is Markov
 in time, so under an MCMC draw a query after the last rating depends on the
 path only through its last value: with a = exp(-delta / rho),
 mu = x* . theta + a (f_n - x_n . theta) and nu^2 = sigma^2 (1 - a^2), computed
-for all draws and queries at once. Deployment scores marginalize the
-query over time gaps and covariate rows resampled from the entity's own
-history, so prediction never touches covariates of unseen future reviews.
+for all draws and queries at once. Under a variational fit the same Markov
+property gives each query's projection onto the inducing points two nonzero
+weights (:func:`gpratings.model.bridge_projection`), so the moments cost O(1)
+per query after one O(m^2) pass over the covariance factor q_chol.
+Deployment scores marginalize the query over time gaps and covariate rows
+resampled from the entity's own history, so prediction never touches
+covariates of unseen future reviews.
 """
 
 from __future__ import annotations
@@ -18,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from .errors import InvalidInputError
-from .model import KernelParams, _cell_prob, cholesky_with_jitter
-from .svi import VariationalState
+from .model import KernelParams, _cell_prob, bridge_projection
+from .svi import VariationalState, _projected_spread
 
 _VAR_FLOOR_REL = 1e-12
 
@@ -96,25 +99,16 @@ def _mcmc_draw_moments(history, theta, rho, sigma, f_last, times, xs):
 
 
 def _vi_moments(history, state: VariationalState, times, xs):
-    """Sparse-projection q(f*) moments at each query."""
+    """Closed-form q(f*) moments at each query, the bridge projection of q(u)."""
     eid = history.entity_id
     if eid not in state.q_mean:
         raise InvalidInputError(f"state has no entity {eid!r}")
     kp = state.kernel[eid]
-    z = state.inducing_times[eid]
-    sigma2 = kp.sigma ** 2
-    k_uu = sigma2 * np.exp(-np.abs(z[:, None] - z[None, :]) / kp.rho)
-    L, jitter = cholesky_with_jitter(k_uu, sigma2, eid)
-    k_star = sigma2 * np.exp(-np.abs(z[:, None] - np.asarray(times)[None, :]) / kp.rho)
-    half = solve_triangular(L, k_star, lower=True)
-    a = solve_triangular(L.T, half, lower=False)
-    mu = xs @ state.theta + a.T @ state.q_mean[eid]
-    cta = state.q_chol[eid].T @ a
-    nu2 = np.maximum(
-        sigma2 + jitter - np.einsum("ij,ij->j", k_star, a)
-        + np.einsum("ij,ij->j", cta, cta),
-        _VAR_FLOOR_REL * sigma2,
-    )
+    proj = bridge_projection(state.inducing_times[eid], times, kp.rho, kp.sigma, eid)
+    mu = xs @ state.theta + proj.project(state.q_mean[eid])
+    g_lo, g_hi = _projected_spread(proj, state.q_chol[eid])
+    nu2 = np.maximum(proj.var + proj.w_lo * g_lo + proj.w_hi * g_hi,
+                     _VAR_FLOOR_REL * kp.sigma ** 2)
     return mu, nu2
 
 

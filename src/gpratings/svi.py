@@ -8,11 +8,17 @@ minus the closed-form KL between q(u) and the GP prior at the inducing
 points. Gradients are analytic throughout; a finite-difference cross-check
 lives in the test suite.
 
-Per-iteration cost at fixed inducing count m is O(n m) for the variational
-mean, theta and emission parameters, and O(n m^2 + m^3) for the covariance
-factor and kernel hyperparameters. The latter block is refreshed every
-``hyper_update_every`` iterations, which keeps the amortized cost low while
-the cheap block tracks the optimum between refreshes.
+The exponential kernel is Markov in time, so nothing here is dense in the
+kernel: the prior precision at the inducing points is B^T D^-2 B from
+:func:`gpratings.model.markov_factor` (B unit lower-bidiagonal), and each
+rating's projection row K_uu^-1 k_u(t) has two nonzeros, the
+Ornstein-Uhlenbeck bridge weights of :func:`gpratings.model.bridge_projection`.
+Per iteration at n ratings and m inducing points, the variational mean,
+theta and emission parameters cost O(n + m) beyond the quadrature; the
+covariance factor C and the kernel hyperparameters cost O(n + m^2), the size
+of the dense lower-triangular C itself. The latter block is refreshed every
+``hyper_update_every`` iterations, with the cheap block tracking the optimum
+in between.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotri, dpotrs, dtrtrs
 from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError, NumericalError
@@ -33,7 +37,8 @@ from .model import (
     EmissionParams,
     EntityHistory,
     KernelParams,
-    cholesky_with_jitter,
+    bridge_projection,
+    markov_factor,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -190,14 +195,31 @@ def _emission_quadrature(mu, s, y, lam, log_kappa, xq, wbar, want_beta):
     return total, gamma, beta, g_kappa, g_lam, eta
 
 
+def _projected_spread(proj, C):
+    """Per projected time, (C^T a) . C[lo] and (C^T a) . C[hi] for its projection row a.
+
+    Var_q[f(t)] = proj.var + w_lo * first + w_hi * second. Only the
+    tridiagonal band of C C^T enters, so the cost is O(m^2 + n).
+    """
+    g_diag = np.einsum("ij,ij->i", C, C)
+    g_next = np.append(np.einsum("ij,ij->i", C[:-1], C[1:]), 0.0)
+    g_cross = np.where(proj.hi > proj.lo, g_next[proj.lo], g_diag[proj.lo])
+    return (proj.w_lo * g_diag[proj.lo] + proj.w_hi * g_cross,
+            proj.w_lo * g_cross + proj.w_hi * g_diag[proj.hi])
+
+
 class _EntityVi:
-    """Per-entity variational parameters plus kernel-dependent caches."""
+    """Per-entity variational parameters plus kernel-dependent caches.
+
+    The caches are O(n + m^2): the inducing points' Markov factor, the bridge
+    projection of every rating time, and the whitened covariance factor.
+    """
 
     __slots__ = (
-        "history", "eid", "X", "y", "n", "z", "m", "n_r", "d_uu", "d_uf",
+        "history", "eid", "X", "y", "n", "z", "m", "n_r", "gaps",
         "nu", "C", "lam", "log_kappa", "log_rho", "log_sigma",
-        "k_uu_pure", "k_uf", "L_E", "A", "kuf_a", "CtA", "s2", "s", "k_diag",
-        "half", "cs_C", "sld_E", "sld_C", "tril_mask", "broken",
+        "factor", "proj", "g_lo", "g_hi", "s2", "s",
+        "half", "cs_C", "sld_E", "sld_C", "broken",
     )
 
     def __init__(self, history, z, n_r, rho0):
@@ -209,8 +231,7 @@ class _EntityVi:
         self.z = z
         self.m = z.size
         self.n_r = n_r
-        self.d_uu = np.abs(z[:, None] - z[None, :])
-        self.d_uf = np.abs(z[:, None] - history.timestamps[None, :])
+        self.gaps = np.diff(z)
         self.nu = np.zeros(self.m)
         counts = np.bincount(self.y, minlength=n_r + 1)[1:]
         eta0 = (counts + 0.5) / (self.n + 0.5 * n_r)
@@ -220,47 +241,36 @@ class _EntityVi:
         self.log_rho = math.log(rho0)
         self.log_sigma = 0.0
         self.C = None
-        self.tril_mask = np.tril(np.ones((self.m, self.m), dtype=bool), -1)
         self.broken = False
         self.rebuild()
 
     def rebuild(self):
         rho = math.exp(self.log_rho)
-        sigma2 = math.exp(2.0 * self.log_sigma)
-        self.k_uu_pure = sigma2 * np.exp(-self.d_uu / rho)
-        L_E, jitter = cholesky_with_jitter(self.k_uu_pure, sigma2, self.eid)
-        # Fortran order lets the per-iteration LAPACK solve skip a copy.
-        self.L_E = np.asfortranarray(L_E)
-        self.k_uf = sigma2 * np.exp(-self.d_uf / rho)
-        self.A, info = dpotrs(self.L_E, self.k_uf, lower=1)
-        if info:
-            raise NumericalError("inducing-point solve failed")
-        self.kuf_a = np.einsum("ij,ij->j", self.k_uf, self.A)
+        sigma = math.exp(self.log_sigma)
+        self.factor = markov_factor(self.z, rho, sigma, self.eid)
+        self.proj = bridge_projection(self.z, self.history.timestamps, rho, sigma, self.eid)
         if self.C is None:
-            self.C = self.L_E.copy()
-        self.CtA = self.C.T @ self.A
-        self.k_diag = sigma2 + jitter
+            self.C = self.factor.dense()
+        self.g_lo, self.g_hi = _projected_spread(self.proj, self.C)
         self.s2 = np.maximum(
-            self.k_diag - self.kuf_a + np.einsum("ij,ij->j", self.CtA, self.CtA),
-            1e-12 * sigma2,
+            self.proj.var + self.proj.w_lo * self.g_lo + self.proj.w_hi * self.g_hi,
+            1e-12 * sigma * sigma,
         )
         self.s = np.sqrt(self.s2)
-        self.half, info = dtrtrs(self.L_E, self.C, lower=1)
-        if info:
-            raise NumericalError("inducing-point solve failed")
+        self.half = self.factor.whiten(self.C)
         self.cs_C = float(np.sum(self.half * self.half))
-        self.sld_E = float(np.sum(np.log(np.diag(self.L_E))))
+        self.sld_E = float(np.sum(np.log(self.factor.c)))
         self.sld_C = float(np.sum(np.log(np.diag(self.C))))
 
     def forward(self, theta, xq, wbar, heavy):
         """ELBO value and gradients at the current parameters."""
         if self.broken:
             return None
-        mu = self.X @ theta + self.A.T @ self.nu
-        w_nu, info = dpotrs(self.L_E, self.nu, lower=1)
-        if info:
-            return None
-        nu_quad = float(self.nu @ w_nu)
+        proj = self.proj
+        mu = self.X @ theta + proj.project(self.nu)
+        w_white = self.factor.whiten(self.nu)
+        w_nu = self.factor.whiten_t(w_white)  # K_uu^-1 nu
+        nu_quad = float(w_white @ w_white)
         kl = 0.5 * (self.cs_C + nu_quad - self.m) + self.sld_E - self.sld_C
         lik, gamma, beta, g_kappa, g_lam, eta = _emission_quadrature(
             mu, self.s, self.y, self.lam, self.log_kappa, xq, wbar, want_beta=heavy)
@@ -269,48 +279,39 @@ class _EntityVi:
             return None
         out = {
             "elbo": elbo_val,
-            "g_nu": self.A @ gamma - w_nu,
+            "g_nu": proj.project_t(gamma, self.m) - w_nu,
             "g_theta": self.X.T @ gamma,
             "g_kappa": g_kappa,
             "g_lam": g_lam,
         }
         if heavy:
-            rho = math.exp(self.log_rho)
-            # rebuild already holds L^-1 C, so K^-1 C needs one more solve
-            b_c, info = dtrtrs(self.L_E, self.half, lower=1, trans=1)
-            if info:
-                return None
-            atc = self.A.T @ self.C
-            g_raw = 2.0 * ((self.A * beta) @ atc) - b_c
-            out["g_low"] = np.where(self.tril_mask, g_raw, 0.0)
-            out["g_omega"] = np.diag(g_raw) * np.diag(self.C) + 1.0
+            C = self.C
+            # d lik / dC = 2 M C with M = A diag(beta) A^T tridiagonal
+            m_diag = (np.bincount(proj.lo, beta * proj.w_lo ** 2, minlength=self.m)
+                      + np.bincount(proj.hi, beta * proj.w_hi ** 2, minlength=self.m))
+            m_next = np.bincount(proj.lo, beta * proj.w_lo * proj.w_hi, minlength=self.m)[:-1, None]
+            mc = m_diag[:, None] * C
+            mc[:-1] += m_next * C[1:]
+            mc[1:] += m_next * C[:-1]
+            g_raw = 2.0 * mc - self.factor.whiten_t(self.half)
+            out["g_low"] = np.tril(g_raw, -1)
+            out["g_omega"] = np.diag(g_raw) * np.diag(C) + 1.0
             out["g_lsigma"] = (
-                2.0 * float(beta @ (self.k_diag - self.kuf_a))
-                + self.cs_C + nu_quad - self.m
-            )
-            kdot_uu = self.k_uu_pure * (self.d_uu / rho)
-            kdot_uf = self.k_uf * (self.d_uf / rho)
-            adot, info = dpotrs(self.L_E, kdot_uf - kdot_uu @ self.A, lower=1)
-            if info:
-                return None
-            g_mu_rho = float(gamma @ (adot.T @ self.nu))
-            ds2 = (
-                -np.einsum("ij,ij->j", kdot_uf, self.A)
-                - np.einsum("ij,ij->j", self.k_uf, adot)
-                + 2.0 * np.einsum("ij,ij->j", self.CtA, self.C.T @ adot)
-            )
-            # tr(K^-1 Kdot) via the triangular inverse-from-factor routine;
-            # Kdot has a zero diagonal, so summing the filled lower triangle
-            # against the symmetric Kdot and doubling covers the whole matrix.
-            kuu_inv_low, info = dpotri(self.L_E, lower=1)
-            if info:
-                return None
-            kl_rho = 0.5 * (
-                2.0 * float(np.sum(kuu_inv_low * kdot_uu))
-                - float(np.sum(b_c * (kdot_uu @ b_c)))
-                - float(w_nu @ (kdot_uu @ w_nu))
-            )
-            out["g_lrho"] = g_mu_rho + float(beta @ ds2) - kl_rho
+                2.0 * float(beta @ proj.var) + self.cs_C + nu_quad - self.m)
+            # log-rho moves the bridge weights and variances, and the KL
+            # through a_k = exp(-gap_k / rho) and c_k = sigma sqrt(1 - a_k^2),
+            # which set the whitened rows W_k = (C_k - a_k C_{k-1}) / c_k
+            dmu = proj.dw_lo * self.nu[proj.lo] + proj.dw_hi * self.nu[proj.hi]
+            ds2 = proj.dvar + 2.0 * (proj.dw_lo * self.g_lo + proj.dw_hi * self.g_hi)
+            a = -self.factor.band[1, :-1]
+            c = self.factor.c[1:]
+            da = (self.gaps / math.exp(self.log_rho)) * a
+            dlog_c = -math.exp(2.0 * self.log_sigma) * a * da / (c * c)
+            w_rows = self.half[1:]
+            cross = np.einsum("ij,ij->i", w_rows, C[:-1]) + w_white[1:] * self.nu[:-1]
+            sq = np.einsum("ij,ij->i", w_rows, w_rows) + w_white[1:] ** 2
+            kl_rho = float(np.sum((1.0 - sq) * dlog_c - (da / c) * cross))
+            out["g_lrho"] = float(gamma @ dmu) + float(beta @ ds2) - kl_rho
         return out
 
     def snapshot(self):
@@ -329,9 +330,9 @@ class _EntityVi:
         self.log_kappa = self.log_kappa + float(step[-1])
 
     def apply_heavy(self, steps):
-        off = np.where(self.tril_mask, self.C, 0.0) + steps["low"]
-        diag = np.exp(np.log(np.diag(self.C)) + steps["omega"])
-        self.C = off + np.diag(diag)
+        C = np.tril(self.C, -1) + steps["low"]
+        C[np.diag_indices(self.m)] = np.exp(np.log(np.diag(self.C)) + steps["omega"])
+        self.C = C
         self.log_rho = self.log_rho + steps["rho"]
         self.log_sigma = self.log_sigma + steps["sigma"]
         try:
@@ -536,7 +537,11 @@ def _softmax(lam):
 
 
 def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int = 20) -> float:
-    """Single-entity ELBO at the parameters stored in a fitted state."""
+    """Single-entity ELBO at the parameters stored in a fitted state.
+
+    Raises :class:`NumericalError` when the inducing factor is singular or
+    the objective is not finite there.
+    """
     if quadrature_nodes < 5:
         raise InvalidInputError("quadrature_nodes must be >= 5")
     eid = history.entity_id
@@ -544,36 +549,18 @@ def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int 
         raise InvalidInputError(f"state has no entity {eid!r}")
     kp = state.kernel[eid]
     ep = state.emission[eid]
-    return _elbo_reference(
-        history, state.inducing_times[eid], state.q_mean[eid], state.q_chol[eid],
-        state.theta, kp.rho, kp.sigma, ep.kappa, ep.eta, quadrature_nodes)
-
-
-def _elbo_reference(history, z, nu, c_chol, theta, rho, sigma, kappa, eta, n_nodes):
-    """From-scratch ELBO used by the public entry point and the tests."""
-    z = np.asarray(z, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    c_chol = np.asarray(c_chol, dtype=float)
-    sigma2 = sigma ** 2
-    k_uu_pure = sigma2 * np.exp(-np.abs(z[:, None] - z[None, :]) / rho)
-    L_E, jitter = cholesky_with_jitter(k_uu_pure, sigma2, history.entity_id)
-    k_uf = sigma2 * np.exp(-np.abs(z[:, None] - history.timestamps[None, :]) / rho)
-    A = cho_solve((L_E, True), k_uf)
-    mu = history.covariates @ np.asarray(theta, dtype=float) + A.T @ nu
-    cta = c_chol.T @ A
-    s2 = np.maximum(
-        sigma2 + jitter - np.einsum("ij,ij->j", k_uf, A) + np.einsum("ij,ij->j", cta, cta),
-        1e-12 * sigma2,
-    )
-    xq, wbar = _quadrature_nodes(n_nodes)
-    lam = np.log(np.maximum(np.asarray(eta, dtype=float), 1e-300))
-    lik, *_ = _emission_quadrature(
-        mu, np.sqrt(s2), history.ratings, lam, math.log(kappa), xq, wbar, want_beta=False)
-    half_c = solve_triangular(L_E, c_chol, lower=True)
-    half_nu = solve_triangular(L_E, nu, lower=True)
-    kl = (0.5 * (np.sum(half_c * half_c) + half_nu @ half_nu - z.size)
-          + np.sum(np.log(np.diag(L_E))) - np.sum(np.log(np.diag(c_chol))))
-    return float(lik - kl)
+    ent = _EntityVi(history, np.asarray(state.inducing_times[eid], dtype=float),
+                    ep.n_r, kp.rho)
+    ent.nu = np.asarray(state.q_mean[eid], dtype=float)
+    ent.C = np.asarray(state.q_chol[eid], dtype=float)
+    ent.lam = np.log(ep.eta)
+    ent.log_kappa = math.log(ep.kappa)
+    ent.log_sigma = math.log(kp.sigma)
+    ent.rebuild()
+    out = ent.forward(state.theta, *_quadrature_nodes(quadrature_nodes), heavy=False)
+    if out is None:
+        raise NumericalError(f"ELBO of entity {eid!r} is not finite")
+    return out["elbo"]
 
 
 def complexity_probe(n_values=(64, 128, 256, 512, 1024), m: Optional[int] = 16,
@@ -589,10 +576,10 @@ def complexity_probe(n_values=(64, 128, 256, 512, 1024), m: Optional[int] = 16,
     estimate. With ``m`` fixed the per-iteration cost should scale close to
     linearly in n; the returned table includes the fitted log-log slope. The
     default inducing count is small relative to every probed n because the
-    factorization work on the m-by-m system is independent of n and would
-    otherwise read as a constant floor under the growth trend. Passing
-    ``m=None`` sets the inducing count equal to n instead, removing sparsity
-    so the trend turns superlinear.
+    O(m^2) refresh work on the covariance factor is independent of n and
+    would otherwise read as a constant floor under the growth trend. Passing
+    ``m=None`` sets the inducing count equal to n instead, so that refresh
+    work grows as n^2 and the trend steepens.
     """
     rng = np.random.default_rng(seed)
     every = SviConfig().hyper_update_every if hyper_update_every is None else hyper_update_every

@@ -242,6 +242,38 @@ class TestFitArtifacts:
         after = predictive_probs(h, loaded, query)
         assert np.array_equal(before.probs, after.probs)
 
+    def test_svi_q_chol_saved_as_lower_triangle(self, tmp_path, small_svi_fit):
+        histories, state = small_svi_fit
+        sparse = fit_svi(histories, SviConfig(iterations=60, m_max=6, seed=2))
+        for fit in (state, sparse):
+            for c in fit.q_chol.values():
+                upper = c[np.triu_indices(c.shape[0], 1)]
+                # +0.0 bits, so the implied zeros reload bit for bit
+                assert not upper.any() and not np.signbit(upper).any()
+            p = tmp_path / "fit.json"
+            save_fit(fit, p)
+            rows = json.loads(p.read_text(encoding="utf-8"))["payload"]["q_chol"]
+            loaded = load_fit(p)
+            for eid, c in fit.q_chol.items():
+                assert [len(r) for r in rows[eid]] == list(range(1, c.shape[0] + 1))
+                assert loaded.q_chol[eid].shape == c.shape
+                assert loaded.q_chol[eid].tobytes() == c.tobytes()
+
+    def test_svi_full_square_q_chol_still_loads(self, tmp_path, small_svi_fit):
+        _, state = small_svi_fit
+        p = tmp_path / "fit.json"
+        save_fit(state, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc["payload"]["q_chol"] = {e: c.tolist() for e, c in state.q_chol.items()}
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        loaded = load_fit(p)
+        for eid, c in state.q_chol.items():
+            assert loaded.q_chol[eid].tobytes() == c.tobytes()
+        doc["payload"]["q_chol"]["v0"][2] = [1.0, 2.0]
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="q_chol"):
+            load_fit(p)
+
     def test_truncated_artifact(self, tmp_path, small_svi_fit):
         _, state = small_svi_fit
         p = tmp_path / "fit.json"

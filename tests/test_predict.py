@@ -8,13 +8,14 @@ from scipy import stats
 
 from gpratings.errors import InvalidInputError
 from gpratings.mcmc import McmcConfig, run_mcmc
-from gpratings.model import EntityHistory, KernelParams
+from gpratings.model import EntityHistory, KernelParams, kernel_matrix
 from gpratings.predict import (
     DrawState,
     MarginalizationDraw,
     PredictiveDistribution,
     _probs_from_moments,
     _query_distribution,
+    _vi_moments,
     conditional_moments,
     marginalization_draws,
     marginalize,
@@ -165,14 +166,39 @@ def test_vi_moments_match_dense_projection(svi_fit):
     x_star = np.array([0.2, -0.5])
     mu, nu2 = conditional_moments(h, state, t_star, x_star)
     sigma2 = kp.sigma ** 2
-    K_uu = sigma2 * np.exp(-np.abs(z[:, None] - z[None, :]) / kp.rho) + 1e-8 * sigma2 * np.eye(z.size)
+    K_uu = sigma2 * np.exp(-np.abs(z[:, None] - z[None, :]) / kp.rho)
     k_star = sigma2 * np.exp(-np.abs(z - t_star) / kp.rho)
     a = np.linalg.solve(K_uu, k_star)
     mu_o = float(x_star @ state.theta + a @ state.q_mean[eid])
     c_t_a = state.q_chol[eid].T @ a
-    nu2_o = float(sigma2 + 1e-8 * sigma2 - k_star @ a + c_t_a @ c_t_a)
+    nu2_o = float(sigma2 - k_star @ a + c_t_a @ c_t_a)
     assert mu == pytest.approx(mu_o, rel=1e-8)
     assert nu2 == pytest.approx(nu2_o, rel=1e-6)
+
+
+def test_vi_moments_closed_form_matches_dense_oracle(svi_fit):
+    # every query regime of the bridge projection: before z_0, exactly on
+    # each inducing point, inside each gap, and after z_{m-1}
+    hs, state = svi_fit
+    rng = np.random.default_rng(8)
+    for h in hs:
+        eid = h.entity_id
+        kp = state.kernel[eid]
+        z = state.inducing_times[eid]
+        times = np.concatenate([[z[0] - 0.5], z, 0.5 * (z[:-1] + z[1:]),
+                                h.timestamps[-1] + np.array([1e-3, 0.4, 30.0])])
+        xs = rng.normal(size=(times.size, 2))
+        mu, nu2 = _vi_moments(h, state, times, xs)
+        hz = EntityHistory("z", z, np.ones(z.size, dtype=int), np.zeros((z.size, 1)))
+        K_uu = kernel_matrix(hz, kp, jitter=0.0)
+        k_star = kp.sigma ** 2 * np.exp(-np.abs(z[:, None] - times[None, :]) / kp.rho)
+        a = np.linalg.solve(K_uu, k_star)
+        mu_o = xs @ state.theta + a.T @ state.q_mean[eid]
+        c_t_a = state.q_chol[eid].T @ a
+        nu2_o = (kp.sigma ** 2 - np.einsum("ij,ij->j", k_star, a)
+                 + np.einsum("ij,ij->j", c_t_a, c_t_a))
+        assert mu == pytest.approx(mu_o, rel=1e-8, abs=1e-12)
+        assert nu2 == pytest.approx(nu2_o, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.linalg import cho_solve, solve_triangular
 
 import gpratings.svi as svi_mod
 from gpratings.errors import InvalidInputError, NumericalError
@@ -18,8 +19,9 @@ from gpratings.model import EntityHistory, KernelParams, kernel_matrix
 from gpratings.svi import (
     SviConfig,
     VariationalState,
-    _elbo_reference,
+    _emission_quadrature,
     _EntityVi,
+    _quadrature_nodes,
     complexity_probe,
     elbo,
     fit_svi,
@@ -32,6 +34,38 @@ def make_entity(seed=0, n=7, d=2, eid="e1", n_r=5):
     t = np.sort(rng.uniform(0.0, 4.0, n))
     t += np.arange(n) * 1e-8
     return EntityHistory(eid, t, rng.integers(1, n_r + 1, n), rng.normal(size=(n, d)))
+
+
+def dense_kuu(z, rho, sigma):
+    """Jitter-free dense prior covariance at the inducing times."""
+    hz = EntityHistory("z", z, np.ones(z.size, dtype=int), np.zeros((z.size, 1)))
+    return kernel_matrix(hz, KernelParams(rho=rho, sigma=sigma), jitter=0.0)
+
+
+def _elbo_reference(history, z, nu, c_chol, theta, rho, sigma, kappa, eta, n_nodes):
+    """From-scratch ELBO on the dense, jitter-free K_uu and K_uf: the tests' oracle."""
+    z = np.asarray(z, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    c_chol = np.asarray(c_chol, dtype=float)
+    sigma2 = sigma ** 2
+    L_E = np.linalg.cholesky(dense_kuu(z, rho, sigma))
+    k_uf = sigma2 * np.exp(-np.abs(z[:, None] - history.timestamps[None, :]) / rho)
+    A = cho_solve((L_E, True), k_uf)
+    mu = history.covariates @ np.asarray(theta, dtype=float) + A.T @ nu
+    cta = c_chol.T @ A
+    s2 = np.maximum(
+        sigma2 - np.einsum("ij,ij->j", k_uf, A) + np.einsum("ij,ij->j", cta, cta),
+        1e-12 * sigma2,
+    )
+    xq, wbar = _quadrature_nodes(n_nodes)
+    lam = np.log(np.maximum(np.asarray(eta, dtype=float), 1e-300))
+    lik, *_ = _emission_quadrature(
+        mu, np.sqrt(s2), history.ratings, lam, math.log(kappa), xq, wbar, want_beta=False)
+    half_c = solve_triangular(L_E, c_chol, lower=True)
+    half_nu = solve_triangular(L_E, nu, lower=True)
+    kl = (0.5 * (np.sum(half_c * half_c) + half_nu @ half_nu - z.size)
+          + np.sum(np.log(np.diag(L_E))) - np.sum(np.log(np.diag(c_chol))))
+    return float(lik - kl)
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +102,11 @@ def _softmax(lam):
     return e / e.sum()
 
 
-def fd_setup():
-    h = make_entity(seed=11, n=7)
-    z = select_inducing(h, 4)
+def fd_setup(h=None, z=None, prior_shaped=False):
+    if h is None:
+        h = make_entity(seed=11, n=7)
+        z = select_inducing(h, 4)
+    m = z.size
     ent = _EntityVi(h, z, 5, rho0=0.9)
     rng = np.random.default_rng(7)
     ent.log_rho = math.log(0.9)
@@ -78,12 +114,17 @@ def fd_setup():
     ent.log_kappa = -0.2
     ent.lam = np.log(np.array([0.2, 0.3, 0.2, 0.2, 0.1]))
     ent.lam -= ent.lam.mean()
-    ent.nu = 0.3 * rng.normal(size=4)
+    ent.nu = 0.3 * rng.normal(size=m)
     base_c = np.linalg.cholesky(
-        math.exp(2 * ent.log_sigma) * np.exp(-ent.d_uu / math.exp(ent.log_rho))
-        + 1e-6 * np.eye(4))
-    low = np.tril(0.05 * rng.normal(size=(4, 4)), -1)
+        dense_kuu(z, math.exp(ent.log_rho), math.exp(ent.log_sigma))
+        + 1e-6 * np.eye(m))
+    low = np.tril(0.05 * rng.normal(size=(m, m)), -1)
     ent.C = base_c + low
+    if prior_shaped:
+        # q(u) near the prior in whitened coordinates, so a tied gap's tiny
+        # innovation scale does not blow up the KL term
+        ent.nu = base_c @ ent.nu
+        ent.C = base_c @ (np.eye(m) + low)
     ent.rebuild()
     theta = np.array([0.2, -0.1])
 
@@ -169,6 +210,50 @@ def test_gradient_kernel_hyperparameters():
         central(lambda v: ref(lr=v), ent.log_rho), rel=2e-5, abs=1e-7)
     assert out["g_lsigma"] == pytest.approx(
         central(lambda v: ref(ls=v), ent.log_sigma), rel=2e-5, abs=1e-7)
+
+
+def near_tied_entity():
+    """Seven ratings and five inducing points, two of them 1e-6 years apart.
+
+    One rating lies before z_0, one after z_{m-1}, one exactly on an
+    inducing point and one inside the tied gap, so every bridge case enters
+    the gradients. At this gap a 1e-8 sigma^2 diagonal jitter would be about
+    0.5% of the prior's innovation variance.
+    """
+    t = np.array([0.1, 0.5, 0.9, 0.9 + 5e-7, 1.6, 2.4, 3.1])
+    x = np.random.default_rng(12).normal(size=(7, 2))
+    h = EntityHistory("gap", t, np.array([2, 4, 3, 3, 5, 1, 2]), x)
+    return h, np.array([0.3, 0.9, 0.9 + 1e-6, 2.0, 2.8])
+
+
+def test_gradients_on_near_tied_inducing_points():
+    ent, theta, ref, out = fd_setup(*near_tied_entity(), prior_shaped=True)
+    assert out["elbo"] == pytest.approx(ref(), rel=1e-10)
+
+    def check(analytic, fun, x0):
+        assert analytic == pytest.approx(central(fun, x0), rel=2e-5, abs=1e-7)
+
+    for i in range(ent.m):
+        check(out["g_nu"][i], lambda v, i=i: ref(nu=np.where(np.arange(ent.m) == i, v, ent.nu)),
+              ent.nu[i])
+        for j in range(i):
+            def f(v, i=i, j=j):
+                c = ent.C.copy()
+                c[i, j] = v
+                return ref(C=c)
+            check(out["g_low"][i, j], f, ent.C[i, j])
+
+        def g(v, i=i):
+            c = ent.C.copy()
+            c[i, i] = math.exp(v)
+            return ref(C=c)
+        check(out["g_omega"][i], g, math.log(ent.C[i, i]))
+    for i in range(2):
+        check(out["g_theta"][i], lambda v, i=i: ref(th=np.where(np.arange(2) == i, v, theta)),
+              theta[i])
+    check(out["g_kappa"], lambda v: ref(lk=v), ent.log_kappa)
+    check(out["g_lrho"], lambda v: ref(lr=v), ent.log_rho)
+    check(out["g_lsigma"], lambda v: ref(ls=v), ent.log_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +361,12 @@ def test_prior_matching_q_has_zero_kl():
     z = select_inducing(h, 3)
     ent = _EntityVi(h, z, 5, rho0=1.0)
     ent.nu = np.zeros(3)
-    ent.C = ent.L_E.copy()
+    ent.C = np.linalg.cholesky(dense_kuu(z, 1.0, 1.0))
     ent.rebuild()
     eta = _softmax(ent.lam)
     theta = np.array([0.1, -0.2])
     val = _elbo_reference(h, z, ent.nu, ent.C, theta, 1.0, 1.0, 1.0, eta, 30)
-    mu = h.covariates @ theta + ent.A.T @ ent.nu
+    mu = h.covariates @ theta + ent.proj.project(ent.nu)
     oracle = expected_loglik_quad(h, mu, ent.s2, 1.0, eta)
     assert val == pytest.approx(oracle, abs=1e-6)
 
@@ -292,12 +377,12 @@ def test_perturbed_q_pays_positive_kl():
     ent = _EntityVi(h, z, 5, rho0=1.0)
     rng = np.random.default_rng(1)
     ent.nu = rng.normal(size=3)
-    ent.C = ent.L_E * 0.6
+    ent.C = np.linalg.cholesky(dense_kuu(z, 1.0, 1.0)) * 0.6
     ent.rebuild()
     eta = _softmax(ent.lam)
     theta = np.zeros(2)
     val = _elbo_reference(h, z, ent.nu, ent.C, theta, 1.0, 1.0, 1.0, eta, 30)
-    mu = h.covariates @ theta + ent.A.T @ ent.nu
+    mu = h.covariates @ theta + ent.proj.project(ent.nu)
     oracle = expected_loglik_quad(h, mu, ent.s2, 1.0, eta)
     assert oracle - val > 0.1  # KL strictly positive for a non-prior q
 
@@ -326,7 +411,7 @@ def test_projection_recovers_exact_gaussian_posterior():
     ent.nu = post_mean
     ent.C = np.linalg.cholesky(post_cov + 1e-12 * np.eye(6))
     ent.rebuild()
-    mu = ent.A.T @ ent.nu
+    mu = ent.proj.project(ent.nu)
     assert np.allclose(mu, post_mean, atol=1e-6)
     assert np.allclose(ent.s2, np.diag(post_cov), atol=1e-6)
 
@@ -445,6 +530,64 @@ def test_transient_nonfinite_objective_recovers(monkeypatch):
     monkeypatch.setattr(svi_mod._EntityVi, "forward", flaky)
     state = fit_svi(hs, SviConfig(iterations=30))
     assert np.all(np.isfinite(state.elbo_trace))
+
+
+def tied_history():
+    # at rho ~ 1e304 the innovation scale over the 1e-150-year gap
+    # underflows to zero, so the inducing factor is singular
+    return EntityHistory("tie", np.array([0.0, 1e-150, 1.0]), np.array([2, 4, 3]),
+                         np.zeros((3, 2)))
+
+
+def test_singular_heavy_step_marks_entity_broken():
+    h = tied_history()
+    ent = _EntityVi(h, h.timestamps.copy(), 5, rho0=1.0)
+    xq, wbar = _quadrature_nodes(20)
+    before = ent.forward(np.zeros(2), xq, wbar, heavy=True)
+    snap = ent.snapshot()
+    ent.apply_heavy({"low": np.zeros((3, 3)), "omega": np.zeros(3),
+                     "rho": 700.0 - ent.log_rho, "sigma": 0.0})
+    assert ent.broken
+    assert ent.forward(np.zeros(2), xq, wbar, heavy=False) is None
+    ent.restore(snap)
+    assert not ent.broken
+    assert ent.forward(np.zeros(2), xq, wbar, heavy=True)["elbo"] == before["elbo"]
+
+
+def test_singular_heavy_step_rolls_the_fit_back(monkeypatch):
+    orig_heavy = svi_mod._EntityVi.apply_heavy
+    orig_restore = svi_mod._EntityVi.restore
+    calls = {"heavy": 0, "restore": 0}
+
+    def blow_up_once(self, steps):
+        calls["heavy"] += 1
+        if calls["heavy"] == 1:
+            steps = dict(steps, rho=700.0 - self.log_rho)
+        orig_heavy(self, steps)
+        assert self.broken == (calls["heavy"] == 1)
+
+    def counted_restore(self, snap):
+        calls["restore"] += 1
+        orig_restore(self, snap)
+
+    monkeypatch.setattr(svi_mod._EntityVi, "apply_heavy", blow_up_once)
+    monkeypatch.setattr(svi_mod._EntityVi, "restore", counted_restore)
+    state = fit_svi([tied_history()], SviConfig(iterations=30))
+    assert calls["restore"] == 1
+    assert np.all(np.isfinite(state.elbo_trace))
+    assert state.kernel["tie"].rho < 1e300
+
+
+def test_elbo_entry_point_matches_dense_oracle():
+    hs = small_histories()
+    state = fit_svi(hs, SviConfig(iterations=40, m_max=8, seed=4))
+    for h in hs:
+        eid = h.entity_id
+        kp, ep = state.kernel[eid], state.emission[eid]
+        dense = _elbo_reference(h, state.inducing_times[eid], state.q_mean[eid],
+                                state.q_chol[eid], state.theta, kp.rho, kp.sigma,
+                                ep.kappa, ep.eta, 20)
+        assert elbo(h, state) == pytest.approx(dense, rel=1e-10)
 
 
 def test_elbo_entry_point_validates():
