@@ -227,6 +227,9 @@ def cmd_fit(cfg) -> int:
             "converged": bool(fit.converged),
             "parameters": {k: {kk: float(vv) for kk, vv in v.items()}
                            for k, v in fit.diagnostics.items()},
+            "acceptance": fit.metadata["acceptance"],
+            "slice_shrinks": fit.metadata["slice_shrinks"],
+            "slice_collapses": fit.metadata["slice_collapses"],
         }
         converged = fit.converged
     else:
@@ -477,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (layered under env and flags)")
         p.add_argument("--out", help="output directory (default: current directory)")
         p.add_argument("--seed", type=int, help="random seed (required via flag, env, or config)")
-        p.add_argument("--threads", type=int, help="worker threads for chain-parallel sampling")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; MCMC chains run in one process")
         if dataset:
             p.add_argument("--dataset", help="review dataset path")
             p.add_argument("--fmt", choices=["csv", "jsonl"], help="dataset format (default: by extension)")

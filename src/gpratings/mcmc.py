@@ -1,9 +1,21 @@
 """Full Bayesian estimation of the rating model by MCMC.
 
-One sampler iteration cycles these block updates:
+A chain holds every entity at once, as one flat panel built before sampling
+(:class:`_Panel`): the ratings of all entities back to back, the entity of
+each row, the time gap to the entity's previous rating (+inf at its first)
+and the whitened covariate rows.  The per-entity state is a set of arrays
+of length n_entities (log rho, log sigma, log kappa, proposal scales,
+acceptance counts) plus an (n_entities, n_r - 1) table of standardized
+cutpoints; the whitened latents, the path, its mean, the pointwise
+log-likelihood and the kernel factor are vectors over all ratings.
+
+One sampler iteration cycles these block updates, each run once per chain
+for all entities together:
 
 (a) elliptical slice sampling of each entity's whitened latent vector
     (rejection-free and exact under the standard-normal whitened prior),
+    with one angle bracket per entity; an entity leaves the shrinking loop
+    as soon as its proposal lands on its slice,
 (b) adaptive random-walk Metropolis on (log rho_i, log sigma_i) jointly,
     plus a separate walk on log kappa_i,
 (c) adaptive random-walk Metropolis on the rating simplex eta_i through its
@@ -16,21 +28,30 @@ One sampler iteration cycles these block updates:
     (``_rescale_emission``),
 (e) adaptive random-walk Metropolis on the whitened pooled coefficients.
 
-The whitened latents map to the path through the exponential kernel's
-closed-form Markov factor (:func:`~gpratings.model.markov_factor`): a kernel
-rebuild, an unwhitening and a whitening each cost O(n), and no n-by-n matrix
-is formed.
+Each block scores the ratings it moves in one
+:func:`~gpratings.model.emission_loglik` call, sums the result per entity
+with ``np.add.reduceat`` and accepts or rejects per entity through masks.
+The latents map to the path through the exponential kernel's closed-form
+Markov factor (:func:`~gpratings.model.markov_factor_from_gaps`), which
+concatenates across entities because a_k = 0 at each entity's first
+rating: a kernel rebuild, an unwhitening and a whitening are each one O(n)
+pass over the whole panel, and no n-by-n matrix is formed.
 
 Proposal scales adapt toward ~30% acceptance during warmup and are frozen
-afterwards.  Every entity owns an independent seeded RNG stream, so results
-are bit-reproducible for a fixed seed at any worker count.
+afterwards.  Every entity owns an independent seeded RNG stream, drawn in a
+fixed order whatever the other entities do, so results are bit-reproducible
+for a fixed seed.  The chains run one after another in the calling process
+whatever ``threads`` is: the batched sweep leaves no per-entity work to
+spread over threads, and on the benchmark panels a spawned worker's start-up
+cost more than the chain it ran.  A fit reports each block's acceptance rate
+and how often the slice bracket collapsed in ``PosteriorEnsemble.metadata``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -41,7 +62,7 @@ from .errors import InvalidInputError, NumericalError
 from .model import (
     EntityHistory,
     emission_loglik,
-    markov_factor,
+    markov_factor_from_gaps,
     _dirichlet_logpdf,  # noqa: F401  (eta prior; _update_cutpoints samples it as cutpoints)
     _halfcauchy_logpdf,
     _halfnormal_logpdf,
@@ -55,6 +76,8 @@ _TWO_PI = 2.0 * math.pi
 # band in the contract is 23..40%, and 0.30 sits comfortably inside it
 _ACCEPT_TARGET = 0.30
 _MAX_SHRINK = 200
+# the per-entity Metropolis blocks, as named in the run report
+_BLOCKS = ("rho_sigma", "kappa", "cutpoints", "shift", "rescale")
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +94,7 @@ class McmcConfig:
     thin: int = 1
     seed: int = 0
     latent_thin: int = 4
-    threads: int = 1
+    threads: int = 1             # accepted for compatibility; chains run in-process
 
     def __post_init__(self):
         if self.chains < 2:
@@ -205,102 +228,157 @@ def _whitening_matrix(X):
 
 
 # ---------------------------------------------------------------------------
-# whitening of latents
+# the flat panel
 # ---------------------------------------------------------------------------
 
-def whiten(f, L, mean=0.0):
-    """Map latents to whitened coordinates with a dense lower factor L:
-    f_tilde = L^-1 (f - mean).  The sampler uses the O(n) MarkovFactor."""
-    return solve_triangular(L, np.asarray(f, dtype=float) - mean, lower=True)
+class _Rows(NamedTuple):
+    """Some of the panel's rows with their ratings and entities, gathered once."""
+
+    index: np.ndarray
+    ratings: np.ndarray
+    entity: np.ndarray
 
 
-def unwhiten(f_tilde, L, mean=0.0):
-    """Inverse of :func:`whiten`: f = L f_tilde + mean."""
-    return L @ np.asarray(f_tilde, dtype=float) + mean
+class _Panel:
+    """Every entity's ratings back to back, built once per fit.
 
+    Rows run entity by entity, each entity's in time order; ``offsets``
+    delimits them.  ``gaps`` holds t_k - t_{k-1} with +inf at each entity's
+    first row, where :func:`markov_factor_from_gaps` starts an independent
+    path, and ``q_star`` the whitened covariate rows.
+    """
 
-# ---------------------------------------------------------------------------
-# per-entity sampler state
-# ---------------------------------------------------------------------------
-
-class _EntityState:
-    """Mutable sampler workspace for one entity within one chain."""
-
-    __slots__ = (
-        "h", "rng", "prior", "n_r", "flat",
-        "log_rho", "log_sigma", "log_kappa", "eta", "z_cuts",
-        "f_tilde", "factor", "mean", "f", "ll", "ll_sum",
-        "scale_rs", "scale_kappa", "scale_cut", "scale_shift", "scale_amp",
-        "acc_rs", "acc_kappa", "acc_cut", "acc_shift", "acc_amp", "Q_star",
-    )
-
-    def __init__(self, history, prior, n_r, rng, flat):
-        self.h = history
-        self.rng = rng
-        self.prior = prior
+    def __init__(self, histories, q_star, n_r):
+        self.entity_ids = [h.entity_id for h in histories]
         self.n_r = n_r
+        self.sizes = np.array([h.n for h in histories])
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.starts = self.offsets[:-1]
+        self.entity = np.repeat(np.arange(len(histories)), self.sizes)
+        self.ratings = np.concatenate([h.ratings for h in histories])
+        self.gaps = np.concatenate([np.diff(h.timestamps, prepend=-np.inf) for h in histories])
+        self.q_star = q_star
+        self.everything = self.rows(np.arange(self.n_rows))
+        # the rows whose likelihood reads cutpoint j: rating levels j + 1 and j + 2
+        self.cut_rows = [self.rows(np.flatnonzero((self.ratings == j + 1)
+                                                  | (self.ratings == j + 2)))
+                         for j in range(n_r - 1)]
+
+    @property
+    def n_entities(self) -> int:
+        return self.sizes.size
+
+    @property
+    def n_rows(self) -> int:
+        return self.ratings.size
+
+    def rows(self, index) -> _Rows:
+        return _Rows(index, self.ratings[index], self.entity[index])
+
+    def segment(self, i) -> slice:
+        return slice(self.offsets[i], self.offsets[i + 1])
+
+    def per_row(self, x):
+        """A per-entity array repeated onto the entity's rows."""
+        return x.take(self.entity)
+
+    def per_entity_sum(self, x):
+        """Row values summed within each entity."""
+        return np.add.reduceat(x, self.starts)
+
+
+# ---------------------------------------------------------------------------
+# one chain's sampler state
+# ---------------------------------------------------------------------------
+
+def _tally(report, key, value):
+    """Add to a run-report counter; the counters never feed back into a draw."""
+    report[key] = report[key] + value
+
+
+class _Chain:
+    """One chain's sampler state over the panel.
+
+    Per entity: ``log_rho``, ``log_sigma``, ``log_kappa`` (and ``kappa``),
+    the standardized cutpoints ``z_cuts`` (n_entities, n_r - 1) and each
+    block's proposal ``scale``.  Per rating: the whitened latents
+    ``f_tilde``, the path ``f``, its ``mean``, the pointwise log-likelihood
+    ``ll`` and the kernel ``factor``; ``ll_sum`` is ``ll`` summed per
+    entity.  ``report`` counts post-warmup acceptances per block and the
+    slice sampler's shrinks and collapses.
+    """
+
+    def __init__(self, panel, priors, log_rho0, rngs, theta_rng, flat):
+        self.panel = panel
+        self.rngs = rngs
+        self.theta_rng = theta_rng
         self.flat = flat
-        self.scale_rs = 0.3
-        self.scale_kappa = 0.3
-        self.scale_cut = 0.3
-        self.scale_shift = 0.3
-        self.scale_amp = 0.3
-        self.acc_rs = self.acc_kappa = self.acc_cut = 0.0
-        self.acc_shift = self.acc_amp = 0.0
-
-    def loglik(self, f, kappa=None, cuts=None):
-        if self.flat:
-            return np.zeros(self.h.n)
-        if kappa is None:
-            kappa = math.exp(self.log_kappa)
-        if cuts is None:
-            cuts = math.exp(self.log_kappa) * self.z_cuts
-        return emission_loglik(self.h.ratings, f, kappa, cuts)
-
-    def rebuild_kernel(self, log_rho=None, log_sigma=None):
-        """Markov factor of the kernel at (possibly proposed) hyperparameters.
-
-        Returns None when the factor is singular, which the Metropolis step
-        treats as a rejected proposal.
-        """
-        lr = self.log_rho if log_rho is None else log_rho
-        ls = self.log_sigma if log_sigma is None else log_sigma
-        try:
-            return markov_factor(self.h.timestamps, math.exp(lr), math.exp(ls))
-        except NumericalError:
-            return None
-
-    def refresh_caches(self):
+        n_e, n_r = panel.n_entities, panel.n_r
+        self.prior = tuple(np.array([priors.lengthscale[e][k] for e in panel.entity_ids])
+                           for k in (0, 1))
+        counts = np.bincount(panel.entity * (n_r + 1) + panel.ratings,
+                             minlength=n_e * (n_r + 1)).reshape(n_e, n_r + 1)[:, 1:]
+        eta = (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + n_r)
+        self.z_cuts = ndtri(np.cumsum(eta, axis=1)[:, :-1])
+        self.log_kappa = np.empty(n_e)
+        self.log_rho = np.empty(n_e)
+        self.log_sigma = np.empty(n_e)
+        self.f_tilde = np.empty(panel.n_rows)
+        for i, rng in enumerate(rngs):
+            self.log_kappa[i] = 0.1 * rng.standard_normal()
+            self.log_rho[i] = log_rho0[i] + 0.2 * rng.standard_normal()
+            self.log_sigma[i] = 0.2 * rng.standard_normal()
+            self.f_tilde[panel.segment(i)] = 0.1 * rng.standard_normal(panel.sizes[i])
+        self.kappa = np.exp(self.log_kappa)
+        self.factor, ok = self.kernel_factor(self.log_rho, self.log_sigma)
+        if not ok.all():
+            bad = panel.entity_ids[int(np.argmin(ok))]
+            raise NumericalError(f"initial kernel factorization failed for {bad!r}")
+        self.scale = {b: np.full(n_e, 0.3) for b in _BLOCKS}
+        self.theta_t = 0.1 * theta_rng.standard_normal(panel.q_star.shape[1])
+        self.scale_theta = 0.2
+        self.report = {b: np.zeros(n_e) for b in _BLOCKS}
+        self.report.update(theta=0, slice_shrinks=0, slice_collapses=0)
+        self.mean = panel.q_star @ self.theta_t
         self.f = self.factor.unwhiten(self.f_tilde) + self.mean
         self.ll = self.loglik(self.f)
-        self.ll_sum = float(self.ll.sum())
+        self.ll_sum = self.panel.per_entity_sum(self.ll)
 
+    def loglik(self, f, rows=None, kappa=None, z_cuts=None):
+        """Pointwise log-likelihood of ``rows`` (all by default) at path values f."""
+        if self.flat:
+            return np.zeros(f.shape)
+        rows = self.panel.everything if rows is None else rows
+        kappa = self.kappa if kappa is None else kappa
+        z_cuts = self.z_cuts if z_cuts is None else z_cuts
+        return emission_loglik(rows.ratings, f, kappa, kappa[:, None] * z_cuts, rows.entity)
 
-def _init_entity(h, prior, n_r, rng, flat):
-    st = _EntityState(h, prior, n_r, rng, flat)
-    counts = np.bincount(h.ratings, minlength=n_r + 1)[1:].astype(float)
-    eta = (counts + 1.0) / (counts.sum() + n_r)
-    st.eta = eta
-    st.z_cuts = ndtri(np.cumsum(eta)[:-1])
-    st.log_kappa = 0.1 * rng.standard_normal()
-    shape, scale = prior
-    # start rho at the geometric middle of the scales the data can resolve;
-    # the solved prior is anchored at the minimum gap, which for dense
-    # histories sits far below any identifiable length, and chains started
-    # there must climb out of a near-white-noise regime during warmup
-    if h.n > 1:
-        gaps = np.diff(h.timestamps)
-        span = float(h.timestamps[-1] - h.timestamps[0])
-        center = math.sqrt(float(np.median(gaps)) * span)
-        st.log_rho = math.log(center) + 0.2 * rng.standard_normal()
-    else:
-        st.log_rho = math.log(scale / (shape + 1.0)) + 0.2 * rng.standard_normal()
-    st.log_sigma = 0.2 * rng.standard_normal()
-    st.f_tilde = 0.1 * rng.standard_normal(h.n)
-    st.factor = st.rebuild_kernel()
-    if st.factor is None:
-        raise NumericalError(f"initial kernel factorization failed for {h.entity_id!r}")
-    return st
+    def kernel_factor(self, log_rho, log_sigma):
+        """The panel's Markov factor at per-entity (log rho, log sigma), and a
+        mask of the entities whose factor is not singular."""
+        p = self.panel
+        factor = markov_factor_from_gaps(p.gaps, p.per_row(np.exp(log_rho)),
+                                         p.per_row(np.exp(log_sigma)))
+        return factor, np.logical_and.reduceat(factor.c > 0.0, p.starts)
+
+    def variates(self, n_normal, n_uniform=1):
+        """From each entity's stream, standard normals and then uniforms,
+        the latter as log(1 - u) for Metropolis tests; shaped (n_entities, count)."""
+        z = np.empty((len(self.rngs), n_normal))
+        u = np.empty((len(self.rngs), n_uniform))
+        for i, rng in enumerate(self.rngs):
+            z[i] = rng.standard_normal(n_normal)
+            u[i] = rng.random(n_uniform)
+        return z, np.log(1.0 - u)
+
+    def adapt(self, block, accepted, gamma):
+        """Move a block's proposal scales toward the target acceptance during
+        warmup (gamma > 0); afterwards count the acceptances."""
+        if gamma:
+            scale = self.scale[block] * np.exp(gamma * (accepted - _ACCEPT_TARGET))
+            self.scale[block] = np.clip(scale, 1e-3, 10.0)
+        else:
+            _tally(self.report, block, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -312,87 +390,125 @@ def _rho_sigma_log_target(ll_sum, log_rho, log_sigma, prior):
 
     The log-scale change of variables contributes the + log_rho + log_sigma
     Jacobian terms; proposals are symmetric Gaussians in these coordinates.
+    Works elementwise over entities.
     """
     shape, scale = prior
-    return (ll_sum + _invgamma_logpdf(math.exp(log_rho), shape, scale)
-            + _halfnormal_logpdf(math.exp(log_sigma)) + log_rho + log_sigma)
+    return (ll_sum + _invgamma_logpdf(np.exp(log_rho), shape, scale)
+            + _halfnormal_logpdf(np.exp(log_sigma)) + log_rho + log_sigma)
 
 
 def _kappa_log_target(ll_sum, log_kappa):
     """Posterior target density in the sampled log kappa coordinate."""
-    return ll_sum + _halfcauchy_logpdf(math.exp(log_kappa)) + log_kappa
+    return ll_sum + _halfcauchy_logpdf(np.exp(log_kappa)) + log_kappa
 
 
-def _elliptical_slice(st: _EntityState):
-    rng = st.rng
-    n = st.h.n
-    nu = rng.standard_normal(n)
-    L_nu = st.factor.unwhiten(nu)
-    centered = st.f - st.mean
-    log_y = st.ll_sum + math.log(1.0 - rng.random())
-    phi = rng.uniform(0.0, _TWO_PI)
-    lo, hi = phi - _TWO_PI, phi
+def _elliptical_slice(ch: _Chain):
+    """One elliptical-slice step of every entity's whitened latents.
+
+    Each entity has its own slice height and angle bracket.  A pass scores
+    the rows of the entities still shrinking in one likelihood call; an
+    entity whose proposal lands on its slice keeps that angle and leaves,
+    and only then are the working rows narrowed.  The kept angles move the
+    latents in one pass at the end.  An entity still shrinking after
+    ``_MAX_SHRINK`` passes keeps its state and is counted as a collapse.
+    """
+    p = ch.panel
+    nu = np.empty(p.n_rows)
+    log_y = np.empty(p.n_entities)
+    phi = np.empty(p.n_entities)
+    for i, rng in enumerate(ch.rngs):
+        nu[p.segment(i)] = rng.standard_normal(p.sizes[i])
+        log_y[i] = math.log(1.0 - rng.random())
+        phi[i] = rng.uniform(0.0, _TWO_PI)
+    log_y += ch.ll_sum
+    lo, hi = (phi - _TWO_PI).tolist(), phi.tolist()
+    l_nu = ch.factor.unwhiten(nu)
+    centered = ch.f - ch.mean
+    moved = np.zeros(p.n_entities, dtype=bool)
+    active = np.arange(p.n_entities)
+    rows, sizes, seg = p.everything, p.sizes, p.starts
+    c_r, l_r, m_r = centered, l_nu, ch.mean
     for _ in range(_MAX_SHRINK):
-        c, s = math.cos(phi), math.sin(phi)
-        f_new = centered * c + L_nu * s + st.mean
-        ll_new = st.loglik(f_new)
-        ll_sum_new = float(ll_new.sum())
-        if ll_sum_new > log_y:
-            st.f_tilde = st.f_tilde * c + nu * s
-            st.f = f_new
-            st.ll = ll_new
-            st.ll_sum = ll_sum_new
-            return
-        if phi < 0.0:
-            lo = phi
-        else:
-            hi = phi
-        phi = rng.uniform(lo, hi)
-    # bracket collapsed onto the current state; keep it
-
-
-def _update_kernel_params(st: _EntityState, gamma):
-    rng = st.rng
-    step = st.scale_rs * rng.standard_normal(2)
-    lr_new = st.log_rho + step[0]
-    ls_new = st.log_sigma + step[1]
-    accepted = False
-    factor_new = st.rebuild_kernel(lr_new, ls_new)
-    if factor_new is not None:
-        f_new = factor_new.unwhiten(st.f_tilde) + st.mean
-        ll_new = st.loglik(f_new)
-        cur = _rho_sigma_log_target(st.ll_sum, st.log_rho, st.log_sigma, st.prior)
-        new = _rho_sigma_log_target(float(ll_new.sum()), lr_new, ls_new, st.prior)
-        if math.log(1.0 - rng.random()) < new - cur:
-            st.log_rho, st.log_sigma, st.factor = lr_new, ls_new, factor_new
-            st.f, st.ll, st.ll_sum = f_new, ll_new, float(ll_new.sum())
-            accepted = True
+        ph = phi[active]
+        f_new = c_r * np.cos(ph).repeat(sizes) + l_r * np.sin(ph).repeat(sizes) + m_r
+        ll_new = ch.loglik(f_new, rows)
+        ll_sum_new = np.add.reduceat(ll_new, seg)
+        on = ll_sum_new > log_y[active]
+        if on.any():
+            take = on.repeat(sizes)
+            ch.ll[rows.index[take]] = ll_new[take]
+            ch.ll_sum[active[on]] = ll_sum_new[on]
+            moved[active[on]] = True
+            # narrow the working rows to the entities still shrinking
+            off, keep = ~on, ~take
+            active, ph, sizes = active[off], ph[off], sizes[off]
+            if active.size == 0:
+                break
+            rows = _Rows(*(x[keep] for x in rows))
+            c_r, l_r, m_r = c_r[keep], l_r[keep], m_r[keep]
+            seg = np.concatenate([[0], np.cumsum(sizes[:-1])])
+        _tally(ch.report, "slice_shrinks", active.size)
+        # shrink each bracket toward the current state (phi = 0), then redraw
+        for i, x in zip(active.tolist(), ph.tolist()):
+            if x < 0.0:
+                lo[i] = x
+            else:
+                hi[i] = x
+            phi[i] = ch.rngs[i].uniform(lo[i], hi[i])
     else:
-        rng.random()  # keep the stream aligned with the accept branch
-    if gamma:
-        st.scale_rs *= math.exp(gamma * ((1.0 if accepted else 0.0) - _ACCEPT_TARGET))
-        st.scale_rs = min(max(st.scale_rs, 1e-3), 10.0)
-    st.acc_rs += accepted
+        # these brackets collapsed onto the current state, which they keep
+        _tally(ch.report, "slice_collapses", active.size)
+    rows_moved = p.per_row(moved)
+    cos, sin = p.per_row(np.cos(phi)), p.per_row(np.sin(phi))
+    ch.f_tilde = np.where(rows_moved, ch.f_tilde * cos + nu * sin, ch.f_tilde)
+    ch.f = np.where(rows_moved, centered * cos + l_nu * sin + ch.mean, ch.f)
 
 
-def _update_kappa(st: _EntityState, gamma):
-    rng = st.rng
-    lk_new = st.log_kappa + st.scale_kappa * rng.standard_normal()
-    kappa_new = math.exp(lk_new)
-    ll_new = st.loglik(st.f, kappa=kappa_new, cuts=kappa_new * st.z_cuts)
-    cur = _kappa_log_target(st.ll_sum, st.log_kappa)
-    new = _kappa_log_target(float(ll_new.sum()), lk_new)
-    accepted = math.log(1.0 - rng.random()) < new - cur
-    if accepted:
-        st.log_kappa = lk_new
-        st.ll, st.ll_sum = ll_new, float(ll_new.sum())
-    if gamma:
-        st.scale_kappa *= math.exp(gamma * ((1.0 if accepted else 0.0) - _ACCEPT_TARGET))
-        st.scale_kappa = min(max(st.scale_kappa, 1e-3), 10.0)
-    st.acc_kappa += accepted
+def _update_kernel_params(ch: _Chain, gamma):
+    """Joint random walk on (log rho, log sigma); a singular proposed factor
+    is rejected, and its entity still consumes its one uniform."""
+    p = ch.panel
+    z, log_u = ch.variates(2)
+    step = ch.scale["rho_sigma"][:, None] * z
+    lr_new = ch.log_rho + step[:, 0]
+    ls_new = ch.log_sigma + step[:, 1]
+    factor, ok = ch.kernel_factor(lr_new, ls_new)
+    f_new = factor.unwhiten(ch.f_tilde) + ch.mean
+    ll_new = ch.loglik(f_new)
+    ll_sum_new = p.per_entity_sum(ll_new)
+    cur = _rho_sigma_log_target(ch.ll_sum, ch.log_rho, ch.log_sigma, ch.prior)
+    new = _rho_sigma_log_target(ll_sum_new, lr_new, ls_new, ch.prior)
+    acc = ok & (log_u[:, 0] < new - cur)
+    rows = p.per_row(acc)
+    ch.log_rho = np.where(acc, lr_new, ch.log_rho)
+    ch.log_sigma = np.where(acc, ls_new, ch.log_sigma)
+    # band row 0 is the unit diagonal in both factors
+    factor.band[1] = np.where(rows, factor.band[1], ch.factor.band[1])
+    ch.factor = factor._replace(c=np.where(rows, factor.c, ch.factor.c))
+    ch.f = np.where(rows, f_new, ch.f)
+    ch.ll = np.where(rows, ll_new, ch.ll)
+    ch.ll_sum = np.where(acc, ll_sum_new, ch.ll_sum)
+    ch.adapt("rho_sigma", acc, gamma)
 
 
-def _update_cutpoints(st: _EntityState, gamma):
+def _update_kappa(ch: _Chain, gamma):
+    p = ch.panel
+    z, log_u = ch.variates(1)
+    lk_new = ch.log_kappa + ch.scale["kappa"] * z[:, 0]
+    kappa_new = np.exp(lk_new)
+    ll_new = ch.loglik(ch.f, kappa=kappa_new)
+    ll_sum_new = p.per_entity_sum(ll_new)
+    cur = _kappa_log_target(ch.ll_sum, ch.log_kappa)
+    new = _kappa_log_target(ll_sum_new, lk_new)
+    acc = log_u[:, 0] < new - cur
+    ch.log_kappa = np.where(acc, lk_new, ch.log_kappa)
+    ch.kappa = np.where(acc, kappa_new, ch.kappa)
+    ch.ll = np.where(p.per_row(acc), ll_new, ch.ll)
+    ch.ll_sum = np.where(acc, ll_sum_new, ch.ll_sum)
+    ch.adapt("kappa", acc, gamma)
+
+
+def _update_cutpoints(ch: _Chain, gamma):
     """One Metropolis pass over the standardized cutpoints.
 
     The category masses are updated through their cutpoint coordinates
@@ -401,44 +517,41 @@ def _update_cutpoints(st: _EntityState, gamma):
     Symmetric per-coordinate steps keep poorly populated categories mobile,
     where a proposal whose spread tracks the current mass would trap them
     near zero.  Proposals that cross a neighbouring cutpoint or leave a
-    category with no numerical mass are rejected outright.
+    category with no numerical mass are rejected outright.  Cutpoint j moves
+    every entity at once and rescores only the ratings whose cell it bounds.
     """
-    rng = st.rng
-    n_c = st.z_cuts.size
-    steps = st.scale_cut * rng.standard_normal(n_c)
-    unifs = rng.random(n_c)
-    z = st.z_cuts.copy()
-    kappa = math.exp(st.log_kappa)
-    acc = 0.0
+    p = ch.panel
+    n_e, n_c = ch.z_cuts.shape
+    z_raw, log_u = ch.variates(n_c, n_c)
+    steps = ch.scale["cutpoints"][:, None] * z_raw
+    z = ch.z_cuts.copy()
+    edge = np.full(n_e, np.inf)
+    acc = np.zeros(n_e)
     for j in range(n_c):
-        z_prop = z[j] + steps[j]
-        lo = z[j - 1] if j > 0 else -np.inf
-        hi = z[j + 1] if j + 1 < n_c else np.inf
-        if not (lo < z_prop < hi):
-            continue
-        lo_cum = ndtr(lo) if j > 0 else 0.0
-        hi_cum = ndtr(hi) if j + 1 < n_c else 1.0
+        z_prop = z[:, j] + steps[:, j]
+        lo = z[:, j - 1] if j > 0 else -edge
+        hi = z[:, j + 1] if j + 1 < n_c else edge
         cum_prop = ndtr(z_prop)
-        if cum_prop - lo_cum <= 1e-12 or hi_cum - cum_prop <= 1e-12:
+        ok = ((lo < z_prop) & (z_prop < hi)
+              & (cum_prop - ndtr(lo) > 1e-12) & (ndtr(hi) - cum_prop > 1e-12))
+        if not ok.any():
             continue
+        rows = p.cut_rows[j]
         z_new = z.copy()
-        z_new[j] = z_prop
-        ll_new = st.loglik(st.f, kappa=kappa, cuts=kappa * z_new)
-        log_a = (float(ll_new.sum()) - st.ll_sum
-                 + 0.5 * (z[j] * z[j] - z_prop * z_prop))
-        if math.log(1.0 - unifs[j]) < log_a:
-            z = z_new
-            st.ll, st.ll_sum = ll_new, float(ll_new.sum())
-            acc += 1.0
-    st.z_cuts = z
-    st.eta = np.diff(ndtr(z), prepend=0.0, append=1.0)
-    if gamma:
-        st.scale_cut *= math.exp(gamma * (acc / n_c - _ACCEPT_TARGET))
-        st.scale_cut = min(max(st.scale_cut, 1e-3), 10.0)
-    st.acc_cut += acc / n_c
+        z_new[:, j] = np.where(ok, z_prop, z[:, j])
+        ll_new = ch.loglik(ch.f[rows.index], rows, z_cuts=z_new)
+        ll_delta = np.bincount(rows.entity, ll_new - ch.ll[rows.index], minlength=n_e)
+        on = ok & (log_u[:, j] < ll_delta + 0.5 * (z[:, j] * z[:, j] - z_prop * z_prop))
+        z[:, j] = np.where(on, z_prop, z[:, j])
+        take = on.take(rows.entity)
+        ch.ll[rows.index[take]] = ll_new[take]
+        acc += on
+    ch.z_cuts = z
+    ch.ll_sum = p.per_entity_sum(ch.ll)
+    ch.adapt("cutpoints", acc / n_c, gamma)
 
 
-def _shift_emission(st: _EntityState, gamma):
+def _shift_emission(ch: _Chain, gamma):
     """Translate the latent path and the cutpoints by the same amount.
 
     The emission likelihood sees cutpoints and latents only through their
@@ -448,30 +561,25 @@ def _shift_emission(st: _EntityState, gamma):
     likelihood cancels exactly and acceptance is governed by the whitened
     latent prior plus the simplex reparameterization Jacobian.
     """
-    rng = st.rng
-    delta = st.scale_shift * rng.standard_normal()
-    z_new = st.z_cuts + delta / math.exp(st.log_kappa)
-    eta_new = np.diff(ndtr(z_new), prepend=0.0, append=1.0)
-    accepted = False
-    if np.all(eta_new > 1e-12):
-        u = st.factor.whiten(np.ones(st.h.n))
-        log_a = (-delta * float(st.f_tilde @ u)
-                 - 0.5 * delta * delta * float(u @ u)
-                 + 0.5 * float(st.z_cuts @ st.z_cuts - z_new @ z_new))
-        if math.log(1.0 - rng.random()) < log_a:
-            st.f = st.f + delta
-            st.f_tilde = st.f_tilde + delta * u
-            st.eta, st.z_cuts = eta_new, z_new
-            accepted = True
-    else:
-        rng.random()  # keep the stream aligned with the accept branch
-    if gamma:
-        st.scale_shift *= math.exp(gamma * ((1.0 if accepted else 0.0) - _ACCEPT_TARGET))
-        st.scale_shift = min(max(st.scale_shift, 1e-3), 10.0)
-    st.acc_shift += accepted
+    p = ch.panel
+    z, log_u = ch.variates(1)
+    delta = ch.scale["shift"] * z[:, 0]
+    z_new = ch.z_cuts + (delta / ch.kappa)[:, None]
+    eta_new = np.diff(ndtr(z_new), prepend=0.0, append=1.0, axis=1)
+    u = ch.factor.whiten(np.ones(p.n_rows))
+    log_a = (-delta * p.per_entity_sum(ch.f_tilde * u)
+             - 0.5 * delta * delta * p.per_entity_sum(u * u)
+             + 0.5 * ((ch.z_cuts * ch.z_cuts).sum(axis=1) - (z_new * z_new).sum(axis=1)))
+    acc = np.all(eta_new > 1e-12, axis=1) & (log_u[:, 0] < log_a)
+    rows = p.per_row(acc)
+    step = p.per_row(delta)
+    ch.f = np.where(rows, ch.f + step, ch.f)
+    ch.f_tilde = np.where(rows, ch.f_tilde + step * u, ch.f_tilde)
+    ch.z_cuts = np.where(acc[:, None], z_new, ch.z_cuts)
+    ch.adapt("shift", acc, gamma)
 
 
-def _rescale_emission(st: _EntityState, gamma):
+def _rescale_emission(ch: _Chain, gamma):
     """Scale the noise, the cutpoints, and the latent amplitude together.
 
     kappa sets the emission noise and the cutpoint spread while sigma sets
@@ -482,36 +590,114 @@ def _rescale_emission(st: _EntityState, gamma):
     factor's innovation scales c_k change); only the likelihood, the two
     scale priors, and the log-coordinate Jacobians enter the ratio.
     """
-    rng = st.rng
-    eps = st.scale_amp * rng.standard_normal()
-    s = math.exp(eps)
-    lk_new = st.log_kappa + eps
-    ls_new = st.log_sigma + eps
-    kappa_new = math.exp(lk_new)
-    f_new = st.mean + s * (st.f - st.mean)
-    ll_new = st.loglik(f_new, kappa=kappa_new, cuts=kappa_new * st.z_cuts)
-    cur = (st.ll_sum + _halfnormal_logpdf(math.exp(st.log_sigma)) + st.log_sigma
-           + _halfcauchy_logpdf(math.exp(st.log_kappa)) + st.log_kappa)
-    new = (float(ll_new.sum()) + _halfnormal_logpdf(math.exp(ls_new)) + ls_new
+    p = ch.panel
+    z, log_u = ch.variates(1)
+    eps = ch.scale["rescale"] * z[:, 0]
+    lk_new = ch.log_kappa + eps
+    ls_new = ch.log_sigma + eps
+    kappa_new = np.exp(lk_new)
+    s = p.per_row(np.exp(eps))
+    f_new = ch.mean + s * (ch.f - ch.mean)
+    ll_new = ch.loglik(f_new, kappa=kappa_new)
+    ll_sum_new = p.per_entity_sum(ll_new)
+    cur = (ch.ll_sum + _halfnormal_logpdf(np.exp(ch.log_sigma)) + ch.log_sigma
+           + _halfcauchy_logpdf(ch.kappa) + ch.log_kappa)
+    new = (ll_sum_new + _halfnormal_logpdf(np.exp(ls_new)) + ls_new
            + _halfcauchy_logpdf(kappa_new) + lk_new)
-    accepted = math.log(1.0 - rng.random()) < new - cur
+    acc = log_u[:, 0] < new - cur
+    rows = p.per_row(acc)
+    ch.log_kappa = np.where(acc, lk_new, ch.log_kappa)
+    ch.kappa = np.where(acc, kappa_new, ch.kappa)
+    ch.log_sigma = np.where(acc, ls_new, ch.log_sigma)
+    ch.factor = ch.factor._replace(c=np.where(rows, s * ch.factor.c, ch.factor.c))
+    ch.f = np.where(rows, f_new, ch.f)
+    ch.ll = np.where(rows, ll_new, ch.ll)
+    ch.ll_sum = np.where(acc, ll_sum_new, ch.ll_sum)
+    ch.adapt("rescale", acc, gamma)
+
+
+def _update_theta(ch: _Chain, gamma):
+    """Random walk on the whitened pooled coefficients: one accept test for
+    the whole panel, drawn from the chain's own stream."""
+    rng = ch.theta_rng
+    theta_prop = ch.theta_t + ch.scale_theta * rng.standard_normal(ch.theta_t.size)
+    delta = theta_prop - ch.theta_t
+    shift = ch.panel.q_star @ delta
+    f_new = ch.f + shift
+    ll_new = ch.loglik(f_new)
+    ll_sum_new = ch.panel.per_entity_sum(ll_new)
+    log_a = (float((ll_sum_new - ch.ll_sum).sum())
+             + 0.5 * float(ch.theta_t @ ch.theta_t - theta_prop @ theta_prop))
+    accepted = math.log(1.0 - rng.random()) < log_a
     if accepted:
-        st.log_kappa, st.log_sigma = lk_new, ls_new
-        st.factor = st.factor._replace(c=s * st.factor.c)
-        st.f, st.ll, st.ll_sum = f_new, ll_new, float(ll_new.sum())
+        ch.theta_t = theta_prop
+        ch.mean = ch.mean + shift
+        ch.f, ch.ll, ch.ll_sum = f_new, ll_new, ll_sum_new
     if gamma:
-        st.scale_amp *= math.exp(gamma * ((1.0 if accepted else 0.0) - _ACCEPT_TARGET))
-        st.scale_amp = min(max(st.scale_amp, 1e-3), 10.0)
-    st.acc_amp += accepted
+        ch.scale_theta *= math.exp(gamma * (accepted - _ACCEPT_TARGET))
+        ch.scale_theta = min(max(ch.scale_theta, 1e-4), 10.0)
+    else:
+        _tally(ch.report, "theta", accepted)
 
 
-def _entity_sweep(st: _EntityState, gamma):
-    _elliptical_slice(st)
-    _update_kernel_params(st, gamma)
-    _update_kappa(st, gamma)
-    _update_cutpoints(st, gamma)
-    _shift_emission(st, gamma)
-    _rescale_emission(st, gamma)
+def _sweep(ch: _Chain, gamma):
+    _elliptical_slice(ch)
+    _update_kernel_params(ch, gamma)
+    _update_kappa(ch, gamma)
+    _update_cutpoints(ch, gamma)
+    _shift_emission(ch, gamma)
+    _rescale_emission(ch, gamma)
+    _update_theta(ch, gamma)
+
+
+def _initial_log_rho(h, prior):
+    """Centre of the initial log length scale, before each chain's jitter.
+
+    It starts at the geometric middle of the scales the data can resolve;
+    the solved prior is anchored at the minimum gap, which for dense
+    histories sits far below any identifiable length, and chains started
+    there must climb out of a near-white-noise regime during warmup.
+    """
+    if h.n > 1:
+        gaps = np.diff(h.timestamps)
+        span = float(h.timestamps[-1] - h.timestamps[0])
+        return math.log(math.sqrt(float(np.median(gaps)) * span))
+    shape, scale = prior
+    return math.log(scale / (shape + 1.0))
+
+
+def _run_chain(panel, priors, log_rho0, config, seed, flat):
+    """Run one chain from its SeedSequence; return its retained draws and report."""
+    n_e = panel.n_entities
+    streams = seed.spawn(n_e + 1)
+    ch = _Chain(panel, priors, log_rho0, [np.random.default_rng(s) for s in streams[:n_e]],
+                np.random.default_rng(streams[n_e]), flat)
+    per_chain = (config.iterations - config.warmup) // config.thin
+    draws = {
+        "theta": np.empty((per_chain, panel.q_star.shape[1])),
+        "rho": np.empty((per_chain, n_e)),
+        "sigma": np.empty((per_chain, n_e)),
+        "kappa": np.empty((per_chain, n_e)),
+        "eta": np.empty((per_chain, n_e, panel.n_r)),
+        "loglik": np.empty((per_chain, panel.n_rows)),
+        "latents": np.empty((-(-per_chain // config.latent_thin), panel.n_rows)),
+    }
+    keep = 0
+    for it in range(config.iterations):
+        warm = it < config.warmup
+        _sweep(ch, (it + 1.0) ** -0.6 if warm else 0.0)
+        if not warm and (it - config.warmup) % config.thin == 0:
+            draws["theta"][keep] = priors.unwhiten_theta(ch.theta_t)
+            draws["rho"][keep] = np.exp(ch.log_rho)
+            draws["sigma"][keep] = np.exp(ch.log_sigma)
+            draws["kappa"][keep] = ch.kappa
+            draws["eta"][keep] = np.diff(ndtr(ch.z_cuts), prepend=0.0, append=1.0, axis=1)
+            draws["loglik"][keep] = ch.ll
+            if keep % config.latent_thin == 0:
+                draws["latents"][keep // config.latent_thin] = ch.f
+            keep += 1
+    draws["report"] = ch.report
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +710,13 @@ class PosteriorEnsemble:
 
     Latent vectors are stored for every ``latent_thin``-th retained draw
     (``latent_draw_indices`` maps them back); the pointwise log-likelihood is
-    stored for every retained draw.
+    stored for every retained draw.  ``metadata`` holds plain numbers only:
+    ``n_r``, ``median_gap``, ``flat_likelihood`` and the run report, that is
+    ``acceptance`` (each block's mean post-warmup acceptance rate over
+    entities and chains, the pooled coefficients as ``theta``),
+    ``slice_shrinks`` (mean shrinks per elliptical-slice step) and
+    ``slice_collapses`` (slice steps whose bracket shrank ``_MAX_SHRINK``
+    times and kept the current state), warmup included.
     """
 
     entity_ids: list
@@ -561,6 +753,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     ----------
     histories : list of EntityHistory
     config : McmcConfig
+        The chains run in this process; ``threads`` does not change the draws.
     priors : PriorSpec, optional
         Built from the data when omitted.
     n_r : int, optional
@@ -586,95 +779,25 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     elif any(h.ratings.max() > n_r for h in histories):
         raise InvalidInputError("observed rating exceeds n_r")
 
-    n_e = len(histories)
-    d = histories[0].covariates.shape[1]
     X_all = np.vstack([h.covariates for h in histories])
     if priors.r_star is None:
         q_star = X_all
     else:
         q_star = solve_triangular(priors.r_star, X_all.T, lower=False, trans="T").T
-    offsets = np.cumsum([0] + [h.n for h in histories])
-    q_slices = [q_star[offsets[i]:offsets[i + 1]] for i in range(n_e)]
+    panel = _Panel(histories, q_star, n_r)
+    log_rho0 = [_initial_log_rho(h, priors.lengthscale[h.entity_id]) for h in histories]
+    chains = [_run_chain(panel, priors, log_rho0, config, seed, flat_likelihood)
+              for seed in np.random.SeedSequence(config.seed).spawn(config.chains)]
 
-    per_chain = (config.iterations - config.warmup) // config.thin
-    S = config.chains * per_chain
-    s_lat_per_chain = (per_chain + config.latent_thin - 1) // config.latent_thin
+    def stacked(key):
+        return np.concatenate([c[key] for c in chains])
 
-    theta_draws = np.empty((S, d))
-    rho_draws = np.empty((S, n_e))
-    sigma_draws = np.empty((S, n_e))
-    kappa_draws = np.empty((S, n_e))
-    eta_draws = np.empty((S, n_e, n_r))
-    loglik_draws = np.empty((S, offsets[-1]))
-    latents = {h.entity_id: np.empty((config.chains * s_lat_per_chain, h.n)) for h in histories}
-    latent_idx = np.empty(config.chains * s_lat_per_chain, dtype=np.int64)
-
-    root = np.random.SeedSequence(config.seed)
-    chain_seeds = root.spawn(config.chains)
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    try:
-        for c in range(config.chains):
-            streams = chain_seeds[c].spawn(n_e + 1)
-            theta_rng = np.random.default_rng(streams[n_e])
-            states = [
-                _init_entity(h, priors.lengthscale[h.entity_id], n_r,
-                             np.random.default_rng(streams[i]), flat_likelihood)
-                for i, h in enumerate(histories)
-            ]
-            theta_t = 0.1 * theta_rng.standard_normal(d)
-            for i, st in enumerate(states):
-                st.mean = q_slices[i] @ theta_t
-                st.refresh_caches()
-            scale_theta = 0.2
-            keep = 0
-            for it in range(config.iterations):
-                warm = it < config.warmup
-                gamma = (it + 1.0) ** -0.6 if warm else 0.0
-                if pool is None:
-                    for st in states:
-                        _entity_sweep(st, gamma)
-                else:
-                    list(pool.map(lambda st: _entity_sweep(st, gamma), states))
-
-                # pooled-coefficient update; serial barrier across entities
-                theta_prop = theta_t + scale_theta * theta_rng.standard_normal(d)
-                delta = theta_prop - theta_t
-                if pool is None:
-                    cand = [_theta_candidate(states[i], q_slices[i], delta) for i in range(n_e)]
-                else:
-                    cand = list(pool.map(
-                        lambda i: _theta_candidate(states[i], q_slices[i], delta), range(n_e)))
-                ll_delta = sum(c_ll - states[i].ll_sum for i, (_, c_ll, _) in enumerate(cand))
-                log_a = ll_delta + 0.5 * float(theta_t @ theta_t - theta_prop @ theta_prop)
-                accepted = math.log(1.0 - theta_rng.random()) < log_a
-                if accepted:
-                    theta_t = theta_prop
-                    for i, st in enumerate(states):
-                        f_new, ll_sum_new, ll_new = cand[i]
-                        st.mean = st.mean + q_slices[i] @ delta
-                        st.f, st.ll, st.ll_sum = f_new, ll_new, ll_sum_new
-                if warm:
-                    scale_theta *= math.exp(gamma * ((1.0 if accepted else 0.0) - _ACCEPT_TARGET))
-                    scale_theta = min(max(scale_theta, 1e-4), 10.0)
-
-                if not warm and (it - config.warmup) % config.thin == 0:
-                    g = c * per_chain + keep
-                    theta_draws[g] = priors.unwhiten_theta(theta_t)
-                    for i, st in enumerate(states):
-                        rho_draws[g, i] = math.exp(st.log_rho)
-                        sigma_draws[g, i] = math.exp(st.log_sigma)
-                        kappa_draws[g, i] = math.exp(st.log_kappa)
-                        eta_draws[g, i] = st.eta
-                        loglik_draws[g, offsets[i]:offsets[i + 1]] = st.ll
-                    if keep % config.latent_thin == 0:
-                        gl = c * s_lat_per_chain + keep // config.latent_thin
-                        latent_idx[gl] = g
-                        for st, h in zip(states, histories):
-                            latents[h.entity_id][gl] = st.f
-                    keep += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws = (
+        stacked(k) for k in ("theta", "rho", "sigma", "kappa", "eta"))
+    latents_flat = stacked("latents")
+    per_chain = chains[0]["theta"].shape[0]
+    latent_idx = np.concatenate([c * per_chain + np.arange(0, per_chain, config.latent_thin)
+                                 for c in range(config.chains)])
 
     diagnostics = _compute_diagnostics(
         histories, config, theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws)
@@ -682,20 +805,32 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     gaps = np.concatenate([np.diff(h.timestamps) for h in histories if h.n >= 2]) \
         if any(h.n >= 2 for h in histories) else np.array([1.0])
     return PosteriorEnsemble(
-        entity_ids=[h.entity_id for h in histories],
+        entity_ids=list(panel.entity_ids),
         theta=theta_draws, rho=rho_draws, sigma=sigma_draws, kappa=kappa_draws,
-        eta=eta_draws, latents=latents, latent_draw_indices=latent_idx,
-        pointwise_loglik=loglik_draws, diagnostics=diagnostics, config=config,
+        eta=eta_draws,
+        latents={e: latents_flat[:, panel.segment(i)].copy()
+                 for i, e in enumerate(panel.entity_ids)},
+        latent_draw_indices=latent_idx,
+        pointwise_loglik=stacked("loglik"), diagnostics=diagnostics, config=config,
         converged=bool(worst <= 1.02),
         metadata={"n_r": n_r, "median_gap": float(np.median(gaps)),
-                  "flat_likelihood": bool(flat_likelihood)},
+                  "flat_likelihood": bool(flat_likelihood),
+                  **_run_report([c["report"] for c in chains], config, panel.n_entities)},
     )
 
 
-def _theta_candidate(st, q_slice, delta):
-    f_new = st.f + q_slice @ delta
-    ll_new = st.loglik(f_new)
-    return f_new, float(ll_new.sum()), ll_new
+def _run_report(reports, config, n_e):
+    """Acceptance rates and slice-sampler counts summed over chains, as plain numbers."""
+    sampled = config.chains * (config.iterations - config.warmup)
+    acceptance = {b: float(sum(r[b].sum() for r in reports) / (sampled * n_e))
+                  for b in _BLOCKS}
+    acceptance["theta"] = float(sum(r["theta"] for r in reports) / sampled)
+    return {
+        "acceptance": acceptance,
+        "slice_shrinks": float(sum(r["slice_shrinks"] for r in reports)
+                               / (config.chains * config.iterations * n_e)),
+        "slice_collapses": int(sum(r["slice_collapses"] for r in reports)),
+    }
 
 
 def _compute_diagnostics(histories, config, theta, rho, sigma, kappa, eta):

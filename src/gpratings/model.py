@@ -270,13 +270,24 @@ def markov_factor(timestamps, rho, sigma, entity_id="?") -> MarkovFactor:
     c_k underflows to zero (a gap negligible against rho).
     """
     # an infinite gap before the first rating gives a_0 = 0 and c_0 = sigma
-    scaled_gaps = np.diff(timestamps, prepend=-np.inf) / rho
+    factor = markov_factor_from_gaps(np.diff(timestamps, prepend=-np.inf), rho, sigma)
+    if not (factor.c > 0.0).all():
+        raise NumericalError(f"kernel factor of entity {entity_id!r} is singular")
+    return factor
+
+
+def markov_factor_from_gaps(gaps, rho, sigma) -> MarkovFactor:
+    """The Markov factor over consecutive time gaps, without the singularity check.
+
+    ``gaps[k]`` is t_k - t_{k-1}, +inf where an independent path starts, so
+    one factor can hold a whole panel of entities back to back: a_k = 0 at
+    each entity's first rating.  ``rho`` and ``sigma`` are scalars or one
+    value per gap.  The caller tests ``c > 0``.
+    """
+    scaled_gaps = gaps / rho
     band = np.ones((2, scaled_gaps.size))
     band[1, :-1] = -np.exp(-scaled_gaps[1:])
-    c = sigma * np.sqrt(-np.expm1(-2.0 * scaled_gaps))
-    if not (c > 0.0).all():
-        raise NumericalError(f"kernel factor of entity {entity_id!r} is singular")
-    return MarkovFactor(band, c)
+    return MarkovFactor(band, sigma * np.sqrt(-np.expm1(-2.0 * scaled_gaps)))
 
 
 class BridgeProjection(NamedTuple):
@@ -401,24 +412,41 @@ def _cell_prob(z_lo, z_hi):
     return np.maximum(p, 0.0)
 
 
-def emission_loglik(ratings, f, kappa, cutpoints):
-    """Vectorized log P(R_j = r_j | f_j) for one entity.
+def emission_loglik(ratings, f, kappa, cutpoints, entity=None):
+    """Vectorized log P(R_j = r_j | f_j) for one entity or a panel of entities.
 
     Parameters
     ----------
     ratings : (n,) int array in 1..n_r
     f : (n,) latent values (broadcastable against ratings)
-    kappa : positive float
-    cutpoints : (n_r - 1,) increasing cutpoints
+    kappa : positive float, or with ``entity`` an (n_entities,) array
+    cutpoints : (n_r - 1,) increasing cutpoints, or with ``entity`` an
+        (n_entities, n_r - 1) table, one row per entity
+    entity : (n,) int array, optional
+        The row of ``kappa`` and ``cutpoints`` that each rating reads, so
+        that one call scores the ratings of many entities.
 
     Returns
     -------
     (n,) array of log cell probabilities, floored at log(1e-300).
     """
     ratings = np.asarray(ratings)
-    padded = np.concatenate([[-np.inf], np.asarray(cutpoints, dtype=float), [np.inf]])
-    z_hi = (padded[ratings] - f) / kappa
-    z_lo = (padded[ratings - 1] - f) / kappa
+    cutpoints = np.asarray(cutpoints, dtype=float)
+    padded = np.empty(cutpoints.shape[:-1] + (cutpoints.shape[-1] + 2,))
+    padded[..., 0] = -np.inf
+    padded[..., 1:-1] = cutpoints
+    padded[..., -1] = np.inf
+    if entity is None:
+        upper, lower = padded[ratings], padded[ratings - 1]
+    else:
+        # flat gathers from the padded table: entity e's rating r sits at
+        # e * (n_r + 1) + r
+        at = entity * padded.shape[1] + ratings
+        padded = padded.ravel()
+        upper, lower = padded.take(at), padded.take(at - 1)
+        kappa = np.asarray(kappa).take(entity)
+    z_hi = (upper - f) / kappa
+    z_lo = (lower - f) / kappa
     p = _cell_prob(z_lo, z_hi)
     return np.log(np.maximum(p, LOG_PROB_FLOOR))
 
@@ -446,18 +474,20 @@ def rating_cell_probs(f, kappa, cutpoints, n_r):
 # joint log-density
 # ---------------------------------------------------------------------------
 
+# the parameter priors work elementwise, so the sampler scores every entity at once
+
 def _halfnormal_logpdf(x):
-    return 0.5 * math.log(2.0 / math.pi) - 0.5 * x * x if x > 0 else -np.inf
+    return np.where(x > 0, 0.5 * math.log(2.0 / math.pi) - 0.5 * x * x, -np.inf)
 
 
 def _halfcauchy_logpdf(x):
-    return math.log(2.0 / math.pi) - math.log1p(x * x) if x > 0 else -np.inf
+    return np.where(x > 0, math.log(2.0 / math.pi) - np.log1p(x * x), -np.inf)
 
 
 def _invgamma_logpdf(x, shape, scale):
-    if x <= 0:
-        return -np.inf
-    return shape * math.log(scale) - math.lgamma(shape) - (shape + 1) * math.log(x) - scale / x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logpdf = shape * np.log(scale) - gammaln(shape) - (shape + 1) * np.log(x) - scale / x
+    return np.where(x > 0, logpdf, -np.inf)
 
 
 def _dirichlet_logpdf(x, alpha):

@@ -111,6 +111,19 @@ class TestPipelines:
             outs.append((out / "fit.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_fit_mcmc_writes_run_report(self, sim_dataset, tmp_path):
+        cfg = write_cfg(tmp_path, MCMC_CFG)
+        code = main(["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                     "--seed", "4", "--config", cfg, "--out", str(tmp_path)])
+        assert code in (0, 5)
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        meta = json.loads((tmp_path / "fit.json").read_text())["payload"]["metadata"]
+        assert set(diag["acceptance"]) == {"rho_sigma", "kappa", "cutpoints", "shift",
+                                           "rescale", "theta"}
+        for key in ("acceptance", "slice_shrinks", "slice_collapses"):
+            assert diag[key] == meta[key]
+        assert isinstance(diag["slice_collapses"], int)
+
     def test_predict_backend_guard(self, sim_dataset, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SVI_CFG)
         out = tmp_path / "run"

@@ -6,21 +6,28 @@ the Metropolis target densities against scipy change-of-variable densities,
 and the diagnostics against directly coded textbook formulas.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 
+from gpratings import mcmc
 from gpratings.errors import InvalidInputError
 from gpratings.mcmc import (
     McmcConfig,
     PriorSpec,
+    _Chain,
     _dirichlet_logpdf,
-    _init_entity,
+    _elliptical_slice,
+    _initial_log_rho,
     _kappa_log_target,
+    _Panel,
     _rho_sigma_log_target,
     _update_kernel_params,
     _whitening_matrix,
@@ -29,13 +36,13 @@ from gpratings.mcmc import (
     gelman_rubin,
     run_mcmc,
     solve_lengthscale_prior,
-    unwhiten,
     waic,
-    whiten,
 )
 from gpratings.model import EntityHistory, KernelParams, kernel_matrix
 
 from test_model import make_history
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_history(rng, n, entity_id="e1", d=2, span=4.0):
@@ -43,6 +50,24 @@ def random_history(rng, n, entity_id="e1", d=2, span=4.0):
     t += np.arange(n) * 1e-8
     ratings = rng.integers(1, 6, n)
     return EntityHistory(entity_id, t, ratings, rng.normal(size=(n, d)))
+
+
+def whiten(f, L, mean=0.0):
+    """Dense reference whitening with a lower factor L: L^-1 (f - mean)."""
+    return solve_triangular(L, np.asarray(f, dtype=float) - mean, lower=True)
+
+
+def unwhiten(f_tilde, L, mean=0.0):
+    """Inverse of :func:`whiten`: L f_tilde + mean."""
+    return L @ np.asarray(f_tilde, dtype=float) + mean
+
+
+def make_chain(histories, priors, seeds, n_r=5):
+    """One chain over ``histories``; entity i draws from default_rng(seeds[i])."""
+    panel = _Panel(histories, np.vstack([h.covariates for h in histories]), n_r)
+    log_rho0 = [_initial_log_rho(h, priors.lengthscale[h.entity_id]) for h in histories]
+    return _Chain(panel, priors, log_rho0, [np.random.default_rng(s) for s in seeds],
+                  np.random.default_rng(0), False)
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +189,65 @@ def test_whitened_gp_draws_are_standard_normal():
 
 def test_singular_kernel_proposal_is_rejected_and_consumes_one_uniform():
     # at rho ~ 1e304 the innovation scale of a 1e-150-year gap underflows to
-    # zero, so the proposed factor is singular
-    h = make_history([0.0, 1e-150], ratings=[2, 4])
-    st_ = _init_entity(h, (3.0, 1e-150), 5, np.random.default_rng(3), False)
-    st_.mean = np.zeros(h.n)
-    st_.refresh_caches()
-    st_.log_rho = 700.0
-    assert st_.rebuild_kernel() is None
-    before = (st_.log_rho, st_.log_sigma, st_.factor, st_.f.copy(), st_.ll_sum)
+    # zero, so entity b's proposed factor is singular; entity a shares the
+    # panel and must move exactly as it does alone
+    a = make_history([0.0, 0.4, 1.1], ratings=[3, 5, 4], entity_id="a")
+    b = make_history([0.0, 1e-150], ratings=[2, 4], entity_id="b")
+    priors = PriorSpec(lengthscale={"a": (3.0, 1.0), "b": (3.0, 1e-150)})
+    both = make_chain([a, b], priors, [7, 3])
+    alone = make_chain([a], priors, [7])
+    both.log_rho[1] = 700.0
+    assert both.kernel_factor(both.log_rho, both.log_sigma)[1].tolist() == [True, False]
+    b_rows = both.panel.segment(1)
+    before = (both.log_rho[1], both.log_sigma[1], both.factor.c[b_rows].copy(),
+              both.f[b_rows].copy(), both.ll_sum[1], both.factor.band[:, b_rows].copy())
     replay = np.random.default_rng()
-    replay.bit_generator.state = st_.rng.bit_generator.state
-    _update_kernel_params(st_, 0.0)
-    assert st_.acc_rs == 0.0
-    assert (st_.log_rho, st_.log_sigma, st_.factor) == before[:3]
-    assert np.array_equal(st_.f, before[3]) and st_.ll_sum == before[4]
+    replay.bit_generator.state = both.rngs[1].bit_generator.state
+    _update_kernel_params(both, 0.0)
+    _update_kernel_params(alone, 0.0)
+    assert both.report["rho_sigma"].tolist() == [1.0, 0.0]   # a moves, b is rejected
+    assert (both.log_rho[1], both.log_sigma[1]) == before[:2]
+    assert np.array_equal(both.factor.c[b_rows], before[2])
+    assert np.array_equal(both.factor.band[:, b_rows], before[5])
+    assert np.array_equal(both.f[b_rows], before[3]) and both.ll_sum[1] == before[4]
     replay.standard_normal(2)
     replay.random()
-    assert st_.rng.random() == replay.random()
+    assert both.rngs[1].random() == replay.random()
+    a_rows = both.panel.segment(0)
+    assert both.report["rho_sigma"][0] == alone.report["rho_sigma"][0]
+    assert (both.log_rho[0], both.log_sigma[0]) == (alone.log_rho[0], alone.log_sigma[0])
+    assert np.array_equal(both.f[a_rows], alone.f)
+    assert np.array_equal(both.factor.c[a_rows], alone.factor.c)
+    assert both.ll_sum[0] == alone.ll_sum[0]
+    assert both.rngs[0].random() == alone.rngs[0].random()
+
+
+def test_slice_bracket_collapse_keeps_state_and_is_counted(monkeypatch):
+    # with one pass allowed, every entity whose first angle misses its slice
+    # collapses: it keeps its latents and consumes one redraw of the angle
+    hs = small_dataset(n_entities=6)
+    ch = make_chain(hs, build_prior_spec(hs), range(10, 16))
+    f0, f_tilde0 = ch.f.copy(), ch.f_tilde.copy()
+    states = [rng.bit_generator.state for rng in ch.rngs]
+    monkeypatch.setattr(mcmc, "_MAX_SHRINK", 1)
+    _elliptical_slice(ch)
+    collapsed = [i for i in range(6)
+                 if np.array_equal(ch.f_tilde[ch.panel.segment(i)],
+                                   f_tilde0[ch.panel.segment(i)])]
+    assert 0 < len(collapsed) < 6
+    assert ch.report["slice_collapses"] == len(collapsed)
+    assert ch.report["slice_shrinks"] == len(collapsed)
+    for i in range(6):
+        rows = ch.panel.segment(i)
+        assert np.array_equal(ch.f[rows], f0[rows]) == (i in collapsed)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = states[i]
+        replay.standard_normal(hs[i].n)
+        replay.random()
+        replay.uniform(0.0, 2.0 * math.pi)
+        if i in collapsed:
+            replay.random()
+        assert ch.rngs[i].random() == replay.random()
 
 
 def test_whitening_matrix_orthogonalizes_covariates():
@@ -457,3 +524,72 @@ def test_flat_likelihood_run_matches_prior_for_latents():
     assert abs(flat.mean()) < 4 * se_mean
     se_var = math.sqrt(2.0 / (ess * h.n))
     assert abs(flat.var() - 1.0) < 4 * se_var
+
+
+def test_run_mcmc_reproduces_pinned_draws():
+    # recorded with the sampler that updated one entity at a time; the
+    # flat-panel sweep draws each entity's variates from the same stream in
+    # the same order, so only last-bit rounding may differ
+    pinned = json.loads((DATA / "mcmc_pinned_draws.json").read_text())
+    fit = run_mcmc(small_dataset(n_entities=3), small_config())
+    for key in ("theta", "rho", "kappa", "eta"):
+        np.testing.assert_allclose(getattr(fit, key), np.array(pinned[key]),
+                                   rtol=1e-12, atol=0.0, err_msg=key)
+
+
+def test_run_report_counts_without_changing_draws(monkeypatch):
+    hs = small_dataset(n_entities=3)
+    fit = run_mcmc(hs, small_config())
+    meta = fit.metadata
+    assert set(meta["acceptance"]) == {"rho_sigma", "kappa", "cutpoints", "shift",
+                                       "rescale", "theta"}
+    assert all(type(v) is float and 0.0 < v < 1.0 for v in meta["acceptance"].values())
+    assert type(meta["slice_shrinks"]) is float and meta["slice_shrinks"] > 0.0
+    assert type(meta["slice_collapses"]) is int and meta["slice_collapses"] == 0
+    # theta and rho move only when their walk accepts, so the changes between
+    # consecutive retained draws (thin 1) count the post-warmup acceptances,
+    # up to the first retained iteration of each chain
+    chains, per_chain = 2, 30
+    for name, draws in (("theta", fit.theta[:, 0]), ("rho_sigma", fit.rho)):
+        steps = draws.reshape(chains, per_chain, -1)
+        moves = int((np.diff(steps, axis=1) != 0.0).sum())
+        count = meta["acceptance"][name] * chains * per_chain * steps.shape[2]
+        assert moves <= round(count) <= moves + chains * steps.shape[2]
+
+    monkeypatch.setattr(mcmc, "_tally", lambda report, key, value: None)
+    bare = run_mcmc(hs, small_config())
+    assert set(bare.metadata["acceptance"].values()) == {0.0}
+    for key in ("theta", "rho", "sigma", "kappa", "eta", "pointwise_loglik"):
+        assert np.array_equal(getattr(fit, key), getattr(bare, key)), key
+    for eid in fit.latents:
+        assert np.array_equal(fit.latents[eid], bare.latents[eid])
+
+
+def test_run_mcmc_mixed_panel_invariants():
+    # a single-rating entity, a 1e-6-year tie and two unobserved rating levels
+    rng = np.random.default_rng(41)
+    t = np.sort(rng.uniform(0.0, 4.0, 10))
+    t[5] = t[4] + 1e-6
+    tied = EntityHistory("tied", t, rng.integers(1, 6, 10), rng.normal(size=(10, 2)))
+    single = EntityHistory("single", [1.5], [4], rng.normal(size=(1, 2)))
+    hs = [random_history(rng, 12, "plain"), single, tied]
+    fit = run_mcmc(hs, small_config(), n_r=7)
+    S = 60
+    assert fit.theta.shape == (S, 2)
+    assert fit.rho.shape == fit.sigma.shape == fit.kappa.shape == (S, 3)
+    assert fit.eta.shape == (S, 3, 7)
+    assert fit.pointwise_loglik.shape == (S, 23)
+    assert np.all(fit.rho > 0) and np.all(fit.sigma > 0) and np.all(fit.kappa > 0)
+    assert np.all(fit.eta > 0)
+    assert np.allclose(fit.eta.sum(axis=2), 1.0, atol=1e-9)
+    assert np.all(np.isfinite(fit.pointwise_loglik)) and np.all(fit.pointwise_loglik <= 0.0)
+    for s in range(0, S, 7):
+        for i in range(3):
+            cuts = fit.kappa[s, i] * stats.norm.ppf(np.cumsum(fit.eta[s, i])[:-1])
+            assert np.all(np.diff(cuts) > 0)
+    for h in hs:
+        assert fit.latents[h.entity_id].shape == (2 * 8, h.n)
+        assert np.all(np.isfinite(fit.latents[h.entity_id]))
+    assert fit.latent_draw_indices.shape == (16,)
+    assert np.all(fit.latent_draw_indices < S)
+    assert fit.metadata["n_r"] == 7

@@ -32,6 +32,7 @@ from gpratings.model import (
     joint_logdensity,
     kernel_matrix,
     markov_factor,
+    markov_factor_from_gaps,
     mean_vector,
     rating_cell_probs,
 )
@@ -193,6 +194,28 @@ def test_bridge_projection_singular_gap_raises():
         bridge_projection(np.array([0.0, 1e-150]), np.array([5e-151]), 1e304, 1.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_markov_factor_from_gaps_stacks_entities(seed):
+    # one factor over a panel (+inf gap at each entity's first rating) is the
+    # per-entity factors back to back, bit for bit
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 9, size=int(rng.integers(1, 5)))
+    times = [np.cumsum(rng.exponential(0.3, n)) for n in sizes]
+    rho = rng.uniform(0.1, 3.0, sizes.size)
+    sigma = rng.uniform(0.3, 2.0, sizes.size)
+    gaps = np.concatenate([np.diff(t, prepend=-np.inf) for t in times])
+    panel = markov_factor_from_gaps(gaps, np.repeat(rho, sizes), np.repeat(sigma, sizes))
+    parts = [markov_factor(t, r, s) for t, r, s in zip(times, rho, sigma)]
+    z = rng.normal(size=sizes.sum())
+    cut = np.cumsum(sizes)[:-1]
+    assert np.array_equal(panel.c, np.concatenate([f.c for f in parts]))
+    assert np.array_equal(panel.unwhiten(z), np.concatenate(
+        [f.unwhiten(w) for f, w in zip(parts, np.split(z, cut))]))
+    assert np.array_equal(panel.whiten(z), np.concatenate(
+        [f.whiten(w) for f, w in zip(parts, np.split(z, cut))]))
+
+
 # ---------------------------------------------------------------------------
 # mean function
 # ---------------------------------------------------------------------------
@@ -270,6 +293,26 @@ def test_emission_rejects_out_of_range_rating():
         emission_logprob(6, 0.0, ep)
     with pytest.raises(InvalidInputError):
         emission_logprob(0, 0.0, ep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_emission_panel_call_matches_per_entity_calls(seed):
+    # with ``entity`` one call scores many entities, each against its own
+    # kappa and cutpoint row, bit for bit as separate calls
+    rng = np.random.default_rng(seed)
+    n_r = int(rng.integers(2, 8))
+    sizes = rng.integers(1, 12, size=int(rng.integers(1, 6)))
+    kappa = rng.uniform(0.05, 4.0, sizes.size)
+    cuts = kappa[:, None] * np.sort(rng.normal(size=(sizes.size, n_r - 1)), axis=1)
+    ratings = rng.integers(1, n_r + 1, sizes.sum())
+    f = rng.normal(scale=3.0, size=sizes.sum())
+    entity = np.repeat(np.arange(sizes.size), sizes)
+    panel = emission_loglik(ratings, f, kappa, cuts, entity)
+    at = np.cumsum(sizes)[:-1]
+    separate = [emission_loglik(r, x, k, c) for r, x, k, c
+                in zip(np.split(ratings, at), np.split(f, at), kappa, cuts)]
+    assert np.array_equal(panel, np.concatenate(separate))
 
 
 @settings(max_examples=80, deadline=None)
