@@ -77,7 +77,6 @@ from .simulate import (
 from .svi import (
     SviConfig,
     VariationalState,
-    complexity_probe,
     elbo,
     fit_svi,
     select_inducing,
@@ -113,7 +112,6 @@ __all__ = [
     "build_prior_spec",
     "choice_set_simulation",
     "classification_report",
-    "complexity_probe",
     "conditional_moments",
     "discounted_mean",
     "effective_sample_size",

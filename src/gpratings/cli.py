@@ -34,7 +34,7 @@ from .evaluate import (
     rmse,
     wilcoxon_signed_rank,
 )
-from .mcmc import McmcConfig, run_mcmc
+from .mcmc import McmcConfig, run_mcmc, waic
 from .predict import marginalize
 from .simulate import SimSpec, recover, simulate
 from .svi import SviConfig, fit_svi
@@ -230,6 +230,7 @@ def cmd_fit(cfg) -> int:
             "acceptance": fit.metadata["acceptance"],
             "slice_shrinks": fit.metadata["slice_shrinks"],
             "slice_collapses": fit.metadata["slice_collapses"],
+            "waic": waic(fit.pointwise_loglik),
         }
         converged = fit.converged
     else:
@@ -238,6 +239,8 @@ def cmd_fit(cfg) -> int:
             "converged": bool(fit.trend_ok),
             "final_elbo": float(fit.elbo_trace[-1]),
             "iterations": int(fit.elbo_trace.size),
+            "rollbacks": fit.metadata["rollbacks"],
+            "lr_scale": fit.metadata["lr_scale"],
         }
         converged = fit.trend_ok
     _write_json(out / "diagnostics.json", diag)

@@ -3,13 +3,21 @@
 Review files (CSV or JSONL) become per-entity histories plus a manifest;
 fitted models round-trip through a versioned JSON container whose top level
 is {schema_version, backend, config, payload}.
+
+Schema 2 (written now) stores every numeric array of the payload as
+{"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}: the array's
+little-endian bytes, base64-encoded, so saving and loading skip the
+per-float text formatting and the round trip is bit for bit. Schema 1
+artifacts, which hold the same arrays as JSON lists, still load.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import itertools
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -23,7 +31,8 @@ from .mcmc import McmcConfig, PosteriorEnsemble
 from .model import EmissionParams, EntityHistory, KernelParams
 from .svi import SviConfig, VariationalState
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 DAYS_PER_YEAR = 365.25
 
 DEFAULT_COVARIATES = (
@@ -212,13 +221,49 @@ def _listify(value):
     return value
 
 
-def _lower_rows(c):
-    """Each row of a lower-triangular matrix up to its diagonal; the zeros above are implied."""
-    return [row[: i + 1] for i, row in enumerate(c.tolist())]
+_FLOAT = "<f8"
+_INT = "<i8"
+
+
+def _pack(a, code=_FLOAT):
+    """An array as {dtype, shape, data}: little-endian raw bytes, base64-encoded."""
+    a = np.asarray(a, dtype=code)
+    return {"dtype": code, "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _unpack(doc, field, path, code):
+    """Inverse of :func:`_pack`; any mismatch is a DataError naming ``field``."""
+    if doc.get("dtype") != code:
+        raise DataError(f"{path}: field {field} has dtype {doc.get('dtype')!r}, "
+                        f"expected {code!r}")
+    shape = doc.get("shape")
+    if not (isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise DataError(f"{path}: field {field} has a malformed shape {shape!r}")
+    try:
+        raw = base64.b64decode(doc.get("data"), validate=True)
+    except (TypeError, ValueError):   # binascii.Error is a ValueError
+        raise DataError(f"{path}: field {field} holds invalid base64 data") from None
+    size = math.prod(shape) * 8
+    if len(raw) != size:
+        raise DataError(f"{path}: field {field} holds {len(raw)} bytes; "
+                        f"shape {shape} needs {size}")
+    return np.frombuffer(raw, dtype=code).astype(code[1:]).reshape(shape)
+
+
+def _field(value, field, path, code=_FLOAT):
+    """One stored array: a packed dict (schema 2) or a JSON list (schema 1)."""
+    if isinstance(value, dict):
+        return _unpack(value, field, path, code)
+    try:
+        return np.asarray(value, dtype=code[1:])
+    except ValueError:
+        raise DataError(f"{path}: field {field} is not a numeric array") from None
 
 
 def _square_from_rows(rows, path):
-    """Inverse of :func:`_lower_rows`; full-square rows, as older artifacts hold, load as is."""
+    """A schema-1 q_chol: lower-triangle rows, or the full square of older artifacts."""
     m = len(rows)
     lengths = [len(r) for r in rows]
     if lengths == [m] * m:
@@ -232,20 +277,42 @@ def _square_from_rows(rows, path):
     return out
 
 
+def _q_chol(value, field, path):
+    """q_chol from its schema-1 rows, or from its packed row-major lower triangle."""
+    if isinstance(value, list):
+        return _square_from_rows(value, path)
+    vec = _field(value, field, path)
+    k = vec.size
+    m = (math.isqrt(8 * k + 1) - 1) // 2
+    if vec.ndim != 1 or m * (m + 1) // 2 != k:
+        raise DataError(f"{path}: field {field} holds {k} values, "
+                        "not a lower triangle")
+    out = np.zeros((m, m))
+    out[np.tril_indices(m)] = vec
+    return out
+
+
 def save_fit(fit, path) -> None:
-    """Persist a fitted model as versioned JSON (see load_fit)."""
+    """Persist a fitted model as one versioned JSON document (see load_fit).
+
+    Every numeric array of the payload is stored as {dtype, shape, data}:
+    its little-endian bytes ("<f8", or "<i8" for latent_draw_indices),
+    base64-encoded, so the round trip is bit for bit. ``q_chol`` keeps only
+    its lower triangle, row by row. Ids, scalars, config, diagnostics and
+    metadata stay plain JSON.
+    """
     backend = getattr(fit, "backend", None)
     if backend == "mcmc":
         payload = {
             "entity_ids": list(fit.entity_ids),
-            "theta": fit.theta.tolist(),
-            "rho": fit.rho.tolist(),
-            "sigma": fit.sigma.tolist(),
-            "kappa": fit.kappa.tolist(),
-            "eta": fit.eta.tolist(),
-            "latents": _listify(fit.latents),
-            "latent_draw_indices": fit.latent_draw_indices.tolist(),
-            "pointwise_loglik": fit.pointwise_loglik.tolist(),
+            "theta": _pack(fit.theta),
+            "rho": _pack(fit.rho),
+            "sigma": _pack(fit.sigma),
+            "kappa": _pack(fit.kappa),
+            "eta": _pack(fit.eta),
+            "latents": {e: _pack(v) for e, v in fit.latents.items()},
+            "latent_draw_indices": _pack(fit.latent_draw_indices, _INT),
+            "pointwise_loglik": _pack(fit.pointwise_loglik),
             "diagnostics": _listify(fit.diagnostics),
             "converged": bool(fit.converged),
             "metadata": _listify(fit.metadata),
@@ -253,15 +320,16 @@ def save_fit(fit, path) -> None:
     elif backend == "svi":
         payload = {
             "entity_ids": list(fit.entity_ids),
-            "inducing_times": _listify(fit.inducing_times),
-            "q_mean": _listify(fit.q_mean),
-            "q_chol": {e: _lower_rows(c) for e, c in fit.q_chol.items()},
-            "theta": fit.theta.tolist(),
+            "inducing_times": {e: _pack(v) for e, v in fit.inducing_times.items()},
+            "q_mean": {e: _pack(v) for e, v in fit.q_mean.items()},
+            "q_chol": {e: _pack(c[np.tril_indices(c.shape[0])])
+                       for e, c in fit.q_chol.items()},
+            "theta": _pack(fit.theta),
             "kernel": {e: {"rho": kp.rho, "sigma": kp.sigma}
                        for e, kp in fit.kernel.items()},
-            "emission": {e: {"kappa": ep.kappa, "eta": ep.eta.tolist()}
+            "emission": {e: {"kappa": ep.kappa, "eta": _pack(ep.eta)}
                          for e, ep in fit.emission.items()},
-            "elbo_trace": fit.elbo_trace.tolist(),
+            "elbo_trace": _pack(fit.elbo_trace),
             "metadata": _listify(fit.metadata),
         }
     else:
@@ -276,15 +344,19 @@ def save_fit(fit, path) -> None:
         "config": config,
         "payload": payload,
     }
+    # json.dumps takes the C encoder; json.dump to a file never does
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_fit(path, expect_backend: str = None):
-    """Load a fit artifact saved by save_fit.
+    """Load a fit artifact saved by save_fit, schema 2 or schema 1.
 
-    Raises DataError for truncated or corrupt files, foreign schema
+    Each array field goes through one decoder that takes either form: a
+    packed {dtype, shape, data} dict (schema 2) or a plain JSON list
+    (schema 1, whose q_chol is a list of rows). Raises DataError for
+    truncated or corrupt files, undecodable array fields, foreign schema
     versions, and backend tags that don't match ``expect_backend``.
     """
     path = Path(path)
@@ -297,54 +369,59 @@ def load_fit(path, expect_backend: str = None):
         raise DataError(f"{path}: truncated or corrupt artifact") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise DataError(f"{path}: not a fit artifact")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if doc["schema_version"] not in _READABLE_VERSIONS:
         raise DataError(
             f"{path}: schema version {doc['schema_version']} needs migration; "
-            f"this build reads version {SCHEMA_VERSION}")
+            f"this build reads versions {', '.join(map(str, _READABLE_VERSIONS))}")
     backend = doc.get("backend")
     if expect_backend is not None and backend != expect_backend:
         raise DataError(
             f"{path}: artifact backend is {backend!r}, expected {expect_backend!r}")
     try:
         payload = doc["payload"]
+
+        def arr(key, code=_FLOAT):
+            return _field(payload[key], key, path, code)
+
+        def per_entity(key):
+            return {e: _field(v, f"{key}[{e!r}]", path)
+                    for e, v in payload[key].items()}
+
         if backend == "mcmc":
             return PosteriorEnsemble(
                 entity_ids=list(payload["entity_ids"]),
-                theta=np.asarray(payload["theta"], dtype=float),
-                rho=np.asarray(payload["rho"], dtype=float),
-                sigma=np.asarray(payload["sigma"], dtype=float),
-                kappa=np.asarray(payload["kappa"], dtype=float),
-                eta=np.asarray(payload["eta"], dtype=float),
-                latents={e: np.asarray(v, dtype=float)
-                         for e, v in payload["latents"].items()},
-                latent_draw_indices=np.asarray(
-                    payload["latent_draw_indices"], dtype=int),
-                pointwise_loglik=np.asarray(
-                    payload["pointwise_loglik"], dtype=float),
+                theta=arr("theta"),
+                rho=arr("rho"),
+                sigma=arr("sigma"),
+                kappa=arr("kappa"),
+                eta=arr("eta"),
+                latents=per_entity("latents"),
+                latent_draw_indices=arr("latent_draw_indices", _INT),
+                pointwise_loglik=arr("pointwise_loglik"),
                 diagnostics=payload["diagnostics"],
                 config=McmcConfig(**doc["config"]),
                 converged=bool(payload["converged"]),
                 metadata=payload["metadata"],
             )
         if backend == "svi":
-            config = dict(doc["config"])
             return VariationalState(
                 entity_ids=list(payload["entity_ids"]),
-                inducing_times={e: np.asarray(v, dtype=float)
-                                for e, v in payload["inducing_times"].items()},
-                q_mean={e: np.asarray(v, dtype=float)
-                        for e, v in payload["q_mean"].items()},
-                q_chol={e: _square_from_rows(v, path)
+                inducing_times=per_entity("inducing_times"),
+                q_mean=per_entity("q_mean"),
+                q_chol={e: _q_chol(v, f"q_chol[{e!r}]", path)
                         for e, v in payload["q_chol"].items()},
-                theta=np.asarray(payload["theta"], dtype=float),
+                theta=arr("theta"),
                 kernel={e: KernelParams(**kp)
                         for e, kp in payload["kernel"].items()},
-                emission={e: EmissionParams(kappa=ep["kappa"], eta=ep["eta"])
+                emission={e: EmissionParams(
+                              kappa=ep["kappa"],
+                              eta=_field(ep["eta"], f"emission[{e!r}].eta", path))
                           for e, ep in payload["emission"].items()},
-                elbo_trace=np.asarray(payload["elbo_trace"], dtype=float),
-                config=SviConfig(**config),
+                elbo_trace=arr("elbo_trace"),
+                config=SviConfig(**doc["config"]),
                 metadata=payload["metadata"],
             )
         raise DataError(f"{path}: unknown backend tag {backend!r}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, InvalidInputError) as exc:
+        # InvalidInputError: stored values the fit's own classes reject
         raise DataError(f"{path}: malformed artifact ({exc})") from None

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from gpratings.cli import build_parser, main
+from gpratings.dataio import load_fit
+from gpratings.mcmc import waic
 
 
 def run(argv, capsys=None):
@@ -123,6 +125,21 @@ class TestPipelines:
         for key in ("acceptance", "slice_shrinks", "slice_collapses"):
             assert diag[key] == meta[key]
         assert isinstance(diag["slice_collapses"], int)
+        fit = load_fit(tmp_path / "fit.json")
+        assert diag["waic"] == waic(fit.pointwise_loglik)
+
+    def test_fit_svi_writes_run_report(self, sim_dataset, tmp_path):
+        cfg = write_cfg(tmp_path, SVI_CFG)
+        code = main(["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                     "--seed", "2", "--backend", "svi", "--config", cfg,
+                     "--out", str(tmp_path)])
+        assert code in (0, 5)
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        meta = load_fit(tmp_path / "fit.json").metadata
+        assert diag["rollbacks"] == meta["rollbacks"]
+        assert diag["lr_scale"] == meta["lr_scale"]
+        assert isinstance(diag["rollbacks"], int)
+        assert isinstance(diag["lr_scale"], float)
 
     def test_predict_backend_guard(self, sim_dataset, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SVI_CFG)

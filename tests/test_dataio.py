@@ -1,4 +1,7 @@
+import base64
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,26 @@ from gpratings.predict import predictive_probs
 from gpratings.svi import SviConfig, fit_svi
 
 from test_model import make_history
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def fit_differences(a, b, where="fit"):
+    """Every field of two fits: arrays by dtype, shape and bytes, the rest by ==."""
+    if dataclasses.is_dataclass(a):
+        return [d for f in dataclasses.fields(a)
+                for d in fit_differences(getattr(a, f.name), getattr(b, f.name),
+                                         f"{where}.{f.name}")]
+    if isinstance(a, np.ndarray):
+        b = np.asarray(b)
+        same = (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+        return [] if same else [f"{where}: {a.dtype}{a.shape} != {b.dtype}{b.shape}"]
+    if isinstance(a, dict):
+        if not isinstance(b, dict) or set(a) != set(b):
+            return [f"{where}: keys differ"]
+        return [d for k in a for d in fit_differences(a[k], b[k], f"{where}[{k!r}]")]
+    return [] if a == b else [f"{where}: {a!r} != {b!r}"]
 
 
 def write_csv(path, rows, header):
@@ -252,19 +275,28 @@ class TestFitArtifacts:
                 assert not upper.any() and not np.signbit(upper).any()
             p = tmp_path / "fit.json"
             save_fit(fit, p)
-            rows = json.loads(p.read_text(encoding="utf-8"))["payload"]["q_chol"]
+            packed = json.loads(p.read_text(encoding="utf-8"))["payload"]["q_chol"]
             loaded = load_fit(p)
             for eid, c in fit.q_chol.items():
-                assert [len(r) for r in rows[eid]] == list(range(1, c.shape[0] + 1))
+                m = c.shape[0]
+                assert packed[eid]["shape"] == [m * (m + 1) // 2]
+                assert len(base64.b64decode(packed[eid]["data"])) == 8 * m * (m + 1) // 2
                 assert loaded.q_chol[eid].shape == c.shape
                 assert loaded.q_chol[eid].tobytes() == c.tobytes()
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        vec = np.arange(5.0)   # 5 is no triangular number
+        doc["payload"]["q_chol"]["v0"] = {"dtype": "<f8", "shape": [5],
+                                          "data": base64.b64encode(vec.tobytes()).decode()}
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="q_chol.*lower triangle"):
+            load_fit(p)
 
     def test_svi_full_square_q_chol_still_loads(self, tmp_path, small_svi_fit):
         _, state = small_svi_fit
-        p = tmp_path / "fit.json"
-        save_fit(state, p)
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads((DATA / "fit_v1_svi.json").read_text(encoding="utf-8"))
+        assert doc["schema_version"] == 1
         doc["payload"]["q_chol"] = {e: c.tolist() for e, c in state.q_chol.items()}
+        p = tmp_path / "fit.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
         loaded = load_fit(p)
         for eid, c in state.q_chol.items():
@@ -273,6 +305,72 @@ class TestFitArtifacts:
         p.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match="q_chol"):
             load_fit(p)
+
+    @pytest.mark.parametrize("backend", ["mcmc", "svi"])
+    def test_every_field_round_trips_bit_for_bit(self, tmp_path, small_mcmc_fit,
+                                                 small_svi_fit, backend):
+        fit = (small_mcmc_fit if backend == "mcmc" else small_svi_fit)[1]
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        assert fit_differences(fit, load_fit(p)) == []
+        assert json.loads(p.read_text(encoding="utf-8"))["schema_version"] == 2
+
+    def test_negative_zero_and_nan_bits_survive(self, tmp_path, small_mcmc_fit):
+        _, fit = small_mcmc_fit
+        ll = fit.pointwise_loglik.copy()
+        ll[0, :3] = [-0.0, np.nan, -np.inf]
+        odd = dataclasses.replace(fit, pointwise_loglik=ll)
+        p = tmp_path / "fit.json"
+        save_fit(odd, p)
+        loaded = load_fit(p)
+        assert loaded.pointwise_loglik.tobytes() == ll.tobytes()
+        assert loaded.latent_draw_indices.dtype == np.int64
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda f: f.update(data="not*base64"), "invalid base64"),
+        (lambda f: f.update(data=None), "invalid base64"),
+        (lambda f: f.update(dtype="<f4"), "dtype"),
+        (lambda f: f.update(dtype=">f8"), "dtype"),
+        (lambda f: f.update(data=f["data"][:-4]), "bytes"),
+        (lambda f: f.update(shape=[f["shape"][0] + 1, *f["shape"][1:]]), "bytes"),
+        (lambda f: f.update(shape="wide"), "shape"),
+    ])
+    def test_undecodable_array_is_a_data_error(self, tmp_path, small_mcmc_fit,
+                                               corrupt, message):
+        _, fit = small_mcmc_fit
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        corrupt(doc["payload"]["pointwise_loglik"])
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"pointwise_loglik.*{message}"):
+            load_fit(p)
+
+    def test_invalid_stored_values_are_a_data_error(self, tmp_path):
+        doc = json.loads((DATA / "fit_v1_svi.json").read_text(encoding="utf-8"))
+        doc["payload"]["emission"]["v0"]["eta"] = [0.5, 0.6, 0.1, 0.1, 0.1]
+        p = tmp_path / "fit.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed artifact.*sum to 1"):
+            load_fit(p)
+
+    @pytest.mark.parametrize("backend", ["mcmc", "svi"])
+    def test_schema_1_artifact_loads_and_predicts_as_schema_2(
+            self, tmp_path, small_mcmc_fit, small_svi_fit, backend):
+        histories, fit = small_mcmc_fit if backend == "mcmc" else small_svi_fit
+        v1_path = DATA / f"fit_v1_{backend}.json"
+        assert json.loads(v1_path.read_text(encoding="utf-8"))["schema_version"] == 1
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        old, new = load_fit(v1_path, expect_backend=backend), load_fit(p)
+        # the schema-1 files predate the run-report keys in metadata
+        diffs = [d for d in fit_differences(new, old) if not d.startswith("fit.metadata")]
+        assert diffs == []
+        for h in histories:
+            query = (h.timestamps[-1] + 0.25, h.covariates[-1])
+            before = predictive_probs(h, new, query)
+            after = predictive_probs(h, old, query)
+            assert before.probs.tobytes() == after.probs.tobytes()
 
     def test_truncated_artifact(self, tmp_path, small_svi_fit):
         _, state = small_svi_fit

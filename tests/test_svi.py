@@ -22,11 +22,11 @@ from gpratings.svi import (
     _emission_quadrature,
     _EntityVi,
     _quadrature_nodes,
-    complexity_probe,
     elbo,
     fit_svi,
     select_inducing,
 )
+from svi_complexity import complexity_probe
 
 
 def make_entity(seed=0, n=7, d=2, eid="e1", n_r=5):
@@ -574,6 +574,8 @@ def test_singular_heavy_step_rolls_the_fit_back(monkeypatch):
     monkeypatch.setattr(svi_mod._EntityVi, "restore", counted_restore)
     state = fit_svi([tied_history()], SviConfig(iterations=30))
     assert calls["restore"] == 1
+    assert state.metadata["rollbacks"] == 1
+    assert state.metadata["lr_scale"] == 0.5
     assert np.all(np.isfinite(state.elbo_trace))
     assert state.kernel["tie"].rho < 1e300
 
