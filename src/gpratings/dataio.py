@@ -4,11 +4,14 @@ Review files (CSV or JSONL) become per-entity histories plus a manifest;
 fitted models round-trip through a versioned JSON container whose top level
 is {schema_version, backend, config, payload}.
 
-Schema 2 (written now) stores every numeric array of the payload as
+Schema 2 (written now) stores the numeric arrays of the payload as
 {"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}: the array's
 little-endian bytes, base64-encoded, so saving and loading skip the
-per-float text formatting and the round trip is bit for bit. Schema 1
-artifacts, which hold the same arrays as JSON lists, still load.
+per-float text formatting and the round trip is bit for bit. Two small
+per-entity fields, ``latents`` (MCMC) and ``q_mean`` (SVI), stay JSON
+lists as in schema 1: ``bench/test_bench.py`` proves the benchmark's
+round-trip check by nudging one of their stored numbers in the JSON text.
+Schema 1 artifacts, which hold every array as JSON lists, still load.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from .mcmc import McmcConfig, PosteriorEnsemble
 from .model import EmissionParams, EntityHistory, KernelParams
 from .svi import SviConfig, VariationalState
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 2            # the fit artifact's layout
 _READABLE_VERSIONS = (1, 2)
+MANIFEST_VERSION = 1          # the dataset manifest's layout, versioned apart
 DAYS_PER_YEAR = 365.25
 
 DEFAULT_COVARIATES = (
@@ -60,7 +64,7 @@ class DatasetManifest:
     epoch: float                       # calendar-year coordinate of time zero
     counts: Dict[str, int]
     n_dropped: int = 0
-    schema_version: int = SCHEMA_VERSION
+    schema_version: int = MANIFEST_VERSION
 
     def __post_init__(self):
         if self.n_r < 2:
@@ -253,7 +257,7 @@ def _unpack(doc, field, path, code):
 
 
 def _field(value, field, path, code=_FLOAT):
-    """One stored array: a packed dict (schema 2) or a JSON list (schema 1)."""
+    """One stored array: a packed dict, or a JSON list (schema 1, and schema 2's lists)."""
     if isinstance(value, dict):
         return _unpack(value, field, path, code)
     try:
@@ -295,11 +299,13 @@ def _q_chol(value, field, path):
 def save_fit(fit, path) -> None:
     """Persist a fitted model as one versioned JSON document (see load_fit).
 
-    Every numeric array of the payload is stored as {dtype, shape, data}:
-    its little-endian bytes ("<f8", or "<i8" for latent_draw_indices),
+    The numeric arrays of the payload are stored as {dtype, shape, data}:
+    their little-endian bytes ("<f8", or "<i8" for latent_draw_indices),
     base64-encoded, so the round trip is bit for bit. ``q_chol`` keeps only
-    its lower triangle, row by row. Ids, scalars, config, diagnostics and
-    metadata stay plain JSON.
+    its lower triangle, row by row. ``latents`` and ``q_mean`` stay JSON
+    lists (see the module docstring); ``repr`` round-trips every finite
+    float and -0.0 exactly, but a NaN there comes back as the plain NaN.
+    Ids, scalars, config, diagnostics and metadata stay plain JSON.
     """
     backend = getattr(fit, "backend", None)
     if backend == "mcmc":
@@ -310,7 +316,7 @@ def save_fit(fit, path) -> None:
             "sigma": _pack(fit.sigma),
             "kappa": _pack(fit.kappa),
             "eta": _pack(fit.eta),
-            "latents": {e: _pack(v) for e, v in fit.latents.items()},
+            "latents": _listify(fit.latents),
             "latent_draw_indices": _pack(fit.latent_draw_indices, _INT),
             "pointwise_loglik": _pack(fit.pointwise_loglik),
             "diagnostics": _listify(fit.diagnostics),
@@ -321,7 +327,7 @@ def save_fit(fit, path) -> None:
         payload = {
             "entity_ids": list(fit.entity_ids),
             "inducing_times": {e: _pack(v) for e, v in fit.inducing_times.items()},
-            "q_mean": {e: _pack(v) for e, v in fit.q_mean.items()},
+            "q_mean": _listify(fit.q_mean),
             "q_chol": {e: _pack(c[np.tril_indices(c.shape[0])])
                        for e, c in fit.q_chol.items()},
             "theta": _pack(fit.theta),
@@ -355,7 +361,8 @@ def load_fit(path, expect_backend: str = None):
 
     Each array field goes through one decoder that takes either form: a
     packed {dtype, shape, data} dict (schema 2) or a plain JSON list
-    (schema 1, whose q_chol is a list of rows). Raises DataError for
+    (every array of schema 1, whose q_chol is a list of rows, and
+    schema 2's ``latents`` and ``q_mean``). Raises DataError for
     truncated or corrupt files, undecodable array fields, foreign schema
     versions, and backend tags that don't match ``expect_backend``.
     """

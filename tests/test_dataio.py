@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,25 +21,11 @@ from gpratings.svi import SviConfig, fit_svi
 
 from test_model import make_history
 
-DATA = Path(__file__).resolve().parent / "data"
-
-
-def fit_differences(a, b, where="fit"):
-    """Every field of two fits: arrays by dtype, shape and bytes, the rest by ==."""
-    if dataclasses.is_dataclass(a):
-        return [d for f in dataclasses.fields(a)
-                for d in fit_differences(getattr(a, f.name), getattr(b, f.name),
-                                         f"{where}.{f.name}")]
-    if isinstance(a, np.ndarray):
-        b = np.asarray(b)
-        same = (a.dtype == b.dtype and a.shape == b.shape
-                and a.tobytes() == b.tobytes())
-        return [] if same else [f"{where}: {a.dtype}{a.shape} != {b.dtype}{b.shape}"]
-    if isinstance(a, dict):
-        if not isinstance(b, dict) or set(a) != set(b):
-            return [f"{where}: keys differ"]
-        return [d for k in a for d in fit_differences(a[k], b[k], f"{where}[{k!r}]")]
-    return [] if a == b else [f"{where}: {a!r} != {b!r}"]
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+# the benchmark's own bit-for-bit comparison, so both check the same round trip
+sys.path.append(str(ROOT / "bench"))
+from checks import fit_differences  # noqa: E402
 
 
 def write_csv(path, rows, header):
@@ -68,6 +55,7 @@ class TestIngestCsv:
         assert manifest.covariate_names == DEFAULT_COVARIATES
         assert manifest.counts == {"a": 3}
         assert manifest.epoch == 2013.0
+        assert manifest.schema_version == 1
         assert np.allclose(h.timestamps, [0.0, 0.5, 1.0])
         assert np.array_equal(h.ratings, [4, 5, 3])
 
