@@ -228,6 +228,7 @@ def cmd_fit(cfg) -> int:
             "parameters": {k: {kk: float(vv) for kk, vv in v.items()}
                            for k, v in fit.diagnostics.items()},
             "acceptance": fit.metadata["acceptance"],
+            "step_sizes": fit.metadata["step_sizes"],
             "slice_shrinks": fit.metadata["slice_shrinks"],
             "slice_collapses": fit.metadata["slice_collapses"],
             "waic": waic(fit.pointwise_loglik),

@@ -1,11 +1,12 @@
 """Full Bayesian estimation of the rating model by MCMC.
 
 A chain holds every entity at once, as one flat panel built before sampling
-(:class:`_Panel`): the ratings of all entities back to back, the entity of
-each row, the time gap to the entity's previous rating (+inf at its first)
-and the whitened covariate rows.  The per-entity state is a set of arrays
-of length n_entities (log rho, log sigma, log kappa, proposal scales,
-acceptance counts) plus an (n_entities, n_r - 1) table of standardized
+(:class:`_Panel`, the shared :class:`~gpratings.model.Panel` layout): the
+ratings of all entities back to back, the entity of each row, the time gap
+to the entity's previous rating (+inf at its first) and the whitened
+covariate rows.  The per-entity state is a set of arrays of length
+n_entities (log rho, log sigma, log kappa, proposal scales, acceptance
+counts) plus an (n_entities, n_r - 1) table of standardized
 cutpoints; the whitened latents, the path, its mean, the pointwise
 log-likelihood and the kernel factor are vectors over all ratings.
 
@@ -43,8 +44,9 @@ fixed order whatever the other entities do, so results are bit-reproducible
 for a fixed seed.  The chains run one after another in the calling process
 whatever ``threads`` is: the batched sweep leaves no per-entity work to
 spread over threads, and on the benchmark panels a spawned worker's start-up
-cost more than the chain it ran.  A fit reports each block's acceptance rate
-and how often the slice bracket collapsed in ``PosteriorEnsemble.metadata``.
+cost more than the chain it ran.  A fit reports each block's acceptance rate,
+its final proposal step size and how often the slice bracket collapsed in
+``PosteriorEnsemble.metadata``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from scipy.special import gammaincc, gammainccinv, logsumexp, ndtr, ndtri
 from .errors import InvalidInputError, NumericalError
 from .model import (
     EntityHistory,
+    Panel,
     emission_loglik,
     markov_factor_from_gaps,
     _dirichlet_logpdf,  # noqa: F401  (eta prior; _update_cutpoints samples it as cutpoints)
@@ -239,24 +242,16 @@ class _Rows(NamedTuple):
     entity: np.ndarray
 
 
-class _Panel:
-    """Every entity's ratings back to back, built once per fit.
+class _Panel(Panel):
+    """The shared row layout plus what the sampler reads of it.
 
-    Rows run entity by entity, each entity's in time order; ``offsets``
-    delimits them.  ``gaps`` holds t_k - t_{k-1} with +inf at each entity's
-    first row, where :func:`markov_factor_from_gaps` starts an independent
-    path, and ``q_star`` the whitened covariate rows.
+    ``q_star`` holds the whitened covariate rows, ``everything`` all rows
+    gathered once, and ``cut_rows[j]`` the rows whose likelihood reads
+    cutpoint j.
     """
 
     def __init__(self, histories, q_star, n_r):
-        self.entity_ids = [h.entity_id for h in histories]
-        self.n_r = n_r
-        self.sizes = np.array([h.n for h in histories])
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.starts = self.offsets[:-1]
-        self.entity = np.repeat(np.arange(len(histories)), self.sizes)
-        self.ratings = np.concatenate([h.ratings for h in histories])
-        self.gaps = np.concatenate([np.diff(h.timestamps, prepend=-np.inf) for h in histories])
+        super().__init__(histories, n_r)
         self.q_star = q_star
         self.everything = self.rows(np.arange(self.n_rows))
         # the rows whose likelihood reads cutpoint j: rating levels j + 1 and j + 2
@@ -264,27 +259,8 @@ class _Panel:
                                                   | (self.ratings == j + 2)))
                          for j in range(n_r - 1)]
 
-    @property
-    def n_entities(self) -> int:
-        return self.sizes.size
-
-    @property
-    def n_rows(self) -> int:
-        return self.ratings.size
-
     def rows(self, index) -> _Rows:
         return _Rows(index, self.ratings[index], self.entity[index])
-
-    def segment(self, i) -> slice:
-        return slice(self.offsets[i], self.offsets[i + 1])
-
-    def per_row(self, x):
-        """A per-entity array repeated onto the entity's rows."""
-        return x.take(self.entity)
-
-    def per_entity_sum(self, x):
-        """Row values summed within each entity."""
-        return np.add.reduceat(x, self.starts)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +672,7 @@ def _run_chain(panel, priors, log_rho0, config, seed, flat):
             if keep % config.latent_thin == 0:
                 draws["latents"][keep // config.latent_thin] = ch.f
             keep += 1
-    draws["report"] = ch.report
+    draws["report"] = dict(ch.report, scale=ch.scale, scale_theta=ch.scale_theta)
     return draws
 
 
@@ -714,6 +690,8 @@ class PosteriorEnsemble:
     ``n_r``, ``median_gap``, ``flat_likelihood`` and the run report, that is
     ``acceptance`` (each block's mean post-warmup acceptance rate over
     entities and chains, the pooled coefficients as ``theta``),
+    ``step_sizes`` (each block's final proposal scale, the median over
+    entities and chains, the pooled coefficients' as ``theta``),
     ``slice_shrinks`` (mean shrinks per elliptical-slice step) and
     ``slice_collapses`` (slice steps whose bracket shrank ``_MAX_SHRINK``
     times and kept the current state), warmup included.
@@ -820,13 +798,18 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
 
 
 def _run_report(reports, config, n_e):
-    """Acceptance rates and slice-sampler counts summed over chains, as plain numbers."""
+    """Acceptance rates, slice-sampler counts and final proposal step sizes
+    over chains, as plain numbers."""
     sampled = config.chains * (config.iterations - config.warmup)
     acceptance = {b: float(sum(r[b].sum() for r in reports) / (sampled * n_e))
                   for b in _BLOCKS}
     acceptance["theta"] = float(sum(r["theta"] for r in reports) / sampled)
+    step_sizes = {b: float(np.median(np.concatenate([r["scale"][b] for r in reports])))
+                  for b in _BLOCKS}
+    step_sizes["theta"] = float(np.median([r["scale_theta"] for r in reports]))
     return {
         "acceptance": acceptance,
+        "step_sizes": step_sizes,
         "slice_shrinks": float(sum(r["slice_shrinks"] for r in reports)
                                / (config.chains * config.iterations * n_e)),
         "slice_collapses": int(sum(r["slice_collapses"] for r in reports)),

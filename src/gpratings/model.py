@@ -332,38 +332,59 @@ def bridge_projection(z, t, rho, sigma, entity_id="?") -> BridgeProjection:
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    i = np.searchsorted(z, t, side="right") - 1
-    lo = np.maximum(i, 0)
-    hi = np.minimum(i + 1, z.size - 1)
-    has_lo = i >= 0
-    has_hi = i < z.size - 1
-    # scaled distances to each neighbour; a missing neighbour is infinitely
-    # far, so its a is 0 and its 1 - a^2 is 1
-    x1 = np.where(has_lo, t - z[lo], 0.0) / rho
-    x2 = np.where(has_hi, z[hi] - t, 0.0) / rho
-    a1 = np.where(has_lo, np.exp(-x1), 0.0)
-    a2 = np.where(has_hi, np.exp(-x2), 0.0)
-    e1 = np.where(has_lo, -np.expm1(-2.0 * x1), 1.0)   # 1 - a_1^2
-    e2 = np.where(has_hi, -np.expm1(-2.0 * x2), 1.0)   # 1 - a_2^2
-    e12 = np.where(has_lo & has_hi, -np.expm1(-2.0 * (x1 + x2)), 1.0)
-    if not (e12 > 0.0).all():
+    proj, ok = bridge_projection_from_brackets(z, t, *bridge_brackets(z, t), rho, sigma)
+    if not ok.all():
         raise NumericalError(f"inducing projection of entity {entity_id!r} is singular")
-    sigma2 = sigma * sigma
-    w_lo = a1 * e2 / e12
-    w_hi = a2 * e1 / e12
-    var = sigma2 * (e1 * e2 / e12)
-    # d a / d log rho = x a; each 1 - a^2 term moves by -2 a (x a)
-    da1 = x1 * a1
-    da2 = x2 * a2
-    de1 = -2.0 * a1 * da1
-    de2 = -2.0 * a2 * da2
-    de12 = -2.0 * a1 * a2 * (da1 * a2 + da2 * a1)
-    return BridgeProjection(
-        lo, hi, w_lo, w_hi, var,
-        (da1 * e2 + a1 * de2 - w_lo * de12) / e12,
-        (da2 * e1 + a2 * de1 - w_hi * de12) / e12,
-        (sigma2 * (de1 * e2 + e1 * de2) - var * de12) / e12,
-    )
+    return proj
+
+
+def bridge_brackets(z, t):
+    """Per time, ``(lo, hi, has_lo, has_hi)``: the inducing points that bracket it.
+
+    ``lo`` and ``hi`` coincide for a time outside [z_0, z_{m-1}], and
+    ``has_lo`` (``has_hi``) is false where no inducing point lies at or
+    before (after) it.
+    """
+    i = np.searchsorted(z, t, side="right") - 1
+    return np.maximum(i, 0), np.minimum(i + 1, z.size - 1), i >= 0, i < z.size - 1
+
+
+def bridge_projection_from_brackets(z, t, lo, hi, has_lo, has_hi, rho, sigma):
+    """:func:`bridge_projection` from given brackets, without the singularity check.
+
+    ``lo`` and ``hi`` index ``z``, so one call can project a panel of
+    entities whose inducing points lie back to back in ``z``; ``rho`` and
+    ``sigma`` are scalars or one value per time.  Returns the projection and
+    a mask of the times whose bracketing gap is not negligible against rho.
+    """
+    # a negligible gap leaves e12 = 0; the mask reports it, so the divisions
+    # by it stay silent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # scaled distances to each neighbour; a missing neighbour is infinitely
+        # far, so its a is 0 and its 1 - a^2 is 1
+        x1 = np.where(has_lo, t - z[lo], 0.0) / rho
+        x2 = np.where(has_hi, z[hi] - t, 0.0) / rho
+        a1 = np.where(has_lo, np.exp(-x1), 0.0)
+        a2 = np.where(has_hi, np.exp(-x2), 0.0)
+        e1 = np.where(has_lo, -np.expm1(-2.0 * x1), 1.0)   # 1 - a_1^2
+        e2 = np.where(has_hi, -np.expm1(-2.0 * x2), 1.0)   # 1 - a_2^2
+        e12 = np.where(has_lo & has_hi, -np.expm1(-2.0 * (x1 + x2)), 1.0)
+        sigma2 = sigma * sigma
+        w_lo = a1 * e2 / e12
+        w_hi = a2 * e1 / e12
+        var = sigma2 * (e1 * e2 / e12)
+        # d a / d log rho = x a; each 1 - a^2 term moves by -2 a (x a)
+        da1 = x1 * a1
+        da2 = x2 * a2
+        de1 = -2.0 * a1 * da1
+        de2 = -2.0 * a2 * da2
+        de12 = -2.0 * a1 * a2 * (da1 * a2 + da2 * a1)
+        return BridgeProjection(
+            lo, hi, w_lo, w_hi, var,
+            (da1 * e2 + a1 * de2 - w_lo * de12) / e12,
+            (da2 * e1 + a2 * de1 - w_hi * de12) / e12,
+            (sigma2 * (de1 * e2 + e1 * de2) - var * de12) / e12,
+        ), e12 > 0.0
 
 
 def cholesky_with_jitter(K, sigma2, entity_id="?"):
@@ -393,6 +414,60 @@ def mean_vector(history: EntityHistory, theta: MeanCoefficients):
             f"covariate dimension {history.covariates.shape[1]} != theta length {th.shape[0]}"
         )
     return history.covariates @ th
+
+
+# ---------------------------------------------------------------------------
+# the flat panel
+# ---------------------------------------------------------------------------
+
+class Segments:
+    """Entity-by-entity runs of one flat axis.
+
+    Entity i owns the ``sizes[i]`` entries from ``offsets[i]``; ``starts`` is
+    ``offsets[:-1]`` and ``entity`` names the entity of each entry.  Every
+    entity owns at least one entry.
+    """
+
+    def __init__(self, sizes):
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.starts = self.offsets[:-1]
+        self.entity = np.repeat(np.arange(self.sizes.size), self.sizes)
+
+    @property
+    def n_entities(self) -> int:
+        return self.sizes.size
+
+    def segment(self, i) -> slice:
+        return slice(self.offsets[i], self.offsets[i + 1])
+
+    def per_row(self, x):
+        """A per-entity array repeated onto the entity's entries."""
+        return x.take(self.entity)
+
+    def per_entity_sum(self, x):
+        """Entry values summed within each entity."""
+        return np.add.reduceat(x, self.starts)
+
+
+class Panel(Segments):
+    """Every entity's ratings back to back, the row layout both backends fit on.
+
+    Rows run entity by entity, each entity's in time order.  ``gaps`` holds
+    t_k - t_{k-1} with +inf at each entity's first row, where
+    :func:`markov_factor_from_gaps` starts an independent path.
+    """
+
+    def __init__(self, histories, n_r):
+        super().__init__([h.n for h in histories])
+        self.entity_ids = [h.entity_id for h in histories]
+        self.n_r = n_r
+        self.ratings = np.concatenate([h.ratings for h in histories])
+        self.gaps = np.concatenate([np.diff(h.timestamps, prepend=-np.inf) for h in histories])
+
+    @property
+    def n_rows(self) -> int:
+        return self.ratings.size
 
 
 # ---------------------------------------------------------------------------

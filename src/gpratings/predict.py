@@ -26,7 +26,7 @@ from scipy.special import ndtri
 
 from .errors import InvalidInputError
 from .model import KernelParams, _cell_prob, bridge_projection
-from .svi import VariationalState, _projected_spread
+from .svi import VariationalState, _projected_spread, _spread_band
 
 _VAR_FLOOR_REL = 1e-12
 
@@ -106,7 +106,7 @@ def _vi_moments(history, state: VariationalState, times, xs):
     kp = state.kernel[eid]
     proj = bridge_projection(state.inducing_times[eid], times, kp.rho, kp.sigma, eid)
     mu = xs @ state.theta + proj.project(state.q_mean[eid])
-    g_lo, g_hi = _projected_spread(proj, state.q_chol[eid])
+    g_lo, g_hi = _projected_spread(proj, *_spread_band(state.q_chol[eid]))
     nu2 = np.maximum(proj.var + proj.w_lo * g_lo + proj.w_hi * g_hi,
                      _VAR_FLOOR_REL * kp.sigma ** 2)
     return mu, nu2

@@ -1,4 +1,4 @@
-"""Sparse variational estimation with inducing points.
+"""Sparse variational estimation with inducing points, over one flat panel.
 
 Each entity keeps a Gaussian approximation q(u) = N(nu, C C^T) over latent
 values at inducing timestamps, placed on the zero-mean residual process so
@@ -10,15 +10,31 @@ lives in the test suite.
 
 The exponential kernel is Markov in time, so nothing here is dense in the
 kernel: the prior precision at the inducing points is B^T D^-2 B from
-:func:`gpratings.model.markov_factor` (B unit lower-bidiagonal), and each
-rating's projection row K_uu^-1 k_u(t) has two nonzeros, the
-Ornstein-Uhlenbeck bridge weights of :func:`gpratings.model.bridge_projection`.
-Per iteration at n ratings and m inducing points, the variational mean,
-theta and emission parameters cost O(n + m) beyond the quadrature; the
-covariance factor C and the kernel hyperparameters cost O(n + m^2), the size
-of the dense lower-triangular C itself. The latter block is refreshed every
-``hyper_update_every`` iterations, with the cheap block tracking the optimum
-in between.
+:func:`gpratings.model.markov_factor_from_gaps` (B unit lower-bidiagonal),
+and each rating's projection row K_uu^-1 k_u(t) has two nonzeros, the
+Ornstein-Uhlenbeck bridge weights of
+:func:`gpratings.model.bridge_projection_from_brackets`.
+
+Every entity is optimized at once, as one flat panel (:class:`_PanelVi`).
+The ratings lie back to back in the :class:`gpratings.model.Panel` row
+layout, and the inducing points lie entity by entity on a second flat axis,
+with an infinite gap before each entity's first point so that one Markov
+factor holds every entity's prior. The parameters that move every iteration
+(the inducing means, the emission logits and log kappa of all entities) form
+one packed vector. An iteration is one forward pass over the panel: the
+bridge projection, the whitening and the Gauss-Hermite quadrature, the last
+in blocks of ``_QUADRATURE_CHUNK`` rows; per-entity sums come from
+``np.add.reduceat`` and ``np.bincount``. One Adam step then moves the packed
+vector, with a timestep per entity, so that a minibatch moves only its own
+entities.
+
+Per iteration at n ratings and m inducing points of an entity, the
+variational mean, theta and emission parameters cost O(n + m) beyond the
+quadrature; the covariance factor C and the kernel hyperparameters cost
+O(n + m^2), the size of the dense lower-triangular C itself. The latter
+block is refreshed every ``hyper_update_every`` iterations, one entity at a
+time over slices of the panel, with the cheap block tracking the optimum in
+between.
 """
 
 from __future__ import annotations
@@ -35,14 +51,23 @@ from .model import (
     EmissionParams,
     EntityHistory,
     KernelParams,
-    bridge_projection,
-    markov_factor,
+    MarkovFactor,
+    Panel,
+    Segments,
+    bridge_brackets,
+    bridge_projection_from_brackets,
+    markov_factor_from_gaps,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _PROB_FLOOR = 1e-300
 _MAX_INDUCING = 250
+# Ratings per Gauss-Hermite block. On a 2-core host with one BLAS thread,
+# one block over all 18,000 rows of a 200-entity panel took 59 ms per pass,
+# no faster than one pass per entity (57 ms), while blocks of 512-1,024 rows
+# took 32-39 ms: the (2, rows, nodes) temporaries of a block stay in cache.
+_QUADRATURE_CHUNK = 1024
 
 
 def _npdf(x):
@@ -142,241 +167,393 @@ def select_inducing(history: EntityHistory, m_max: int = _MAX_INDUCING):
     return np.minimum(z, float(t[-1]) + eps * z.size)
 
 
-def _emission_quadrature(mu, s, y, lam, log_kappa, xq, wbar, want_beta):
-    """One Gauss-Hermite pass over every rating.
+def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar, want_beta):
+    """One Gauss-Hermite pass over the ratings of many entities.
 
-    Returns the expected log-likelihood total along with the gradients that
-    fall out of the same probe evaluations: d/dmu (gamma), d/ds2 (beta, when
-    requested), d/dlog kappa, and d/dlam through cutpoints and softmax.
+    Row k is rating ``y[k]`` of entity ``entity[k]`` under q(f) = N(mu[k],
+    s[k]^2); it reads that entity's row of the (n_entities, n_r) logits
+    ``lam`` and its entry of ``log_kappa``. Returns the expected
+    log-likelihood total along with the gradients that fall out of the same
+    probe evaluations: per row d/dmu (gamma) and d/ds2 (beta, when
+    requested), and per entity d/dlog kappa (n_entities,) and d/dlam through
+    cutpoints and softmax (n_entities, n_r).
     """
-    n_r = lam.size
-    e = np.exp(lam - lam.max())
-    eta = e / e.sum()
-    cum = np.minimum(np.maximum(np.cumsum(eta)[:-1], 1e-12), 1.0 - 1e-16)
+    n_e, n_r = lam.shape
+    e = np.exp(lam - lam.max(axis=1, keepdims=True))
+    eta = e / e.sum(axis=1, keepdims=True)
+    cum = np.minimum(np.maximum(np.cumsum(eta, axis=1)[:, :-1], 1e-12), 1.0 - 1e-16)
     zeta = ndtri(cum)
-    z_full = np.empty(n_r + 1)
-    z_full[0] = -np.inf
-    z_full[1:-1] = zeta
-    z_full[-1] = np.inf
-    kappa = math.exp(log_kappa)
+    z_full = np.empty((n_e, n_r + 1))
+    z_full[:, 0] = -np.inf
+    z_full[:, 1:-1] = zeta
+    z_full[:, -1] = np.inf
+    z_full = z_full.ravel()
+    kappa = np.exp(log_kappa)
+    # row k's cell lies between the flat cutpoints at[k] - 1 and at[k]
+    at = entity * (n_r + 1) + y
 
-    g = (mu / kappa)[:, None] + (_SQRT_2 / kappa) * s[:, None] * xq[None, :]
-    # Both integration bounds ride in one (2, n, q) stack so each elementwise
-    # pass below dispatches once instead of twice; index 0 is the lower bound.
-    b = z_full[np.vstack((y - 1, y))][:, :, None] - g
-    # Phi(b[1]) - Phi(b[0]) from the tail nearest zero (the model module's
-    # cell-probability trick), with both tails pushed through a single ndtr.
-    sgn = np.where(b[0] >= 0.0, -1.0, 1.0)
-    nd = ndtr(sgn * b)
-    p = np.maximum(sgn * (nd[1] - nd[0]), _PROB_FLOOR)
-    total = float((np.log(p) @ wbar).sum())
+    total = 0.0
+    gamma = np.empty(y.size)
+    beta = np.empty(y.size) if want_beta else None
+    g_kappa = np.zeros(n_e)
+    bins = np.zeros(z_full.size)
+    for first in range(0, y.size, _QUADRATURE_CHUNK):
+        rows = slice(first, first + _QUADRATURE_CHUNK)
+        kap = kappa.take(entity[rows])
+        s_rows = s[rows]
+        g = (mu[rows] / kap)[:, None] + ((_SQRT_2 / kap) * s_rows)[:, None] * xq
+        # Both integration bounds ride in one (2, rows, q) stack so each
+        # elementwise pass below dispatches once instead of twice; index 0 is
+        # the lower bound.
+        b = z_full.take(np.vstack((at[rows] - 1, at[rows])))[:, :, None] - g
+        # Phi(b[1]) - Phi(b[0]) from the tail nearest zero (the model module's
+        # cell-probability trick), with both tails pushed through a single ndtr.
+        sgn = np.where(b[0] >= 0.0, -1.0, 1.0)
+        nd = ndtr(sgn * b)
+        p = np.maximum(sgn * (nd[1] - nd[0]), _PROB_FLOOR)
+        total += float((np.log(p) @ wbar).sum())
 
-    pw = _npdf(b) * (wbar / p)
-    dw = pw[0] - pw[1]
-    gamma = dw.sum(axis=1) / kappa
-    g_kappa = -float((dw * g).sum())
+        pw = _npdf(b) * (wbar / p)
+        dw = pw[0] - pw[1]
+        gamma[rows] = dw.sum(axis=1) / kap
+        g_kappa -= np.bincount(entity[rows], (dw * g).sum(axis=1), minlength=n_e)
+        # Cutpoint zeta_j is the upper bound of cell j+1 and the lower bound
+        # of cell j+2. Binning each upper bound's density at its rating and
+        # each lower bound's, negated, one below leaves d/dzeta_j in bin j+1
+        # of the entity's block; the infinite outer bounds contribute zero.
+        dens = pw.sum(axis=2)
+        bins += np.bincount(np.concatenate((at[rows], at[rows] - 1)),
+                            np.concatenate((dens[1], -dens[0])), minlength=bins.size)
+        if want_beta:
+            beta[rows] = _SQRT_2 * (dw @ xq) / (2.0 * kap * s_rows)
 
-    # Cutpoint zeta_j is the upper bound of cell j+1 and the lower bound of
-    # cell j+2; the infinite outer bounds contribute zero density, so binning
-    # by rating and slicing drops them for free.
-    rows = pw.sum(axis=2)
-    hi_bins = np.bincount(y, weights=rows[1], minlength=n_r + 1)
-    lo_bins = np.bincount(y, weights=rows[0], minlength=n_r + 1)
-    g_zeta = hi_bins[1:n_r] - lo_bins[2:]
-    g_cum = g_zeta / _npdf(zeta)
-    g_eta = np.concatenate((np.cumsum(g_cum[::-1])[::-1], [0.0]))
-    g_lam = eta * (g_eta - float(eta @ g_eta))
-
-    beta = None
-    if want_beta:
-        beta = _SQRT_2 * (dw @ xq) / (2.0 * kappa * s)
-    return total, gamma, beta, g_kappa, g_lam, eta
+    g_cum = bins.reshape(n_e, n_r + 1)[:, 1:n_r] / _npdf(zeta)
+    g_eta = np.zeros((n_e, n_r))
+    g_eta[:, :-1] = np.cumsum(g_cum[:, ::-1], axis=1)[:, ::-1]
+    g_lam = eta * (g_eta - (eta * g_eta).sum(axis=1, keepdims=True))
+    return total, gamma, beta, g_kappa, g_lam
 
 
-def _projected_spread(proj, C):
+def _projected_spread(proj, g_diag, g_next):
     """Per projected time, (C^T a) . C[lo] and (C^T a) . C[hi] for its projection row a.
 
-    Var_q[f(t)] = proj.var + w_lo * first + w_hi * second. Only the
-    tridiagonal band of C C^T enters, so the cost is O(m^2 + n).
+    ``g_diag[k]`` is C_k . C_k and ``g_next[k]`` is C_k . C_{k+1} over the
+    rows of each entity's factor C (zero at an entity's last point).
+    Var_q[f(t)] = proj.var + w_lo * first + w_hi * second: only the
+    tridiagonal band of C C^T enters.
     """
-    g_diag = np.einsum("ij,ij->i", C, C)
-    g_next = np.append(np.einsum("ij,ij->i", C[:-1], C[1:]), 0.0)
     g_cross = np.where(proj.hi > proj.lo, g_next[proj.lo], g_diag[proj.lo])
     return (proj.w_lo * g_diag[proj.lo] + proj.w_hi * g_cross,
             proj.w_lo * g_cross + proj.w_hi * g_diag[proj.hi])
 
 
-class _EntityVi:
-    """Per-entity variational parameters plus kernel-dependent caches.
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
 
-    The caches are O(n + m^2): the inducing points' Markov factor, the bridge
-    projection of every rating time, and the whitened covariance factor.
+
+def _spread_band(C):
+    """``(g_diag, g_next)`` of :func:`_projected_spread` for one factor C."""
+    return _rowdot(C, C), np.append(_rowdot(C[:-1], C[1:]), 0.0)
+
+
+class _PanelVi:
+    """The variational parameters and kernel-dependent caches of every entity.
+
+    Rating rows follow ``panel``; the inducing points ``z`` lie entity by
+    entity on a second flat axis laid out by ``points``, with m_i =
+    ``m[i]`` of them for entity i. ``cheap`` packs the parameters
+    that move every iteration, [nu | lam | log_kappa], and ``nu`` (inducing
+    axis), ``lam`` (n_entities, n_r) and ``log_kappa`` (n_entities,) are
+    views into it. ``C[i]`` is entity i's dense lower-triangular (m_i, m_i)
+    covariance factor; ``log_rho`` and ``log_sigma`` hold one value per
+    entity. The caches are O(n + sum m_i^2): the panel's Markov factor over
+    the inducing axis, the bridge projection of every rating time, and each
+    whitened covariance factor ``half[i]`` with the row products that the
+    gradients read.
     """
 
-    __slots__ = (
-        "history", "eid", "X", "y", "n", "z", "m", "n_r", "gaps",
-        "nu", "C", "lam", "log_kappa", "log_rho", "log_sigma",
-        "factor", "proj", "g_lo", "g_hi", "s2", "s",
-        "half", "cs_C", "sld_E", "sld_C", "broken",
-    )
+    def __init__(self, histories, inducing, n_r, rho0):
+        p = self.panel = Panel(histories, n_r)
+        n_e = p.n_entities
+        self.X = np.vstack([h.covariates for h in histories])
+        self.t = np.concatenate([h.timestamps for h in histories])
+        self.points = Segments([z.size for z in inducing])
+        self.m = self.points.sizes
+        self.z = np.concatenate(inducing)
+        self.z_gaps = np.concatenate([np.diff(z, prepend=-np.inf) for z in inducing])
+        self.inner = np.flatnonzero(np.isfinite(self.z_gaps))  # points after their entity's first
+        lo, hi, has_lo, has_hi = (np.concatenate(part) for part in zip(
+            *(bridge_brackets(z, h.timestamps) for z, h in zip(inducing, histories))))
+        shift = p.per_row(self.points.starts)
+        self.brackets = (lo + shift, hi + shift, has_lo, has_hi)
+        self.lower = {m: np.tril_indices(m, -1) for m in set(self.m.tolist())}
 
-    def __init__(self, history, z, n_r, rho0):
-        self.history = history
-        self.eid = history.entity_id
-        self.X = history.covariates
-        self.y = history.ratings
-        self.n = history.n
-        self.z = z
-        self.m = z.size
-        self.n_r = n_r
-        self.gaps = np.diff(z)
-        self.nu = np.zeros(self.m)
-        counts = np.bincount(self.y, minlength=n_r + 1)[1:]
-        eta0 = (counts + 0.5) / (self.n + 0.5 * n_r)
-        self.lam = np.log(eta0)
-        self.lam = self.lam - self.lam.mean()
-        self.log_kappa = 0.0
-        self.log_rho = math.log(rho0)
-        self.log_sigma = 0.0
-        self.C = None
-        self.broken = False
+        n_z = self.z.size
+        self.cheap = np.zeros(n_z + n_e * n_r + n_e)
+        self.nu = self.cheap[:n_z]
+        self.lam = self.cheap[n_z:n_z + n_e * n_r].reshape(n_e, n_r)
+        self.log_kappa = self.cheap[n_z + n_e * n_r:]
+        self.cheap_owner = np.concatenate(
+            (self.points.entity, np.repeat(np.arange(n_e), n_r), np.arange(n_e)))
+        counts = np.bincount(p.entity * (n_r + 1) + p.ratings,
+                             minlength=n_e * (n_r + 1)).reshape(n_e, n_r + 1)[:, 1:]
+        lam = np.log((counts + 0.5) / (p.sizes[:, None] + 0.5 * n_r))
+        self.lam[:] = lam - lam.mean(axis=1, keepdims=True)
+        self.log_rho = np.log(np.asarray(rho0, dtype=float))
+        self.log_sigma = np.zeros(n_e)
+
+        self.C = [None] * n_e
+        self.half = [None] * n_e
+        self.sld_C = np.zeros(n_e)
+        # per inducing point k: C_k . C_k, C_k . C_{k+1}, W_k . W_k and
+        # W_k . C_{k-1}, with W the whitened factor
+        self.g_diag = np.zeros(n_z)
+        self.g_next = np.zeros(n_z)
+        self.w_sq = np.zeros(n_z)
+        self.w_cross = np.zeros(n_z)
         self.rebuild()
 
-    def rebuild(self):
-        rho = math.exp(self.log_rho)
-        sigma = math.exp(self.log_sigma)
-        self.factor = markov_factor(self.z, rho, sigma, self.eid)
-        self.proj = bridge_projection(self.z, self.history.timestamps, rho, sigma, self.eid)
-        if self.C is None:
-            self.C = self.factor.dense()
-        self.g_lo, self.g_hi = _projected_spread(self.proj, self.C)
+    def entities(self, batch):
+        return range(self.panel.n_entities) if batch is None else batch
+
+    def entity_factor(self, i) -> MarkovFactor:
+        """Entity i's block of the panel's Markov factor."""
+        zs = self.points.segment(i)
+        return MarkovFactor(self.factor.band[:, zs], self.factor.c[zs])
+
+    def rebuild(self, batch=None):
+        """Refresh the kernel-dependent caches at the current parameters.
+
+        The caches that read C are refreshed for the entities in ``batch``
+        (all when None), those whose C moved. An entity whose Markov factor
+        or bridge projection is singular is marked ``broken`` and keeps its
+        stale caches.
+        """
+        p, points = self.panel, self.points
+        rho = np.exp(self.log_rho)
+        sigma = np.exp(self.log_sigma)
+        self.factor = markov_factor_from_gaps(self.z_gaps, points.per_row(rho),
+                                              points.per_row(sigma))
+        sigma_rows = p.per_row(sigma)
+        self.proj, proj_ok = bridge_projection_from_brackets(
+            self.z, self.t, *self.brackets, p.per_row(rho), sigma_rows)
+        self.broken = ~(np.logical_and.reduceat(self.factor.c > 0.0, points.starts)
+                        & np.logical_and.reduceat(proj_ok, p.starts))
+        with np.errstate(divide="ignore"):
+            self.sld_E = points.per_entity_sum(np.log(self.factor.c))
+        for i in self.entities(batch):
+            if self.broken[i]:
+                continue
+            zs = points.segment(i)
+            factor = self.entity_factor(i)
+            if self.C[i] is None:
+                self.C[i] = factor.dense()
+            C = self.C[i]
+            half = self.half[i] = factor.whiten(C)
+            self.g_diag[zs], self.g_next[zs] = _spread_band(C)
+            self.w_sq[zs] = _rowdot(half, half)
+            self.w_cross[zs.start + 1:zs.stop] = _rowdot(half[1:], C[:-1])
+            self.sld_C[i] = np.sum(np.log(np.diag(C)))
+        self.cs_C = points.per_entity_sum(self.w_sq)
+        self.g_lo, self.g_hi = _projected_spread(self.proj, self.g_diag, self.g_next)
         self.s2 = np.maximum(
             self.proj.var + self.proj.w_lo * self.g_lo + self.proj.w_hi * self.g_hi,
-            1e-12 * sigma * sigma,
+            1e-12 * sigma_rows * sigma_rows,
         )
         self.s = np.sqrt(self.s2)
-        self.half = self.factor.whiten(self.C)
-        self.cs_C = float(np.sum(self.half * self.half))
-        self.sld_E = float(np.sum(np.log(self.factor.c)))
-        self.sld_C = float(np.sum(np.log(np.diag(self.C))))
 
-    def forward(self, theta, xq, wbar, heavy):
-        """ELBO value and gradients at the current parameters."""
-        if self.broken:
+    def forward(self, theta, xq, wbar, heavy, batch=None):
+        """The ELBO of the entities in ``batch`` (all when None) and its gradients.
+
+        Returns None when an entity of the batch is broken or the ELBO is not
+        finite. ``g_nu`` spans the whole inducing axis and ``g_lam`` and
+        ``g_kappa`` every entity, with meaning only at the batch's entries;
+        the heavy gradients follow the batch order: ``g_low`` and
+        ``g_omega`` (d/dlog of the diagonal) per entity, ``g_lrho`` and
+        ``g_lsigma`` as arrays.
+        """
+        p = self.panel
+        ents = slice(None) if batch is None else batch
+        if self.broken[ents].any():
             return None
-        proj = self.proj
-        mu = self.X @ theta + proj.project(self.nu)
-        w_white = self.factor.whiten(self.nu)
-        w_nu = self.factor.whiten_t(w_white)  # K_uu^-1 nu
-        nu_quad = float(w_white @ w_white)
-        kl = 0.5 * (self.cs_C + nu_quad - self.m) + self.sld_E - self.sld_C
-        lik, gamma, beta, g_kappa, g_lam, eta = _emission_quadrature(
-            mu, self.s, self.y, self.lam, self.log_kappa, xq, wbar, want_beta=heavy)
-        elbo_val = lik - kl
+        if batch is None:
+            rows, proj = slice(None), self.proj
+        else:
+            rows = np.flatnonzero(np.isin(p.entity, batch))
+            proj = self.proj._make(f[rows] for f in self.proj)
+        X = self.X[rows]
+        mu = X @ theta + proj.project(self.nu)
+        # an entity outside the batch may be broken, with c = 0 in its block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_white = self.factor.whiten(self.nu)
+            w_nu = self.factor.whiten_t(w_white)  # K_uu^-1 nu
+            nu_quad = self.points.per_entity_sum(w_white * w_white)
+            kl = 0.5 * (self.cs_C + nu_quad - self.m) + self.sld_E - self.sld_C
+        lik, gamma, beta, g_kappa, g_lam = _emission_quadrature(
+            mu, self.s[rows], p.ratings[rows], p.entity[rows], self.lam, self.log_kappa,
+            xq, wbar, want_beta=heavy)
+        elbo_val = lik - float(kl[ents].sum())
         if not math.isfinite(elbo_val):
             return None
         out = {
             "elbo": elbo_val,
-            "g_nu": proj.project_t(gamma, self.m) - w_nu,
-            "g_theta": self.X.T @ gamma,
+            "g_nu": proj.project_t(gamma, self.z.size) - w_nu,
+            "g_theta": X.T @ gamma,
             "g_kappa": g_kappa,
             "g_lam": g_lam,
         }
         if heavy:
-            C = self.C
-            # d lik / dC = 2 M C with M = A diag(beta) A^T tridiagonal
-            m_diag = (np.bincount(proj.lo, beta * proj.w_lo ** 2, minlength=self.m)
-                      + np.bincount(proj.hi, beta * proj.w_hi ** 2, minlength=self.m))
-            m_next = np.bincount(proj.lo, beta * proj.w_lo * proj.w_hi, minlength=self.m)[:-1, None]
-            mc = m_diag[:, None] * C
-            mc[:-1] += m_next * C[1:]
-            mc[1:] += m_next * C[:-1]
-            g_raw = 2.0 * mc - self.factor.whiten_t(self.half)
-            out["g_low"] = np.tril(g_raw, -1)
-            out["g_omega"] = np.diag(g_raw) * np.diag(C) + 1.0
-            out["g_lsigma"] = (
-                2.0 * float(beta @ proj.var) + self.cs_C + nu_quad - self.m)
-            # log-rho moves the bridge weights and variances, and the KL
-            # through a_k = exp(-gap_k / rho) and c_k = sigma sqrt(1 - a_k^2),
-            # which set the whitened rows W_k = (C_k - a_k C_{k-1}) / c_k
-            dmu = proj.dw_lo * self.nu[proj.lo] + proj.dw_hi * self.nu[proj.hi]
-            ds2 = proj.dvar + 2.0 * (proj.dw_lo * self.g_lo + proj.dw_hi * self.g_hi)
-            a = -self.factor.band[1, :-1]
-            c = self.factor.c[1:]
-            da = (self.gaps / math.exp(self.log_rho)) * a
-            dlog_c = -math.exp(2.0 * self.log_sigma) * a * da / (c * c)
-            w_rows = self.half[1:]
-            cross = np.einsum("ij,ij->i", w_rows, C[:-1]) + w_white[1:] * self.nu[:-1]
-            sq = np.einsum("ij,ij->i", w_rows, w_rows) + w_white[1:] ** 2
-            kl_rho = float(np.sum((1.0 - sq) * dlog_c - (da / c) * cross))
-            out["g_lrho"] = float(gamma @ dmu) + float(beta @ ds2) - kl_rho
+            out.update(self._hyper_gradients(batch, rows, proj, gamma, beta, w_white, nu_quad))
         return out
 
+    def _hyper_gradients(self, batch, rows, proj, gamma, beta, w_white, nu_quad):
+        p = self.panel
+        n_e, n_z = p.n_entities, self.z.size
+        entity = p.entity[rows]
+        nu = self.nu
+        # d lik / dC = 2 M C with M = A diag(beta) A^T tridiagonal
+        m_diag = (np.bincount(proj.lo, beta * proj.w_lo ** 2, minlength=n_z)
+                  + np.bincount(proj.hi, beta * proj.w_hi ** 2, minlength=n_z))
+        m_next = np.bincount(proj.lo, beta * proj.w_lo * proj.w_hi, minlength=n_z)
+        g_low, g_omega = [], []
+        for i in self.entities(batch):
+            zs = self.points.segment(i)
+            C = self.C[i]
+            mn = m_next[zs][:-1, None]
+            mc = m_diag[zs][:, None] * C
+            mc[:-1] += mn * C[1:]
+            mc[1:] += mn * C[:-1]
+            g_raw = 2.0 * mc - self.entity_factor(i).whiten_t(self.half[i])
+            g_low.append(np.tril(g_raw, -1))
+            g_omega.append(np.diag(g_raw) * np.diag(C) + 1.0)
+        g_lsigma = (2.0 * np.bincount(entity, beta * proj.var, minlength=n_e)
+                    + self.cs_C + nu_quad - self.m)
+        # log-rho moves the bridge weights and variances, and the KL
+        # through a_k = exp(-gap_k / rho) and c_k = sigma sqrt(1 - a_k^2),
+        # which set the whitened rows W_k = (C_k - a_k C_{k-1}) / c_k; the
+        # sums run over the points k after each entity's first
+        dmu = proj.dw_lo * nu[proj.lo] + proj.dw_hi * nu[proj.hi]
+        ds2 = proj.dvar + 2.0 * (proj.dw_lo * self.g_lo[rows] + proj.dw_hi * self.g_hi[rows])
+        k = self.inner
+        owner = self.points.entity[k]
+        a = -self.factor.band[1, k - 1]
+        c = self.factor.c[k]
+        # an entity outside the batch may be broken, with c = 0 in its block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            da = (self.z_gaps[k] / np.exp(self.log_rho).take(owner)) * a
+            dlog_c = -np.exp(2.0 * self.log_sigma).take(owner) * a * da / (c * c)
+            cross = self.w_cross[k] + w_white[k] * nu[k - 1]
+            sq = self.w_sq[k] + w_white[k] ** 2
+            kl_rho = np.bincount(owner, (1.0 - sq) * dlog_c - (da / c) * cross, minlength=n_e)
+        g_lrho = (np.bincount(entity, gamma * dmu, minlength=n_e)
+                  + np.bincount(entity, beta * ds2, minlength=n_e) - kl_rho)
+        ents = slice(None) if batch is None else batch
+        return {"g_low": g_low, "g_omega": g_omega,
+                "g_lrho": g_lrho[ents], "g_lsigma": g_lsigma[ents]}
+
     def snapshot(self):
-        return (self.nu, self.lam, self.log_kappa, self.C,
-                self.log_rho, self.log_sigma)
+        return self.cheap.copy(), list(self.C), self.log_rho.copy(), self.log_sigma.copy()
 
     def restore(self, snap):
-        self.nu, self.lam, self.log_kappa, self.C, self.log_rho, self.log_sigma = snap
-        self.broken = False
+        cheap, C, log_rho, log_sigma = snap
+        self.cheap[:] = cheap
+        self.C = list(C)
+        self.log_rho[:] = log_rho
+        self.log_sigma[:] = log_sigma
         self.rebuild()
 
-    def apply_cheap(self, step):
-        self.nu = self.nu + step[: self.m]
-        lam = self.lam + step[self.m : -1]
-        self.lam = lam - lam.sum() / lam.size
-        self.log_kappa = self.log_kappa + float(step[-1])
+    def apply_cheap(self, step, batch=None):
+        """Move the packed [nu | lam | log_kappa] by ``step`` and re-centre the
+        logits of the entities in ``batch`` (all when None)."""
+        self.cheap += step
+        ents = slice(None) if batch is None else batch
+        lam = self.lam[ents]
+        self.lam[ents] = lam - lam.sum(axis=1, keepdims=True) / lam.shape[1]
 
-    def apply_heavy(self, steps):
-        C = np.tril(self.C, -1) + steps["low"]
-        C[np.diag_indices(self.m)] = np.exp(np.log(np.diag(self.C)) + steps["omega"])
-        self.C = C
-        self.log_rho = self.log_rho + steps["rho"]
-        self.log_sigma = self.log_sigma + steps["sigma"]
-        try:
-            self.rebuild()
-        except NumericalError:
-            self.broken = True
+    def hyper_gradient(self, out, k, i):
+        """Entity i's heavy gradients, the k-th of the batch in ``out``, packed as
+        [strict lower triangle of C, row by row | log diagonal | log rho | log sigma]."""
+        return np.concatenate((out["g_low"][k][self.lower[self.m[i]]], out["g_omega"][k],
+                               (out["g_lrho"][k], out["g_lsigma"][k])))
+
+    def apply_heavy(self, steps, batch=None):
+        """Move C, log rho and log sigma of the entities in ``batch`` (all when
+        None) by their steps, packed as :meth:`hyper_gradient` packs the
+        gradients, and refresh their caches."""
+        for i, step in zip(self.entities(batch), steps):
+            m = self.m[i]
+            low = self.lower[m]
+            n_low = low[0].size
+            C = self.C[i].copy()
+            C[low] += step[:n_low]
+            C[np.diag_indices(m)] = np.exp(np.log(np.diag(self.C[i])) + step[n_low:n_low + m])
+            self.C[i] = C
+            self.log_rho[i] += step[-2]
+            self.log_sigma[i] += step[-1]
+        self.rebuild(batch)
 
 
 class _Adam:
-    """Per-slot Adam steps; slots are (entity, name) keys with own timestep.
+    """Adam steps on one packed parameter vector.
 
-    Moment buffers are updated in place so the per-slot cost stays flat as
-    the iteration count grows.
+    With ``owner``, the entity of each entry, every entity keeps its own
+    timestep, so a minibatch step moves only its entities' entries and
+    clocks; without it the vector has one clock. Moment buffers are updated
+    in place, so the cost per step stays flat as the iteration count grows.
     """
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, owner=None, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.owner = owner
+        self.t = np.zeros(1 if owner is None else int(owner.max()) + 1, dtype=np.int64)
 
-    def step(self, key, grad, lr):
-        if isinstance(grad, float):
-            m, v, t = self.state.get(key, (0.0, 0.0, 0))
-            t += 1
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * (grad * grad)
-            self.state[key] = (m, v, t)
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            return lr * m_hat / (math.sqrt(v_hat) + self.eps)
-        slot = self.state.get(key)
-        if slot is None:
-            g = np.asarray(grad, dtype=float)
-            slot = [np.zeros_like(g), np.zeros_like(g), 0]
-            self.state[key] = slot
-        m, v, t = slot
-        t += 1
-        slot[2] = t
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * np.square(grad)
-        m_hat = m / (1 - self.beta1 ** t)
-        v_hat = v / (1 - self.beta2 ** t)
-        return lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    def step(self, grad, lr, batch=None):
+        """The step for ``grad``, zero outside the entries of the entities in
+        ``batch`` (every entry when None)."""
+        if batch is None:
+            sel = slice(None)
+            self.t += 1
+        else:
+            sel = np.flatnonzero(np.isin(self.owner, batch))
+            self.t[batch] += 1
+        c1 = 1 - self.beta1 ** self.t
+        c2 = 1 - self.beta2 ** self.t
+        if self.owner is not None:
+            c1 = c1.take(self.owner[sel])
+            c2 = c2.take(self.owner[sel])
+        g = grad[sel]
+        m = self.beta1 * self.m[sel] + (1 - self.beta1) * g
+        v = self.beta2 * self.v[sel] + (1 - self.beta2) * np.square(g)
+        self.m[sel] = m
+        self.v[sel] = v
+        step = np.zeros(grad.size)
+        step[sel] = lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        return step
+
+
+def _adams(vp, d):
+    """Adam states for the packed cheap vector, each entity's heavy block and theta."""
+    return (_Adam(vp.cheap.size, vp.cheap_owner),
+            [_Adam(vp.lower[m][0].size + m + 2) for m in vp.m],
+            _Adam(d))
+
+
+def _ascend(vp, out, theta, adams, lr, lr_h, batch=None):
+    """One Adam step on every parameter that ``out`` holds gradients of; returns theta.
+
+    The heavy block moves only when the forward pass computed its gradients.
+    """
+    cheap, hyper, theta_adam = adams
+    g = np.concatenate((out["g_nu"], out["g_lam"].ravel(), out["g_kappa"]))
+    vp.apply_cheap(cheap.step(g, lr, batch), batch)
+    if "g_low" in out:
+        vp.apply_heavy([hyper[i].step(vp.hyper_gradient(out, k, i), lr_h)
+                        for k, i in enumerate(vp.entities(batch))], batch)
+    return theta + theta_adam.step(out["g_theta"], lr)
 
 
 def _rho_inits(histories):
@@ -387,7 +564,7 @@ def _rho_inits(histories):
             gaps = np.diff(h.timestamps)
             lows.append(float(gaps.min()))
             highs.append(float(h.timestamps[-1] - h.timestamps[0]))
-    out = {}
+    out = []
     for h in histories:
         if h.n >= 2:
             gaps = np.diff(h.timestamps)
@@ -396,50 +573,13 @@ def _rho_inits(histories):
             lo, hi = float(np.median(lows)), float(np.median(highs))
         else:
             lo = hi = 1.0
-        out[h.entity_id] = math.sqrt(max(lo, 1e-12) * max(hi, 1e-12))
-    return out
+        out.append(math.sqrt(max(lo, 1e-12) * max(hi, 1e-12)))
+    return np.array(out)
 
 
 def _quadrature_nodes(n_nodes):
     xq, wq = np.polynomial.hermite.hermgauss(n_nodes)
     return xq, wq / math.sqrt(math.pi)
-
-
-def _sweep(entities, theta, xq, wbar, heavy):
-    """Forward pass over a batch; None signals a non-finite objective."""
-    total = 0.0
-    g_theta = np.zeros_like(theta)
-    outs = []
-    for ent in entities:
-        out = ent.forward(theta, xq, wbar, heavy)
-        if out is None:
-            return None
-        total += out["elbo"]
-        g_theta += out["g_theta"]
-        outs.append(out)
-    if not math.isfinite(total):
-        return None
-    return total, g_theta, outs
-
-
-def _apply_updates(entities, outs, theta, g_theta, adam, cfg, heavy, lr_scale):
-    lr = cfg.learning_rate * lr_scale
-    lr_h = cfg.hyper_learning_rate * lr_scale
-    for ent, out in zip(entities, outs):
-        # One packed slot per entity for the per-iteration parameters; Adam is
-        # coordinate-wise and these always step together, so this matches
-        # separate slots exactly while paying the bookkeeping once.
-        g = np.concatenate((out["g_nu"], out["g_lam"], (out["g_kappa"],)))
-        ent.apply_cheap(adam.step((ent.eid, "cheap"), g, lr))
-        if heavy:
-            hsteps = {
-                "low": adam.step((ent.eid, "low"), out["g_low"], lr_h),
-                "omega": adam.step((ent.eid, "omega"), out["g_omega"], lr_h),
-                "rho": adam.step((ent.eid, "rho"), out["g_lrho"], lr_h),
-                "sigma": adam.step((ent.eid, "sigma"), out["g_lsigma"], lr_h),
-            }
-            ent.apply_heavy(hsteps)
-    return theta + adam.step(("theta",), g_theta, lr)
 
 
 def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> VariationalState:
@@ -463,21 +603,18 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
         raise InvalidInputError(f"observed rating {observed_max} exceeds n_r={n_r}")
     if n_r < 2:
         raise InvalidInputError("n_r must be >= 2")
-
-    rho0 = _rho_inits(histories)
-    entities = [
-        _EntityVi(h, select_inducing(h, cfg.m_max), n_r, rho0[h.entity_id])
-        for h in histories
-    ]
     d = histories[0].covariates.shape[1]
     for h in histories:
         if h.covariates.shape[1] != d:
             raise InvalidInputError("covariate dimension differs across entities")
+
+    inducing = [select_inducing(h, cfg.m_max) for h in histories]
+    vp = _PanelVi(histories, inducing, n_r, _rho_inits(histories))
     theta = np.zeros(d)
     xq, wbar = _quadrature_nodes(cfg.quadrature_nodes)
-    adam = _Adam()
+    adams = _adams(vp, d)
     rng = np.random.default_rng(cfg.seed)
-    n_e = len(entities)
+    n_e = len(histories)
     batch_size = n_e if cfg.minibatch is None else min(cfg.minibatch, n_e)
 
     trace = np.empty(cfg.iterations)
@@ -485,15 +622,14 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
     rollbacks = 0
     snap = None
     for it in range(cfg.iterations):
+        batch = None
         if batch_size < n_e:
-            batch = [entities[i] for i in sorted(rng.choice(n_e, batch_size, replace=False))]
-        else:
-            batch = entities
+            batch = np.sort(rng.choice(n_e, batch_size, replace=False))
         heavy = it % cfg.hyper_update_every == 0
         attempts = 0
         while True:
-            res = _sweep(batch, theta, xq, wbar, heavy)
-            if res is not None:
+            out = vp.forward(theta, xq, wbar, heavy, batch)
+            if out is not None:
                 break
             if snap is None:
                 raise NumericalError("ELBO non-finite at the initial parameters")
@@ -502,29 +638,29 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
                 raise NumericalError(
                     f"ELBO stayed non-finite after 5 step-size halvings at iteration {it}")
             theta = snap[0]
-            for ent, s in zip(entities, snap[1]):
-                ent.restore(s)
+            vp.restore(snap[1])
             lr_scale *= 0.5
             rollbacks += 1
-        total, g_theta, outs = res
-        scale = n_e / len(batch)
-        trace[it] = total * scale
+        scale = n_e / batch_size
+        trace[it] = out["elbo"] * scale
         if scale != 1.0:
-            g_theta = g_theta * scale
-        snap = (theta, [ent.snapshot() for ent in entities])
-        theta = _apply_updates(batch, outs, theta, g_theta, adam, cfg, heavy, lr_scale)
+            out["g_theta"] = out["g_theta"] * scale
+        snap = (theta, vp.snapshot())
+        theta = _ascend(vp, out, theta, adams, cfg.learning_rate * lr_scale,
+                        cfg.hyper_learning_rate * lr_scale, batch)
 
     gaps = np.concatenate([np.diff(h.timestamps) for h in histories if h.n >= 2] or [np.array([1.0])])
+    ids = vp.panel.entity_ids
     state = VariationalState(
-        entity_ids=[h.entity_id for h in histories],
-        inducing_times={e.eid: e.z for e in entities},
-        q_mean={e.eid: e.nu for e in entities},
-        q_chol={e.eid: e.C for e in entities},
+        entity_ids=list(ids),
+        inducing_times=dict(zip(ids, inducing)),
+        q_mean={e: vp.nu[vp.points.segment(i)].copy() for i, e in enumerate(ids)},
+        q_chol=dict(zip(ids, vp.C)),
         theta=theta,
-        kernel={e.eid: KernelParams(rho=math.exp(e.log_rho), sigma=math.exp(e.log_sigma))
-                for e in entities},
-        emission={e.eid: EmissionParams(kappa=math.exp(e.log_kappa), eta=_softmax(e.lam))
-                  for e in entities},
+        kernel={e: KernelParams(rho=math.exp(vp.log_rho[i]), sigma=math.exp(vp.log_sigma[i]))
+                for i, e in enumerate(ids)},
+        emission={e: EmissionParams(kappa=math.exp(vp.log_kappa[i]), eta=_softmax(vp.lam[i]))
+                  for i, e in enumerate(ids)},
         elbo_trace=trace,
         config=cfg,
         metadata={"n_r": n_r, "median_gap": float(np.median(gaps)),
@@ -542,6 +678,7 @@ def _softmax(lam):
 def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int = 20) -> float:
     """Single-entity ELBO at the parameters stored in a fitted state.
 
+    Scores a one-entity panel through the forward pass that fitting uses.
     Raises :class:`NumericalError` when the inducing factor is singular or
     the objective is not finite there.
     """
@@ -552,15 +689,15 @@ def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int 
         raise InvalidInputError(f"state has no entity {eid!r}")
     kp = state.kernel[eid]
     ep = state.emission[eid]
-    ent = _EntityVi(history, np.asarray(state.inducing_times[eid], dtype=float),
-                    ep.n_r, kp.rho)
-    ent.nu = np.asarray(state.q_mean[eid], dtype=float)
-    ent.C = np.asarray(state.q_chol[eid], dtype=float)
-    ent.lam = np.log(ep.eta)
-    ent.log_kappa = math.log(ep.kappa)
-    ent.log_sigma = math.log(kp.sigma)
-    ent.rebuild()
-    out = ent.forward(state.theta, *_quadrature_nodes(quadrature_nodes), heavy=False)
+    vp = _PanelVi([history], [np.asarray(state.inducing_times[eid], dtype=float)],
+                  ep.n_r, [kp.rho])
+    vp.nu[:] = state.q_mean[eid]
+    vp.C[0] = np.asarray(state.q_chol[eid], dtype=float)
+    vp.lam[0] = np.log(ep.eta)
+    vp.log_kappa[0] = math.log(ep.kappa)
+    vp.log_sigma[0] = math.log(kp.sigma)
+    vp.rebuild()
+    out = vp.forward(state.theta, *_quadrature_nodes(quadrature_nodes), heavy=False)
     if out is None:
-        raise NumericalError(f"ELBO of entity {eid!r} is not finite")
+        raise NumericalError(f"ELBO of entity {eid!r} is singular or not finite")
     return out["elbo"]

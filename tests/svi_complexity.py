@@ -15,13 +15,11 @@ import numpy as np
 
 from gpratings.model import EntityHistory
 from gpratings.svi import (
-    _MAX_INDUCING,
     SviConfig,
-    _Adam,
-    _apply_updates,
-    _EntityVi,
+    _adams,
+    _ascend,
+    _PanelVi,
     _quadrature_nodes,
-    _sweep,
     select_inducing,
 )
 
@@ -45,35 +43,31 @@ def complexity_probe(n_values=(64, 128, 256, 512, 1024), m: Optional[int] = 16,
     work grows as n^2 and the trend steepens.
     """
     rng = np.random.default_rng(seed)
-    every = SviConfig().hyper_update_every if hyper_update_every is None else hyper_update_every
+    cfg = SviConfig()
+    every = cfg.hyper_update_every if hyper_update_every is None else hyper_update_every
+    lr, lr_h = cfg.learning_rate, cfg.hyper_learning_rate
     xq, wbar = _quadrature_nodes(20)
     runs = []
     for n in n_values:
         t = np.sort(rng.uniform(0.0, 4.0, n))
         t += np.arange(n) * 1e-9
         h = EntityHistory(f"probe{n}", t, rng.integers(1, 6, n), rng.normal(size=(n, 2)))
-        m_n = n if m is None else min(m, n)
-        ent = _EntityVi(h, select_inducing(h, m_n), 5, rho0=1.0)
-        cfg = SviConfig(iterations=1, hyper_update_every=every,
-                        m_max=min(m_n, _MAX_INDUCING))
-        runs.append({"ent": ent, "cfg": cfg, "theta": np.zeros(2),
-                     "adam": _Adam(), "best": math.inf})
+        vp = _PanelVi([h], [select_inducing(h, n if m is None else min(m, n))], 5, [1.0])
+        runs.append({"vp": vp, "adams": _adams(vp, 2), "theta": np.zeros(2), "best": math.inf})
     for run in runs:  # warm caches and allocator before timing
         for _ in range(2):
-            res = _sweep([run["ent"]], run["theta"], xq, wbar, heavy=True)
-            run["theta"] = _apply_updates([run["ent"]], res[2], run["theta"],
-                                          res[1], run["adam"], run["cfg"], True, 1.0)
+            out = run["vp"].forward(run["theta"], xq, wbar, heavy=True)
+            run["theta"] = _ascend(run["vp"], out, run["theta"], run["adams"], lr, lr_h)
     was_enabled = gc.isenabled()
     gc.disable()  # exclude collector pauses, as the stdlib timeit does
     try:
         for _ in range(repeats):
             for run in runs:
-                ent, cfg, adam, theta = run["ent"], run["cfg"], run["adam"], run["theta"]
+                vp, adams, theta = run["vp"], run["adams"], run["theta"]
                 start = time.perf_counter()
                 for it in range(iterations):
-                    heavy = it % every == 0
-                    res = _sweep([ent], theta, xq, wbar, heavy=heavy)
-                    theta = _apply_updates([ent], res[2], theta, res[1], adam, cfg, heavy, 1.0)
+                    out = vp.forward(theta, xq, wbar, heavy=it % every == 0)
+                    theta = _ascend(vp, out, theta, adams, lr, lr_h)
                 run["best"] = min(run["best"], (time.perf_counter() - start) / iterations)
                 run["theta"] = theta
     finally:

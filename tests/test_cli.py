@@ -122,8 +122,9 @@ class TestPipelines:
         meta = json.loads((tmp_path / "fit.json").read_text())["payload"]["metadata"]
         assert set(diag["acceptance"]) == {"rho_sigma", "kappa", "cutpoints", "shift",
                                            "rescale", "theta"}
-        for key in ("acceptance", "slice_shrinks", "slice_collapses"):
+        for key in ("acceptance", "step_sizes", "slice_shrinks", "slice_collapses"):
             assert diag[key] == meta[key]
+        assert set(diag["step_sizes"]) == set(diag["acceptance"])
         assert isinstance(diag["slice_collapses"], int)
         fit = load_fit(tmp_path / "fit.json")
         assert diag["waic"] == waic(fit.pointwise_loglik)

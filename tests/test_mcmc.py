@@ -537,6 +537,40 @@ def test_run_mcmc_reproduces_pinned_draws():
                                    rtol=1e-12, atol=0.0, err_msg=key)
 
 
+def test_run_mcmc_draws_unchanged_bit_for_bit():
+    # recorded with the flat-panel sampler before the shared panel layout
+    # moved into the model module and the report kept the step sizes
+    pinned = json.loads((DATA / "mcmc_panel_draws.json").read_text())
+    fit = run_mcmc(small_dataset(n_entities=3), small_config())
+    for key in ("theta", "rho", "sigma", "kappa", "eta"):
+        assert np.array_equal(getattr(fit, key), np.array(pinned[key])), key
+
+
+def test_run_report_holds_final_step_sizes(monkeypatch):
+    finals = []
+    run_chain = mcmc._run_chain
+
+    def recorded(*args):
+        draws = run_chain(*args)
+        finals.append(draws["report"])
+        return draws
+
+    monkeypatch.setattr(mcmc, "_run_chain", recorded)
+    fit = run_mcmc(small_dataset(n_entities=3), small_config())
+    sizes = fit.metadata["step_sizes"]
+    assert set(sizes) == {"rho_sigma", "kappa", "cutpoints", "shift", "rescale", "theta"}
+    assert all(type(v) is float for v in sizes.values())
+    assert len(finals) == 2
+    for block in ("rho_sigma", "kappa", "cutpoints", "shift", "rescale"):
+        per_entity = np.concatenate([r["scale"][block] for r in finals])
+        assert per_entity.shape == (6,)
+        assert sizes[block] == float(np.median(per_entity))
+        assert 1e-3 <= sizes[block] <= 10.0
+    assert sizes["theta"] == float(np.median([r["scale_theta"] for r in finals]))
+    # warmup moved every block away from its initial scale
+    assert sizes["theta"] != 0.2 and sizes["rho_sigma"] != 0.3
+
+
 def test_run_report_counts_without_changing_draws(monkeypatch):
     hs = small_dataset(n_entities=3)
     fit = run_mcmc(hs, small_config())

@@ -4,9 +4,13 @@ Analytic gradients are cross-checked against central finite differences of
 the from-scratch ELBO, the ELBO itself against dense tensor-product
 quadrature of the exact marginal likelihood on a 3-point entity, and the
 sparse projection against the closed-form Gaussian-likelihood posterior.
+The flat panel is checked against one-entity panels and against fits
+recorded with the optimizer that moved one entity at a time.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +24,15 @@ from gpratings.svi import (
     SviConfig,
     VariationalState,
     _emission_quadrature,
-    _EntityVi,
+    _PanelVi,
     _quadrature_nodes,
     elbo,
     fit_svi,
     select_inducing,
 )
 from svi_complexity import complexity_probe
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_entity(seed=0, n=7, d=2, eid="e1", n_r=5):
@@ -40,6 +46,43 @@ def dense_kuu(z, rho, sigma):
     """Jitter-free dense prior covariance at the inducing times."""
     hz = EntityHistory("z", z, np.ones(z.size, dtype=int), np.zeros((z.size, 1)))
     return kernel_matrix(hz, KernelParams(rho=rho, sigma=sigma), jitter=0.0)
+
+
+def _npdf(x):
+    return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
+
+
+def _quadrature_reference(mu, s, y, lam, log_kappa, xq, wbar):
+    """One entity's Gauss-Hermite pass as the per-entity optimizer computed it:
+    ``(total, gamma, beta, g_kappa, g_lam)``."""
+    n_r = lam.size
+    e = np.exp(lam - lam.max())
+    eta = e / e.sum()
+    cum = np.minimum(np.maximum(np.cumsum(eta)[:-1], 1e-12), 1.0 - 1e-16)
+    zeta = stats.norm.ppf(cum)
+    z_full = np.concatenate(([-np.inf], zeta, [np.inf]))
+    kappa = math.exp(log_kappa)
+    g = (mu / kappa)[:, None] + (math.sqrt(2.0) / kappa) * s[:, None] * xq[None, :]
+    lo = z_full[y - 1][:, None] - g
+    hi = z_full[y][:, None] - g
+    p = np.empty_like(g)
+    right = lo >= 0.0  # both bounds right of zero: difference of upper tails
+    p[right] = stats.norm.sf(lo[right]) - stats.norm.sf(hi[right])
+    p[~right] = stats.norm.cdf(hi[~right]) - stats.norm.cdf(lo[~right])
+    p = np.maximum(p, 1e-300)
+    total = float((np.log(p) @ wbar).sum())
+    pw_lo = _npdf(lo) * (wbar / p)
+    pw_hi = _npdf(hi) * (wbar / p)
+    dw = pw_lo - pw_hi
+    gamma = dw.sum(axis=1) / kappa
+    beta = math.sqrt(2.0) * (dw @ xq) / (2.0 * kappa * s)
+    g_kappa = -float((dw * g).sum())
+    hi_bins = np.bincount(y, weights=pw_hi.sum(axis=1), minlength=n_r + 1)
+    lo_bins = np.bincount(y, weights=pw_lo.sum(axis=1), minlength=n_r + 1)
+    g_cum = (hi_bins[1:n_r] - lo_bins[2:]) / _npdf(zeta)
+    g_eta = np.concatenate((np.cumsum(g_cum[::-1])[::-1], [0.0]))
+    g_lam = eta * (g_eta - float(eta @ g_eta))
+    return total, gamma, beta, g_kappa, g_lam
 
 
 def _elbo_reference(history, z, nu, c_chol, theta, rho, sigma, kappa, eta, n_nodes):
@@ -59,8 +102,7 @@ def _elbo_reference(history, z, nu, c_chol, theta, rho, sigma, kappa, eta, n_nod
     )
     xq, wbar = _quadrature_nodes(n_nodes)
     lam = np.log(np.maximum(np.asarray(eta, dtype=float), 1e-300))
-    lik, *_ = _emission_quadrature(
-        mu, np.sqrt(s2), history.ratings, lam, math.log(kappa), xq, wbar, want_beta=False)
+    lik, *_ = _quadrature_reference(mu, np.sqrt(s2), history.ratings, lam, math.log(kappa), xq, wbar)
     half_c = solve_triangular(L_E, c_chol, lower=True)
     half_nu = solve_triangular(L_E, nu, lower=True)
     kl = (0.5 * (np.sum(half_c * half_c) + half_nu @ half_nu - z.size)
@@ -107,41 +149,41 @@ def fd_setup(h=None, z=None, prior_shaped=False):
         h = make_entity(seed=11, n=7)
         z = select_inducing(h, 4)
     m = z.size
-    ent = _EntityVi(h, z, 5, rho0=0.9)
+    vp = _PanelVi([h], [z], 5, [0.9])
     rng = np.random.default_rng(7)
-    ent.log_rho = math.log(0.9)
-    ent.log_sigma = 0.1
-    ent.log_kappa = -0.2
-    ent.lam = np.log(np.array([0.2, 0.3, 0.2, 0.2, 0.1]))
-    ent.lam -= ent.lam.mean()
-    ent.nu = 0.3 * rng.normal(size=m)
+    vp.log_rho[0] = math.log(0.9)
+    vp.log_sigma[0] = 0.1
+    vp.log_kappa[0] = -0.2
+    lam = np.log(np.array([0.2, 0.3, 0.2, 0.2, 0.1]))
+    vp.lam[0] = lam - lam.mean()
+    vp.nu[:] = 0.3 * rng.normal(size=m)
     base_c = np.linalg.cholesky(
-        dense_kuu(z, math.exp(ent.log_rho), math.exp(ent.log_sigma))
+        dense_kuu(z, math.exp(vp.log_rho[0]), math.exp(vp.log_sigma[0]))
         + 1e-6 * np.eye(m))
     low = np.tril(0.05 * rng.normal(size=(m, m)), -1)
-    ent.C = base_c + low
+    vp.C[0] = base_c + low
     if prior_shaped:
         # q(u) near the prior in whitened coordinates, so a tied gap's tiny
         # innovation scale does not blow up the KL term
-        ent.nu = base_c @ ent.nu
-        ent.C = base_c @ (np.eye(m) + low)
-    ent.rebuild()
+        vp.nu[:] = base_c @ vp.nu
+        vp.C[0] = base_c @ (np.eye(m) + low)
+    vp.rebuild()
     theta = np.array([0.2, -0.1])
 
     def ref(nu=None, C=None, th=None, lr=None, ls=None, lk=None, lam=None):
-        nu = ent.nu if nu is None else nu
-        C = ent.C if C is None else C
+        nu = vp.nu if nu is None else nu
+        C = vp.C[0] if C is None else C
         th = theta if th is None else th
-        lr = ent.log_rho if lr is None else lr
-        ls = ent.log_sigma if ls is None else ls
-        lk = ent.log_kappa if lk is None else lk
-        lam = ent.lam if lam is None else lam
+        lr = vp.log_rho[0] if lr is None else lr
+        ls = vp.log_sigma[0] if ls is None else ls
+        lk = vp.log_kappa[0] if lk is None else lk
+        lam = vp.lam[0] if lam is None else lam
         return _elbo_reference(h, z, nu, C, th, math.exp(lr), math.exp(ls),
                                math.exp(lk), _softmax(lam), 20)
 
     xq, wq = np.polynomial.hermite.hermgauss(20)
-    out = ent.forward(theta, xq, wq / math.sqrt(math.pi), heavy=True)
-    return ent, theta, ref, out
+    out = vp.forward(theta, xq, wq / math.sqrt(math.pi), heavy=True)
+    return vp, theta, ref, out
 
 
 def central(fun, x0, h=1e-5):
@@ -154,17 +196,17 @@ def test_forward_elbo_matches_reference():
 
 
 def test_gradient_q_mean():
-    ent, _, ref, out = fd_setup()
+    vp, _, ref, out = fd_setup()
     for i in range(4):
         def f(v, i=i):
-            nu = ent.nu.copy()
+            nu = vp.nu.copy()
             nu[i] = v
             return ref(nu=nu)
-        assert out["g_nu"][i] == pytest.approx(central(f, ent.nu[i]), rel=2e-5, abs=1e-7)
+        assert out["g_nu"][i] == pytest.approx(central(f, vp.nu[i]), rel=2e-5, abs=1e-7)
 
 
 def test_gradient_theta():
-    ent, theta, ref, out = fd_setup()
+    _, theta, ref, out = fd_setup()
     for i in range(2):
         def f(v, i=i):
             th = theta.copy()
@@ -174,42 +216,43 @@ def test_gradient_theta():
 
 
 def test_gradient_emission_parameters():
-    ent, _, ref, out = fd_setup()
-    assert out["g_kappa"] == pytest.approx(
-        central(lambda v: ref(lk=v), ent.log_kappa), rel=2e-5, abs=1e-7)
+    vp, _, ref, out = fd_setup()
+    assert out["g_kappa"][0] == pytest.approx(
+        central(lambda v: ref(lk=v), vp.log_kappa[0]), rel=2e-5, abs=1e-7)
     for i in range(5):
         def f(v, i=i):
-            lam = ent.lam.copy()
+            lam = vp.lam[0].copy()
             lam[i] = v
             return ref(lam=lam)
-        assert out["g_lam"][i] == pytest.approx(central(f, ent.lam[i]), rel=2e-5, abs=1e-7)
+        assert out["g_lam"][0, i] == pytest.approx(central(f, vp.lam[0, i]), rel=2e-5, abs=1e-7)
 
 
 def test_gradient_covariance_factor():
-    ent, _, ref, out = fd_setup()
+    vp, _, ref, out = fd_setup()
+    C = vp.C[0]
     for i in range(4):
         for j in range(i):
             def f(v, i=i, j=j):
-                c = ent.C.copy()
+                c = C.copy()
                 c[i, j] = v
                 return ref(C=c)
-            assert out["g_low"][i, j] == pytest.approx(
-                central(f, ent.C[i, j]), rel=2e-5, abs=1e-7)
+            assert out["g_low"][0][i, j] == pytest.approx(
+                central(f, C[i, j]), rel=2e-5, abs=1e-7)
     for p in range(4):
         def f(v, p=p):
-            c = ent.C.copy()
+            c = C.copy()
             c[p, p] = math.exp(v)
             return ref(C=c)
-        assert out["g_omega"][p] == pytest.approx(
-            central(f, math.log(ent.C[p, p])), rel=2e-5, abs=1e-7)
+        assert out["g_omega"][0][p] == pytest.approx(
+            central(f, math.log(C[p, p])), rel=2e-5, abs=1e-7)
 
 
 def test_gradient_kernel_hyperparameters():
-    ent, _, ref, out = fd_setup()
-    assert out["g_lrho"] == pytest.approx(
-        central(lambda v: ref(lr=v), ent.log_rho), rel=2e-5, abs=1e-7)
-    assert out["g_lsigma"] == pytest.approx(
-        central(lambda v: ref(ls=v), ent.log_sigma), rel=2e-5, abs=1e-7)
+    vp, _, ref, out = fd_setup()
+    assert out["g_lrho"][0] == pytest.approx(
+        central(lambda v: ref(lr=v), vp.log_rho[0]), rel=2e-5, abs=1e-7)
+    assert out["g_lsigma"][0] == pytest.approx(
+        central(lambda v: ref(ls=v), vp.log_sigma[0]), rel=2e-5, abs=1e-7)
 
 
 def near_tied_entity():
@@ -227,33 +270,34 @@ def near_tied_entity():
 
 
 def test_gradients_on_near_tied_inducing_points():
-    ent, theta, ref, out = fd_setup(*near_tied_entity(), prior_shaped=True)
+    vp, theta, ref, out = fd_setup(*near_tied_entity(), prior_shaped=True)
     assert out["elbo"] == pytest.approx(ref(), rel=1e-10)
 
     def check(analytic, fun, x0):
         assert analytic == pytest.approx(central(fun, x0), rel=2e-5, abs=1e-7)
 
-    for i in range(ent.m):
-        check(out["g_nu"][i], lambda v, i=i: ref(nu=np.where(np.arange(ent.m) == i, v, ent.nu)),
-              ent.nu[i])
+    m, C = vp.m[0], vp.C[0]
+    for i in range(m):
+        check(out["g_nu"][i], lambda v, i=i: ref(nu=np.where(np.arange(m) == i, v, vp.nu)),
+              vp.nu[i])
         for j in range(i):
             def f(v, i=i, j=j):
-                c = ent.C.copy()
+                c = C.copy()
                 c[i, j] = v
                 return ref(C=c)
-            check(out["g_low"][i, j], f, ent.C[i, j])
+            check(out["g_low"][0][i, j], f, C[i, j])
 
         def g(v, i=i):
-            c = ent.C.copy()
+            c = C.copy()
             c[i, i] = math.exp(v)
             return ref(C=c)
-        check(out["g_omega"][i], g, math.log(ent.C[i, i]))
+        check(out["g_omega"][0][i], g, math.log(C[i, i]))
     for i in range(2):
         check(out["g_theta"][i], lambda v, i=i: ref(th=np.where(np.arange(2) == i, v, theta)),
               theta[i])
-    check(out["g_kappa"], lambda v: ref(lk=v), ent.log_kappa)
-    check(out["g_lrho"], lambda v: ref(lr=v), ent.log_rho)
-    check(out["g_lsigma"], lambda v: ref(ls=v), ent.log_sigma)
+    check(out["g_kappa"][0], lambda v: ref(lk=v), vp.log_kappa[0])
+    check(out["g_lrho"][0], lambda v: ref(lr=v), vp.log_rho[0])
+    check(out["g_lsigma"][0], lambda v: ref(ls=v), vp.log_sigma[0])
 
 
 # ---------------------------------------------------------------------------
@@ -359,31 +403,30 @@ def expected_loglik_quad(history, mu, s2, kappa, eta):
 def test_prior_matching_q_has_zero_kl():
     h = make_entity(seed=21, n=5)
     z = select_inducing(h, 3)
-    ent = _EntityVi(h, z, 5, rho0=1.0)
-    ent.nu = np.zeros(3)
-    ent.C = np.linalg.cholesky(dense_kuu(z, 1.0, 1.0))
-    ent.rebuild()
-    eta = _softmax(ent.lam)
+    vp = _PanelVi([h], [z], 5, [1.0])
+    vp.C[0] = np.linalg.cholesky(dense_kuu(z, 1.0, 1.0))
+    vp.rebuild()
+    eta = _softmax(vp.lam[0])
     theta = np.array([0.1, -0.2])
-    val = _elbo_reference(h, z, ent.nu, ent.C, theta, 1.0, 1.0, 1.0, eta, 30)
-    mu = h.covariates @ theta + ent.proj.project(ent.nu)
-    oracle = expected_loglik_quad(h, mu, ent.s2, 1.0, eta)
+    val = _elbo_reference(h, z, vp.nu, vp.C[0], theta, 1.0, 1.0, 1.0, eta, 30)
+    mu = h.covariates @ theta + vp.proj.project(vp.nu)
+    oracle = expected_loglik_quad(h, mu, vp.s2, 1.0, eta)
     assert val == pytest.approx(oracle, abs=1e-6)
 
 
 def test_perturbed_q_pays_positive_kl():
     h = make_entity(seed=22, n=5)
     z = select_inducing(h, 3)
-    ent = _EntityVi(h, z, 5, rho0=1.0)
+    vp = _PanelVi([h], [z], 5, [1.0])
     rng = np.random.default_rng(1)
-    ent.nu = rng.normal(size=3)
-    ent.C = np.linalg.cholesky(dense_kuu(z, 1.0, 1.0)) * 0.6
-    ent.rebuild()
-    eta = _softmax(ent.lam)
+    vp.nu[:] = rng.normal(size=3)
+    vp.C[0] = np.linalg.cholesky(dense_kuu(z, 1.0, 1.0)) * 0.6
+    vp.rebuild()
+    eta = _softmax(vp.lam[0])
     theta = np.zeros(2)
-    val = _elbo_reference(h, z, ent.nu, ent.C, theta, 1.0, 1.0, 1.0, eta, 30)
-    mu = h.covariates @ theta + ent.proj.project(ent.nu)
-    oracle = expected_loglik_quad(h, mu, ent.s2, 1.0, eta)
+    val = _elbo_reference(h, z, vp.nu, vp.C[0], theta, 1.0, 1.0, 1.0, eta, 30)
+    mu = h.covariates @ theta + vp.proj.project(vp.nu)
+    oracle = expected_loglik_quad(h, mu, vp.s2, 1.0, eta)
     assert oracle - val > 0.1  # KL strictly positive for a non-prior q
 
 
@@ -405,15 +448,15 @@ def test_projection_recovers_exact_gaussian_posterior():
     middle = np.linalg.solve(K + tau2 * np.eye(6), K)
     post_mean = K @ np.linalg.solve(K + tau2 * np.eye(6), y)
     post_cov = K - K @ middle
-    ent = _EntityVi(h, t.copy(), 5, rho0=kp.rho)
-    ent.log_rho = math.log(kp.rho)
-    ent.log_sigma = math.log(kp.sigma)
-    ent.nu = post_mean
-    ent.C = np.linalg.cholesky(post_cov + 1e-12 * np.eye(6))
-    ent.rebuild()
-    mu = ent.proj.project(ent.nu)
+    vp = _PanelVi([h], [t.copy()], 5, [kp.rho])
+    vp.log_rho[0] = math.log(kp.rho)
+    vp.log_sigma[0] = math.log(kp.sigma)
+    vp.nu[:] = post_mean
+    vp.C[0] = np.linalg.cholesky(post_cov + 1e-12 * np.eye(6))
+    vp.rebuild()
+    mu = vp.proj.project(vp.nu)
     assert np.allclose(mu, post_mean, atol=1e-6)
-    assert np.allclose(ent.s2, np.diag(post_cov), atol=1e-6)
+    assert np.allclose(vp.s2, np.diag(post_cov), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -502,32 +545,32 @@ def test_state_invariant_validation():
 
 def test_nonfinite_objective_aborts_after_retries(monkeypatch):
     hs = small_histories(sizes=(10,))
-    orig = svi_mod._EntityVi.forward
+    orig = svi_mod._PanelVi.forward
     calls = {"n": 0}
 
-    def failing(self, theta, xq, wbar, heavy):
+    def failing(self, theta, xq, wbar, heavy, batch=None):
         calls["n"] += 1
         if calls["n"] > 3:
             return None
-        return orig(self, theta, xq, wbar, heavy)
+        return orig(self, theta, xq, wbar, heavy, batch)
 
-    monkeypatch.setattr(svi_mod._EntityVi, "forward", failing)
+    monkeypatch.setattr(svi_mod._PanelVi, "forward", failing)
     with pytest.raises(NumericalError, match="halvings"):
         fit_svi(hs, SviConfig(iterations=50))
 
 
 def test_transient_nonfinite_objective_recovers(monkeypatch):
     hs = small_histories(sizes=(10,))
-    orig = svi_mod._EntityVi.forward
+    orig = svi_mod._PanelVi.forward
     calls = {"n": 0}
 
-    def flaky(self, theta, xq, wbar, heavy):
+    def flaky(self, theta, xq, wbar, heavy, batch=None):
         calls["n"] += 1
         if calls["n"] in (4, 5):
             return None
-        return orig(self, theta, xq, wbar, heavy)
+        return orig(self, theta, xq, wbar, heavy, batch)
 
-    monkeypatch.setattr(svi_mod._EntityVi, "forward", flaky)
+    monkeypatch.setattr(svi_mod._PanelVi, "forward", flaky)
     state = fit_svi(hs, SviConfig(iterations=30))
     assert np.all(np.isfinite(state.elbo_trace))
 
@@ -539,39 +582,61 @@ def tied_history():
                          np.zeros((3, 2)))
 
 
+def rho_step(vp, i, log_rho):
+    """A packed heavy step for entity i that moves only log rho, to ``log_rho``."""
+    m = vp.m[i]
+    step = np.zeros(m * (m - 1) // 2 + m + 2)
+    step[-2] = log_rho - vp.log_rho[i]
+    return step
+
+
 def test_singular_heavy_step_marks_entity_broken():
     h = tied_history()
-    ent = _EntityVi(h, h.timestamps.copy(), 5, rho0=1.0)
+    vp = _PanelVi([h], [h.timestamps.copy()], 5, [1.0])
     xq, wbar = _quadrature_nodes(20)
-    before = ent.forward(np.zeros(2), xq, wbar, heavy=True)
-    snap = ent.snapshot()
-    ent.apply_heavy({"low": np.zeros((3, 3)), "omega": np.zeros(3),
-                     "rho": 700.0 - ent.log_rho, "sigma": 0.0})
-    assert ent.broken
-    assert ent.forward(np.zeros(2), xq, wbar, heavy=False) is None
-    ent.restore(snap)
-    assert not ent.broken
-    assert ent.forward(np.zeros(2), xq, wbar, heavy=True)["elbo"] == before["elbo"]
+    before = vp.forward(np.zeros(2), xq, wbar, heavy=True)
+    snap = vp.snapshot()
+    vp.apply_heavy([rho_step(vp, 0, 700.0)])
+    assert vp.broken[0]
+    assert vp.forward(np.zeros(2), xq, wbar, heavy=False) is None
+    vp.restore(snap)
+    assert not vp.broken[0]
+    assert vp.forward(np.zeros(2), xq, wbar, heavy=True)["elbo"] == before["elbo"]
+
+
+def test_singular_entity_breaks_alone():
+    # the tied entity's factor is singular; its neighbour in the panel stays
+    # usable, and a batch without the broken entity still scores
+    hs = [small_histories(sizes=(9,))[0], tied_history()]
+    vp = _PanelVi(hs, [h.timestamps.copy() for h in hs], 5, [1.0, 1.0])
+    xq, wbar = _quadrature_nodes(20)
+    alone = _PanelVi(hs[:1], [hs[0].timestamps.copy()], 5, [1.0])
+    vp.apply_heavy([rho_step(vp, 1, 700.0)], np.array([1]))
+    assert vp.broken.tolist() == [False, True]
+    assert vp.forward(np.zeros(2), xq, wbar, heavy=False) is None
+    out = vp.forward(np.zeros(2), xq, wbar, heavy=True, batch=np.array([0]))
+    assert out["elbo"] == pytest.approx(
+        alone.forward(np.zeros(2), xq, wbar, heavy=True)["elbo"], rel=1e-12)
 
 
 def test_singular_heavy_step_rolls_the_fit_back(monkeypatch):
-    orig_heavy = svi_mod._EntityVi.apply_heavy
-    orig_restore = svi_mod._EntityVi.restore
+    orig_heavy = svi_mod._PanelVi.apply_heavy
+    orig_restore = svi_mod._PanelVi.restore
     calls = {"heavy": 0, "restore": 0}
 
-    def blow_up_once(self, steps):
+    def blow_up_once(self, steps, batch=None):
         calls["heavy"] += 1
         if calls["heavy"] == 1:
-            steps = dict(steps, rho=700.0 - self.log_rho)
-        orig_heavy(self, steps)
-        assert self.broken == (calls["heavy"] == 1)
+            steps = [rho_step(self, 0, 700.0)]
+        orig_heavy(self, steps, batch)
+        assert self.broken[0] == (calls["heavy"] == 1)
 
     def counted_restore(self, snap):
         calls["restore"] += 1
         orig_restore(self, snap)
 
-    monkeypatch.setattr(svi_mod._EntityVi, "apply_heavy", blow_up_once)
-    monkeypatch.setattr(svi_mod._EntityVi, "restore", counted_restore)
+    monkeypatch.setattr(svi_mod._PanelVi, "apply_heavy", blow_up_once)
+    monkeypatch.setattr(svi_mod._PanelVi, "restore", counted_restore)
     state = fit_svi([tied_history()], SviConfig(iterations=30))
     assert calls["restore"] == 1
     assert state.metadata["rollbacks"] == 1
@@ -618,3 +683,114 @@ def test_complexity_probe_dense_grows_faster_than_sparse():
     sparse = complexity_probe(n_values=(64, 128, 256), m=16, iterations=3, seed=2)
     dense = complexity_probe(n_values=(64, 128, 256), m=None, iterations=3, seed=2)
     assert dense["slope"] > sparse["slope"] + 0.3
+
+
+# ---------------------------------------------------------------------------
+# the flat panel against one entity at a time
+# ---------------------------------------------------------------------------
+
+def ragged_quadrature_inputs(rng):
+    """Four entities at n_r = 7: one single rating at the top level, one that
+    never uses levels 6 and 7, and two that use every level; 1,310 rows, so
+    the 1,024-row block boundary falls inside the last entity."""
+    sizes = [1, 700, 9, 600]
+    y = [np.array([7]), rng.integers(1, 6, 700), rng.integers(1, 8, 9), rng.integers(1, 8, 600)]
+    entity = np.repeat(np.arange(4), sizes)
+    n = entity.size
+    return (sizes, rng.normal(scale=1.5, size=n), rng.uniform(0.05, 1.5, n),
+            np.concatenate(y), entity, rng.normal(size=(4, 7)), rng.normal(scale=0.3, size=4))
+
+
+@pytest.mark.parametrize("chunk", [1024, 5])
+def test_batched_quadrature_matches_one_entity_calls(monkeypatch, chunk):
+    monkeypatch.setattr(svi_mod, "_QUADRATURE_CHUNK", chunk)
+    sizes, mu, s, y, entity, lam, log_kappa = ragged_quadrature_inputs(np.random.default_rng(17))
+    xq, wbar = _quadrature_nodes(20)
+    total, gamma, beta, g_kappa, g_lam = _emission_quadrature(
+        mu, s, y, entity, lam, log_kappa, xq, wbar, want_beta=True)
+    assert beta.shape == gamma.shape == y.shape
+    assert g_kappa.shape == (4,) and g_lam.shape == (4, 7)
+    ref_total = 0.0
+    for e, rows in enumerate(np.split(np.arange(y.size), np.cumsum(sizes)[:-1])):
+        t_e, gamma_e, beta_e, g_kappa_e, g_lam_e = _quadrature_reference(
+            mu[rows], s[rows], y[rows], lam[e], log_kappa[e], xq, wbar)
+        ref_total += t_e
+        np.testing.assert_allclose(gamma[rows], gamma_e, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(beta[rows], beta_e, rtol=1e-12, atol=0.0)
+        assert g_kappa[e] == pytest.approx(g_kappa_e, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(g_lam[e], g_lam_e, rtol=1e-12, atol=1e-12 * np.abs(g_lam_e).max())
+    assert total == pytest.approx(ref_total, rel=1e-12, abs=0.0)
+
+
+def perturbed_panel(histories, n_r=5, seed=0):
+    """A panel at random variational parameters, plus each entity alone at the same ones."""
+    inducing = [select_inducing(h, 6) for h in histories]
+    rho0 = [0.7 + 0.2 * i for i in range(len(histories))]
+    vp = _PanelVi(histories, inducing, n_r, rho0)
+    singles = [_PanelVi([h], [z], n_r, [r]) for h, z, r in zip(histories, inducing, rho0)]
+    rng = np.random.default_rng(seed)
+    for i, one in enumerate(singles):
+        m = vp.m[i]
+        zs = vp.points.segment(i)
+        C = np.tril(0.1 * rng.normal(size=(m, m)), -1) + np.diag(rng.uniform(0.3, 1.0, m))
+        vp.C[i] = one.C[0] = C
+        vp.nu[zs] = one.nu[:] = rng.normal(size=m)
+        vp.lam[i] = one.lam[0] = rng.normal(size=n_r)
+        vp.log_kappa[i] = one.log_kappa[0] = rng.normal(scale=0.3)
+        vp.log_sigma[i] = one.log_sigma[0] = rng.normal(scale=0.3)
+        one.rebuild()
+    vp.rebuild()
+    return vp, singles
+
+
+@pytest.mark.parametrize("batch", [None, np.array([1, 3])])
+def test_panel_forward_matches_one_entity_panels(batch):
+    hs = small_histories(seed=44, sizes=(9, 1, 14, 4))
+    vp, singles = perturbed_panel(hs, n_r=6)
+    theta = np.array([0.3, -0.2])
+    xq, wbar = _quadrature_nodes(20)
+    out = vp.forward(theta, xq, wbar, heavy=True, batch=batch)
+    ents = range(len(hs)) if batch is None else batch
+    alone = [singles[i].forward(theta, xq, wbar, heavy=True) for i in ents]
+    assert out["elbo"] == pytest.approx(sum(o["elbo"] for o in alone), rel=1e-12)
+    np.testing.assert_allclose(out["g_theta"], sum(o["g_theta"] for o in alone), rtol=1e-12)
+    for k, (i, one) in enumerate(zip(ents, alone)):
+        np.testing.assert_allclose(out["g_nu"][vp.points.segment(i)], one["g_nu"], rtol=1e-12)
+        np.testing.assert_allclose(out["g_lam"][i], one["g_lam"][0], rtol=1e-12, atol=1e-14)
+        assert out["g_kappa"][i] == pytest.approx(one["g_kappa"][0], rel=1e-12)
+        np.testing.assert_allclose(out["g_low"][k], one["g_low"][0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(out["g_omega"][k], one["g_omega"][0], rtol=1e-12)
+        assert out["g_lrho"][k] == pytest.approx(one["g_lrho"][0], rel=1e-12)
+        assert out["g_lsigma"][k] == pytest.approx(one["g_lsigma"][0], rel=1e-12)
+
+
+PINNED_INPUTS = {
+    "full_batch": (dict(seed=40, sizes=(20, 15)), SviConfig(iterations=60, m_max=8, seed=3), None),
+    "minibatch": (dict(seed=41, sizes=(12, 1, 14, 10)),
+                  SviConfig(iterations=60, minibatch=2, m_max=8, seed=5), 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_INPUTS))
+def test_fit_matches_the_pinned_per_entity_fit(case):
+    # recorded with the optimizer that moved one entity at a time; the panel
+    # sums in another order, so the last bits may differ
+    pinned = json.loads((DATA / "svi_pinned_fit.json").read_text())[case]
+    spec, cfg, n_r = PINNED_INPUTS[case]
+    state = fit_svi(small_histories(**spec), cfg, n_r=n_r)
+    ids = state.entity_ids
+    got = {
+        "elbo_trace": state.elbo_trace,
+        "theta": state.theta,
+        "rho": [state.kernel[e].rho for e in ids],
+        "sigma": [state.kernel[e].sigma for e in ids],
+        "kappa": [state.emission[e].kappa for e in ids],
+        "eta": [state.emission[e].eta for e in ids],
+    }
+    for key, value in got.items():
+        np.testing.assert_allclose(value, np.array(pinned[key]), rtol=1e-9, atol=0.0,
+                                   err_msg=key)
+    for key in ("q_mean", "q_chol"):
+        for e in ids:
+            np.testing.assert_allclose(getattr(state, key)[e], np.array(pinned[key][e]),
+                                       rtol=1e-9, atol=0.0, err_msg=f"{key}[{e}]")
