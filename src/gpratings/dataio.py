@@ -25,7 +25,8 @@ import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -73,9 +74,17 @@ class DatasetManifest:
             raise InvalidInputError("covariate names must be unique")
 
 
-def _parse_timestamp(raw, line_no):
-    """Raw timestamp -> calendar-year coordinate (e.g. 2013.37)."""
-    text = str(raw).strip()
+_REQUIRED = ("entity_id", "rating", "timestamp")
+_BLOCK_ROWS = 4096     # records parsed per block; bounds the per-column lists
+
+
+def _year(text):
+    """A timestamp cell -> calendar-year coordinate (e.g. 2013.37), None if unparsable.
+
+    The cell may be a real-valued year or anything ``datetime.fromisoformat``
+    reads; a naive ISO time is taken as UTC.
+    """
+    text = text.strip()
     try:
         return float(text)
     except ValueError:
@@ -83,58 +92,246 @@ def _parse_timestamp(raw, line_no):
     try:
         dt = datetime.fromisoformat(text)
     except ValueError:
-        raise DataError(f"line {line_no}: unparsable timestamp {raw!r}") from None
+        return None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return 1970.0 + (dt - _UNIX_EPOCH).total_seconds() / (DAYS_PER_YEAR * 86400.0)
 
 
-def _parse_rating(raw, line_no):
+def _float_or_none(text):
     try:
-        value = float(str(raw).strip())
+        return float(text.strip())
+    except (AttributeError, ValueError):    # AttributeError: an absent cell
+        return None
+
+
+def _floats(texts):
+    """``float(cell.strip())`` of every cell: (values, missing mask, first bad index).
+
+    A cell is missing when absent (None) or blank, and reads 0.0; the bad
+    index is that of the first other cell that does not parse, or None.
+    The mask is None when no cell is missing.
+    """
+    try:
+        # float() skips common whitespace itself and rejects the rest
+        # (\x1c-\x1f), which the slower pass strips; so a column of plain
+        # numbers takes one map
+        return np.fromiter(map(float, texts), float, len(texts)), None, None
     except (TypeError, ValueError):
-        raise DataError(f"line {line_no}: unparsable rating {raw!r}") from None
-    if not value.is_integer():
-        raise DataError(f"line {line_no}: rating {raw!r} is not an integer level")
-    return int(value)
+        pass
+    missing = np.array([t is None or not t.strip() for t in texts], dtype=bool)
+    values = list(map(_float_or_none, texts))
+    bad = next((k for k, v in enumerate(values) if v is None and not missing[k]), None)
+    return (np.array([0.0 if v is None else v for v in values]),
+            missing if missing.any() else None, bad)
 
 
-def _parse_covariate(row, name, line_no, missing_names):
-    raw = row.get(name)
-    if raw is None or str(raw).strip() == "":
-        missing_names.add(name)
-        return 0.0
-    try:
-        value = float(str(raw).strip())
-    except ValueError:
-        raise DataError(f"line {line_no}: unparsable {name} value {raw!r}") from None
-    if name in LOG_COLUMNS:
-        if value < 0:
-            raise DataError(f"line {line_no}: negative count in {name}: {raw!r}")
-        value = float(np.log1p(value))
-    return value
+def _first_blank(texts):
+    """Index of the first absent or blank cell, or None."""
+    if None not in texts and all(map(str.strip, texts)):
+        return None
+    return next(k for k, t in enumerate(texts) if t is None or not t.strip())
 
 
-def _iter_rows(path, fmt):
+class _CsvBlock:
+    """CSV records (lists of cells) read by column name as ``csv.DictReader``
+    reads them: the last header field of a name wins, and a record too short
+    to reach it holds None there."""
+
+    def __init__(self, lines, rows, index):
+        self.lines, self.rows, self.index = lines, rows, index
+        self.width = min(map(len, rows), default=0)
+
+    def raw(self, k, name):
+        j = self.index.get(name)
+        row = self.rows[k]
+        return row[j] if j is not None and j < len(row) else None
+
+    def texts(self, name):
+        j = self.index.get(name)
+        if j is None:
+            return [None] * len(self.rows)
+        if j < self.width:
+            return list(map(itemgetter(j), self.rows))
+        return [self.raw(k, name) for k in range(len(self.rows))]
+
+    def take(self, idx):
+        return _CsvBlock([self.lines[k] for k in idx], [self.rows[k] for k in idx],
+                         self.index)
+
+
+class _JsonBlock:
+    """JSONL objects read by column name; a cell's text is ``str`` of its value."""
+
+    def __init__(self, lines, rows):
+        self.lines, self.rows = lines, rows
+
+    def raw(self, k, name):
+        return self.rows[k].get(name)
+
+    def texts(self, name):
+        return [None if v is None else str(v) for v in (r.get(name) for r in self.rows)]
+
+    def take(self, idx):
+        return _JsonBlock([self.lines[k] for k in idx], [self.rows[k] for k in idx])
+
+
+def _blocks(records):
+    """Lists of up to ``_BLOCK_ROWS`` records. An error while reading comes
+    after the block of records read before it, so a bad row earlier in the
+    file still raises first."""
+    while True:
+        block = []
+        try:
+            block.extend(itertools.islice(records, _BLOCK_ROWS))
+        except Exception:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _json_records(fh):
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            raise DataError(f"line {line_no}: unparsable JSON row") from None
+        if not isinstance(row, dict):
+            raise DataError(f"line {line_no}: expected a JSON object")
+        yield line_no, row
+
+
+def _read_blocks(path, fmt):
+    """The review file as blocks of records with their line numbers: a CSV
+    record counts from line 2 (blank lines skipped), a JSONL object is
+    numbered by its line."""
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{path}: missing header row")
-            for line_no, row in enumerate(reader, start=2):
-                yield line_no, row
+            index = {name: j for j, name in enumerate(header)}
+            first = 2
+            for rows in _blocks(filter(None, reader)):
+                yield _CsvBlock(range(first, first + len(rows)), rows, index)
+                first += len(rows)
     else:
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    raise DataError(f"line {line_no}: unparsable JSON row") from None
-                if not isinstance(row, dict):
-                    raise DataError(f"line {line_no}: expected a JSON object")
-                yield line_no, row
+            for records in _blocks(_json_records(fh)):
+                lines, rows = zip(*records)
+                yield _JsonBlock(lines, rows)
+
+
+class _Parsed(NamedTuple):
+    """The rows of one block that ``ingest`` keeps, column by column."""
+
+    entity_ids: list
+    years: list
+    ratings: np.ndarray
+    covariates: np.ndarray    # (rows, covariates)
+    dropped: list             # line numbers of out-of-range ratings
+    missing: set              # covariate names with a missing value
+
+
+def _parse_block(block, names, n_r, years_of) -> _Parsed:
+    """Validate and parse one block column by column.
+
+    ``years_of`` caches the parse of each distinct timestamp text across
+    blocks (None when it does not parse).
+
+    Raises the DataError of the block's first bad row, and within that row
+    of its first bad cell in the order entity_id, rating, timestamp, then
+    ``names``, as reading row by row would; rows with an out-of-range rating
+    are dropped before their timestamp and covariates are read.
+    """
+    lines = block.lines
+    stop, error = len(lines), None     # rows from ``stop`` on are not read further
+
+    def fail(k, message):
+        nonlocal stop, error
+        if k < stop:
+            stop, error = k, f"line {lines[k]}: {message}"
+
+    required = {name: block.texts(name) for name in _REQUIRED}
+    for name, texts in required.items():
+        k = _first_blank(texts)
+        if k is not None:
+            fail(k, f"missing required column {name!r}")
+
+    rating, _, bad = _floats(required["rating"][:stop])
+    if bad is not None:
+        fail(bad, f"unparsable rating {block.raw(bad, 'rating')!r}")
+    fractional = np.flatnonzero(~(np.isfinite(rating) & (np.floor(rating) == rating)))
+    if fractional.size:
+        k = int(fractional[0])
+        fail(k, f"rating {block.raw(k, 'rating')!r} is not an integer level")
+    rating = rating[:stop]
+    in_range = (rating >= 1) & (rating <= n_r)
+    dropped = [lines[k] for k in np.flatnonzero(~in_range).tolist()]
+    keep = np.flatnonzero(in_range)
+    kept = block if keep.size == len(lines) else block.take(keep.tolist())
+
+    def kept_texts(name):
+        texts = required[name]
+        return texts if kept is block else [texts[k] for k in keep.tolist()]
+
+    def n_read():
+        """How many kept rows lie before ``stop``."""
+        return int(np.searchsorted(keep, stop))
+
+    stamps = kept_texts("timestamp")
+    years_of.update((t, _year(t)) for t in set(stamps).difference(years_of))
+    years = list(map(years_of.__getitem__, stamps))
+    if None in years:
+        k = years.index(None)
+        fail(int(keep[k]), f"unparsable timestamp {kept.raw(k, 'timestamp')!r}")
+
+    covariates = np.zeros((keep.size, len(names)))
+    missing = set()
+    for c, name in enumerate(names):
+        texts = kept.texts(name)[:n_read()]
+        values, absent, bad = _floats(texts)
+        if bad is not None:
+            fail(int(keep[bad]), f"unparsable {name} value {kept.raw(bad, name)!r}")
+        if absent is not None:
+            missing.add(name)
+        if name in LOG_COLUMNS:
+            negative = np.flatnonzero(values < 0)
+            if negative.size:
+                k = int(negative[0])
+                fail(int(keep[k]), f"negative count in {name}: {kept.raw(k, name)!r}")
+            with np.errstate(divide="ignore", invalid="ignore"):   # rows past an error
+                values = np.log1p(values)
+        covariates[:values.size, c] = values
+    if error is not None:
+        raise DataError(error)
+    return _Parsed(kept_texts("entity_id"), years, rating[keep].astype(np.int64), covariates,
+                   dropped, missing)
+
+
+def _nudge_ties(t, entity):
+    """Make each entity's times strictly increasing, in place.
+
+    ``t`` is sorted within each run of equal ``entity``. Where a time does
+    not exceed its predecessor it becomes the predecessor + 1e-6 years, so
+    the k-th duplicate of a value gains k * 1e-6. Only the tied positions and
+    the runs of later times that their nudges reach are visited.
+    """
+    same = entity[1:] == entity[:-1]
+    done = 0
+    for i in (np.flatnonzero(same & (t[1:] <= t[:-1])) + 1).tolist():
+        if i < done:
+            continue
+        while i < t.size and entity[i] == entity[i - 1] and t[i] <= t[i - 1]:
+            t[i] = t[i - 1] + 1e-6
+            i += 1
+        done = i
 
 
 def ingest(path, fmt: str = None, covariate_columns=None,
@@ -142,9 +339,16 @@ def ingest(path, fmt: str = None, covariate_columns=None,
     """Read a review file into sorted per-entity histories plus a manifest.
 
     Ratings outside 1..n_r are dropped with a warning naming their lines;
-    anything unparsable is a hard error. Missing covariate values impute to
-    zero (also warned). Timestamps may be ISO-8601 or real-valued years and
-    come out as fractional years since the earliest review in the file.
+    anything unparsable is a hard error, naming the first bad row. Missing
+    covariate values impute to zero (also warned). Count columns
+    (``LOG_COLUMNS``) enter as log1p(count). Timestamps may be ISO-8601 or
+    real-valued years and come out as fractional years since the earliest
+    review in the file; a history's tied times are nudged 1e-6 years apart.
+
+    The file is read in blocks of ``_BLOCK_ROWS`` records and each block
+    column by column: one ``float`` map per column, one parse per distinct
+    timestamp, ``np.log1p`` on whole count columns. The rows are then put in
+    (entity, time) order by one stable sort.
     """
     path = Path(path)
     if not path.exists():
@@ -155,20 +359,10 @@ def ingest(path, fmt: str = None, covariate_columns=None,
         raise InvalidInputError(f"unknown dataset format {fmt!r}")
     names = tuple(covariate_columns) if covariate_columns else DEFAULT_COVARIATES
 
-    rows = []          # (entity_id, year_coord, rating, covariates)
-    dropped = []
-    missing_names = set()
-    for line_no, row in _iter_rows(path, fmt):
-        for required in ("entity_id", "rating", "timestamp"):
-            if row.get(required) is None or str(row.get(required)).strip() == "":
-                raise DataError(f"line {line_no}: missing required column {required!r}")
-        rating = _parse_rating(row["rating"], line_no)
-        if not 1 <= rating <= n_r:
-            dropped.append(line_no)
-            continue
-        year = _parse_timestamp(row["timestamp"], line_no)
-        covs = [_parse_covariate(row, name, line_no, missing_names) for name in names]
-        rows.append((str(row["entity_id"]), year, rating, covs))
+    years_of = {}
+    parts = [_parse_block(block, names, n_r, years_of) for block in _read_blocks(path, fmt)]
+    dropped = [line for part in parts for line in part.dropped]
+    missing_names = set().union(*(part.missing for part in parts))
     if dropped:
         warnings.warn(
             f"dropped {len(dropped)} rows with out-of-range ratings "
@@ -177,33 +371,37 @@ def ingest(path, fmt: str = None, covariate_columns=None,
         warnings.warn(
             "missing covariate values imputed as 0 in columns: "
             + ", ".join(sorted(missing_names)))
-    if not rows:
+    entity_ids = [e for part in parts for e in part.entity_ids]
+    if not entity_ids:
         raise DataError(f"{path}: no usable rows")
 
-    epoch = min(r[1] for r in rows)
-    by_entity: Dict[str, list] = {}
-    for eid, year, rating, covs in rows:
-        by_entity.setdefault(eid, []).append((year - epoch, rating, covs))
+    years = [y for part in parts for y in part.years]
+    epoch = min(years)
+    ids = sorted(set(entity_ids))
+    code = {e: c for c, e in enumerate(ids)}
+    entity = np.fromiter(map(code.__getitem__, entity_ids), np.int64, len(entity_ids))
+    with np.errstate(invalid="ignore"):     # inf - inf: EntityHistory rejects it
+        t = np.array(years) - epoch
+    order = np.lexsort((t, entity))       # stable: tied times keep file order
+    t = t[order]
+    ratings = np.concatenate([part.ratings for part in parts])[order]
+    covariates = np.concatenate([part.covariates for part in parts])[order]
+    _nudge_ties(t, entity[order])
+    sizes = np.bincount(entity, minlength=len(ids))
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
     histories = []
-    counts = {}
-    for eid in sorted(by_entity):
-        recs = sorted(by_entity[eid], key=lambda r: r[0])
-        t = np.array([r[0] for r in recs])
-        # ties get k * 1e-6 years added to the k-th duplicate of a value
-        for i in range(1, t.size):
-            if t[i] <= t[i - 1]:
-                t[i] = t[i - 1] + 1e-6
+    for eid, lo, n in zip(ids, starts.tolist(), sizes.tolist()):
+        rows = slice(lo, lo + n)
         histories.append(EntityHistory(
             entity_id=eid,
-            timestamps=t,
-            ratings=np.array([r[1] for r in recs], dtype=np.int64),
-            covariates=np.array([r[2] for r in recs], dtype=float),
+            timestamps=t[rows].copy(),
+            ratings=ratings[rows].copy(),
+            covariates=covariates[rows].copy(),
         ))
-        counts[eid] = len(recs)
     manifest = DatasetManifest(
-        n_r=n_r, covariate_names=names, epoch=epoch, counts=counts,
-        n_dropped=len(dropped))
+        n_r=n_r, covariate_names=names, epoch=epoch,
+        counts=dict(zip(ids, sizes.tolist())), n_dropped=len(dropped))
     return histories, manifest
 
 

@@ -365,17 +365,19 @@ class _PanelVi:
     def forward(self, theta, xq, wbar, heavy, batch=None):
         """The ELBO of the entities in ``batch`` (all when None) and its gradients.
 
-        Returns None when an entity of the batch is broken or the ELBO is not
-        finite. ``g_nu`` spans the whole inducing axis and ``g_lam`` and
-        ``g_kappa`` every entity, with meaning only at the batch's entries;
+        Returns None when any entity is broken, in the batch or not, or the
+        ELBO is not finite: the rollback must then restore a snapshot taken
+        before the break, not one that already holds it. ``g_nu`` spans the
+        whole inducing axis and ``g_lam`` and ``g_kappa`` every entity, with
+        meaning only at the batch's entries;
         the heavy gradients follow the batch order: ``g_low`` and
         ``g_omega`` (d/dlog of the diagonal) per entity, ``g_lrho`` and
         ``g_lsigma`` as arrays.
         """
+        if self.broken.any():
+            return None
         p = self.panel
         ents = slice(None) if batch is None else batch
-        if self.broken[ents].any():
-            return None
         if batch is None:
             rows, proj = slice(None), self.proj
         else:
@@ -383,12 +385,10 @@ class _PanelVi:
             proj = self.proj._make(f[rows] for f in self.proj)
         X = self.X[rows]
         mu = X @ theta + proj.project(self.nu)
-        # an entity outside the batch may be broken, with c = 0 in its block
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w_white = self.factor.whiten(self.nu)
-            w_nu = self.factor.whiten_t(w_white)  # K_uu^-1 nu
-            nu_quad = self.points.per_entity_sum(w_white * w_white)
-            kl = 0.5 * (self.cs_C + nu_quad - self.m) + self.sld_E - self.sld_C
+        w_white = self.factor.whiten(self.nu)
+        w_nu = self.factor.whiten_t(w_white)  # K_uu^-1 nu
+        nu_quad = self.points.per_entity_sum(w_white * w_white)
+        kl = 0.5 * (self.cs_C + nu_quad - self.m) + self.sld_E - self.sld_C
         lik, gamma, beta, g_kappa, g_lam = _emission_quadrature(
             mu, self.s[rows], p.ratings[rows], p.entity[rows], self.lam, self.log_kappa,
             xq, wbar, want_beta=heavy)
@@ -438,13 +438,11 @@ class _PanelVi:
         owner = self.points.entity[k]
         a = -self.factor.band[1, k - 1]
         c = self.factor.c[k]
-        # an entity outside the batch may be broken, with c = 0 in its block
-        with np.errstate(divide="ignore", invalid="ignore"):
-            da = (self.z_gaps[k] / np.exp(self.log_rho).take(owner)) * a
-            dlog_c = -np.exp(2.0 * self.log_sigma).take(owner) * a * da / (c * c)
-            cross = self.w_cross[k] + w_white[k] * nu[k - 1]
-            sq = self.w_sq[k] + w_white[k] ** 2
-            kl_rho = np.bincount(owner, (1.0 - sq) * dlog_c - (da / c) * cross, minlength=n_e)
+        da = (self.z_gaps[k] / np.exp(self.log_rho).take(owner)) * a
+        dlog_c = -np.exp(2.0 * self.log_sigma).take(owner) * a * da / (c * c)
+        cross = self.w_cross[k] + w_white[k] * nu[k - 1]
+        sq = self.w_sq[k] + w_white[k] ** 2
+        kl_rho = np.bincount(owner, (1.0 - sq) * dlog_c - (da / c) * cross, minlength=n_e)
         g_lrho = (np.bincount(entity, gamma * dmu, minlength=n_e)
                   + np.bincount(entity, beta * ds2, minlength=n_e) - kl_rho)
         ents = slice(None) if batch is None else batch

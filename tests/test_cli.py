@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +142,21 @@ class TestPipelines:
         assert diag["lr_scale"] == meta["lr_scale"]
         assert isinstance(diag["rollbacks"], int)
         assert isinstance(diag["lr_scale"], float)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_fit_reports_stage_seconds(self, sim_dataset, tmp_path, split):
+        cfg = write_cfg(tmp_path, SVI_CFG)
+        argv = ["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                "--seed", "2", "--backend", "svi", "--config", cfg, "--out", str(tmp_path)]
+        start = time.perf_counter()
+        code = main(argv + (["--split"] if split else []))
+        wall = time.perf_counter() - start
+        assert code in (0, 5)
+        stages = json.loads((tmp_path / "diagnostics.json").read_text())["stage_seconds"]
+        assert set(stages) == {"ingest", "split", "fit", "save"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
+        assert stages["fit"] > 0.0
+        assert sum(stages.values()) <= wall
 
     def test_predict_backend_guard(self, sim_dataset, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SVI_CFG)

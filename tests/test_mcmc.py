@@ -8,7 +8,11 @@ and the diagnostics against directly coded textbook formulas.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 
 from gpratings import mcmc
-from gpratings.errors import InvalidInputError
+from gpratings.errors import InvalidInputError, NumericalError
 from gpratings.mcmc import (
     McmcConfig,
     PriorSpec,
@@ -42,6 +46,7 @@ from gpratings.model import EntityHistory, KernelParams, kernel_matrix
 
 from test_model import make_history
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
 
@@ -139,6 +144,62 @@ def test_build_prior_spec_uses_dataset_median_for_singletons():
     expected = solve_lengthscale_prior(
         hs[2], fallback_interval=(np.median(lows), np.median(highs)))
     assert spec.lengthscale["c"] == pytest.approx(expected)
+
+
+def _interval_equation(l, u, tail_mass):
+    """The (f, lo, hi, xtol, rtol) that the interval solve hands to _brentq."""
+    calls, solve = [], mcmc._brentq
+
+    def recording(f, a, b, xtol, rtol, maxiter=100):
+        calls.append((f, a, b, xtol, rtol))
+        return solve(f, a, b, xtol, rtol, maxiter)
+
+    with mock.patch.object(mcmc, "_brentq", recording):
+        shape, _ = mcmc._solve_interval_prior(l, u, tail_mass)
+    (equation,) = calls
+    return shape, equation
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.floats(1e-7, 10.0), ratio=st.floats(1.5, 1e4),
+       tail_mass=st.floats(1e-3, 0.2), maxiter=st.integers(1, 12))
+def test_brentq_matches_scipy_bit_for_bit(l, ratio, tail_mass, maxiter):
+    # SciPy is the oracle here only; the package itself never imports scipy.optimize
+    from scipy.optimize import brentq
+
+    shape, (f, a, b, xtol, rtol) = _interval_equation(l, l * ratio, tail_mass)
+    assert shape.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex()
+    # a capped run: the same root when SciPy converges, else the same last iterate
+    x, info = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                     full_output=True, disp=False)
+    if info.converged:
+        assert mcmc._brentq(f, a, b, xtol, rtol, maxiter).hex() == x.hex()
+    else:
+        with pytest.raises(NumericalError) as exc:
+            mcmc._brentq(f, a, b, xtol, rtol, maxiter)
+        assert str(exc.value) == (f"failed to converge after {maxiter} iterations, "
+                                  f"value is {x!r}")
+
+
+def test_brentq_raises_where_scipy_raises():
+    from scipy.optimize import brentq
+
+    for f, message in ((lambda x: x + 5.0, "different signs"),
+                       (lambda x: math.nan, "is NaN")):
+        with pytest.raises(ValueError, match=message):
+            brentq(f, 0.0, 1.0)
+        with pytest.raises(NumericalError, match=message):
+            mcmc._brentq(f, 0.0, 1.0, 2e-12, 1e-12)
+    # a root at an end of the bracket is returned at once, as SciPy does
+    assert mcmc._brentq(lambda x: x - 1.0, 0.0, 1.0, 2e-12, 1e-12) == 1.0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, gpratings, gpratings.cli; sys.exit('scipy.optimize' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------

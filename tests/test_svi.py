@@ -605,18 +605,50 @@ def test_singular_heavy_step_marks_entity_broken():
 
 
 def test_singular_entity_breaks_alone():
-    # the tied entity's factor is singular; its neighbour in the panel stays
-    # usable, and a batch without the broken entity still scores
+    # the tied entity's factor is singular; its neighbour in the panel keeps
+    # its caches, yet no batch scores while an entity is broken, so a
+    # minibatch fit rolls back before a snapshot can hold the break
     hs = [small_histories(sizes=(9,))[0], tied_history()]
     vp = _PanelVi(hs, [h.timestamps.copy() for h in hs], 5, [1.0, 1.0])
     xq, wbar = _quadrature_nodes(20)
     alone = _PanelVi(hs[:1], [hs[0].timestamps.copy()], 5, [1.0])
+    snap = vp.snapshot()
     vp.apply_heavy([rho_step(vp, 1, 700.0)], np.array([1]))
     assert vp.broken.tolist() == [False, True]
+    np.testing.assert_array_equal(vp.half[0], alone.half[0])
     assert vp.forward(np.zeros(2), xq, wbar, heavy=False) is None
+    assert vp.forward(np.zeros(2), xq, wbar, heavy=True, batch=np.array([0])) is None
+    vp.restore(snap)
     out = vp.forward(np.zeros(2), xq, wbar, heavy=True, batch=np.array([0]))
     assert out["elbo"] == pytest.approx(
         alone.forward(np.zeros(2), xq, wbar, heavy=True)["elbo"], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_minibatch_rolls_back_a_break_outside_the_batch(monkeypatch, seed):
+    # one entity per batch: the heavy step that breaks the tied entity is
+    # seen by the next forward pass whichever entity it draws, so the fit
+    # rolls back to the snapshot taken before the step
+    hs = [small_histories(sizes=(9,))[0], tied_history()]
+    orig_heavy = svi_mod._PanelVi.apply_heavy
+    broke = []
+
+    def break_tie_once(self, steps, batch=None):
+        tie = self.panel.entity_ids.index("tie")
+        ents = list(self.entities(batch))
+        if not broke and tie in ents:
+            broke.append(True)
+            steps = [rho_step(self, i, 700.0) if i == tie else step
+                     for i, step in zip(ents, steps)]
+        orig_heavy(self, steps, batch)
+
+    monkeypatch.setattr(svi_mod._PanelVi, "apply_heavy", break_tie_once)
+    state = fit_svi(hs, SviConfig(iterations=60, minibatch=1, hyper_update_every=1,
+                                  seed=seed))
+    assert broke
+    assert state.metadata["rollbacks"] == 1
+    assert np.all(np.isfinite(state.elbo_trace))
+    assert state.kernel["tie"].rho < 1e300
 
 
 def test_singular_heavy_step_rolls_the_fit_back(monkeypatch):
