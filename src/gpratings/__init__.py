@@ -79,7 +79,6 @@ from .svi import (
     VariationalState,
     elbo,
     fit_svi,
-    select_inducing,
 )
 
 __all__ = [
@@ -138,7 +137,6 @@ __all__ = [
     "run_mcmc",
     "sample_mean",
     "save_fit",
-    "select_inducing",
     "sensitivity_buckets",
     "simulate",
     "sliding_window_mean",

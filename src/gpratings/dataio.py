@@ -4,14 +4,17 @@ Review files (CSV or JSONL) become per-entity histories plus a manifest;
 fitted models round-trip through a versioned JSON container whose top level
 is {schema_version, backend, config, payload}.
 
-Schema 2 (written now) stores the numeric arrays of the payload as
+Schema 3 (written now) stores the numeric arrays of the payload as
 {"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}: the array's
 little-endian bytes, base64-encoded, so saving and loading skip the
 per-float text formatting and the round trip is bit for bit. Two small
 per-entity fields, ``latents`` (MCMC) and ``q_mean`` (SVI), stay JSON
-lists as in schema 1: ``bench/test_bench.py`` proves the benchmark's
-round-trip check by nudging one of their stored numbers in the JSON text.
-Schema 1 artifacts, which hold every array as JSON lists, still load.
+lists: ``bench/test_bench.py`` proves the benchmark's round-trip check by
+nudging one of their stored numbers in the JSON text. MCMC artifacts of
+schemas 1 and 2 still load; schema 1 holds every array as JSON lists.
+Schema 3 changed the SVI payload to q_mean and the site precisions at
+every rating time, so SVI artifacts of schemas 1 and 2 (inducing points
+and a covariance factor) must be refitted.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from .mcmc import McmcConfig, PosteriorEnsemble
 from .model import EmissionParams, EntityHistory, KernelParams
 from .svi import SviConfig, VariationalState
 
-SCHEMA_VERSION = 2            # the fit artifact's layout
-_READABLE_VERSIONS = (1, 2)
+SCHEMA_VERSION = 3            # the fit artifact's layout
+_READABLE_VERSIONS = (1, 2, 3)
+_SVI_VERSIONS = (3,)          # SVI payloads before schema 3 are not readable
 MANIFEST_VERSION = 1          # the dataset manifest's layout, versioned apart
 DAYS_PER_YEAR = 365.25
 
@@ -159,9 +163,16 @@ class _CsvBlock:
         return _CsvBlock([self.lines[k] for k in idx], [self.rows[k] for k in idx],
                          self.index)
 
+    def first_foreign_id(self):
+        """Index of the first entity_id that is not text; CSV cells always are."""
+        return None
+
 
 class _JsonBlock:
-    """JSONL objects read by column name; a cell's text is ``str`` of its value."""
+    """JSONL objects read by column name; a cell's text is ``str`` of its value.
+
+    An entity_id must be a JSON string, so that 7 and "7" stay apart.
+    """
 
     def __init__(self, lines, rows):
         self.lines, self.rows = lines, rows
@@ -174,6 +185,11 @@ class _JsonBlock:
 
     def take(self, idx):
         return _JsonBlock([self.lines[k] for k in idx], [self.rows[k] for k in idx])
+
+    def first_foreign_id(self):
+        """Index of the first entity_id that is neither a JSON string nor null, or None."""
+        return next((k for k, r in enumerate(self.rows)
+                     if not isinstance(r.get("entity_id"), (str, type(None)))), None)
 
 
 def _blocks(records):
@@ -231,6 +247,7 @@ def _read_blocks(path, fmt):
 class _Parsed(NamedTuple):
     """The rows of one block that ``ingest`` keeps, column by column."""
 
+    lines: list               # line numbers (a range when every row is kept)
     entity_ids: list
     years: list
     ratings: np.ndarray
@@ -263,6 +280,10 @@ def _parse_block(block, names, n_r, years_of) -> _Parsed:
         k = _first_blank(texts)
         if k is not None:
             fail(k, f"missing required column {name!r}")
+        if name == "entity_id":
+            k = block.first_foreign_id()
+            if k is not None:
+                fail(k, f"entity_id {block.raw(k, 'entity_id')!r} is not a JSON string")
 
     rating, _, bad = _floats(required["rating"][:stop])
     if bad is not None:
@@ -288,9 +309,13 @@ def _parse_block(block, names, n_r, years_of) -> _Parsed:
     stamps = kept_texts("timestamp")
     years_of.update((t, _year(t)) for t in set(stamps).difference(years_of))
     years = list(map(years_of.__getitem__, stamps))
-    if None in years:
-        k = years.index(None)
-        fail(int(keep[k]), f"unparsable timestamp {kept.raw(k, 'timestamp')!r}")
+    unparsable = None in years
+    bad = np.flatnonzero(~np.isfinite(
+        [math.nan if y is None else y for y in years] if unparsable else years))
+    if bad.size:
+        k = int(bad[0])
+        what = "unparsable" if years[k] is None else "non-finite"
+        fail(int(keep[k]), f"{what} timestamp {kept.raw(k, 'timestamp')!r}")
 
     covariates = np.zeros((keep.size, len(names)))
     missing = set()
@@ -311,8 +336,9 @@ def _parse_block(block, names, n_r, years_of) -> _Parsed:
         covariates[:values.size, c] = values
     if error is not None:
         raise DataError(error)
-    return _Parsed(kept_texts("entity_id"), years, rating[keep].astype(np.int64), covariates,
-                   dropped, missing)
+    kept_lines = lines if kept is block else [lines[k] for k in keep.tolist()]
+    return _Parsed(kept_lines, kept_texts("entity_id"), years,
+                   rating[keep].astype(np.int64), covariates, dropped, missing)
 
 
 def _nudge_ties(t, entity):
@@ -321,7 +347,9 @@ def _nudge_ties(t, entity):
     ``t`` is sorted within each run of equal ``entity``. Where a time does
     not exceed its predecessor it becomes the predecessor + 1e-6 years, so
     the k-th duplicate of a value gains k * 1e-6. Only the tied positions and
-    the runs of later times that their nudges reach are visited.
+    the runs of later times that their nudges reach are visited. Returns
+    the first position whose nudge rounds away (a time so far from the
+    epoch that adding 1e-6 leaves it unchanged), or None.
     """
     same = entity[1:] == entity[:-1]
     done = 0
@@ -330,8 +358,20 @@ def _nudge_ties(t, entity):
             continue
         while i < t.size and entity[i] == entity[i - 1] and t[i] <= t[i - 1]:
             t[i] = t[i - 1] + 1e-6
+            if t[i] <= t[i - 1]:
+                return i
             i += 1
         done = i
+    return None
+
+
+def _line(parts, k):
+    """The line number of the k-th row that the parsed blocks kept."""
+    for part in parts:
+        if k < len(part.lines):
+            return part.lines[k]
+        k -= len(part.lines)
+    raise IndexError(k)
 
 
 def ingest(path, fmt: str = None, covariate_columns=None,
@@ -344,6 +384,9 @@ def ingest(path, fmt: str = None, covariate_columns=None,
     (``LOG_COLUMNS``) enter as log1p(count). Timestamps may be ISO-8601 or
     real-valued years and come out as fractional years since the earliest
     review in the file; a history's tied times are nudged 1e-6 years apart.
+    A timestamp that is not finite, lies so far from the earliest one that
+    the difference overflows, or ties another so far out that the nudge
+    rounds away is an error naming its line.
 
     The file is read in blocks of ``_BLOCK_ROWS`` records and each block
     column by column: one ``float`` map per column, one parse per distinct
@@ -380,13 +423,22 @@ def ingest(path, fmt: str = None, covariate_columns=None,
     ids = sorted(set(entity_ids))
     code = {e: c for c, e in enumerate(ids)}
     entity = np.fromiter(map(code.__getitem__, entity_ids), np.int64, len(entity_ids))
-    with np.errstate(invalid="ignore"):     # inf - inf: EntityHistory rejects it
+    with np.errstate(over="ignore"):
         t = np.array(years) - epoch
+    far = np.flatnonzero(~np.isfinite(t))
+    if far.size:
+        raise DataError(f"line {_line(parts, far[0])}: timestamp lies too far from the "
+                        "earliest review")
     order = np.lexsort((t, entity))       # stable: tied times keep file order
     t = t[order]
     ratings = np.concatenate([part.ratings for part in parts])[order]
     covariates = np.concatenate([part.covariates for part in parts])[order]
-    _nudge_ties(t, entity[order])
+    stuck = _nudge_ties(t, entity[order])
+    if stuck is not None:
+        k = int(order[stuck])
+        raise DataError(f"line {_line(parts, k)}: timestamp ties another review of entity "
+                        f"{entity_ids[k]!r} too far from the earliest review to be "
+                        "nudged 1e-6 years apart")
     sizes = np.bincount(entity, minlength=len(ids))
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
@@ -464,45 +516,15 @@ def _field(value, field, path, code=_FLOAT):
         raise DataError(f"{path}: field {field} is not a numeric array") from None
 
 
-def _square_from_rows(rows, path):
-    """A schema-1 q_chol: lower-triangle rows, or the full square of older artifacts."""
-    m = len(rows)
-    lengths = [len(r) for r in rows]
-    if lengths == [m] * m:
-        return np.asarray(rows, dtype=float)
-    if lengths != list(range(1, m + 1)):
-        raise DataError(f"{path}: malformed artifact (q_chol rows are neither "
-                        "lower-triangular nor square)")
-    out = np.zeros((m, m))
-    out[np.tril_indices(m)] = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=float, count=m * (m + 1) // 2)
-    return out
-
-
-def _q_chol(value, field, path):
-    """q_chol from its schema-1 rows, or from its packed row-major lower triangle."""
-    if isinstance(value, list):
-        return _square_from_rows(value, path)
-    vec = _field(value, field, path)
-    k = vec.size
-    m = (math.isqrt(8 * k + 1) - 1) // 2
-    if vec.ndim != 1 or m * (m + 1) // 2 != k:
-        raise DataError(f"{path}: field {field} holds {k} values, "
-                        "not a lower triangle")
-    out = np.zeros((m, m))
-    out[np.tril_indices(m)] = vec
-    return out
-
-
 def save_fit(fit, path) -> None:
     """Persist a fitted model as one versioned JSON document (see load_fit).
 
     The numeric arrays of the payload are stored as {dtype, shape, data}:
     their little-endian bytes ("<f8", or "<i8" for latent_draw_indices),
-    base64-encoded, so the round trip is bit for bit. ``q_chol`` keeps only
-    its lower triangle, row by row. ``latents`` and ``q_mean`` stay JSON
-    lists (see the module docstring); ``repr`` round-trips every finite
-    float and -0.0 exactly, but a NaN there comes back as the plain NaN.
+    base64-encoded, so the round trip is bit for bit. ``latents`` and
+    ``q_mean`` stay JSON lists (see the module docstring); ``repr``
+    round-trips every finite float and -0.0 exactly, but a NaN there comes
+    back as the plain NaN.
     Ids, scalars, config, diagnostics and metadata stay plain JSON.
     """
     backend = getattr(fit, "backend", None)
@@ -524,10 +546,8 @@ def save_fit(fit, path) -> None:
     elif backend == "svi":
         payload = {
             "entity_ids": list(fit.entity_ids),
-            "inducing_times": {e: _pack(v) for e, v in fit.inducing_times.items()},
             "q_mean": _listify(fit.q_mean),
-            "q_chol": {e: _pack(c[np.tril_indices(c.shape[0])])
-                       for e, c in fit.q_chol.items()},
+            "site_precision": {e: _pack(v) for e, v in fit.site_precision.items()},
             "theta": _pack(fit.theta),
             "kernel": {e: {"rho": kp.rho, "sigma": kp.sigma}
                        for e, kp in fit.kernel.items()},
@@ -555,14 +575,14 @@ def save_fit(fit, path) -> None:
 
 
 def load_fit(path, expect_backend: str = None):
-    """Load a fit artifact saved by save_fit, schema 2 or schema 1.
+    """Load a fit artifact saved by save_fit: any schema for MCMC, schema 3 for SVI.
 
     Each array field goes through one decoder that takes either form: a
-    packed {dtype, shape, data} dict (schema 2) or a plain JSON list
-    (every array of schema 1, whose q_chol is a list of rows, and
-    schema 2's ``latents`` and ``q_mean``). Raises DataError for
-    truncated or corrupt files, undecodable array fields, foreign schema
-    versions, and backend tags that don't match ``expect_backend``.
+    packed {dtype, shape, data} dict (schemas 2 and 3) or a plain JSON list
+    (every array of schema 1, and ``latents`` and ``q_mean``). Raises
+    DataError for truncated or corrupt files, undecodable array fields,
+    foreign schema versions, SVI artifacts older than schema 3, and backend
+    tags that don't match ``expect_backend``.
     """
     path = Path(path)
     if not path.exists():
@@ -582,6 +602,10 @@ def load_fit(path, expect_backend: str = None):
     if expect_backend is not None and backend != expect_backend:
         raise DataError(
             f"{path}: artifact backend is {backend!r}, expected {expect_backend!r}")
+    if backend == "svi" and doc["schema_version"] not in _SVI_VERSIONS:
+        raise DataError(
+            f"{path}: SVI artifact of schema version {doc['schema_version']} holds an "
+            "inducing-point fit, which this build no longer reads; refit it")
     try:
         payload = doc["payload"]
 
@@ -611,10 +635,8 @@ def load_fit(path, expect_backend: str = None):
         if backend == "svi":
             return VariationalState(
                 entity_ids=list(payload["entity_ids"]),
-                inducing_times=per_entity("inducing_times"),
                 q_mean=per_entity("q_mean"),
-                q_chol={e: _q_chol(v, f"q_chol[{e!r}]", path)
-                        for e, v in payload["q_chol"].items()},
+                site_precision=per_entity("site_precision"),
                 theta=arr("theta"),
                 kernel={e: KernelParams(**kp)
                         for e, kp in payload["kernel"].items()},

@@ -253,10 +253,6 @@ class MarkovFactor(NamedTuple):
         v[:-1] += _rows(self.band[1, :-1], v) * v[1:]
         return v
 
-    def dense(self):
-        """L itself as an (n, n) array, exactly zero above the diagonal."""
-        return dtbtrs(self.band, np.diag(self.c), uplo="L", overwrite_b=1)[0]
-
 
 def _rows(v, like):
     """A per-row coefficient vector shaped to broadcast against ``like``."""
@@ -290,111 +286,14 @@ def markov_factor_from_gaps(gaps, rho, sigma) -> MarkovFactor:
     return MarkovFactor(band, sigma * np.sqrt(-np.expm1(-2.0 * scaled_gaps)))
 
 
-class BridgeProjection(NamedTuple):
-    """Conditional law of f(t) given the process at inducing times z.
-
-    E[f(t) | u] = w_lo u[lo] + w_hi u[hi] and Var[f(t) | u] = var, with
-    ``lo``/``hi`` the inducing points that bracket t (equal, with one weight
-    zero, when t lies outside [z_0, z_{m-1}]).  The ``d*`` fields are the
-    derivatives of the weights and the variance with respect to log rho.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    w_lo: np.ndarray
-    w_hi: np.ndarray
-    var: np.ndarray
-    dw_lo: np.ndarray
-    dw_hi: np.ndarray
-    dvar: np.ndarray
-
-    def project(self, u):
-        """A^T u for inducing values u of shape (m,), or row-wise for an (m, k) block."""
-        return _rows(self.w_lo, u) * u[self.lo] + _rows(self.w_hi, u) * u[self.hi]
-
-    def project_t(self, g, m):
-        """A g: the (m,) adjoint of :meth:`project` applied to one value per time."""
-        return (np.bincount(self.lo, self.w_lo * g, minlength=m)
-                + np.bincount(self.hi, self.w_hi * g, minlength=m))
-
-
-def bridge_projection(z, t, rho, sigma, entity_id="?") -> BridgeProjection:
-    """The rows of K_uu^-1 K_uf and the conditional variances, in O(n) for n times.
-
-    The exponential kernel is Markov, so f(t) given the inducing values
-    depends only on the two that bracket it: with a_1 = exp(-(t - z_i)/rho)
-    and a_2 = exp(-(z_{i+1} - t)/rho) this is the Ornstein-Uhlenbeck bridge,
-    w_lo = a_1 (1 - a_2^2) / (1 - a_1^2 a_2^2), w_hi = a_2 (1 - a_1^2) / (1 - a_1^2 a_2^2)
-    and var = sigma^2 (1 - a_1^2)(1 - a_2^2) / (1 - a_1^2 a_2^2).  A time
-    outside [z_0, z_{m-1}] has one neighbour, which the same formulas cover
-    with the missing side's a = 0.  Raises :class:`NumericalError` when a
-    bracketing gap is negligible against rho.
-    """
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    proj, ok = bridge_projection_from_brackets(z, t, *bridge_brackets(z, t), rho, sigma)
-    if not ok.all():
-        raise NumericalError(f"inducing projection of entity {entity_id!r} is singular")
-    return proj
-
-
-def bridge_brackets(z, t):
-    """Per time, ``(lo, hi, has_lo, has_hi)``: the inducing points that bracket it.
-
-    ``lo`` and ``hi`` coincide for a time outside [z_0, z_{m-1}], and
-    ``has_lo`` (``has_hi``) is false where no inducing point lies at or
-    before (after) it.
-    """
-    i = np.searchsorted(z, t, side="right") - 1
-    return np.maximum(i, 0), np.minimum(i + 1, z.size - 1), i >= 0, i < z.size - 1
-
-
-def bridge_projection_from_brackets(z, t, lo, hi, has_lo, has_hi, rho, sigma):
-    """:func:`bridge_projection` from given brackets, without the singularity check.
-
-    ``lo`` and ``hi`` index ``z``, so one call can project a panel of
-    entities whose inducing points lie back to back in ``z``; ``rho`` and
-    ``sigma`` are scalars or one value per time.  Returns the projection and
-    a mask of the times whose bracketing gap is not negligible against rho.
-    """
-    # a negligible gap leaves e12 = 0; the mask reports it, so the divisions
-    # by it stay silent
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # scaled distances to each neighbour; a missing neighbour is infinitely
-        # far, so its a is 0 and its 1 - a^2 is 1
-        x1 = np.where(has_lo, t - z[lo], 0.0) / rho
-        x2 = np.where(has_hi, z[hi] - t, 0.0) / rho
-        a1 = np.where(has_lo, np.exp(-x1), 0.0)
-        a2 = np.where(has_hi, np.exp(-x2), 0.0)
-        e1 = np.where(has_lo, -np.expm1(-2.0 * x1), 1.0)   # 1 - a_1^2
-        e2 = np.where(has_hi, -np.expm1(-2.0 * x2), 1.0)   # 1 - a_2^2
-        e12 = np.where(has_lo & has_hi, -np.expm1(-2.0 * (x1 + x2)), 1.0)
-        sigma2 = sigma * sigma
-        w_lo = a1 * e2 / e12
-        w_hi = a2 * e1 / e12
-        var = sigma2 * (e1 * e2 / e12)
-        # d a / d log rho = x a; each 1 - a^2 term moves by -2 a (x a)
-        da1 = x1 * a1
-        da2 = x2 * a2
-        de1 = -2.0 * a1 * da1
-        de2 = -2.0 * a2 * da2
-        de12 = -2.0 * a1 * a2 * (da1 * a2 + da2 * a1)
-        return BridgeProjection(
-            lo, hi, w_lo, w_hi, var,
-            (da1 * e2 + a1 * de2 - w_lo * de12) / e12,
-            (da2 * e1 + a2 * de1 - w_hi * de12) / e12,
-            (sigma2 * (de1 * e2 + e1 * de2) - var * de12) / e12,
-        ), e12 > 0.0
-
-
 def cholesky_with_jitter(K, sigma2, entity_id="?"):
     """``(L, jitter)``: Cholesky of K + jitter * I for dense kernel blocks.
 
     The jitter starts at ``JITTER_BASE * sigma2`` and grows tenfold per failed
     attempt up to ``JITTER_MAX * sigma2``; then :class:`NumericalError` names
     the entity.  No fit or prediction calls it: the latent prior goes through
-    :func:`markov_factor` and :func:`bridge_projection`.  It serves only the
-    dense references in the tests and the benchmark's kernel-factor probe.
+    :func:`markov_factor`.  It serves only the dense references in the tests
+    and the benchmark's kernel-factor probe.
     """
     jitter = JITTER_BASE * sigma2
     eye = np.eye(K.shape[0])

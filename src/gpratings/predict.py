@@ -5,13 +5,13 @@ averages ordered-probit cell probabilities over posterior draws, with the
 latent value at the query integrated out in closed form: each draw supplies
 Gaussian conditional moments (mu_s, nu_s^2), and the cell probability uses
 the inflated scale sqrt(kappa^2 + nu_s^2). The exponential kernel is Markov
-in time, so under an MCMC draw a query after the last rating depends on the
-path only through its last value: with a = exp(-delta / rho),
-mu = x* . theta + a (f_n - x_n . theta) and nu^2 = sigma^2 (1 - a^2), computed
-for all draws and queries at once. Under a variational fit the same Markov
-property gives each query's projection onto the inducing points two nonzero
-weights (:func:`gpratings.model.bridge_projection`), so the moments cost O(1)
-per query after one O(m^2) pass over the covariance factor q_chol.
+in time, so a query after the last rating depends on the path only through
+the residual g_n = f_n - x_n . theta at the last rating: with
+a = exp(-delta / rho), mu = x* . theta + a g_n and
+nu^2 = sigma^2 (1 - a^2), computed for all draws and queries at once. An
+MCMC draw knows g_n exactly; a variational fit has q(g_n) = N(m_n, S_nn)
+(:func:`gpratings.svi.last_marginal`), which adds a^2 S_nn to nu^2 and is
+the only difference between the two paths.
 Deployment scores marginalize the query over time gaps and covariate rows
 resampled from the entity's own history, so prediction never touches
 covariates of unseen future reviews.
@@ -25,8 +25,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvalidInputError
-from .model import KernelParams, _cell_prob, bridge_projection
-from .svi import VariationalState, _projected_spread, _spread_band
+from .model import KernelParams, _cell_prob
+from .svi import VariationalState, last_marginal
 
 _VAR_FLOOR_REL = 1e-12
 
@@ -83,41 +83,45 @@ def _check_query_time(history, query_time):
             "query_time must not precede the last observed timestamp")
 
 
-def _mcmc_draw_moments(history, theta, rho, sigma, f_last, times, xs):
+def _ou_moments(history, theta, rho, sigma, resid, times, xs, resid_var=None):
     """Conditional moments at every query under every draw, each (S, L).
 
-    ``theta`` is (S, d); ``rho``, ``sigma`` and ``f_last`` (the latent value
-    at the last rating) are (S,); ``times`` is (L,) and ``xs`` is (L, d).
+    ``theta`` is (S, d); ``rho``, ``sigma`` and ``resid`` (the residual
+    path at the last rating) are (S,); ``times`` is (L,) and ``xs`` is
+    (L, d). ``resid_var``, when given, is the variance of a residual known
+    only in law.
     """
     delta = np.maximum(np.asarray(times, dtype=float) - history.timestamps[-1], 0.0)
     decay = delta[None, :] / rho[:, None]
-    resid = f_last - theta @ history.covariates[-1]
     mu = theta @ xs.T + np.exp(-decay) * resid[:, None]
     sigma2 = (sigma ** 2)[:, None]
     nu2 = np.maximum(-sigma2 * np.expm1(-2.0 * decay), _VAR_FLOOR_REL * sigma2)
+    if resid_var is not None:
+        nu2 = nu2 + np.exp(-2.0 * decay) * resid_var
     return mu, nu2
+
+
+def _mcmc_draw_moments(history, theta, rho, sigma, f_last, times, xs):
+    """:func:`_ou_moments` under draws whose latent value at the last rating is ``f_last``."""
+    resid = f_last - theta @ history.covariates[-1]
+    return _ou_moments(history, theta, rho, sigma, resid, times, xs)
 
 
 def _vi_moments(history, state: VariationalState, times, xs):
-    """Closed-form q(f*) moments at each query, the bridge projection of q(u)."""
-    eid = history.entity_id
-    if eid not in state.q_mean:
-        raise InvalidInputError(f"state has no entity {eid!r}")
-    kp = state.kernel[eid]
-    proj = bridge_projection(state.inducing_times[eid], times, kp.rho, kp.sigma, eid)
-    mu = xs @ state.theta + proj.project(state.q_mean[eid])
-    g_lo, g_hi = _projected_spread(proj, *_spread_band(state.q_chol[eid]))
-    nu2 = np.maximum(proj.var + proj.w_lo * g_lo + proj.w_hi * g_hi,
-                     _VAR_FLOOR_REL * kp.sigma ** 2)
-    return mu, nu2
+    """q(f*) moments at each query: the OU propagation of q at the last rating."""
+    mean, var = last_marginal(history, state)
+    kp = state.kernel[history.entity_id]
+    mu, nu2 = _ou_moments(history, state.theta[None, :], np.array([kp.rho]),
+                          np.array([kp.sigma]), np.array([mean]), times, xs, var)
+    return mu[0], nu2[0]
 
 
 def conditional_moments(history, draw_state, query_time, query_covariates):
     """Latent conditional moments (mu, nu^2) at a single future query.
 
     ``draw_state`` is either a :class:`DrawState` carrying one posterior
-    draw or a fitted :class:`VariationalState`, whose projection supplies
-    the moments directly.
+    draw or a fitted :class:`VariationalState`, whose marginal at the last
+    rating supplies the moments directly.
     """
     _check_query_time(history, query_time)
     xs = np.asarray(query_covariates, dtype=float)[None, :]

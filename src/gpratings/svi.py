@@ -1,40 +1,42 @@
-"""Sparse variational estimation with inducing points, over one flat panel.
+"""Variational estimation over every rating time, by conjugate-computation VI.
 
-Each entity keeps a Gaussian approximation q(u) = N(nu, C C^T) over latent
-values at inducing timestamps, placed on the zero-mean residual process so
-the covariate mean enters only through the projection mean. The objective is
-the sum over ratings of Gauss-Hermite estimates of E_q[log p(y_j | f_j)]
-minus the closed-form KL between q(u) and the GP prior at the inducing
-points. Gradients are analytic throughout; a finite-difference cross-check
-lives in the test suite.
+Each entity's residual path g = f - X theta (the covariate mean left out)
+gets the Gaussian approximation that is optimal for a factorizing
+likelihood: the GP prior times one Gaussian site per rating (Opper &
+Archambeau 2009),
 
-The exponential kernel is Markov in time, so nothing here is dense in the
-kernel: the prior precision at the inducing points is B^T D^-2 B from
-:func:`gpratings.model.markov_factor_from_gaps` (B unit lower-bidiagonal),
-and each rating's projection row K_uu^-1 k_u(t) has two nonzeros, the
-Ornstein-Uhlenbeck bridge weights of
-:func:`gpratings.model.bridge_projection_from_brackets`.
+    q(g) ∝ N(g; 0, K) prod_k exp(lam1_k g_k - lam2_k g_k^2 / 2),
 
-Every entity is optimized at once, as one flat panel (:class:`_PanelVi`).
-The ratings lie back to back in the :class:`gpratings.model.Panel` row
-layout, and the inducing points lie entity by entity on a second flat axis,
-with an infinite gap before each entity's first point so that one Markov
-factor holds every entity's prior. The parameters that move every iteration
-(the inducing means, the emission logits and log kappa of all entities) form
-one packed vector. An iteration is one forward pass over the panel: the
-bridge projection, the whitening and the Gauss-Hermite quadrature, the last
-in blocks of ``_QUADRATURE_CHUNK`` rows; per-entity sums come from
-``np.add.reduceat`` and ``np.bincount``. One Adam step then moves the packed
-vector, with a timestep per entity, so that a minibatch moves only its own
-entities.
+so q(g) = N(m, S) with S^-1 = K^-1 + diag(lam2) and m = S lam1. The
+exponential kernel is an Ornstein-Uhlenbeck process, Markov in time, so q
+is a Gauss-Markov chain: a Kalman filter and a two-filter smoother
+(:func:`_smooth`) give every marginal mean and variance and the lag-one
+covariances in O(n), for all entities at once, one rating position at a
+time (Chang et al. 2020, arXiv:2007.04731). Unlike a factorization of the
+tridiagonal S^-1, whose entries 1/c_k^2 grow without bound as two ratings
+tie, the recursions add and divide positive terms only. A fitted state
+keeps m and lam2, which with the kernel determine q.
 
-Per iteration at n ratings and m inducing points of an entity, the
-variational mean, theta and emission parameters cost O(n + m) beyond the
-quadrature; the covariance factor C and the kernel hyperparameters cost
-O(n + m^2), the size of the dense lower-triangular C itself. The latter
-block is refreshed every ``hyper_update_every`` iterations, one entity at a
-time over slices of the panel, with the cheap block tracking the optimum in
-between.
+The objective is the summed ELBO: Gauss-Hermite estimates of
+E_q[log p(y_k | x_k . theta + g_k)] minus KL(q || prior). Fitting is
+variational EM on one flat panel (:class:`_PanelVi`), with one step of each
+kind per iteration:
+
+- one quadrature pass, in blocks of ``_QUADRATURE_CHUNK`` rows, gives the
+  expected log-likelihood and its gradients in each rating's marginal mean
+  (gamma) and variance (beta);
+- the sites take one conjugate-computation step (Khan & Lin 2017,
+  arXiv:1703.04265), a natural-gradient step that moves lam2 towards
+  -2 beta and lam1 towards gamma - 2 beta m. The ordered-probit likelihood
+  is log-concave, so beta <= 0 and lam2 stays >= 0;
+- Adam moves theta, each entity's emission logits and log kappa along the
+  quadrature gradients, and log rho and log sigma along the gradient of
+  -KL at fixed q, which reads only the filtered and smoothed moments.
+
+The per-entity parameters form one packed vector with a timestep per
+entity, so that a minibatch moves only its own entities' sites and
+parameters. An iteration costs O(n) in the ratings beyond the quadrature,
+with one pass of numpy calls per rating position of the longest history.
 """
 
 from __future__ import annotations
@@ -51,23 +53,26 @@ from .model import (
     EmissionParams,
     EntityHistory,
     KernelParams,
-    MarkovFactor,
     Panel,
-    Segments,
-    bridge_brackets,
-    bridge_projection_from_brackets,
+    markov_factor,
     markov_factor_from_gaps,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _PROB_FLOOR = 1e-300
-_MAX_INDUCING = 250
 # Ratings per Gauss-Hermite block. On a 2-core host with one BLAS thread,
 # one block over all 18,000 rows of a 200-entity panel took 59 ms per pass,
 # no faster than one pass per entity (57 ms), while blocks of 512-1,024 rows
 # took 32-39 ms: the (2, rows, nodes) temporaries of a block stay in cache.
 _QUADRATURE_CHUNK = 1024
+# Rating positions held by fewer entities than this are smoothed in Python
+# floats, one entity at a time: on a 2-core host a numpy step over a short
+# slice costs about as much as walking a dozen ratings.
+_VECTOR_MIN = 12
+# The sites' natural-gradient step: 1 jumps to each quadrature target. At
+# fixed hyperparameters the sites then settle within 3-5 steps.
+_SITE_STEP = 1.0
 
 
 def _npdf(x):
@@ -76,15 +81,17 @@ def _npdf(x):
 
 @dataclass(frozen=True)
 class SviConfig:
-    """Optimizer settings for the variational backend."""
+    """Optimizer settings for the variational backend.
+
+    ``learning_rate`` is the Adam rate of theta and the emission parameters,
+    ``hyper_learning_rate`` that of log rho and log sigma.
+    """
 
     iterations: int = 5000
     minibatch: Optional[int] = None
     quadrature_nodes: int = 20
     learning_rate: float = 0.05
     hyper_learning_rate: float = 0.02
-    hyper_update_every: int = 10
-    m_max: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -94,22 +101,22 @@ class SviConfig:
             raise InvalidInputError("quadrature_nodes must be >= 5")
         if self.learning_rate <= 0 or self.hyper_learning_rate <= 0:
             raise InvalidInputError("learning rates must be positive")
-        if self.hyper_update_every < 1:
-            raise InvalidInputError("hyper_update_every must be >= 1")
-        if not 1 <= self.m_max <= _MAX_INDUCING:
-            raise InvalidInputError(f"m_max must be in [1, {_MAX_INDUCING}]")
         if self.minibatch is not None and self.minibatch < 1:
             raise InvalidInputError("minibatch must be >= 1 when given")
 
 
 @dataclass
 class VariationalState:
-    """Fitted variational approximation plus point hyperparameters."""
+    """Fitted variational approximation plus point hyperparameters.
+
+    ``q_mean[e]`` is the mean of q over entity e's residual path at its
+    training rating times and ``site_precision[e]`` the site precisions
+    lam2 there: with the kernel they determine q, S^-1 = K^-1 + diag(lam2).
+    """
 
     entity_ids: list
-    inducing_times: dict
     q_mean: dict
-    q_chol: dict
+    site_precision: dict
     theta: np.ndarray
     kernel: dict
     emission: dict
@@ -120,14 +127,13 @@ class VariationalState:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
         for eid in self.entity_ids:
-            z = np.asarray(self.inducing_times[eid], dtype=float)
-            if z.size > _MAX_INDUCING:
-                raise InvalidInputError(f"entity {eid!r} has more than {_MAX_INDUCING} inducing points")
-            if z.size > 1 and np.any(np.diff(z) <= 0):
-                raise InvalidInputError(f"inducing times for entity {eid!r} must be strictly increasing")
-            c = np.asarray(self.q_chol[eid], dtype=float)
-            if np.any(np.diag(c) <= 0):
-                raise InvalidInputError(f"q_chol diagonal must be positive for entity {eid!r}")
+            lam2 = np.asarray(self.site_precision[eid], dtype=float)
+            if lam2.ndim != 1 or lam2.shape != np.shape(self.q_mean[eid]):
+                raise InvalidInputError(
+                    f"q_mean and site_precision of entity {eid!r} differ in length")
+            if not (np.isfinite(lam2).all() and (lam2 >= 0.0).all()):
+                raise InvalidInputError(
+                    f"site_precision of entity {eid!r} must be finite and >= 0")
 
     @property
     def backend(self):
@@ -147,36 +153,16 @@ class VariationalState:
         return bool(np.mean(trace[-w:]) >= np.mean(trace[:w]))
 
 
-def select_inducing(history: EntityHistory, m_max: int = _MAX_INDUCING):
-    """Inducing timestamps at evenly spaced empirical quantiles.
-
-    Saturates to all timestamps when the history is short. Any collisions
-    after quantile interpolation are nudged apart by a span-relative epsilon.
-    """
-    if m_max < 1:
-        raise InvalidInputError("m_max must be >= 1")
-    t = history.timestamps
-    if history.n <= m_max:
-        return t.copy()
-    z = np.quantile(t, np.linspace(0.0, 1.0, m_max))
-    span = float(t[-1] - t[0])
-    eps = 1e-9 * max(span, 1.0)
-    for i in range(1, z.size):
-        if z[i] <= z[i - 1]:
-            z[i] = z[i - 1] + eps
-    return np.minimum(z, float(t[-1]) + eps * z.size)
-
-
-def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar, want_beta):
+def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar):
     """One Gauss-Hermite pass over the ratings of many entities.
 
     Row k is rating ``y[k]`` of entity ``entity[k]`` under q(f) = N(mu[k],
     s[k]^2); it reads that entity's row of the (n_entities, n_r) logits
     ``lam`` and its entry of ``log_kappa``. Returns the expected
     log-likelihood total along with the gradients that fall out of the same
-    probe evaluations: per row d/dmu (gamma) and d/ds2 (beta, when
-    requested), and per entity d/dlog kappa (n_entities,) and d/dlam through
-    cutpoints and softmax (n_entities, n_r).
+    probe evaluations: per row d/dmu (gamma) and d/ds2 (beta), and per
+    entity d/dlog kappa (n_entities,) and d/dlam through cutpoints and
+    softmax (n_entities, n_r).
     """
     n_e, n_r = lam.shape
     e = np.exp(lam - lam.max(axis=1, keepdims=True))
@@ -194,7 +180,7 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar, want_beta):
 
     total = 0.0
     gamma = np.empty(y.size)
-    beta = np.empty(y.size) if want_beta else None
+    beta = np.empty(y.size)
     g_kappa = np.zeros(n_e)
     bins = np.zeros(z_full.size)
     for first in range(0, y.size, _QUADRATURE_CHUNK):
@@ -224,8 +210,7 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar, want_beta):
         dens = pw.sum(axis=2)
         bins += np.bincount(np.concatenate((at[rows], at[rows] - 1)),
                             np.concatenate((dens[1], -dens[0])), minlength=bins.size)
-        if want_beta:
-            beta[rows] = _SQRT_2 * (dw @ xq) / (2.0 * kap * s_rows)
+        beta[rows] = _SQRT_2 * (dw @ xq) / (2.0 * kap * s_rows)
 
     g_cum = bins.reshape(n_e, n_r + 1)[:, 1:n_r] / _npdf(zeta)
     g_eta = np.zeros((n_e, n_r))
@@ -234,267 +219,241 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar, want_beta):
     return total, gamma, beta, g_kappa, g_lam
 
 
-def _projected_spread(proj, g_diag, g_next):
-    """Per projected time, (C^T a) . C[lo] and (C^T a) . C[hi] for its projection row a.
+def _filter_step(a, c2, lam1, lam2, pf_prev, mf_prev):
+    """One Kalman step into a rating: ``(pp, pf, mf)``, predictive variance
+    and filtered variance and mean, from the filtered moments before it."""
+    pp = c2 + a * a * pf_prev
+    gain = 1.0 + lam2 * pp
+    return pp, pp / gain, (a * mf_prev + pp * lam1) / gain
 
-    ``g_diag[k]`` is C_k . C_k and ``g_next[k]`` is C_k . C_{k+1} over the
-    rows of each entity's factor C (zero at an entity's last point).
-    Var_q[f(t)] = proj.var + w_lo * first + w_hi * second: only the
-    tridiagonal band of C C^T enters.
+
+def _message_step(a, c2, lam1, lam2, psi, eta):
+    """The information ``(psi, eta)`` that a rating and those after it (whose
+    information about it is ``psi``, ``eta``) carry about the rating before."""
+    info = lam2 + psi
+    den = 1.0 + c2 * info
+    return a * a * info / den, a * (lam1 + eta) / den
+
+
+def _smooth(a, c2, lam1, lam2, blocks):
+    """Kalman filter and two-filter smoother of q, over rows in position-major order.
+
+    Rows ``blocks[j]:blocks[j + 1]`` hold the j-th rating of every entity
+    that has one, longest entities first, so their predecessors are the
+    first rows of block j - 1. Per row, ``a`` and ``c2`` give the prior step
+    g_k = a_k g_{k-1} + c_k z_k (a = 0 and c2 = sigma^2 at an entity's first
+    rating) and ``lam1``, ``lam2`` the site. Returns per row the predictive
+    variance ``pp``, the filtered variance and mean ``pf`` and ``mf``, and
+    the smoothed variance and mean. Every step adds or divides positive
+    terms, so near-tied ratings, whose precision entries 1/c_k^2 are huge,
+    lose no digits.
+
+    A position held by at least ``_VECTOR_MIN`` entities is one numpy step
+    over all of them; the later positions of the few longest histories are
+    walked one rating at a time in Python floats, which costs less per
+    rating than a numpy call.
     """
-    g_cross = np.where(proj.hi > proj.lo, g_next[proj.lo], g_diag[proj.lo])
-    return (proj.w_lo * g_diag[proj.lo] + proj.w_hi * g_cross,
-            proj.w_lo * g_cross + proj.w_hi * g_diag[proj.hi])
+    n = a.size
+    counts = np.diff(blocks)
+    vector = int(np.count_nonzero(counts >= _VECTOR_MIN))   # positions stepped by numpy
+    pp, pf, mf = np.empty(n), np.empty(n), np.empty(n)
+    psi, eta = np.zeros(n), np.zeros(n)
+    for j in range(vector):
+        cur = slice(blocks[j], blocks[j + 1])
+        if j:
+            prev = slice(blocks[j - 1], blocks[j - 1] + cur.stop - cur.start)
+            before = pf[prev], mf[prev]
+        else:
+            before = 0.0, 0.0
+        pp[cur], pf[cur], mf[cur] = _filter_step(a[cur], c2[cur], lam1[cur], lam2[cur], *before)
+    if vector < counts.size:
+        A, C2, L1, L2 = (x.tolist() for x in (a, c2, lam1, lam2))
+        for r in range(counts[vector]):
+            # rank-r entity's rows from position vector - 1 (or 0) to its last
+            length = vector + int(np.count_nonzero(counts[vector:] > r))
+            chain = (blocks[max(vector - 1, 0):length] + r).tolist()
+            walk = chain[1:] if vector else chain
+            pf_k, mf_k = (float(pf[chain[0]]), float(mf[chain[0]])) if vector else (0.0, 0.0)
+            moments = []
+            for k in walk:
+                pp_k, pf_k, mf_k = _filter_step(A[k], C2[k], L1[k], L2[k], pf_k, mf_k)
+                moments.append((pp_k, pf_k, mf_k))
+            pp[walk], pf[walk], mf[walk] = zip(*moments)
+            psi_k = eta_k = 0.0
+            messages = []
+            for k in chain[:0:-1]:
+                psi_k, eta_k = _message_step(A[k], C2[k], L1[k], L2[k], psi_k, eta_k)
+                messages.append((psi_k, eta_k))
+            if messages:
+                psi[chain[-2::-1]], eta[chain[-2::-1]] = zip(*messages)
+    for j in range(vector - 1, 0, -1):
+        cur = slice(blocks[j], blocks[j + 1])
+        prev = slice(blocks[j - 1], blocks[j - 1] + cur.stop - cur.start)
+        psi[prev], eta[prev] = _message_step(a[cur], c2[cur], lam1[cur], lam2[cur],
+                                             psi[cur], eta[cur])
+    spread = 1.0 + pf * psi
+    return pp, pf, mf, pf / spread, (mf + pf * eta) / spread
 
 
-def _rowdot(a, b):
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _spread_band(C):
-    """``(g_diag, g_next)`` of :func:`_projected_spread` for one factor C."""
-    return _rowdot(C, C), np.append(_rowdot(C[:-1], C[1:]), 0.0)
+def _unpermute(x, order):
+    out = np.empty_like(x)
+    out[order] = x
+    return out
 
 
 class _PanelVi:
-    """The variational parameters and kernel-dependent caches of every entity.
+    """The sites, parameters and q marginals of every entity, on one flat panel.
 
-    Rating rows follow ``panel``; the inducing points ``z`` lie entity by
-    entity on a second flat axis laid out by ``points``, with m_i =
-    ``m[i]`` of them for entity i. ``cheap`` packs the parameters
-    that move every iteration, [nu | lam | log_kappa], and ``nu`` (inducing
-    axis), ``lam`` (n_entities, n_r) and ``log_kappa`` (n_entities,) are
-    views into it. ``C[i]`` is entity i's dense lower-triangular (m_i, m_i)
-    covariance factor; ``log_rho`` and ``log_sigma`` hold one value per
-    entity. The caches are O(n + sum m_i^2): the panel's Markov factor over
-    the inducing axis, the bridge projection of every rating time, and each
-    whitened covariance factor ``half[i]`` with the row products that the
-    gradients read.
+    Rows follow ``panel``. ``lam1`` and ``lam2`` hold one site per rating;
+    ``params`` packs the per-entity parameters [lam | log_kappa | log_rho |
+    log_sigma], with ``lam`` (n_entities, n_r) and the others
+    (n_entities,) as views into it, and ``owner`` names the entity of each
+    packed entry. :meth:`rebuild` refreshes the panel's Markov factor and the
+    marginals ``mean``, ``var`` and ``cov`` of q, all O(n).
     """
 
-    def __init__(self, histories, inducing, n_r, rho0):
+    def __init__(self, histories, n_r, rho0):
         p = self.panel = Panel(histories, n_r)
         n_e = p.n_entities
         self.X = np.vstack([h.covariates for h in histories])
-        self.t = np.concatenate([h.timestamps for h in histories])
-        self.points = Segments([z.size for z in inducing])
-        self.m = self.points.sizes
-        self.z = np.concatenate(inducing)
-        self.z_gaps = np.concatenate([np.diff(z, prepend=-np.inf) for z in inducing])
-        self.inner = np.flatnonzero(np.isfinite(self.z_gaps))  # points after their entity's first
-        lo, hi, has_lo, has_hi = (np.concatenate(part) for part in zip(
-            *(bridge_brackets(z, h.timestamps) for z, h in zip(inducing, histories))))
-        shift = p.per_row(self.points.starts)
-        self.brackets = (lo + shift, hi + shift, has_lo, has_hi)
-        self.lower = {m: np.tril_indices(m, -1) for m in set(self.m.tolist())}
-
-        n_z = self.z.size
-        self.cheap = np.zeros(n_z + n_e * n_r + n_e)
-        self.nu = self.cheap[:n_z]
-        self.lam = self.cheap[n_z:n_z + n_e * n_r].reshape(n_e, n_r)
-        self.log_kappa = self.cheap[n_z + n_e * n_r:]
-        self.cheap_owner = np.concatenate(
-            (self.points.entity, np.repeat(np.arange(n_e), n_r), np.arange(n_e)))
+        self.inner = np.flatnonzero(np.isfinite(p.gaps))  # rows after their entity's first
+        self.lam1 = np.zeros(p.n_rows)
+        self.lam2 = np.zeros(p.n_rows)
+        n_lam = n_e * n_r
+        self.params = np.zeros(n_lam + 3 * n_e)
+        self.lam = self.params[:n_lam].reshape(n_e, n_r)
+        self.log_kappa, self.log_rho, self.log_sigma = self.params[n_lam:].reshape(3, n_e)
+        self.owner = np.concatenate((np.repeat(np.arange(n_e), n_r), np.tile(np.arange(n_e), 3)))
         counts = np.bincount(p.entity * (n_r + 1) + p.ratings,
                              minlength=n_e * (n_r + 1)).reshape(n_e, n_r + 1)[:, 1:]
         lam = np.log((counts + 0.5) / (p.sizes[:, None] + 0.5 * n_r))
         self.lam[:] = lam - lam.mean(axis=1, keepdims=True)
-        self.log_rho = np.log(np.asarray(rho0, dtype=float))
-        self.log_sigma = np.zeros(n_e)
-
-        self.C = [None] * n_e
-        self.half = [None] * n_e
-        self.sld_C = np.zeros(n_e)
-        # per inducing point k: C_k . C_k, C_k . C_{k+1}, W_k . W_k and
-        # W_k . C_{k-1}, with W the whitened factor
-        self.g_diag = np.zeros(n_z)
-        self.g_next = np.zeros(n_z)
-        self.w_sq = np.zeros(n_z)
-        self.w_cross = np.zeros(n_z)
+        self.log_rho[:] = np.log(np.asarray(rho0, dtype=float))
+        # position-major order for the smoother: by rating position, then
+        # entity, longest entities first
+        position = np.arange(p.n_rows) - p.per_row(p.starts)
+        rank = np.empty(n_e, dtype=np.int64)
+        rank[np.argsort(-p.sizes, kind="stable")] = np.arange(n_e)
+        self.order = np.lexsort((rank[p.entity], position))
+        self.blocks = np.concatenate(([0], np.cumsum(np.bincount(position))))
         self.rebuild()
 
-    def entities(self, batch):
-        return range(self.panel.n_entities) if batch is None else batch
+    def rebuild(self):
+        """Refresh the Markov factor and the moments of q at the current sites.
 
-    def entity_factor(self, i) -> MarkovFactor:
-        """Entity i's block of the panel's Markov factor."""
-        zs = self.points.segment(i)
-        return MarkovFactor(self.factor.band[:, zs], self.factor.c[zs])
-
-    def rebuild(self, batch=None):
-        """Refresh the kernel-dependent caches at the current parameters.
-
-        The caches that read C are refreshed for the entities in ``batch``
-        (all when None), those whose C moved. An entity whose Markov factor
-        or bridge projection is singular is marked ``broken`` and keeps its
-        stale caches.
+        An entity whose factor is singular (a gap negligible against rho) is
+        marked ``broken``; its moments are then meaningless, and the other
+        entities' are as they would be alone.
         """
-        p, points = self.panel, self.points
-        rho = np.exp(self.log_rho)
-        sigma = np.exp(self.log_sigma)
-        self.factor = markov_factor_from_gaps(self.z_gaps, points.per_row(rho),
-                                              points.per_row(sigma))
-        sigma_rows = p.per_row(sigma)
-        self.proj, proj_ok = bridge_projection_from_brackets(
-            self.z, self.t, *self.brackets, p.per_row(rho), sigma_rows)
-        self.broken = ~(np.logical_and.reduceat(self.factor.c > 0.0, points.starts)
-                        & np.logical_and.reduceat(proj_ok, p.starts))
-        with np.errstate(divide="ignore"):
-            self.sld_E = points.per_entity_sum(np.log(self.factor.c))
-        for i in self.entities(batch):
-            if self.broken[i]:
-                continue
-            zs = points.segment(i)
-            factor = self.entity_factor(i)
-            if self.C[i] is None:
-                self.C[i] = factor.dense()
-            C = self.C[i]
-            half = self.half[i] = factor.whiten(C)
-            self.g_diag[zs], self.g_next[zs] = _spread_band(C)
-            self.w_sq[zs] = _rowdot(half, half)
-            self.w_cross[zs.start + 1:zs.stop] = _rowdot(half[1:], C[:-1])
-            self.sld_C[i] = np.sum(np.log(np.diag(C)))
-        self.cs_C = points.per_entity_sum(self.w_sq)
-        self.g_lo, self.g_hi = _projected_spread(self.proj, self.g_diag, self.g_next)
-        self.s2 = np.maximum(
-            self.proj.var + self.proj.w_lo * self.g_lo + self.proj.w_hi * self.g_hi,
-            1e-12 * sigma_rows * sigma_rows,
-        )
-        self.s = np.sqrt(self.s2)
+        p = self.panel
+        f = self.factor = markov_factor_from_gaps(p.gaps, p.per_row(np.exp(self.log_rho)),
+                                                  p.per_row(np.exp(self.log_sigma)))
+        self.broken = ~np.logical_and.reduceat(f.c > 0.0, p.starts)
+        self.a = np.concatenate(([0.0], -f.band[1, :-1]))   # a_k, zero at first ratings
+        o = self.order
+        with np.errstate(divide="ignore", invalid="ignore"):
+            moments = _smooth(self.a[o], f.c[o] ** 2, self.lam1[o], self.lam2[o], self.blocks)
+            self.pp, self.pf, self.mf, self.var, self.mean = (_unpermute(x, o) for x in moments)
+            k = self.inner
+            # the smoother gain G_{k-1}: S_{k-1,k} = G_{k-1} S_kk
+            self.gain = self.a[k] * self.pf[k - 1] / self.pp[k]
+        self.cov = np.zeros(p.n_rows - 1)
+        self.cov[k - 1] = self.gain * self.var[k]
 
-    def forward(self, theta, xq, wbar, heavy, batch=None):
+    def set_q(self, mean, lam2):
+        """Set the sites from the mean and site precisions of q, then rebuild:
+        lam1 = (K^-1 + diag(lam2)) mean."""
+        self.lam2[:] = lam2
+        self.rebuild()
+        f = self.factor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.lam1[:] = f.whiten_t(f.whiten(mean)) + self.lam2 * mean
+        self.rebuild()
+
+    def _kl(self):
+        """Per entity: KL(q || prior) and the gradients of -KL in log rho and
+        log sigma at fixed q."""
+        p, c = self.panel, self.factor.c
+        m, var, lam1, lam2 = self.mean, self.var, self.lam1, self.lam2
+        # with m = S lam1: tr(K^-1 S) = n - sum_k lam2_k S_kk and
+        # m^T K^-1 m = m^T lam1 - sum_k lam2_k m_k^2; and
+        # log det(K S^-1) = sum_k log(1 + lam2_k pp_k)
+        quad = lam1 * m - lam2 * (m * m + var)
+        kl = 0.5 * p.per_entity_sum(quad + np.log1p(lam2 * self.pp))
+        # log-rho moves a_k = exp(-gap_k / rho) and c_k = sigma sqrt(1 - a_k^2),
+        # which set the whitened path w_k = (g_k - a_k g_{k-1}) / c_k; the sums
+        # run over the rows k after each entity's first. The filter gives the
+        # moments of w_k without differencing near-equal values:
+        # E[w_k] = c_k (m_k - a_k mf_{k-1}) / pp_k,
+        # Var[w_k] = c_k^2 S_kk / pp_k^2 + a_k^2 pf_{k-1} / pp_k and
+        # Cov[w_k, g_{k-1}] = c_k (G_{k-1} S_kk - a_k pf_{k-1}) / pp_k.
+        k = self.inner
+        owner = p.entity[k]
+        a, ck, pp, pf_prev = self.a[k], c[k], self.pp[k], self.pf[k - 1]
+        da = (p.gaps[k] / np.exp(self.log_rho).take(owner)) * a
+        dlog_c = -np.exp(2.0 * self.log_sigma).take(owner) * a * da / (ck * ck)
+        w_mean = ck * (m[k] - a * self.mf[k - 1]) / pp
+        sq = ck * ck * var[k] / (pp * pp) + a * a * pf_prev / pp + w_mean * w_mean
+        cross = ck * (self.gain * var[k] - a * pf_prev) / pp + w_mean * m[k - 1]
+        g_lrho = -np.bincount(owner, (1.0 - sq) * dlog_c - (da / ck) * cross,
+                              minlength=p.n_entities)
+        return kl, g_lrho, p.per_entity_sum(quad)
+
+    def forward(self, theta, xq, wbar, batch=None):
         """The ELBO of the entities in ``batch`` (all when None) and its gradients.
 
         Returns None when any entity is broken, in the batch or not, or the
         ELBO is not finite: the rollback must then restore a snapshot taken
-        before the break, not one that already holds it. ``g_nu`` spans the
-        whole inducing axis and ``g_lam`` and ``g_kappa`` every entity, with
-        meaning only at the batch's entries;
-        the heavy gradients follow the batch order: ``g_low`` and
-        ``g_omega`` (d/dlog of the diagonal) per entity, ``g_lrho`` and
-        ``g_lsigma`` as arrays.
+        before the break, not one that already holds it. ``rows`` are the
+        batch's rows, which ``gamma`` and ``beta`` follow; the per-entity
+        gradients span every entity, with meaning only at the batch's.
         """
         if self.broken.any():
             return None
         p = self.panel
         ents = slice(None) if batch is None else batch
-        if batch is None:
-            rows, proj = slice(None), self.proj
-        else:
-            rows = np.flatnonzero(np.isin(p.entity, batch))
-            proj = self.proj._make(f[rows] for f in self.proj)
+        rows = slice(None) if batch is None else np.flatnonzero(np.isin(p.entity, batch))
         X = self.X[rows]
-        mu = X @ theta + proj.project(self.nu)
-        w_white = self.factor.whiten(self.nu)
-        w_nu = self.factor.whiten_t(w_white)  # K_uu^-1 nu
-        nu_quad = self.points.per_entity_sum(w_white * w_white)
-        kl = 0.5 * (self.cs_C + nu_quad - self.m) + self.sld_E - self.sld_C
         lik, gamma, beta, g_kappa, g_lam = _emission_quadrature(
-            mu, self.s[rows], p.ratings[rows], p.entity[rows], self.lam, self.log_kappa,
-            xq, wbar, want_beta=heavy)
+            X @ theta + self.mean[rows], np.sqrt(self.var[rows]), p.ratings[rows],
+            p.entity[rows], self.lam, self.log_kappa, xq, wbar)
+        kl, g_lrho, g_lsigma = self._kl()
         elbo_val = lik - float(kl[ents].sum())
         if not math.isfinite(elbo_val):
             return None
-        out = {
-            "elbo": elbo_val,
-            "g_nu": proj.project_t(gamma, self.z.size) - w_nu,
-            "g_theta": X.T @ gamma,
-            "g_kappa": g_kappa,
-            "g_lam": g_lam,
-        }
-        if heavy:
-            out.update(self._hyper_gradients(batch, rows, proj, gamma, beta, w_white, nu_quad))
-        return out
+        return {"elbo": elbo_val, "rows": rows, "gamma": gamma, "beta": beta,
+                "g_theta": X.T @ gamma, "g_kappa": g_kappa, "g_lam": g_lam,
+                "g_lrho": g_lrho, "g_lsigma": g_lsigma}
 
-    def _hyper_gradients(self, batch, rows, proj, gamma, beta, w_white, nu_quad):
-        p = self.panel
-        n_e, n_z = p.n_entities, self.z.size
-        entity = p.entity[rows]
-        nu = self.nu
-        # d lik / dC = 2 M C with M = A diag(beta) A^T tridiagonal
-        m_diag = (np.bincount(proj.lo, beta * proj.w_lo ** 2, minlength=n_z)
-                  + np.bincount(proj.hi, beta * proj.w_hi ** 2, minlength=n_z))
-        m_next = np.bincount(proj.lo, beta * proj.w_lo * proj.w_hi, minlength=n_z)
-        g_low, g_omega = [], []
-        for i in self.entities(batch):
-            zs = self.points.segment(i)
-            C = self.C[i]
-            mn = m_next[zs][:-1, None]
-            mc = m_diag[zs][:, None] * C
-            mc[:-1] += mn * C[1:]
-            mc[1:] += mn * C[:-1]
-            g_raw = 2.0 * mc - self.entity_factor(i).whiten_t(self.half[i])
-            g_low.append(np.tril(g_raw, -1))
-            g_omega.append(np.diag(g_raw) * np.diag(C) + 1.0)
-        g_lsigma = (2.0 * np.bincount(entity, beta * proj.var, minlength=n_e)
-                    + self.cs_C + nu_quad - self.m)
-        # log-rho moves the bridge weights and variances, and the KL
-        # through a_k = exp(-gap_k / rho) and c_k = sigma sqrt(1 - a_k^2),
-        # which set the whitened rows W_k = (C_k - a_k C_{k-1}) / c_k; the
-        # sums run over the points k after each entity's first
-        dmu = proj.dw_lo * nu[proj.lo] + proj.dw_hi * nu[proj.hi]
-        ds2 = proj.dvar + 2.0 * (proj.dw_lo * self.g_lo[rows] + proj.dw_hi * self.g_hi[rows])
-        k = self.inner
-        owner = self.points.entity[k]
-        a = -self.factor.band[1, k - 1]
-        c = self.factor.c[k]
-        da = (self.z_gaps[k] / np.exp(self.log_rho).take(owner)) * a
-        dlog_c = -np.exp(2.0 * self.log_sigma).take(owner) * a * da / (c * c)
-        cross = self.w_cross[k] + w_white[k] * nu[k - 1]
-        sq = self.w_sq[k] + w_white[k] ** 2
-        kl_rho = np.bincount(owner, (1.0 - sq) * dlog_c - (da / c) * cross, minlength=n_e)
-        g_lrho = (np.bincount(entity, gamma * dmu, minlength=n_e)
-                  + np.bincount(entity, beta * ds2, minlength=n_e) - kl_rho)
-        ents = slice(None) if batch is None else batch
-        return {"g_low": g_low, "g_omega": g_omega,
-                "g_lrho": g_lrho[ents], "g_lsigma": g_lsigma[ents]}
+    def step_sites(self, out, rate):
+        """One conjugate-computation step of the batch's sites, by ``rate``."""
+        rows, beta = out["rows"], out["beta"]
+        lam1, lam2 = self.lam1[rows], self.lam2[rows]
+        self.lam1[rows] = lam1 + rate * (out["gamma"] - 2.0 * beta * self.mean[rows] - lam1)
+        self.lam2[rows] = np.maximum(lam2 + rate * (-2.0 * beta - lam2), 0.0)
 
-    def snapshot(self):
-        return self.cheap.copy(), list(self.C), self.log_rho.copy(), self.log_sigma.copy()
-
-    def restore(self, snap):
-        cheap, C, log_rho, log_sigma = snap
-        self.cheap[:] = cheap
-        self.C = list(C)
-        self.log_rho[:] = log_rho
-        self.log_sigma[:] = log_sigma
-        self.rebuild()
-
-    def apply_cheap(self, step, batch=None):
-        """Move the packed [nu | lam | log_kappa] by ``step`` and re-centre the
-        logits of the entities in ``batch`` (all when None)."""
-        self.cheap += step
+    def apply(self, step, batch=None):
+        """Move the packed parameters by ``step``, re-centre the logits of the
+        entities in ``batch`` (all when None) and rebuild."""
+        self.params += step
         ents = slice(None) if batch is None else batch
         lam = self.lam[ents]
         self.lam[ents] = lam - lam.sum(axis=1, keepdims=True) / lam.shape[1]
+        self.rebuild()
 
-    def hyper_gradient(self, out, k, i):
-        """Entity i's heavy gradients, the k-th of the batch in ``out``, packed as
-        [strict lower triangle of C, row by row | log diagonal | log rho | log sigma]."""
-        return np.concatenate((out["g_low"][k][self.lower[self.m[i]]], out["g_omega"][k],
-                               (out["g_lrho"][k], out["g_lsigma"][k])))
+    def snapshot(self):
+        return self.params.copy(), self.lam1.copy(), self.lam2.copy()
 
-    def apply_heavy(self, steps, batch=None):
-        """Move C, log rho and log sigma of the entities in ``batch`` (all when
-        None) by their steps, packed as :meth:`hyper_gradient` packs the
-        gradients, and refresh their caches."""
-        for i, step in zip(self.entities(batch), steps):
-            m = self.m[i]
-            low = self.lower[m]
-            n_low = low[0].size
-            C = self.C[i].copy()
-            C[low] += step[:n_low]
-            C[np.diag_indices(m)] = np.exp(np.log(np.diag(self.C[i])) + step[n_low:n_low + m])
-            self.C[i] = C
-            self.log_rho[i] += step[-2]
-            self.log_sigma[i] += step[-1]
-        self.rebuild(batch)
+    def restore(self, snap):
+        self.params[:], self.lam1[:], self.lam2[:] = snap
+        self.rebuild()
 
 
 class _Adam:
-    """Adam steps on one packed parameter vector.
+    """Adam directions for one packed parameter vector.
 
-    With ``owner``, the entity of each entry, every entity keeps its own
+    :meth:`step` returns the unit-rate step; the caller scales it. With
+    ``owner``, the entity of each entry, every entity keeps its own
     timestep, so a minibatch step moves only its entities' entries and
     clocks; without it the vector has one clock. Moment buffers are updated
     in place, so the cost per step stays flat as the iteration count grows.
@@ -509,7 +468,7 @@ class _Adam:
         self.owner = owner
         self.t = np.zeros(1 if owner is None else int(owner.max()) + 1, dtype=np.int64)
 
-    def step(self, grad, lr, batch=None):
+    def step(self, grad, batch=None):
         """The step for ``grad``, zero outside the entries of the entities in
         ``batch`` (every entry when None)."""
         if batch is None:
@@ -529,29 +488,27 @@ class _Adam:
         self.m[sel] = m
         self.v[sel] = v
         step = np.zeros(grad.size)
-        step[sel] = lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        step[sel] = (m / c1) / (np.sqrt(v / c2) + self.eps)
         return step
 
 
-def _adams(vp, d):
-    """Adam states for the packed cheap vector, each entity's heavy block and theta."""
-    return (_Adam(vp.cheap.size, vp.cheap_owner),
-            [_Adam(vp.lower[m][0].size + m + 2) for m in vp.m],
-            _Adam(d))
+def _ascend(vp, out, theta, adams, rates, lr_scale, batch=None):
+    """One site step and one Adam step on every parameter; returns theta.
 
-
-def _ascend(vp, out, theta, adams, lr, lr_h, batch=None):
-    """One Adam step on every parameter that ``out`` holds gradients of; returns theta.
-
-    The heavy block moves only when the forward pass computed its gradients.
+    ``rates`` holds the Adam rate of theta first, then one per packed entry.
     """
-    cheap, hyper, theta_adam = adams
-    g = np.concatenate((out["g_nu"], out["g_lam"].ravel(), out["g_kappa"]))
-    vp.apply_cheap(cheap.step(g, lr, batch), batch)
-    if "g_low" in out:
-        vp.apply_heavy([hyper[i].step(vp.hyper_gradient(out, k, i), lr_h)
-                        for k, i in enumerate(vp.entities(batch))], batch)
-    return theta + theta_adam.step(out["g_theta"], lr)
+    params, theta_adam = adams
+    vp.step_sites(out, _SITE_STEP * lr_scale)
+    g = np.concatenate((out["g_lam"].ravel(), out["g_kappa"], out["g_lrho"], out["g_lsigma"]))
+    vp.apply(lr_scale * rates[1:] * params.step(g, batch), batch)
+    return theta + lr_scale * rates[0] * theta_adam.step(out["g_theta"])
+
+
+def _optimizer(vp, d, cfg):
+    """Adam states for the packed parameters and theta, and their rates."""
+    rates = np.full(1 + vp.params.size, cfg.learning_rate)
+    rates[1 + vp.lam.size + vp.log_kappa.size:] = cfg.hyper_learning_rate
+    return (_Adam(vp.params.size, vp.owner), _Adam(d)), rates
 
 
 def _rho_inits(histories):
@@ -581,15 +538,15 @@ def _quadrature_nodes(n_nodes):
 
 
 def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> VariationalState:
-    """Maximize the summed per-entity ELBO by block-coordinate Adam ascent.
+    """Maximize the summed per-entity ELBO by variational EM.
 
-    The variational mean, theta and emission parameters move every iteration;
-    the covariance factor and kernel hyperparameters move every
-    ``hyper_update_every`` iterations with caches rebuilt afterwards. A
-    non-finite objective rolls the parameters back one step, halves the
-    step-size scale and retries, aborting after five straight failures;
-    ``metadata["rollbacks"]`` counts the rollbacks and ``metadata["lr_scale"]``
-    holds the final scale.
+    Each iteration takes one conjugate-computation step of the sites and
+    one Adam step of theta, the emission parameters and the kernel
+    hyperparameters, then refreshes the marginals of q. A non-finite
+    objective rolls the parameters and sites back one step, halves the
+    step-size scale of both and retries, aborting after five straight
+    failures; ``metadata["rollbacks"]`` counts the rollbacks and
+    ``metadata["lr_scale"]`` holds the final scale.
     """
     if not histories:
         raise InvalidInputError("histories must be non-empty")
@@ -606,11 +563,10 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
         if h.covariates.shape[1] != d:
             raise InvalidInputError("covariate dimension differs across entities")
 
-    inducing = [select_inducing(h, cfg.m_max) for h in histories]
-    vp = _PanelVi(histories, inducing, n_r, _rho_inits(histories))
+    vp = _PanelVi(histories, n_r, _rho_inits(histories))
     theta = np.zeros(d)
     xq, wbar = _quadrature_nodes(cfg.quadrature_nodes)
-    adams = _adams(vp, d)
+    adams, rates = _optimizer(vp, d, cfg)
     rng = np.random.default_rng(cfg.seed)
     n_e = len(histories)
     batch_size = n_e if cfg.minibatch is None else min(cfg.minibatch, n_e)
@@ -623,10 +579,9 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
         batch = None
         if batch_size < n_e:
             batch = np.sort(rng.choice(n_e, batch_size, replace=False))
-        heavy = it % cfg.hyper_update_every == 0
         attempts = 0
         while True:
-            out = vp.forward(theta, xq, wbar, heavy, batch)
+            out = vp.forward(theta, xq, wbar, batch)
             if out is not None:
                 break
             if snap is None:
@@ -644,16 +599,15 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
         if scale != 1.0:
             out["g_theta"] = out["g_theta"] * scale
         snap = (theta, vp.snapshot())
-        theta = _ascend(vp, out, theta, adams, cfg.learning_rate * lr_scale,
-                        cfg.hyper_learning_rate * lr_scale, batch)
+        theta = _ascend(vp, out, theta, adams, rates, lr_scale, batch)
 
     gaps = np.concatenate([np.diff(h.timestamps) for h in histories if h.n >= 2] or [np.array([1.0])])
-    ids = vp.panel.entity_ids
-    state = VariationalState(
+    p = vp.panel
+    ids = p.entity_ids
+    return VariationalState(
         entity_ids=list(ids),
-        inducing_times=dict(zip(ids, inducing)),
-        q_mean={e: vp.nu[vp.points.segment(i)].copy() for i, e in enumerate(ids)},
-        q_chol=dict(zip(ids, vp.C)),
+        q_mean={e: vp.mean[p.segment(i)].copy() for i, e in enumerate(ids)},
+        site_precision={e: vp.lam2[p.segment(i)].copy() for i, e in enumerate(ids)},
         theta=theta,
         kernel={e: KernelParams(rho=math.exp(vp.log_rho[i]), sigma=math.exp(vp.log_sigma[i]))
                 for i, e in enumerate(ids)},
@@ -665,7 +619,6 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
                   "final_elbo": float(trace[-1]), "rollbacks": rollbacks,
                   "lr_scale": lr_scale},
     )
-    return state
 
 
 def _softmax(lam):
@@ -673,29 +626,55 @@ def _softmax(lam):
     return e / e.sum()
 
 
+def _entity_q(history: EntityHistory, state: VariationalState):
+    """The state's q_mean of the history's entity, checked against the history."""
+    eid = history.entity_id
+    if eid not in state.q_mean:
+        raise InvalidInputError(f"state has no entity {eid!r}")
+    q_mean = np.asarray(state.q_mean[eid], dtype=float)
+    if q_mean.size != history.n:
+        raise InvalidInputError(
+            f"state holds {q_mean.size} ratings of entity {eid!r}, the history {history.n}")
+    return q_mean
+
+
+def last_marginal(history: EntityHistory, state: VariationalState):
+    """Mean and variance of q at the entity's last rating, for the residual path.
+
+    The variance is the Kalman filter's at the last rating: one O(n) pass
+    of the forward recursion of :func:`_smooth`.
+    """
+    q_mean = _entity_q(history, state)
+    eid = history.entity_id
+    kp = state.kernel[eid]
+    factor = markov_factor(history.timestamps, kp.rho, kp.sigma, eid)
+    a = [0.0] + (-factor.band[1, :-1]).tolist()
+    var = 0.0
+    for a_k, c_k, lam2_k in zip(a, factor.c.tolist(),
+                                np.asarray(state.site_precision[eid], dtype=float).tolist()):
+        _, var, _ = _filter_step(a_k, c_k * c_k, 0.0, lam2_k, var, 0.0)
+    return float(q_mean[-1]), var
+
+
 def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int = 20) -> float:
     """Single-entity ELBO at the parameters stored in a fitted state.
 
     Scores a one-entity panel through the forward pass that fitting uses.
-    Raises :class:`NumericalError` when the inducing factor is singular or
+    Raises :class:`NumericalError` when the kernel factor is singular or
     the objective is not finite there.
     """
     if quadrature_nodes < 5:
         raise InvalidInputError("quadrature_nodes must be >= 5")
+    q_mean = _entity_q(history, state)
     eid = history.entity_id
-    if eid not in state.q_mean:
-        raise InvalidInputError(f"state has no entity {eid!r}")
     kp = state.kernel[eid]
     ep = state.emission[eid]
-    vp = _PanelVi([history], [np.asarray(state.inducing_times[eid], dtype=float)],
-                  ep.n_r, [kp.rho])
-    vp.nu[:] = state.q_mean[eid]
-    vp.C[0] = np.asarray(state.q_chol[eid], dtype=float)
+    vp = _PanelVi([history], ep.n_r, [kp.rho])
     vp.lam[0] = np.log(ep.eta)
     vp.log_kappa[0] = math.log(ep.kappa)
     vp.log_sigma[0] = math.log(kp.sigma)
-    vp.rebuild()
-    out = vp.forward(state.theta, *_quadrature_nodes(quadrature_nodes), heavy=False)
+    vp.set_q(q_mean, state.site_precision[eid])
+    out = vp.forward(state.theta, *_quadrature_nodes(quadrature_nodes))
     if out is None:
         raise NumericalError(f"ELBO of entity {eid!r} is singular or not finite")
     return out["elbo"]

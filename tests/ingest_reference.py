@@ -10,6 +10,7 @@ histories, manifests, warnings and errors.
 
 import csv
 import json
+import math
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,9 +32,13 @@ _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 def _parse_timestamp(raw, line_no):
     text = str(raw).strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise DataError(f"line {line_no}: non-finite timestamp {raw!r}")
+        return value
     try:
         dt = datetime.fromisoformat(text)
     except ValueError:
@@ -102,20 +107,23 @@ def reference_ingest(path, fmt=None, covariate_columns=None, n_r=5):
         raise InvalidInputError(f"unknown dataset format {fmt!r}")
     names = tuple(covariate_columns) if covariate_columns else DEFAULT_COVARIATES
 
-    rows = []          # (entity_id, year_coord, rating, covariates)
+    rows = []          # (entity_id, year_coord, rating, covariates, line_no)
     dropped = []
     missing_names = set()
     for line_no, row in _iter_rows(path, fmt):
         for required in ("entity_id", "rating", "timestamp"):
             if row.get(required) is None or str(row.get(required)).strip() == "":
                 raise DataError(f"line {line_no}: missing required column {required!r}")
+            if required == "entity_id" and not isinstance(row["entity_id"], str):
+                raise DataError(
+                    f"line {line_no}: entity_id {row['entity_id']!r} is not a JSON string")
         rating = _parse_rating(row["rating"], line_no)
         if not 1 <= rating <= n_r:
             dropped.append(line_no)
             continue
         year = _parse_timestamp(row["timestamp"], line_no)
         covs = [_parse_covariate(row, name, line_no, missing_names) for name in names]
-        rows.append((str(row["entity_id"]), year, rating, covs))
+        rows.append((row["entity_id"], year, rating, covs, line_no))
     if dropped:
         warnings.warn(
             f"dropped {len(dropped)} rows with out-of-range ratings "
@@ -129,8 +137,10 @@ def reference_ingest(path, fmt=None, covariate_columns=None, n_r=5):
 
     epoch = min(r[1] for r in rows)
     by_entity = {}
-    for eid, year, rating, covs in rows:
-        by_entity.setdefault(eid, []).append((year - epoch, rating, covs))
+    for eid, year, rating, covs, line_no in rows:
+        if not math.isfinite(year - epoch):
+            raise DataError(f"line {line_no}: timestamp lies too far from the earliest review")
+        by_entity.setdefault(eid, []).append((year - epoch, rating, covs, line_no))
 
     histories = []
     counts = {}
@@ -141,6 +151,11 @@ def reference_ingest(path, fmt=None, covariate_columns=None, n_r=5):
         for i in range(1, t.size):
             if t[i] <= t[i - 1]:
                 t[i] = t[i - 1] + 1e-6
+                if t[i] <= t[i - 1]:
+                    raise DataError(
+                        f"line {recs[i][3]}: timestamp ties another review of entity "
+                        f"{eid!r} too far from the earliest review to be nudged 1e-6 "
+                        "years apart")
         histories.append(EntityHistory(
             entity_id=eid,
             timestamps=t,

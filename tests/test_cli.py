@@ -238,6 +238,14 @@ class TestPipelines:
                      "--seed", "1", "--out", str(tmp_path)])
         assert code == 3
 
+    def test_non_finite_timestamp_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "reviews.csv"
+        data.write_text("entity_id,rating,timestamp\na,3,2013\nb,4,inf\n", encoding="utf-8")
+        code = main(["fit", "--dataset", str(data), "--covariates", "", "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "line 3: non-finite timestamp 'inf'" in capsys.readouterr().err
+
     def test_dataset_required(self, tmp_path, capsys):
         code = main(["fit", "--seed", "1", "--out", str(tmp_path)])
         assert code == 2

@@ -253,46 +253,62 @@ class TestFitArtifacts:
         after = predictive_probs(h, loaded, query)
         assert np.array_equal(before.probs, after.probs)
 
-    def test_svi_q_chol_saved_as_lower_triangle(self, tmp_path, small_svi_fit):
+    def test_svi_site_precision_saved_packed(self, tmp_path, small_svi_fit):
         histories, state = small_svi_fit
-        sparse = fit_svi(histories, SviConfig(iterations=60, m_max=6, seed=2))
-        for fit in (state, sparse):
-            for c in fit.q_chol.values():
-                upper = c[np.triu_indices(c.shape[0], 1)]
-                # +0.0 bits, so the implied zeros reload bit for bit
-                assert not upper.any() and not np.signbit(upper).any()
-            p = tmp_path / "fit.json"
-            save_fit(fit, p)
-            packed = json.loads(p.read_text(encoding="utf-8"))["payload"]["q_chol"]
-            loaded = load_fit(p)
-            for eid, c in fit.q_chol.items():
-                m = c.shape[0]
-                assert packed[eid]["shape"] == [m * (m + 1) // 2]
-                assert len(base64.b64decode(packed[eid]["data"])) == 8 * m * (m + 1) // 2
-                assert loaded.q_chol[eid].shape == c.shape
-                assert loaded.q_chol[eid].tobytes() == c.tobytes()
+        p = tmp_path / "fit.json"
+        save_fit(state, p)
+        payload = json.loads(p.read_text(encoding="utf-8"))["payload"]
+        loaded = load_fit(p)
+        for h in histories:
+            eid = h.entity_id
+            assert payload["site_precision"][eid]["shape"] == [h.n]
+            assert isinstance(payload["q_mean"][eid], list) and len(payload["q_mean"][eid]) == h.n
+            assert loaded.site_precision[eid].tobytes() == state.site_precision[eid].tobytes()
+        assert not {"q_chol", "inducing_times"} & set(payload)
+
+    @pytest.mark.parametrize("value, message", [
+        (-1e-3, "finite and >= 0"),
+        (np.nan, "finite and >= 0"),
+        (np.inf, "finite and >= 0"),
+        (None, "differ in length"),
+    ])
+    def test_corrupt_site_precision_is_a_data_error(self, tmp_path, small_svi_fit,
+                                                    value, message):
+        _, state = small_svi_fit
+        p = tmp_path / "fit.json"
+        save_fit(state, p)
         doc = json.loads(p.read_text(encoding="utf-8"))
-        vec = np.arange(5.0)   # 5 is no triangular number
-        doc["payload"]["q_chol"]["v0"] = {"dtype": "<f8", "shape": [5],
-                                          "data": base64.b64encode(vec.tobytes()).decode()}
+        lam2 = state.site_precision["v1"].copy()
+        if value is None:
+            lam2 = lam2[:-1]
+        else:
+            lam2[3] = value
+        doc["payload"]["site_precision"]["v1"] = {
+            "dtype": "<f8", "shape": [lam2.size],
+            "data": base64.b64encode(lam2.tobytes()).decode()}
         p.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match="q_chol.*lower triangle"):
+        with pytest.raises(DataError, match=f"malformed artifact.*site_precision of entity 'v1'.*{message}"):
             load_fit(p)
 
-    def test_svi_full_square_q_chol_still_loads(self, tmp_path, small_svi_fit):
-        _, state = small_svi_fit
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_svi_artifacts_ask_for_a_refit(self, tmp_path, version):
+        # schemas 1 and 2 hold an inducing-point fit (inducing_times, q_chol)
         doc = json.loads((DATA / "fit_v1_svi.json").read_text(encoding="utf-8"))
-        assert doc["schema_version"] == 1
-        doc["payload"]["q_chol"] = {e: c.tolist() for e, c in state.q_chol.items()}
+        doc["schema_version"] = version
         p = tmp_path / "fit.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
-        loaded = load_fit(p)
-        for eid, c in state.q_chol.items():
-            assert loaded.q_chol[eid].tobytes() == c.tobytes()
-        doc["payload"]["q_chol"]["v0"][2] = [1.0, 2.0]
-        p.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match="q_chol"):
+        with pytest.raises(DataError, match=f"schema version {version}.*refit"):
             load_fit(p)
+
+    def test_schema_2_mcmc_artifact_still_loads(self, tmp_path, small_mcmc_fit):
+        # schema 3 left the MCMC payload as schema 2 wrote it
+        _, fit = small_mcmc_fit
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc["schema_version"] = 2
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert fit_differences(fit, load_fit(p, expect_backend="mcmc")) == []
 
     @pytest.mark.parametrize("backend", ["mcmc", "svi"])
     def test_every_field_round_trips_bit_for_bit(self, tmp_path, small_mcmc_fit,
@@ -301,7 +317,7 @@ class TestFitArtifacts:
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         assert fit_differences(fit, load_fit(p)) == []
-        assert json.loads(p.read_text(encoding="utf-8"))["schema_version"] == 2
+        assert json.loads(p.read_text(encoding="utf-8"))["schema_version"] == 3
 
     def test_negative_zero_and_nan_bits_survive(self, tmp_path, small_mcmc_fit):
         _, fit = small_mcmc_fit
@@ -334,18 +350,21 @@ class TestFitArtifacts:
         with pytest.raises(DataError, match=f"pointwise_loglik.*{message}"):
             load_fit(p)
 
-    def test_invalid_stored_values_are_a_data_error(self, tmp_path):
-        doc = json.loads((DATA / "fit_v1_svi.json").read_text(encoding="utf-8"))
-        doc["payload"]["emission"]["v0"]["eta"] = [0.5, 0.6, 0.1, 0.1, 0.1]
+    def test_invalid_stored_values_are_a_data_error(self, tmp_path, small_svi_fit):
+        _, state = small_svi_fit
         p = tmp_path / "fit.json"
+        save_fit(state, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc["payload"]["emission"]["v0"]["eta"] = [0.5, 0.6, 0.1, 0.1, 0.1]
         p.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match="malformed artifact.*sum to 1"):
             load_fit(p)
 
-    @pytest.mark.parametrize("backend", ["mcmc", "svi"])
+    @pytest.mark.parametrize("backend", ["mcmc"])
     def test_schema_1_artifact_loads_and_predicts_as_schema_2(
-            self, tmp_path, small_mcmc_fit, small_svi_fit, backend):
-        histories, fit = small_mcmc_fit if backend == "mcmc" else small_svi_fit
+            self, tmp_path, small_mcmc_fit, backend):
+        # SVI artifacts before schema 3 are refused (see above)
+        histories, fit = small_mcmc_fit
         v1_path = DATA / f"fit_v1_{backend}.json"
         assert json.loads(v1_path.read_text(encoding="utf-8"))["schema_version"] == 1
         p = tmp_path / "fit.json"

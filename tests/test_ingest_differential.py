@@ -213,7 +213,13 @@ CASES = {
     "negative_count": _lines("entity_id,rating,timestamp,helpfulness", "a,3,2013,-1"),
     "odd_whitespace": "entity_id,rating,timestamp,helpfulness\n"
                       "a,\x1c3\x1c,\x1c2013\x1c,\x1c1\x1c\n",
+    # non-finite and far-out times are data errors naming their line
     "non_finite_time": _lines("entity_id,rating,timestamp", "a,3,2013", "b,3,nan"),
+    "infinite_time_before_bad_rating": _lines("entity_id,rating,timestamp",
+                                             "a,3,-inf", "a,x,2013"),
+    "nudge_rounds_away": _lines("entity_id,rating,timestamp", "a,3,0", "b,3,2e10",
+                                "a,4,2e10", "a,5,2e10"),
+    "difference_overflows": _lines("entity_id,rating,timestamp", "a,3,1e308", "b,3,-1e308"),
     "one_level": _lines("entity_id,rating,timestamp", "a,1,2013"),
 }
 
@@ -233,8 +239,14 @@ JSONL_CASES = {
     "read_error_before_row_error": _lines(
         '{"entity_id": "a", "rating": 3, "timestamp": 2013}', "[1]",
         '{"entity_id": "a", "rating": 3, "timestamp": "never"}'),
+    # an entity_id must be a JSON string, so 7 and "7" cannot merge
     "numeric_entity_ids": _lines('{"entity_id": 7, "rating": 3, "timestamp": 2013}',
                                  '{"entity_id": "7", "rating": 4, "timestamp": 2014}'),
+    "object_entity_id_before_blank_rating": _lines(
+        '{"entity_id": {"a": 1}, "rating": "", "timestamp": 2013}'),
+    "blank_rating_before_bool_entity_id": _lines(
+        '{"entity_id": "a", "rating": " ", "timestamp": 2013}',
+        '{"entity_id": true, "rating": 3, "timestamp": 2013}'),
 }
 
 
@@ -248,6 +260,26 @@ def test_named_csv_case(case, block_rows):
 @pytest.mark.parametrize("case", sorted(JSONL_CASES))
 def test_named_jsonl_case(case, block_rows):
     _check(JSONL_CASES[case], ".jsonl", block_rows)
+
+
+NAMED_ERRORS = [
+    (".csv", "non_finite_time", "line 3: non-finite timestamp 'nan'"),
+    (".csv", "infinite_time_before_bad_rating", "line 2: non-finite timestamp '-inf'"),
+    (".csv", "nudge_rounds_away", "line 5: timestamp ties another review of entity 'a' "
+                                  "too far from the earliest review to be nudged 1e-6 years apart"),
+    (".csv", "difference_overflows", "line 2: timestamp lies too far from the earliest review"),
+    (".jsonl", "numeric_entity_ids", "line 1: entity_id 7 is not a JSON string"),
+    (".jsonl", "object_entity_id_before_blank_rating",
+     "line 1: entity_id {'a': 1} is not a JSON string"),
+    (".jsonl", "blank_rating_before_bool_entity_id", "line 1: missing required column 'rating'"),
+]
+
+
+@pytest.mark.parametrize("suffix, case, message", NAMED_ERRORS)
+def test_named_case_is_a_data_error(suffix, case, message):
+    text = (CASES if suffix == ".csv" else JSONL_CASES)[case]
+    (kind, *error), _ = _check(text, suffix, 2)
+    assert kind == "error" and error == [dataio.DataError, message]
 
 
 def test_json_true_stays_an_error(tmp_path):

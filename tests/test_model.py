@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats
 
-from gpratings.errors import InvalidInputError, NumericalError
+from gpratings.errors import InvalidInputError
 from gpratings.mcmc import PriorSpec, build_prior_spec
 from gpratings.model import (
     EmissionParams,
@@ -24,7 +24,6 @@ from gpratings.model import (
     MeanCoefficients,
     ModelParams,
     ReviewRecord,
-    bridge_projection,
     cutpoints_from_eta,
     emission_loglik,
     emission_logprob,
@@ -141,57 +140,6 @@ def test_markov_whiten_round_trip_on_near_ties(n, rho, sigma, n_ties, tie_gap, s
     r = 2.0 * np.random.default_rng(seed + 1).standard_normal(n)
     back = factor.unwhiten(factor.whiten(r))
     assert np.max(np.abs(back - r)) <= 1e-10 * np.max(np.abs(r))
-
-
-def dense_projection(z, t, rho, sigma):
-    """Oracle: K_uu, K_uf, K_uu^-1 K_uf and the conditional variances, all dense and jitter-free."""
-    K = kernel_matrix(make_history(z), KernelParams(rho=rho, sigma=sigma), jitter=0.0)
-    k_uf = sigma ** 2 * np.exp(-np.abs(z[:, None] - t[None, :]) / rho)
-    A = np.linalg.solve(K, k_uf)
-    return K, k_uf, A, sigma ** 2 - np.einsum("ij,ij->j", k_uf, A)
-
-
-def projection_matrix(proj, m):
-    """The (m, n) dense K_uu^-1 K_uf that a bridge projection encodes."""
-    A = np.zeros((m, proj.lo.size))
-    cols = np.arange(proj.lo.size)
-    np.add.at(A, (proj.lo, cols), proj.w_lo)
-    np.add.at(A, (proj.hi, cols), proj.w_hi)
-    return A
-
-
-@settings(max_examples=100, deadline=None)
-@given(m=st.integers(1, 12), rho=st.floats(0.05, 20.0), sigma=st.floats(0.1, 3.0),
-       n_ties=st.integers(0, 3), tie_gap=st.sampled_from([1e-9, 1e-6]),
-       seed=st.integers(0, 10 ** 6))
-def test_bridge_projection_matches_dense_solve(m, rho, sigma, n_ties, tie_gap, seed):
-    # queries: random times across and beyond the inducing span, every
-    # inducing point exactly, one before z_0, one after z_{m-1}, and every
-    # gap's midpoint, the near ties' included
-    z = tied_times(seed, m, n_ties, tie_gap)
-    rng = np.random.default_rng(seed + 2)
-    t = np.concatenate([rng.uniform(z[0] - 1.0, z[-1] + 1.0, 6), z,
-                        [z[0] - 0.25, z[-1] + 0.25], 0.5 * (z[:-1] + z[1:])])
-    K, k_uf, A, var = dense_projection(z, t, rho, sigma)
-    proj = bridge_projection(z, t, rho, sigma)
-    A_bridge = projection_matrix(proj, m)
-    # backward error: the bridge weights solve the dense system to rounding
-    assert np.max(np.abs(K @ A_bridge - k_uf)) <= 1e-14 * sigma ** 2
-    # forward error: the dense solve is itself off by up to about
-    # eps * cond(K_uu) at near ties, so the bound carries that term
-    slack = 1e-13 + 16 * np.finfo(float).eps * np.linalg.cond(K)
-    assert np.max(np.abs(A_bridge - A)) <= slack
-    assert np.max(np.abs(proj.var - var)) <= slack * sigma ** 2
-    # at an inducing point the projection is that point's value, exactly
-    at = slice(6, 6 + m)
-    assert np.array_equal(A_bridge[:, at], np.eye(m))
-    assert np.array_equal(proj.var[at], np.zeros(m))
-
-
-def test_bridge_projection_singular_gap_raises():
-    # at rho ~ 1e304 a 1e-150-year gap is negligible, so 1 - a_1^2 a_2^2 underflows
-    with pytest.raises(NumericalError, match="singular"):
-        bridge_projection(np.array([0.0, 1e-150]), np.array([5e-151]), 1e304, 1.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -156,49 +156,54 @@ def test_query_before_last_observation_rejected():
         conditional_moments(h, state, float(h.timestamps[0]), np.zeros(2))
 
 
+def dense_vi_moments(h, state, times, xs):
+    """Oracle: q(f*) moments from the dense, jitter-free kernel over the
+    training times and the queries, with S = (K^-1 + diag(lam2))^-1."""
+    eid = h.entity_id
+    kp = state.kernel[eid]
+    K = kernel_matrix(h, kp, jitter=0.0)
+    S = np.linalg.inv(np.linalg.inv(K) + np.diag(state.site_precision[eid]))
+    k_star = kp.sigma ** 2 * np.exp(-np.abs(h.timestamps[:, None] - times[None, :]) / kp.rho)
+    a = np.linalg.solve(K, k_star)
+    mu = xs @ state.theta + a.T @ state.q_mean[eid]
+    nu2 = (kp.sigma ** 2 - np.einsum("ij,ij->j", k_star, a)
+           + np.einsum("ij,ij->j", a, S @ a))
+    return mu, nu2
+
+
 def test_vi_moments_match_dense_projection(svi_fit):
     hs, state = svi_fit
     h = hs[0]
-    eid = h.entity_id
-    kp = state.kernel[eid]
-    z = state.inducing_times[eid]
     t_star = float(h.timestamps[-1] + 0.4)
     x_star = np.array([0.2, -0.5])
     mu, nu2 = conditional_moments(h, state, t_star, x_star)
-    sigma2 = kp.sigma ** 2
-    K_uu = sigma2 * np.exp(-np.abs(z[:, None] - z[None, :]) / kp.rho)
-    k_star = sigma2 * np.exp(-np.abs(z - t_star) / kp.rho)
-    a = np.linalg.solve(K_uu, k_star)
-    mu_o = float(x_star @ state.theta + a @ state.q_mean[eid])
-    c_t_a = state.q_chol[eid].T @ a
-    nu2_o = float(sigma2 - k_star @ a + c_t_a @ c_t_a)
+    (mu_o,), (nu2_o,) = dense_vi_moments(h, state, np.array([t_star]), x_star[None, :])
     assert mu == pytest.approx(mu_o, rel=1e-8)
     assert nu2 == pytest.approx(nu2_o, rel=1e-6)
 
 
 def test_vi_moments_closed_form_matches_dense_oracle(svi_fit):
-    # every query regime of the bridge projection: before z_0, exactly on
-    # each inducing point, inside each gap, and after z_{m-1}
+    # queries at the last rating, just after it, a little later and so far
+    # ahead that the path has forgotten it
     hs, state = svi_fit
     rng = np.random.default_rng(8)
     for h in hs:
-        eid = h.entity_id
-        kp = state.kernel[eid]
-        z = state.inducing_times[eid]
-        times = np.concatenate([[z[0] - 0.5], z, 0.5 * (z[:-1] + z[1:]),
-                                h.timestamps[-1] + np.array([1e-3, 0.4, 30.0])])
+        times = h.timestamps[-1] + np.array([0.0, 1e-3, 0.4, 30.0])
         xs = rng.normal(size=(times.size, 2))
         mu, nu2 = _vi_moments(h, state, times, xs)
-        hz = EntityHistory("z", z, np.ones(z.size, dtype=int), np.zeros((z.size, 1)))
-        K_uu = kernel_matrix(hz, kp, jitter=0.0)
-        k_star = kp.sigma ** 2 * np.exp(-np.abs(z[:, None] - times[None, :]) / kp.rho)
-        a = np.linalg.solve(K_uu, k_star)
-        mu_o = xs @ state.theta + a.T @ state.q_mean[eid]
-        c_t_a = state.q_chol[eid].T @ a
-        nu2_o = (kp.sigma ** 2 - np.einsum("ij,ij->j", k_star, a)
-                 + np.einsum("ij,ij->j", c_t_a, c_t_a))
+        mu_o, nu2_o = dense_vi_moments(h, state, times, xs)
         assert mu == pytest.approx(mu_o, rel=1e-8, abs=1e-12)
         assert nu2 == pytest.approx(nu2_o, rel=1e-6)
+
+
+def test_vi_moments_need_the_fitted_history(svi_fit):
+    hs, state = svi_fit
+    short = EntityHistory(hs[0].entity_id, hs[0].timestamps[:-1], hs[0].ratings[:-1],
+                          hs[0].covariates[:-1])
+    with pytest.raises(InvalidInputError, match="ratings of entity"):
+        conditional_moments(short, state, float(hs[0].timestamps[-1]), np.zeros(2))
+    with pytest.raises(InvalidInputError, match="no entity"):
+        conditional_moments(make_history(eid="nobody"), state, 10.0, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +291,12 @@ def test_marginalization_draws_reproducible():
     assert any(x.delta != y.delta for x, y in zip(a, c))
 
 
-def test_marginalize_degenerate_sampling_equals_single_query(svi_fit):
-    hs, state = svi_fit
+def test_marginalize_degenerate_sampling_equals_single_query():
     # constant covariates and equal gaps: every resampled query is identical
     t = np.arange(6.0)
     x = np.tile(np.array([0.5, -0.5]), (6, 1))
-    h = EntityHistory(hs[0].entity_id, t, np.array([3, 4, 3, 5, 4, 3]), x)
+    h = EntityHistory("flat", t, np.array([3, 4, 3, 5, 4, 3]), x)
+    state = fit_svi([h], SviConfig(iterations=50, seed=6))
     marg = marginalize(h, state, L=50, seed=0)
     single = predictive_probs(h, state, (float(t[-1] + 1.0), x[0]))
     assert np.allclose(marg.probs, single.probs, atol=1e-12)
@@ -312,9 +317,9 @@ def test_marginalize_refinement_is_stable():
 
 
 def test_marginalize_single_rating_uses_fallback_gap(svi_fit):
-    hs, state = svi_fit
-    h1 = EntityHistory(hs[0].entity_id, np.array([1.0]), np.array([4]),
-                       np.array([[0.1, 0.2]]))
+    hs, _ = svi_fit
+    h1 = EntityHistory("one", np.array([1.0]), np.array([4]), np.array([[0.1, 0.2]]))
+    state = fit_svi(hs + [h1], SviConfig(iterations=50, seed=6))
     dist = marginalize(h1, state, L=10, seed=2)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(InvalidInputError):
