@@ -13,7 +13,8 @@ lists: ``bench/test_bench.py`` proves the benchmark's round-trip check by
 nudging one of their stored numbers in the JSON text. MCMC artifacts of
 schemas 1 and 2 still load; schema 1 holds every array as JSON lists.
 Schema 3 changed the SVI payload to q_mean and the site precisions at
-every rating time, so SVI artifacts of schemas 1 and 2 (inducing points
+every rating time, plus each entity's variance of q at its last rating
+(a plain JSON number), so SVI artifacts of schemas 1 and 2 (inducing points
 and a covariance factor) must be refitted.
 """
 
@@ -548,6 +549,7 @@ def save_fit(fit, path) -> None:
             "entity_ids": list(fit.entity_ids),
             "q_mean": _listify(fit.q_mean),
             "site_precision": {e: _pack(v) for e, v in fit.site_precision.items()},
+            "last_variance": dict(fit.last_variance),
             "theta": _pack(fit.theta),
             "kernel": {e: {"rho": kp.rho, "sigma": kp.sigma}
                        for e, kp in fit.kernel.items()},
@@ -637,6 +639,7 @@ def load_fit(path, expect_backend: str = None):
                 entity_ids=list(payload["entity_ids"]),
                 q_mean=per_entity("q_mean"),
                 site_precision=per_entity("site_precision"),
+                last_variance=payload["last_variance"],
                 theta=arr("theta"),
                 kernel={e: KernelParams(**kp)
                         for e, kp in payload["kernel"].items()},

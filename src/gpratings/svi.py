@@ -11,11 +11,13 @@ so q(g) = N(m, S) with S^-1 = K^-1 + diag(lam2) and m = S lam1. The
 exponential kernel is an Ornstein-Uhlenbeck process, Markov in time, so q
 is a Gauss-Markov chain: a Kalman filter and a two-filter smoother
 (:func:`_smooth`) give every marginal mean and variance and the lag-one
-covariances in O(n), for all entities at once, one rating position at a
-time (Chang et al. 2020, arXiv:2007.04731). Unlike a factorization of the
+covariances (Chang et al. 2020, arXiv:2007.04731). Their recursions run as
+parallel prefix scans over all entities at once, ceil(log2 n) numpy passes
+for histories of up to n ratings. Unlike a factorization of the
 tridiagonal S^-1, whose entries 1/c_k^2 grow without bound as two ratings
-tie, the recursions add and divide positive terms only. A fitted state
-keeps m and lam2, which with the kernel determine q.
+tie, the scans add and divide positive terms only. A fitted state keeps m
+and lam2, which with the kernel determine q, and the variance of q at each
+entity's last rating, which prediction starts from.
 
 The objective is the summed ELBO: Gauss-Hermite estimates of
 E_q[log p(y_k | x_k . theta + g_k)] minus KL(q || prior). Fitting is
@@ -35,8 +37,8 @@ kind per iteration:
 
 The per-entity parameters form one packed vector with a timestep per
 entity, so that a minibatch moves only its own entities' sites and
-parameters. An iteration costs O(n) in the ratings beyond the quadrature,
-with one pass of numpy calls per rating position of the longest history.
+parameters. Beyond the quadrature, an iteration costs O(N log n) for N
+ratings in all and n in the longest history, in O(log n) numpy calls.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .model import (
     EntityHistory,
     KernelParams,
     Panel,
-    markov_factor,
     markov_factor_from_gaps,
 )
 
@@ -66,10 +67,6 @@ _PROB_FLOOR = 1e-300
 # no faster than one pass per entity (57 ms), while blocks of 512-1,024 rows
 # took 32-39 ms: the (2, rows, nodes) temporaries of a block stay in cache.
 _QUADRATURE_CHUNK = 1024
-# Rating positions held by fewer entities than this are smoothed in Python
-# floats, one entity at a time: on a 2-core host a numpy step over a short
-# slice costs about as much as walking a dozen ratings.
-_VECTOR_MIN = 12
 # The sites' natural-gradient step: 1 jumps to each quadrature target. At
 # fixed hyperparameters the sites then settle within 3-5 steps.
 _SITE_STEP = 1.0
@@ -112,11 +109,14 @@ class VariationalState:
     ``q_mean[e]`` is the mean of q over entity e's residual path at its
     training rating times and ``site_precision[e]`` the site precisions
     lam2 there: with the kernel they determine q, S^-1 = K^-1 + diag(lam2).
+    ``last_variance[e]`` is the variance of q at the last training rating,
+    which prediction propagates, so it needs no rating times.
     """
 
     entity_ids: list
     q_mean: dict
     site_precision: dict
+    last_variance: dict
     theta: np.ndarray
     kernel: dict
     emission: dict
@@ -134,6 +134,10 @@ class VariationalState:
             if not (np.isfinite(lam2).all() and (lam2 >= 0.0).all()):
                 raise InvalidInputError(
                     f"site_precision of entity {eid!r} must be finite and >= 0")
+            var = self.last_variance[eid]
+            if not (isinstance(var, (int, float)) and 0.0 <= var < math.inf):
+                raise InvalidInputError(
+                    f"last_variance of entity {eid!r} must be a finite number >= 0")
 
     @property
     def backend(self):
@@ -219,86 +223,92 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar):
     return total, gamma, beta, g_kappa, g_lam
 
 
-def _filter_step(a, c2, lam1, lam2, pf_prev, mf_prev):
-    """One Kalman step into a rating: ``(pp, pf, mf)``, predictive variance
-    and filtered variance and mean, from the filtered moments before it."""
-    pp = c2 + a * a * pf_prev
-    gain = 1.0 + lam2 * pp
-    return pp, pp / gain, (a * mf_prev + pp * lam1) / gain
+def _mobius_scan(p, q, r, pos):
+    """The value at 0 of every prefix composition of the maps
+    x -> (p x + q) / (r x + 1), each segment of rows on its own.
 
-
-def _message_step(a, c2, lam1, lam2, psi, eta):
-    """The information ``(psi, eta)`` that a rating and those after it (whose
-    information about it is ``psi``, ``eta``) carry about the rating before."""
-    info = lam2 + psi
-    den = 1.0 + c2 * info
-    return a * a * info / den, a * (lam1 + eta) / den
-
-
-def _smooth(a, c2, lam1, lam2, blocks):
-    """Kalman filter and two-filter smoother of q, over rows in position-major order.
-
-    Rows ``blocks[j]:blocks[j + 1]`` hold the j-th rating of every entity
-    that has one, longest entities first, so their predecessors are the
-    first rows of block j - 1. Per row, ``a`` and ``c2`` give the prior step
-    g_k = a_k g_{k-1} + c_k z_k (a = 0 and c2 = sigma^2 at an entity's first
-    rating) and ``lam1``, ``lam2`` the site. Returns per row the predictive
-    variance ``pp``, the filtered variance and mean ``pf`` and ``mf``, and
-    the smoothed variance and mean. Every step adds or divides positive
-    terms, so near-tied ratings, whose precision entries 1/c_k^2 are huge,
-    lose no digits.
-
-    A position held by at least ``_VECTOR_MIN`` entities is one numpy step
-    over all of them; the later positions of the few longest histories are
-    walked one rating at a time in Python floats, which costs less per
-    rating than a numpy call.
+    Row k's map is applied after those of the rows before it in its segment;
+    ``pos`` is each row's index in its segment, and the arrays are
+    overwritten. A Hillis-Steele scan: step d composes each row's window of
+    d maps with the d maps before it, as 2x2 matrices [[p, q], [r, 1]]
+    rescaled to a unit corner, so a segment of n rows takes ceil(log2 n)
+    steps of numpy calls over all rows at once. With p, q, r >= 0 every
+    product adds positive terms. A window that already spans its row's whole
+    prefix is composed with the identity (q = r = 0) in place of the rows of
+    the segment before, which leaves its value bit for bit as the segment
+    alone gives it.
     """
-    n = a.size
-    counts = np.diff(blocks)
-    vector = int(np.count_nonzero(counts >= _VECTOR_MIN))   # positions stepped by numpy
-    pp, pf, mf = np.empty(n), np.empty(n), np.empty(n)
-    psi, eta = np.zeros(n), np.zeros(n)
-    for j in range(vector):
-        cur = slice(blocks[j], blocks[j + 1])
-        if j:
-            prev = slice(blocks[j - 1], blocks[j - 1] + cur.stop - cur.start)
-            before = pf[prev], mf[prev]
-        else:
-            before = 0.0, 0.0
-        pp[cur], pf[cur], mf[cur] = _filter_step(a[cur], c2[cur], lam1[cur], lam2[cur], *before)
-    if vector < counts.size:
-        A, C2, L1, L2 = (x.tolist() for x in (a, c2, lam1, lam2))
-        for r in range(counts[vector]):
-            # rank-r entity's rows from position vector - 1 (or 0) to its last
-            length = vector + int(np.count_nonzero(counts[vector:] > r))
-            chain = (blocks[max(vector - 1, 0):length] + r).tolist()
-            walk = chain[1:] if vector else chain
-            pf_k, mf_k = (float(pf[chain[0]]), float(mf[chain[0]])) if vector else (0.0, 0.0)
-            moments = []
-            for k in walk:
-                pp_k, pf_k, mf_k = _filter_step(A[k], C2[k], L1[k], L2[k], pf_k, mf_k)
-                moments.append((pp_k, pf_k, mf_k))
-            pp[walk], pf[walk], mf[walk] = zip(*moments)
-            psi_k = eta_k = 0.0
-            messages = []
-            for k in chain[:0:-1]:
-                psi_k, eta_k = _message_step(A[k], C2[k], L1[k], L2[k], psi_k, eta_k)
-                messages.append((psi_k, eta_k))
-            if messages:
-                psi[chain[-2::-1]], eta[chain[-2::-1]] = zip(*messages)
-    for j in range(vector - 1, 0, -1):
-        cur = slice(blocks[j], blocks[j + 1])
-        prev = slice(blocks[j - 1], blocks[j - 1] + cur.stop - cur.start)
-        psi[prev], eta[prev] = _message_step(a[cur], c2[cur], lam1[cur], lam2[cur],
-                                             psi[cur], eta[cur])
+    d, top = 1, pos.max(initial=0)
+    while d <= top:
+        keep = pos[d:] >= d
+        p1, q1, r1 = p[d:], q[d:], r[d:]
+        p2 = p[:-d]
+        q2 = np.where(keep, q[:-d], 0.0)
+        r2 = np.where(keep, r[:-d], 0.0)
+        # the product's entries over its corner r1 q2 + 1, built in place
+        unit = r1 * q2
+        unit += 1.0
+        np.reciprocal(unit, out=unit)
+        new_p = p1 * p2
+        new_p += q1 * r2
+        new_q = p1 * q2
+        new_q += q1
+        new_r = r1 * p2
+        new_r += r2
+        for x, new in ((p, new_p), (q, new_q), (r, new_r)):
+            new *= unit
+            x[d:] = new
+        d *= 2
+    return q
+
+
+def _affine_scan(alpha, beta, pos):
+    """x_k = alpha_k x_{k-1} + beta_k from x = 0 before each segment, by the
+    same scan as :func:`_mobius_scan`. Every segment's first alpha must be
+    0, which makes a window that spans its prefix ignore the rows before."""
+    d, top = 1, pos.max(initial=0)
+    while d <= top:
+        a1 = alpha[d:]
+        beta[d:], alpha[d:] = a1 * beta[:-d] + beta[d:], a1 * alpha[:-d]
+        d *= 2
+    return beta
+
+
+def _smooth(a, c2, lam1, lam2, pos, rpos):
+    """Kalman filter and two-filter smoother of q over the rows of a panel.
+
+    Per row, ``a`` and ``c2`` give the prior step g_k = a_k g_{k-1} + c_k z_k
+    (a = 0 and c2 = sigma^2 at an entity's first rating) and ``lam1``,
+    ``lam2`` the site; ``pos`` and ``rpos`` count the ratings before and
+    after the row in its entity. Returns per row the predictive variance
+    ``pp``, the filtered variance and mean ``pf`` and ``mf``, and the
+    smoothed variance and mean. The filter
+    pf_k = pp_k / (1 + lam2_k pp_k) with pp_k = c2_k + a_k^2 pf_{k-1},
+    mf_k = (a_k mf_{k-1} + pp_k lam1_k) / (1 + lam2_k pp_k)
+    and the information (psi, eta) that a rating and those after it carry
+    about the rating before,
+    psi_{k-1} = a_k^2 i_k / (1 + c2_k i_k) with i_k = lam2_k + psi_k,
+    eta_{k-1} = a_k (lam1_k + eta_k) / (1 + c2_k i_k),
+    are linear-fractional in the variances and affine in the means, so each
+    runs as one scan. Every step adds or divides positive terms, so
+    near-tied ratings, whose precision entries 1/c_k^2 are huge, lose no
+    digits.
+    """
+    a2 = a * a
+    unit = 1.0 / (1.0 + lam2 * c2)
+    a2u, c2u = a2 * unit, c2 * unit
+    pf = _mobius_scan(a2u.copy(), c2u.copy(), lam2 * a2u, pos)
+    pp = c2 + a2 * np.concatenate(([0.0], pf[:-1]))
+    gain = 1.0 + lam2 * pp
+    mf = _affine_scan(a / gain, pp * lam1 / gain, pos)
+    # backward over the reversed rows, whose scan may overwrite a2u and c2u;
+    # row k's value is psi_{k-1}, eta_{k-1}
+    rev = slice(None, None, -1)
+    psi = np.append(_mobius_scan(a2u[rev], (a2u * lam2)[rev], c2u[rev], rpos[rev])[-2::-1], 0.0)
+    den = 1.0 + c2 * (lam2 + psi)
+    eta = np.append(_affine_scan((a / den)[rev], (a * lam1 / den)[rev], rpos[rev])[-2::-1], 0.0)
     spread = 1.0 + pf * psi
     return pp, pf, mf, pf / spread, (mf + pf * eta) / spread
-
-
-def _unpermute(x, order):
-    out = np.empty_like(x)
-    out[order] = x
-    return out
 
 
 class _PanelVi:
@@ -309,7 +319,7 @@ class _PanelVi:
     log_sigma], with ``lam`` (n_entities, n_r) and the others
     (n_entities,) as views into it, and ``owner`` names the entity of each
     packed entry. :meth:`rebuild` refreshes the panel's Markov factor and the
-    marginals ``mean``, ``var`` and ``cov`` of q, all O(n).
+    marginals ``mean``, ``var`` and ``cov`` of q.
     """
 
     def __init__(self, histories, n_r, rho0):
@@ -329,31 +339,26 @@ class _PanelVi:
         lam = np.log((counts + 0.5) / (p.sizes[:, None] + 0.5 * n_r))
         self.lam[:] = lam - lam.mean(axis=1, keepdims=True)
         self.log_rho[:] = np.log(np.asarray(rho0, dtype=float))
-        # position-major order for the smoother: by rating position, then
-        # entity, longest entities first
-        position = np.arange(p.n_rows) - p.per_row(p.starts)
-        rank = np.empty(n_e, dtype=np.int64)
-        rank[np.argsort(-p.sizes, kind="stable")] = np.arange(n_e)
-        self.order = np.lexsort((rank[p.entity], position))
-        self.blocks = np.concatenate(([0], np.cumsum(np.bincount(position))))
+        # ratings before and after each row in its entity, for the smoother
+        self.pos = np.arange(p.n_rows) - p.per_row(p.starts)
+        self.rpos = p.per_row(p.sizes) - 1 - self.pos
         self.rebuild()
 
     def rebuild(self):
         """Refresh the Markov factor and the moments of q at the current sites.
 
         An entity whose factor is singular (a gap negligible against rho) is
-        marked ``broken``; its moments are then meaningless, and the other
-        entities' are as they would be alone.
+        marked ``broken``; its moments are then meaningless but finite, and
+        the other entities' are as they would be alone.
         """
         p = self.panel
         f = self.factor = markov_factor_from_gaps(p.gaps, p.per_row(np.exp(self.log_rho)),
                                                   p.per_row(np.exp(self.log_sigma)))
         self.broken = ~np.logical_and.reduceat(f.c > 0.0, p.starts)
         self.a = np.concatenate(([0.0], -f.band[1, :-1]))   # a_k, zero at first ratings
-        o = self.order
         with np.errstate(divide="ignore", invalid="ignore"):
-            moments = _smooth(self.a[o], f.c[o] ** 2, self.lam1[o], self.lam2[o], self.blocks)
-            self.pp, self.pf, self.mf, self.var, self.mean = (_unpermute(x, o) for x in moments)
+            self.pp, self.pf, self.mf, self.var, self.mean = _smooth(
+                self.a, f.c ** 2, self.lam1, self.lam2, self.pos, self.rpos)
             k = self.inner
             # the smoother gain G_{k-1}: S_{k-1,k} = G_{k-1} S_kk
             self.gain = self.a[k] * self.pf[k - 1] / self.pp[k]
@@ -608,6 +613,7 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
         entity_ids=list(ids),
         q_mean={e: vp.mean[p.segment(i)].copy() for i, e in enumerate(ids)},
         site_precision={e: vp.lam2[p.segment(i)].copy() for i, e in enumerate(ids)},
+        last_variance={e: float(vp.var[p.segment(i)][-1]) for i, e in enumerate(ids)},
         theta=theta,
         kernel={e: KernelParams(rho=math.exp(vp.log_rho[i]), sigma=math.exp(vp.log_sigma[i]))
                 for i, e in enumerate(ids)},
@@ -639,21 +645,17 @@ def _entity_q(history: EntityHistory, state: VariationalState):
 
 
 def last_marginal(history: EntityHistory, state: VariationalState):
-    """Mean and variance of q at the entity's last rating, for the residual path.
+    """Mean and variance of q at the entity's last training rating, for the
+    residual path.
 
-    The variance is the Kalman filter's at the last rating: one O(n) pass
-    of the forward recursion of :func:`_smooth`.
+    Like an MCMC draw's latent value there, this is the state's own: the
+    history names the entity and may hold fewer or more ratings than the
+    fit saw.
     """
-    q_mean = _entity_q(history, state)
     eid = history.entity_id
-    kp = state.kernel[eid]
-    factor = markov_factor(history.timestamps, kp.rho, kp.sigma, eid)
-    a = [0.0] + (-factor.band[1, :-1]).tolist()
-    var = 0.0
-    for a_k, c_k, lam2_k in zip(a, factor.c.tolist(),
-                                np.asarray(state.site_precision[eid], dtype=float).tolist()):
-        _, var, _ = _filter_step(a_k, c_k * c_k, 0.0, lam2_k, var, 0.0)
-    return float(q_mean[-1]), var
+    if eid not in state.q_mean:
+        raise InvalidInputError(f"state has no entity {eid!r}")
+    return float(state.q_mean[eid][-1]), state.last_variance[eid]
 
 
 def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int = 20) -> float:

@@ -158,6 +158,21 @@ class TestPipelines:
         assert stages["fit"] > 0.0
         assert sum(stages.values()) <= wall
 
+    @pytest.mark.parametrize("backend", ["mcmc", "svi"])
+    def test_unsplit_fit_then_predict(self, sim_dataset, tmp_path, backend):
+        # fit on every rating, then score the train prefixes without the
+        # last --holdout ratings: both backends propagate the fitted last
+        # rating from the prefix's end
+        cfg = write_cfg(tmp_path, {**SVI_CFG, **MCMC_CFG})
+        args = ["--dataset", str(sim_dataset), "--covariates", "x1,x2", "--seed", "2",
+                "--backend", backend, "--out", str(tmp_path)]
+        assert main(["fit", *args, "--config", cfg]) in (0, 5)
+        assert main(["predict", *args, "--holdout", "8", "--L", "10"]) == 0
+        scores = json.loads((tmp_path / "predictions.json").read_text())
+        assert len(scores) == 3
+        for entry in scores.values():
+            assert 1.0 <= entry["expected_rating"] <= 5.0
+
     def test_predict_backend_guard(self, sim_dataset, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SVI_CFG)
         out = tmp_path / "run"

@@ -264,6 +264,7 @@ class TestFitArtifacts:
             assert payload["site_precision"][eid]["shape"] == [h.n]
             assert isinstance(payload["q_mean"][eid], list) and len(payload["q_mean"][eid]) == h.n
             assert loaded.site_precision[eid].tobytes() == state.site_precision[eid].tobytes()
+            assert loaded.last_variance[eid] == state.last_variance[eid] > 0.0
         assert not {"q_chol", "inducing_times"} & set(payload)
 
     @pytest.mark.parametrize("value, message", [
@@ -288,6 +289,19 @@ class TestFitArtifacts:
             "data": base64.b64encode(lam2.tobytes()).decode()}
         p.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=f"malformed artifact.*site_precision of entity 'v1'.*{message}"):
+            load_fit(p)
+
+    @pytest.mark.parametrize("value", [-1e-3, "NaN", "Infinity", "0.5"])
+    def test_corrupt_last_variance_is_a_data_error(self, tmp_path, small_svi_fit, value):
+        _, state = small_svi_fit
+        p = tmp_path / "fit.json"
+        save_fit(state, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc["payload"]["last_variance"]["v1"] = value
+        # json.loads reads the bare words NaN and Infinity as floats
+        p.write_text(json.dumps(doc).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"),
+                     encoding="utf-8")
+        with pytest.raises(DataError, match="malformed artifact.*last_variance of entity 'v1'"):
             load_fit(p)
 
     @pytest.mark.parametrize("version", [1, 2])

@@ -196,12 +196,18 @@ def test_vi_moments_closed_form_matches_dense_oracle(svi_fit):
         assert nu2 == pytest.approx(nu2_o, rel=1e-6)
 
 
-def test_vi_moments_need_the_fitted_history(svi_fit):
+def test_vi_moments_propagate_the_fitted_last_rating(svi_fit):
+    # like an MCMC draw's latent value, q at the last fitted rating is the
+    # state's own: a history with fewer ratings (the train prefix that
+    # `predict` scores after an unsplit fit) propagates it from its own end
     hs, state = svi_fit
-    short = EntityHistory(hs[0].entity_id, hs[0].timestamps[:-1], hs[0].ratings[:-1],
-                          hs[0].covariates[:-1])
-    with pytest.raises(InvalidInputError, match="ratings of entity"):
-        conditional_moments(short, state, float(hs[0].timestamps[-1]), np.zeros(2))
+    h = hs[0]
+    short = EntityHistory(h.entity_id, h.timestamps[:-3], h.ratings[:-3], h.covariates[:-3])
+    x = np.array([0.3, -0.1])
+    lag = 0.25
+    got = conditional_moments(short, state, float(short.timestamps[-1] + lag), x)
+    full = conditional_moments(h, state, float(h.timestamps[-1] + lag), x)
+    assert got == pytest.approx(full, rel=1e-12)
     with pytest.raises(InvalidInputError, match="no entity"):
         conditional_moments(make_history(eid="nobody"), state, 10.0, np.zeros(2))
 

@@ -137,13 +137,12 @@ def random_panel(seed, sizes, tie=1e-6, n_r=5):
     return hs, vp
 
 
-@pytest.mark.parametrize("vector_min", [1, 3, 1000])
+@pytest.mark.parametrize("sizes", [(1, 6, 30, 2, 11), (300, 1, 257, 64)],
+                         ids=["short", "long"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_panel_marginals_match_dense_solve(monkeypatch, seed, vector_min):
-    # every rating position stepped by numpy, the positions of the three
-    # longest histories after the sixth walked in floats, or all walked
-    monkeypatch.setattr(svi_mod, "_VECTOR_MIN", vector_min)
-    hs, vp = random_panel(seed, (1, 6, 30, 2, 11))
+def test_panel_marginals_match_dense_solve(seed, sizes):
+    # "long" takes nine scan steps, with windows that cross entity bounds
+    hs, vp = random_panel(seed, sizes)
     p = vp.panel
     for i, h in enumerate(hs):
         rows = p.segment(i)
@@ -162,6 +161,23 @@ def test_panel_marginals_match_dense_solve(monkeypatch, seed, vector_min):
         dense = _kl_reference(h, vp.mean[rows], S, math.exp(vp.log_rho[i]),
                               math.exp(vp.log_sigma[i]))
         assert kl[i] == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_panel_marginals_are_each_entitys_own(seed):
+    # the scan keeps entities apart: each one's moments are bit for bit
+    # those of a panel that holds it alone
+    hs, vp = random_panel(seed, (1, 6, 30, 2, 11, 17))
+    p = vp.panel
+    for i, h in enumerate(hs):
+        rows = p.segment(i)
+        alone = _PanelVi([h], 5, [math.exp(vp.log_rho[i])])
+        alone.log_sigma[0] = vp.log_sigma[i]
+        alone.lam1[:] = vp.lam1[rows]
+        alone.lam2[:] = vp.lam2[rows]
+        alone.rebuild()
+        for key in ("pp", "pf", "mf", "var", "mean"):
+            np.testing.assert_array_equal(getattr(vp, key)[rows], getattr(alone, key), err_msg=key)
 
 
 def test_prior_sites_give_the_prior():
@@ -570,7 +586,8 @@ def test_state_invariant_validation():
 
     def rebuilt(**fields):
         base = dict(entity_ids=state.entity_ids, q_mean=state.q_mean,
-                    site_precision=state.site_precision, theta=state.theta,
+                    site_precision=state.site_precision,
+                    last_variance=state.last_variance, theta=state.theta,
                     kernel=state.kernel, emission=state.emission,
                     elbo_trace=state.elbo_trace, config=state.config)
         return VariationalState(**{**base, **fields})
@@ -584,6 +601,9 @@ def test_state_invariant_validation():
     short = {k: v[:-1] if k == "s1" else v for k, v in state.site_precision.items()}
     with pytest.raises(InvalidInputError, match="differ in length"):
         rebuilt(site_precision=short)
+    for value in (-1e-9, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="last_variance of entity 's1'"):
+            rebuilt(last_variance={**state.last_variance, "s1": value})
 
 
 def test_nonfinite_objective_aborts_after_retries(monkeypatch):
