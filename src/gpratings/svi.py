@@ -233,10 +233,9 @@ def _mobius_scan(p, q, r, pos):
     d maps with the d maps before it, as 2x2 matrices [[p, q], [r, 1]]
     rescaled to a unit corner, so a segment of n rows takes ceil(log2 n)
     steps of numpy calls over all rows at once. With p, q, r >= 0 every
-    product adds positive terms. A window that already spans its row's whole
-    prefix is composed with the identity (q = r = 0) in place of the rows of
-    the segment before, which leaves its value bit for bit as the segment
-    alone gives it.
+    product adds positive terms. Where the maps before a window lie in the
+    previous segment, their q and r are taken as 0, a map that fixes 0, so
+    the window's value stays bit for bit what its segment alone gives.
     """
     d, top = 1, pos.max(initial=0)
     while d <= top:
@@ -263,9 +262,10 @@ def _mobius_scan(p, q, r, pos):
 
 
 def _affine_scan(alpha, beta, pos):
-    """x_k = alpha_k x_{k-1} + beta_k from x = 0 before each segment, by the
-    same scan as :func:`_mobius_scan`. Every segment's first alpha must be
-    0, which makes a window that spans its prefix ignore the rows before."""
+    """x_k = alpha_k x_{k-1} + beta_k over each segment, by the same scan as
+    :func:`_mobius_scan`. No mask is needed: every segment must start with
+    alpha = 0, a map that ignores its input, so a window that reaches back
+    past it keeps its value bit for bit while the rows before are finite."""
     d, top = 1, pos.max(initial=0)
     while d <= top:
         a1 = alpha[d:]
@@ -301,8 +301,10 @@ def _smooth(a, c2, lam1, lam2, pos, rpos):
     pp = c2 + a2 * np.concatenate(([0.0], pf[:-1]))
     gain = 1.0 + lam2 * pp
     mf = _affine_scan(a / gain, pp * lam1 / gain, pos)
-    # backward over the reversed rows, whose scan may overwrite a2u and c2u;
-    # row k's value is psi_{k-1}, eta_{k-1}
+    # backward over the reversed rows (the scan may overwrite a2u and c2u):
+    # row k's maps carry psi_k, eta_k to psi_{k-1}, eta_{k-1}, and at an
+    # entity's first row (a = 0) they send both to 0, where the previous
+    # entity's pass starts
     rev = slice(None, None, -1)
     psi = np.append(_mobius_scan(a2u[rev], (a2u * lam2)[rev], c2u[rev], rpos[rev])[-2::-1], 0.0)
     den = 1.0 + c2 * (lam2 + psi)
