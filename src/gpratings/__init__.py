@@ -44,6 +44,7 @@ from .mcmc import (
     run_mcmc,
     solve_lengthscale_prior,
     waic,
+    waic_terms,
 )
 from .model import (
     EmissionParams,
@@ -143,6 +144,7 @@ __all__ = [
     "solve_lengthscale_prior",
     "tune",
     "waic",
+    "waic_terms",
     "weighted_mean",
     "wilcoxon_signed_rank",
     "__version__",

@@ -36,7 +36,7 @@ from .evaluate import (
     rmse,
     wilcoxon_signed_rank,
 )
-from .mcmc import McmcConfig, run_mcmc, waic
+from .mcmc import McmcConfig, run_mcmc
 from .predict import marginalize
 from .simulate import SimSpec, recover, simulate
 from .svi import SviConfig, fit_svi
@@ -238,7 +238,9 @@ def cmd_fit(cfg) -> int:
             "step_sizes": fit.metadata["step_sizes"],
             "slice_shrinks": fit.metadata["slice_shrinks"],
             "slice_collapses": fit.metadata["slice_collapses"],
-            "waic": waic(fit.pointwise_loglik),
+            "waic": fit.waic,
+            "lppd": float(fit.lppd.sum()),
+            "p_waic": float(fit.p_waic.sum()),
         }
         converged = fit.converged
     else:

@@ -4,18 +4,28 @@ Review files (CSV or JSONL) become per-entity histories plus a manifest;
 fitted models round-trip through a versioned JSON container whose top level
 is {schema_version, backend, config, payload}.
 
-Schema 3 (written now) stores the numeric arrays of the payload as
-{"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}: the array's
-little-endian bytes, base64-encoded, so saving and loading skip the
-per-float text formatting and the round trip is bit for bit. Two small
-per-entity fields, ``latents`` (MCMC) and ``q_mean`` (SVI), stay JSON
-lists: ``bench/test_bench.py`` proves the benchmark's round-trip check by
-nudging one of their stored numbers in the JSON text. MCMC artifacts of
-schemas 1 and 2 still load; schema 1 holds every array as JSON lists.
-Schema 3 changed the SVI payload to q_mean and the site precisions at
-every rating time, plus each entity's variance of q at its last rating
-(a plain JSON number), so SVI artifacts of schemas 1 and 2 (inducing points
-and a covariance factor) must be refitted.
+The schemas, and which of them load:
+
+- Schema 4 (written now) stores the numeric arrays of the payload as
+  {"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}: the array's
+  little-endian bytes, base64-encoded, so saving and loading skip the
+  per-float text formatting and the round trip is bit for bit. An MCMC
+  payload holds each rating's two WAIC terms, ``lppd`` and ``p_waic``
+  (vectors over the ratings), in place of the draws-by-ratings
+  ``pointwise_loglik`` matrix. Two small per-entity fields, ``latents``
+  (MCMC) and ``q_mean`` (SVI), stay JSON lists: ``bench/test_bench.py``
+  proves the benchmark's round-trip check by nudging one of their stored
+  numbers in the JSON text.
+- Schema 3 holds the MCMC payload of schema 2 and the SVI payload of
+  schema 4: q_mean and the site precisions at every rating time, plus each
+  entity's variance of q at its last rating (a plain JSON number).
+- Schema 2 packs the arrays as schema 4 does; schema 1 holds every array as
+  JSON lists. Their SVI payloads (inducing points and a covariance factor)
+  must be refitted.
+
+Every MCMC artifact loads: schemas 1 to 3 store ``pointwise_loglik``, which
+the loader reduces to ``lppd`` and ``p_waic`` through
+:func:`~gpratings.mcmc.waic_terms`. SVI artifacts load from schema 3 on.
 """
 
 from __future__ import annotations
@@ -35,13 +45,14 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DataError, InvalidInputError
-from .mcmc import McmcConfig, PosteriorEnsemble
+from .mcmc import McmcConfig, PosteriorEnsemble, waic_terms
 from .model import EmissionParams, EntityHistory, KernelParams
 from .svi import SviConfig, VariationalState
 
-SCHEMA_VERSION = 3            # the fit artifact's layout
-_READABLE_VERSIONS = (1, 2, 3)
-_SVI_VERSIONS = (3,)          # SVI payloads before schema 3 are not readable
+SCHEMA_VERSION = 4            # the fit artifact's layout
+_READABLE_VERSIONS = (1, 2, 3, 4)
+_SVI_VERSIONS = (3, 4)        # SVI payloads before schema 3 are not readable
+_MATRIX_VERSIONS = (1, 2, 3)  # MCMC payloads that store pointwise_loglik
 MANIFEST_VERSION = 1          # the dataset manifest's layout, versioned apart
 DAYS_PER_YEAR = 365.25
 
@@ -539,7 +550,8 @@ def save_fit(fit, path) -> None:
             "eta": _pack(fit.eta),
             "latents": _listify(fit.latents),
             "latent_draw_indices": _pack(fit.latent_draw_indices, _INT),
-            "pointwise_loglik": _pack(fit.pointwise_loglik),
+            "lppd": _pack(fit.lppd),
+            "p_waic": _pack(fit.p_waic),
             "diagnostics": _listify(fit.diagnostics),
             "converged": bool(fit.converged),
             "metadata": _listify(fit.metadata),
@@ -577,11 +589,13 @@ def save_fit(fit, path) -> None:
 
 
 def load_fit(path, expect_backend: str = None):
-    """Load a fit artifact saved by save_fit: any schema for MCMC, schema 3 for SVI.
+    """Load a fit artifact saved by save_fit: any schema for MCMC, 3 or 4 for SVI.
 
     Each array field goes through one decoder that takes either form: a
-    packed {dtype, shape, data} dict (schemas 2 and 3) or a plain JSON list
-    (every array of schema 1, and ``latents`` and ``q_mean``). Raises
+    packed {dtype, shape, data} dict (schemas 2 to 4) or a plain JSON list
+    (every array of schema 1, and ``latents`` and ``q_mean``). An MCMC
+    artifact before schema 4 has its ``pointwise_loglik`` matrix reduced to
+    the per-rating ``lppd`` and ``p_waic`` on load. Raises
     DataError for truncated or corrupt files, undecodable array fields,
     foreign schema versions, SVI artifacts older than schema 3, and backend
     tags that don't match ``expect_backend``.
@@ -619,6 +633,10 @@ def load_fit(path, expect_backend: str = None):
                     for e, v in payload[key].items()}
 
         if backend == "mcmc":
+            if doc["schema_version"] in _MATRIX_VERSIONS:
+                lppd, p_waic = waic_terms(arr("pointwise_loglik"))
+            else:
+                lppd, p_waic = arr("lppd"), arr("p_waic")
             return PosteriorEnsemble(
                 entity_ids=list(payload["entity_ids"]),
                 theta=arr("theta"),
@@ -628,7 +646,8 @@ def load_fit(path, expect_backend: str = None):
                 eta=arr("eta"),
                 latents=per_entity("latents"),
                 latent_draw_indices=arr("latent_draw_indices", _INT),
-                pointwise_loglik=arr("pointwise_loglik"),
+                lppd=lppd,
+                p_waic=p_waic,
                 diagnostics=payload["diagnostics"],
                 config=McmcConfig(**doc["config"]),
                 converged=bool(payload["converged"]),

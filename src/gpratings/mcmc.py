@@ -8,7 +8,9 @@ covariate rows.  The per-entity state is a set of arrays of length
 n_entities (log rho, log sigma, log kappa, proposal scales, acceptance
 counts) plus an (n_entities, n_r - 1) table of standardized
 cutpoints; the whitened latents, the path, its mean, the pointwise
-log-likelihood and the kernel factor are vectors over all ratings.
+log-likelihood and the kernel factor are vectors over all ratings.  Each
+retained draw's pointwise log-likelihood is folded into per-rating WAIC
+terms as it is drawn (``_WaicStream``) and not kept.
 
 One sampler iteration cycles these block updates, each run once per chain
 for all entities together:
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -716,8 +719,47 @@ def _initial_log_rho(h, prior):
     return math.log(scale / (shape + 1.0))
 
 
+class _WaicStream:
+    """Per-rating WAIC terms over the draws folded in so far, one draw at a time.
+
+    ``log_sum`` is log sum_s exp(ll_s), kept by ``np.logaddexp``; ``mean``
+    and ``m2`` are Welford's running mean of ll and sum of squared
+    deviations from it.  Memory is three vectors over the ratings, whatever
+    the number of draws.
+    """
+
+    def __init__(self, n_rows):
+        self.count = 0
+        self.log_sum = np.full(n_rows, -np.inf)
+        self.mean = np.zeros(n_rows)
+        self.m2 = np.zeros(n_rows)
+
+    def update(self, ll):
+        self.count += 1
+        np.logaddexp(self.log_sum, ll, out=self.log_sum)
+        delta = ll - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (ll - self.mean)
+
+    def merged(self, other) -> "_WaicStream":
+        """The stream of both sets of draws: ``logaddexp`` of the sums and
+        Chan et al.'s pairwise update of the mean and m2."""
+        out = _WaicStream(self.mean.size)
+        out.count = self.count + other.count
+        delta = other.mean - self.mean
+        out.log_sum = np.logaddexp(self.log_sum, other.log_sum)
+        out.mean = self.mean + delta * (other.count / out.count)
+        out.m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / out.count)
+        return out
+
+    def terms(self):
+        """(lppd, p_waic) per rating, as :func:`waic_terms` gives them."""
+        return self.log_sum - math.log(self.count), self.m2 / (self.count - 1)
+
+
 def _run_chain(panel, priors, log_rho0, config, seed, flat):
-    """Run one chain from its SeedSequence; return its retained draws and report."""
+    """Run one chain from its SeedSequence; return its retained draws, its
+    WAIC stream and its report."""
     n_e = panel.n_entities
     streams = seed.spawn(n_e + 1)
     ch = _Chain(panel, priors, log_rho0, [np.random.default_rng(s) for s in streams[:n_e]],
@@ -729,9 +771,9 @@ def _run_chain(panel, priors, log_rho0, config, seed, flat):
         "sigma": np.empty((per_chain, n_e)),
         "kappa": np.empty((per_chain, n_e)),
         "eta": np.empty((per_chain, n_e, panel.n_r)),
-        "loglik": np.empty((per_chain, panel.n_rows)),
         "latents": np.empty((-(-per_chain // config.latent_thin), panel.n_rows)),
     }
+    stream = _WaicStream(panel.n_rows)
     keep = 0
     for it in range(config.iterations):
         warm = it < config.warmup
@@ -742,10 +784,11 @@ def _run_chain(panel, priors, log_rho0, config, seed, flat):
             draws["sigma"][keep] = np.exp(ch.log_sigma)
             draws["kappa"][keep] = ch.kappa
             draws["eta"][keep] = np.diff(ndtr(ch.z_cuts), prepend=0.0, append=1.0, axis=1)
-            draws["loglik"][keep] = ch.ll
+            stream.update(ch.ll)
             if keep % config.latent_thin == 0:
                 draws["latents"][keep // config.latent_thin] = ch.f
             keep += 1
+    draws["waic"] = stream
     draws["report"] = dict(ch.report, scale=ch.scale, scale_theta=ch.scale_theta)
     return draws
 
@@ -759,8 +802,14 @@ class PosteriorEnsemble:
     """Retained MCMC draws of every parameter plus diagnostics.
 
     Latent vectors are stored for every ``latent_thin``-th retained draw
-    (``latent_draw_indices`` maps them back); the pointwise log-likelihood is
-    stored for every retained draw.  ``metadata`` holds plain numbers only:
+    (``latent_draw_indices`` maps them back).  The pointwise log-likelihood
+    is not stored: each rating keeps its two WAIC terms over all retained
+    draws, in panel order (the entities of ``entity_ids``, each in time
+    order), as :func:`waic_terms` defines them: ``lppd``, the log of the
+    draw-mean of exp(ll), and ``p_waic``, the draw variance of ll (ddof 1).
+    The sampler accumulates them draw by draw, so they cost memory in
+    ratings, not in draws times ratings; ``waic`` is their deviance.
+    ``metadata`` holds plain numbers only:
     ``n_r``, ``median_gap``, ``flat_likelihood`` and the run report, that is
     ``acceptance`` (each block's mean post-warmup acceptance rate over
     entities and chains, the pooled coefficients as ``theta``),
@@ -779,7 +828,8 @@ class PosteriorEnsemble:
     eta: np.ndarray              # (S, n_entities, n_r)
     latents: dict                # entity_id -> (S_lat, n_i)
     latent_draw_indices: np.ndarray
-    pointwise_loglik: np.ndarray  # (S, total points)
+    lppd: np.ndarray             # (total points,)
+    p_waic: np.ndarray           # (total points,)
     diagnostics: dict
     config: McmcConfig
     converged: bool
@@ -792,6 +842,11 @@ class PosteriorEnsemble:
     @property
     def backend(self) -> str:
         return "mcmc"
+
+    @property
+    def waic(self) -> float:
+        """WAIC on the deviance scale over the retained draws (see :func:`waic`)."""
+        return _deviance(self.lppd, self.p_waic)
 
     def entity_index(self, entity_id) -> int:
         return self.entity_ids.index(entity_id)
@@ -851,6 +906,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     latent_idx = np.concatenate([c * per_chain + np.arange(0, per_chain, config.latent_thin)
                                  for c in range(config.chains)])
 
+    lppd, p_waic = reduce(_WaicStream.merged, (c["waic"] for c in chains)).terms()
     diagnostics = _compute_diagnostics(
         histories, config, theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws)
     worst = max(v["rhat"] for v in diagnostics.values()) if diagnostics else 1.0
@@ -863,7 +919,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
         latents={e: latents_flat[:, panel.segment(i)].copy()
                  for i, e in enumerate(panel.entity_ids)},
         latent_draw_indices=latent_idx,
-        pointwise_loglik=stacked("loglik"), diagnostics=diagnostics, config=config,
+        lppd=lppd, p_waic=p_waic, diagnostics=diagnostics, config=config,
         converged=bool(worst <= 1.02),
         metadata={"n_r": n_r, "median_gap": float(np.median(gaps)),
                   "flat_likelihood": bool(flat_likelihood),
@@ -891,30 +947,63 @@ def _run_report(reports, config, n_e):
 
 
 def _compute_diagnostics(histories, config, theta, rho, sigma, kappa, eta):
-    chains = config.chains
-    per_chain = theta.shape[0] // chains
+    """Split-Rhat and ESS of every scalar parameter, keyed by name."""
+    names = [f"theta[{j}]" for j in range(theta.shape[1])]
+    for h in histories:
+        e = h.entity_id
+        names += [f"rho[{e}]", f"sigma[{e}]", f"kappa[{e}]"]
+        names += [f"eta[{e},{k + 1}]" for k in range(eta.shape[2])]
+    # one column per name: theta, then per entity rho, sigma, kappa and eta
+    per_entity = np.concatenate([rho[:, :, None], sigma[:, :, None], kappa[:, :, None], eta],
+                                axis=2)
+    draws = np.concatenate([theta, per_entity.reshape(theta.shape[0], -1)], axis=1)
+    series = np.ascontiguousarray(draws.T).reshape(len(names), config.chains, -1)
+    rhat, ess = _rhat_and_ess(series)
+    return {name: {"rhat": r, "ess": s}
+            for name, r, s in zip(names, rhat.tolist(), ess.tolist())}
 
-    def chainwise(x):
-        return x.reshape(chains, per_chain, *x.shape[1:])
 
-    out = {}
+def _rhat_and_ess(x):
+    """:func:`gelman_rubin` and :func:`effective_sample_size` of many series at once.
 
-    def add(name, draws):
-        series = chainwise(draws)
-        out[name] = {
-            "rhat": float(gelman_rubin(series)),
-            "ess": float(effective_sample_size(series)),
-        }
+    ``x`` is (series, chains, draws).  The formulas are those of the two
+    per-series functions, which stay as the reference: one ``rfft`` covers
+    every chain of every series, and Geyer's initial-positive-pair rule is a
+    first-negative mask over a running minimum.  Returns two vectors over
+    the series.
+    """
+    p, c, m = x.shape
+    if c < 2 or m < 10:
+        raise InvalidInputError("need >= 2 chains with >= 10 draws each")
+    half = m // 2
+    split = np.concatenate([x[:, :, :half], x[:, :, half: 2 * half]], axis=1)
+    within = split.var(axis=2, ddof=1).mean(axis=1)
+    between = half * split.mean(axis=2).var(axis=1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhat = np.sqrt(((half - 1) / half * within + between / half) / within)
+    rhat = np.where(within == 0.0, 1.0, rhat)
 
-    for j in range(theta.shape[1]):
-        add(f"theta[{j}]", theta[:, j])
-    for i, h in enumerate(histories):
-        add(f"rho[{h.entity_id}]", rho[:, i])
-        add(f"sigma[{h.entity_id}]", sigma[:, i])
-        add(f"kappa[{h.entity_id}]", kappa[:, i])
-        for k in range(eta.shape[2]):
-            add(f"eta[{h.entity_id},{k + 1}]", eta[:, i, k])
-    return out
+    total = c * m
+    centered = (x - x.mean(axis=2, keepdims=True)).reshape(p * c, m)
+    size = 2 ** int(np.ceil(np.log2(2 * m)))
+    fft = np.fft.rfft(centered, n=size, axis=1)
+    acov = np.fft.irfft(fft * np.conj(fft), n=size, axis=1)[:, :m].real / m
+    acov = acov.reshape(p, c, m)
+    within = (acov[:, :, 0] * m / (m - 1)).mean(axis=1)
+    between = m * x.mean(axis=2).var(axis=1, ddof=1)
+    var_plus = (m - 1) / m * within + between / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = 1.0 - (within[:, None] - acov.mean(axis=1)) / var_plus[:, None]
+    rho[:, 0] = 1.0
+    # Geyer: sum consecutive pairs up to the first negative one, each capped
+    # by the pairs before it; cumsum adds in order, as the per-series loop does
+    n_pairs = m // 2
+    pairs = rho[:, 0:2 * n_pairs:2] + rho[:, 1:2 * n_pairs:2]
+    positive = np.logical_and.accumulate(~(pairs < 0.0), axis=1)
+    tau = np.where(positive, np.minimum.accumulate(pairs, axis=1), 0.0).cumsum(axis=1)[:, -1]
+    tau = np.maximum(2.0 * tau - 1.0, 1.0 / total)
+    ess = np.where(var_plus == 0.0, float(total), np.minimum(total / tau, total * 2.0))
+    return rhat, ess
 
 
 # ---------------------------------------------------------------------------
@@ -986,16 +1075,31 @@ def effective_sample_size(chain_draws) -> float:
     return float(min(total / tau, total * 2.0))
 
 
-def waic(pointwise_loglik) -> float:
-    """Widely applicable information criterion on the deviance scale.
+def waic_terms(pointwise_loglik):
+    """Each point's WAIC terms from an (S, points) log-likelihood matrix.
 
-    waic = -2 * sum_points [ log mean_s exp(ll) - var_s(ll) ]; lower is
-    better.  The log of the draw-average is taken through log-sum-exp.
+    Returns (lppd, p_waic), two vectors over the points: lppd is
+    log mean_s exp(ll), taken through log-sum-exp, and p_waic is
+    var_s(ll) with ddof 1.  A fit accumulates the same two terms draw by
+    draw (``PosteriorEnsemble.lppd`` and ``p_waic``) in another summation
+    order, so they agree to rounding, not bit for bit.
     """
     ll = np.asarray(pointwise_loglik, dtype=float)
     if ll.ndim != 2 or ll.shape[0] < 2:
         raise InvalidInputError("need an (S, points) matrix with S >= 2")
-    s = ll.shape[0]
-    lppd = logsumexp(ll, axis=0) - math.log(s)
-    penalty = ll.var(axis=0, ddof=1)
-    return float(-2.0 * (lppd - penalty).sum())
+    return logsumexp(ll, axis=0) - math.log(ll.shape[0]), ll.var(axis=0, ddof=1)
+
+
+def _deviance(lppd, p_waic) -> float:
+    return float(-2.0 * (lppd - p_waic).sum())
+
+
+def waic(pointwise_loglik) -> float:
+    """Widely applicable information criterion on the deviance scale.
+
+    waic = -2 * sum_points [ lppd - p_waic ] with the terms of
+    :func:`waic_terms`; lower is better.  This is the batch form over a
+    stored (S, points) matrix; a fit's ``PosteriorEnsemble.waic`` is the same
+    sum over the terms it accumulated while sampling.
+    """
+    return _deviance(*waic_terms(pointwise_loglik))

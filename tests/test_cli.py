@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from gpratings.cli import build_parser, main
 from gpratings.dataio import load_fit
-from gpratings.mcmc import waic
 
 
 def run(argv, capsys=None):
@@ -128,7 +128,10 @@ class TestPipelines:
         assert set(diag["step_sizes"]) == set(diag["acceptance"])
         assert isinstance(diag["slice_collapses"], int)
         fit = load_fit(tmp_path / "fit.json")
-        assert diag["waic"] == waic(fit.pointwise_loglik)
+        assert diag["waic"] == fit.waic
+        assert diag["lppd"] == float(fit.lppd.sum())
+        assert diag["p_waic"] == float(fit.p_waic.sum())
+        assert math.isfinite(diag["waic"]) and diag["p_waic"] >= 0.0
 
     def test_fit_svi_writes_run_report(self, sim_dataset, tmp_path):
         cfg = write_cfg(tmp_path, SVI_CFG)

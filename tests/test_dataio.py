@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,10 +16,11 @@ from gpratings.dataio import (
     save_fit,
 )
 from gpratings.errors import DataError, InvalidInputError
-from gpratings.mcmc import McmcConfig, run_mcmc
+from gpratings.mcmc import McmcConfig, waic_terms
 from gpratings.predict import predictive_probs
 from gpratings.svi import SviConfig, fit_svi
 
+from test_mcmc import run_mcmc_recording_rows
 from test_model import make_history
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,7 +198,8 @@ class TestManifest:
 
 
 @pytest.fixture(scope="module")
-def small_mcmc_fit():
+def small_mcmc_run():
+    """The histories, the fit and the log-likelihood rows its WAIC streams folded."""
     rng = np.random.default_rng(2)
     histories = [
         make_history(np.sort(rng.uniform(0, 2, 12)),
@@ -205,8 +208,14 @@ def small_mcmc_fit():
                      entity_id=f"e{i}")
         for i in range(2)
     ]
-    fit = run_mcmc(histories, McmcConfig(chains=2, iterations=80, warmup=40, seed=5))
-    return histories, fit
+    fit, rows = run_mcmc_recording_rows(
+        histories, McmcConfig(chains=2, iterations=80, warmup=40, seed=5))
+    return histories, fit, rows
+
+
+@pytest.fixture(scope="module")
+def small_mcmc_fit(small_mcmc_run):
+    return small_mcmc_run[:2]
 
 
 @pytest.fixture(scope="module")
@@ -314,15 +323,54 @@ class TestFitArtifacts:
         with pytest.raises(DataError, match=f"schema version {version}.*refit"):
             load_fit(p)
 
-    def test_schema_2_mcmc_artifact_still_loads(self, tmp_path, small_mcmc_fit):
-        # schema 3 left the MCMC payload as schema 2 wrote it
-        _, fit = small_mcmc_fit
+    def test_schema_2_mcmc_artifact_still_loads(self, tmp_path, small_mcmc_run):
+        # schemas 2 and 3 stored the (draws, ratings) pointwise_loglik matrix
+        _, fit, rows = small_mcmc_run
+        lppd, p_waic = waic_terms(rows)
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         doc = json.loads(p.read_text(encoding="utf-8"))
-        doc["schema_version"] = 2
-        p.write_text(json.dumps(doc), encoding="utf-8")
-        assert fit_differences(fit, load_fit(p, expect_backend="mcmc")) == []
+        payload = doc["payload"]
+        del payload["lppd"], payload["p_waic"]
+        payload["pointwise_loglik"] = {
+            "dtype": "<f8", "shape": list(rows.shape),
+            "data": base64.b64encode(rows.tobytes()).decode()}
+        for version in (2, 3):
+            doc["schema_version"] = version
+            p.write_text(json.dumps(doc), encoding="utf-8")
+            loaded = load_fit(p, expect_backend="mcmc")
+            assert loaded.lppd.tobytes() == lppd.tobytes()
+            assert loaded.p_waic.tobytes() == p_waic.tobytes()
+            diffs = fit_differences(fit, loaded)
+            assert all(d.startswith(("fit.lppd", "fit.p_waic")) for d in diffs), diffs
+            np.testing.assert_allclose(loaded.lppd, fit.lppd, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(loaded.p_waic, fit.p_waic, rtol=0.0, atol=1e-12)
+
+    def test_v1_mcmc_waic_terms_reduce_its_matrix(self):
+        doc = json.loads((DATA / "fit_v1_mcmc.json").read_text(encoding="utf-8"))
+        lppd, p_waic = waic_terms(np.array(doc["payload"]["pointwise_loglik"]))
+        loaded = load_fit(DATA / "fit_v1_mcmc.json")
+        assert loaded.lppd.tobytes() == lppd.tobytes()
+        assert loaded.p_waic.tobytes() == p_waic.tobytes()
+        assert loaded.waic == -2.0 * float((lppd - p_waic).sum())
+
+    def test_no_field_holds_draws_by_ratings(self, tmp_path, small_mcmc_run):
+        histories, fit, rows = small_mcmc_run
+        full = fit.n_draws * sum(h.n for h in histories)
+        assert rows.size == full
+        for f in dataclasses.fields(fit):
+            value = getattr(fit, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.size < full, f.name
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        payload = json.loads(p.read_text(encoding="utf-8"))["payload"]
+        packed = {k: v for k, v in payload.items() if isinstance(v, dict) and "data" in v}
+        assert {"theta", "rho", "sigma", "kappa", "eta", "latent_draw_indices",
+                "lppd", "p_waic"} == set(packed)
+        for key, value in packed.items():
+            assert math.prod(value["shape"]) < full, key
+        assert "pointwise_loglik" not in payload
 
     @pytest.mark.parametrize("backend", ["mcmc", "svi"])
     def test_every_field_round_trips_bit_for_bit(self, tmp_path, small_mcmc_fit,
@@ -331,17 +379,17 @@ class TestFitArtifacts:
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         assert fit_differences(fit, load_fit(p)) == []
-        assert json.loads(p.read_text(encoding="utf-8"))["schema_version"] == 3
+        assert json.loads(p.read_text(encoding="utf-8"))["schema_version"] == 4
 
     def test_negative_zero_and_nan_bits_survive(self, tmp_path, small_mcmc_fit):
         _, fit = small_mcmc_fit
-        ll = fit.pointwise_loglik.copy()
-        ll[0, :3] = [-0.0, np.nan, -np.inf]
-        odd = dataclasses.replace(fit, pointwise_loglik=ll)
+        lppd = fit.lppd.copy()
+        lppd[:3] = [-0.0, np.nan, -np.inf]
+        odd = dataclasses.replace(fit, lppd=lppd)
         p = tmp_path / "fit.json"
         save_fit(odd, p)
         loaded = load_fit(p)
-        assert loaded.pointwise_loglik.tobytes() == ll.tobytes()
+        assert loaded.lppd.tobytes() == lppd.tobytes()
         assert loaded.latent_draw_indices.dtype == np.int64
 
     @pytest.mark.parametrize("corrupt, message", [
@@ -359,9 +407,9 @@ class TestFitArtifacts:
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         doc = json.loads(p.read_text(encoding="utf-8"))
-        corrupt(doc["payload"]["pointwise_loglik"])
+        corrupt(doc["payload"]["lppd"])
         p.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match=f"pointwise_loglik.*{message}"):
+        with pytest.raises(DataError, match=f"lppd.*{message}"):
             load_fit(p)
 
     def test_invalid_stored_values_are_a_data_error(self, tmp_path, small_svi_fit):
@@ -384,9 +432,14 @@ class TestFitArtifacts:
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         old, new = load_fit(v1_path, expect_backend=backend), load_fit(p)
-        # the schema-1 files predate the run-report keys in metadata
-        diffs = [d for d in fit_differences(new, old) if not d.startswith("fit.metadata")]
+        # the schema-1 files predate the run-report keys in metadata; their
+        # WAIC terms are reduced from the stored matrix in another order than
+        # the sampler's stream
+        diffs = [d for d in fit_differences(new, old)
+                 if not d.startswith(("fit.metadata", "fit.lppd", "fit.p_waic"))]
         assert diffs == []
+        np.testing.assert_allclose(old.lppd, new.lppd, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(old.p_waic, new.p_waic, rtol=0.0, atol=1e-12)
         for h in histories:
             query = (h.timestamps[-1] + 0.25, h.covariates[-1])
             before = predictive_probs(h, new, query)

@@ -41,6 +41,7 @@ from gpratings.mcmc import (
     run_mcmc,
     solve_lengthscale_prior,
     waic,
+    waic_terms,
 )
 from gpratings.model import EntityHistory, KernelParams, kernel_matrix
 
@@ -491,6 +492,32 @@ def small_config(**kw):
     return McmcConfig(**base)
 
 
+def mixed_panel():
+    """A single-rating entity, a 1e-6-year tie; fit with n_r=7 it leaves two
+    rating levels unobserved."""
+    rng = np.random.default_rng(41)
+    t = np.sort(rng.uniform(0.0, 4.0, 10))
+    t[5] = t[4] + 1e-6
+    tied = EntityHistory("tied", t, rng.integers(1, 6, 10), rng.normal(size=(10, 2)))
+    single = EntityHistory("single", [1.5], [4], rng.normal(size=(1, 2)))
+    return [random_history(rng, 12, "plain"), single, tied]
+
+
+def run_mcmc_recording_rows(*args, **kwargs):
+    """run_mcmc, and the (draws, ratings) matrix of the pointwise
+    log-likelihood rows its chains folded into their WAIC streams, in order."""
+    rows = []
+    update = mcmc._WaicStream.update
+
+    def recorded(stream, ll):
+        rows.append(ll.copy())
+        update(stream, ll)
+
+    with mock.patch.object(mcmc._WaicStream, "update", recorded):
+        fit = run_mcmc(*args, **kwargs)
+    return fit, np.array(rows)
+
+
 def test_run_mcmc_shapes_and_draw_invariants():
     hs = small_dataset()
     fit = run_mcmc(hs, small_config())
@@ -498,11 +525,11 @@ def test_run_mcmc_shapes_and_draw_invariants():
     assert fit.theta.shape == (S, 2)
     assert fit.rho.shape == fit.sigma.shape == fit.kappa.shape == (S, 2)
     assert fit.eta.shape == (S, 2, 5)
-    assert fit.pointwise_loglik.shape == (S, 24)
+    assert fit.lppd.shape == fit.p_waic.shape == (24,)
     assert np.all(fit.rho > 0) and np.all(fit.sigma > 0) and np.all(fit.kappa > 0)
     assert np.all(fit.eta > 0)
     assert np.allclose(fit.eta.sum(axis=2), 1.0, atol=1e-9)
-    assert np.all(fit.pointwise_loglik <= 0.0)
+    assert np.all(fit.lppd <= 0.0) and np.all(fit.p_waic >= 0.0)
     # cutpoints derived from every draw must be strictly increasing
     for s in range(0, S, 7):
         for i in range(2):
@@ -520,11 +547,13 @@ def test_run_mcmc_shapes_and_draw_invariants():
 
 def test_run_mcmc_is_deterministic():
     hs = small_dataset()
-    a = run_mcmc(hs, small_config())
-    b = run_mcmc(hs, small_config())
+    a, rows_a = run_mcmc_recording_rows(hs, small_config())
+    b, rows_b = run_mcmc_recording_rows(hs, small_config())
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.rho, b.rho)
-    assert np.array_equal(a.pointwise_loglik, b.pointwise_loglik)
+    assert np.array_equal(rows_a, rows_b)
+    assert np.array_equal(a.lppd, b.lppd)
+    assert np.array_equal(a.p_waic, b.p_waic)
     for eid in a.latents:
         assert np.array_equal(a.latents[eid], b.latents[eid])
 
@@ -634,7 +663,7 @@ def test_run_report_holds_final_step_sizes(monkeypatch):
 
 def test_run_report_counts_without_changing_draws(monkeypatch):
     hs = small_dataset(n_entities=3)
-    fit = run_mcmc(hs, small_config())
+    fit, rows = run_mcmc_recording_rows(hs, small_config())
     meta = fit.metadata
     assert set(meta["acceptance"]) == {"rho_sigma", "kappa", "cutpoints", "shift",
                                        "rescale", "theta"}
@@ -652,32 +681,28 @@ def test_run_report_counts_without_changing_draws(monkeypatch):
         assert moves <= round(count) <= moves + chains * steps.shape[2]
 
     monkeypatch.setattr(mcmc, "_tally", lambda report, key, value: None)
-    bare = run_mcmc(hs, small_config())
+    bare, bare_rows = run_mcmc_recording_rows(hs, small_config())
     assert set(bare.metadata["acceptance"].values()) == {0.0}
-    for key in ("theta", "rho", "sigma", "kappa", "eta", "pointwise_loglik"):
+    for key in ("theta", "rho", "sigma", "kappa", "eta", "lppd", "p_waic"):
         assert np.array_equal(getattr(fit, key), getattr(bare, key)), key
+    assert np.array_equal(rows, bare_rows)
     for eid in fit.latents:
         assert np.array_equal(fit.latents[eid], bare.latents[eid])
 
 
 def test_run_mcmc_mixed_panel_invariants():
-    # a single-rating entity, a 1e-6-year tie and two unobserved rating levels
-    rng = np.random.default_rng(41)
-    t = np.sort(rng.uniform(0.0, 4.0, 10))
-    t[5] = t[4] + 1e-6
-    tied = EntityHistory("tied", t, rng.integers(1, 6, 10), rng.normal(size=(10, 2)))
-    single = EntityHistory("single", [1.5], [4], rng.normal(size=(1, 2)))
-    hs = [random_history(rng, 12, "plain"), single, tied]
+    hs = mixed_panel()
     fit = run_mcmc(hs, small_config(), n_r=7)
     S = 60
     assert fit.theta.shape == (S, 2)
     assert fit.rho.shape == fit.sigma.shape == fit.kappa.shape == (S, 3)
     assert fit.eta.shape == (S, 3, 7)
-    assert fit.pointwise_loglik.shape == (S, 23)
+    assert fit.lppd.shape == fit.p_waic.shape == (23,)
     assert np.all(fit.rho > 0) and np.all(fit.sigma > 0) and np.all(fit.kappa > 0)
     assert np.all(fit.eta > 0)
     assert np.allclose(fit.eta.sum(axis=2), 1.0, atol=1e-9)
-    assert np.all(np.isfinite(fit.pointwise_loglik)) and np.all(fit.pointwise_loglik <= 0.0)
+    assert np.all(np.isfinite(fit.lppd)) and np.all(fit.lppd <= 0.0)
+    assert np.all(np.isfinite(fit.p_waic)) and np.all(fit.p_waic >= 0.0)
     for s in range(0, S, 7):
         for i in range(3):
             cuts = fit.kappa[s, i] * stats.norm.ppf(np.cumsum(fit.eta[s, i])[:-1])
@@ -688,3 +713,66 @@ def test_run_mcmc_mixed_panel_invariants():
     assert fit.latent_draw_indices.shape == (16,)
     assert np.all(fit.latent_draw_indices < S)
     assert fit.metadata["n_r"] == 7
+
+
+# ---------------------------------------------------------------------------
+# WAIC streamed while sampling, diagnostics over all series at once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("chains, flat", [(2, False), (3, False), (2, True)])
+def test_streamed_waic_matches_batch_on_the_folded_rows(chains, flat):
+    hs = small_dataset()
+    fit, rows = run_mcmc_recording_rows(hs, small_config(chains=chains),
+                                        flat_likelihood=flat)
+    assert rows.shape == (fit.n_draws, 24)
+    lppd, p_waic = waic_terms(rows)
+    np.testing.assert_allclose(fit.lppd, lppd, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fit.p_waic, p_waic, rtol=0.0, atol=1e-12)
+    assert fit.waic == pytest.approx(waic(rows), rel=1e-12, abs=0.0)
+    if flat:
+        assert np.all(fit.p_waic == 0.0)
+
+
+def _series(fit, name):
+    """The (chains, draws) series of a diagnostics key such as 'eta[e0,3]'."""
+    key, inside = name[:-1].split("[")
+    if key == "theta":
+        x = fit.theta[:, int(inside)]
+    else:
+        eid, *level = inside.split(",")
+        x = getattr(fit, key)[:, fit.entity_index(eid)]
+        if level:
+            x = x[:, int(level[0]) - 1]
+    return x.reshape(fit.config.chains, -1)
+
+
+@pytest.mark.parametrize("panel", ["small", "mixed"])
+def test_diagnostics_match_the_per_series_functions(panel):
+    if panel == "small":
+        fit = run_mcmc(small_dataset(), small_config())
+    else:
+        fit = run_mcmc(mixed_panel(), small_config(), n_r=7)
+    n_e, n_r = fit.eta.shape[1:]
+    assert len(fit.diagnostics) == fit.theta.shape[1] + n_e * (3 + n_r)
+    for name, entry in fit.diagnostics.items():
+        x = _series(fit, name)
+        assert entry["rhat"] == pytest.approx(gelman_rubin(x), rel=1e-12, abs=0.0), name
+        assert entry["ess"] == pytest.approx(effective_sample_size(x), rel=1e-12, abs=0.0), name
+
+
+def test_batched_diagnostics_cover_degenerate_series():
+    rng = np.random.default_rng(43)
+    m = 37
+    ar = np.empty((3, m))
+    ar[:, 0] = rng.normal(size=3)
+    for t in range(1, m):
+        ar[:, t] = 0.95 * ar[:, t - 1] + rng.normal(size=3)
+    stuck = np.repeat(rng.normal(size=(3, 1)), m, axis=1)   # zero within-chain variance
+    series = np.stack([rng.normal(size=(3, m)), ar, np.ones((3, m)), stuck,
+                       -rng.exponential(size=(3, m))])
+    rhat, ess = mcmc._rhat_and_ess(series)
+    for x, r, e in zip(series, rhat, ess):
+        assert r == pytest.approx(gelman_rubin(x), rel=1e-12, abs=0.0)
+        assert e == pytest.approx(effective_sample_size(x), rel=1e-12, abs=0.0)
+    with pytest.raises(InvalidInputError):
+        mcmc._rhat_and_ess(np.zeros((4, 2, 9)))
