@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -741,25 +740,15 @@ class _WaicStream:
         self.mean += delta / self.count
         self.m2 += delta * (ll - self.mean)
 
-    def merged(self, other) -> "_WaicStream":
-        """The stream of both sets of draws: ``logaddexp`` of the sums and
-        Chan et al.'s pairwise update of the mean and m2."""
-        out = _WaicStream(self.mean.size)
-        out.count = self.count + other.count
-        delta = other.mean - self.mean
-        out.log_sum = np.logaddexp(self.log_sum, other.log_sum)
-        out.mean = self.mean + delta * (other.count / out.count)
-        out.m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / out.count)
-        return out
-
     def terms(self):
         """(lppd, p_waic) per rating, as :func:`waic_terms` gives them."""
         return self.log_sum - math.log(self.count), self.m2 / (self.count - 1)
 
 
-def _run_chain(panel, priors, log_rho0, config, seed, flat):
-    """Run one chain from its SeedSequence; return its retained draws, its
-    WAIC stream and its report."""
+def _run_chain(panel, priors, log_rho0, config, seed, flat, waic_stream):
+    """Run one chain from its SeedSequence; return its retained draws and
+    report.  Each retained draw's pointwise log-likelihood is folded into
+    ``waic_stream``, which the chains share."""
     n_e = panel.n_entities
     streams = seed.spawn(n_e + 1)
     ch = _Chain(panel, priors, log_rho0, [np.random.default_rng(s) for s in streams[:n_e]],
@@ -773,7 +762,6 @@ def _run_chain(panel, priors, log_rho0, config, seed, flat):
         "eta": np.empty((per_chain, n_e, panel.n_r)),
         "latents": np.empty((-(-per_chain // config.latent_thin), panel.n_rows)),
     }
-    stream = _WaicStream(panel.n_rows)
     keep = 0
     for it in range(config.iterations):
         warm = it < config.warmup
@@ -784,11 +772,10 @@ def _run_chain(panel, priors, log_rho0, config, seed, flat):
             draws["sigma"][keep] = np.exp(ch.log_sigma)
             draws["kappa"][keep] = ch.kappa
             draws["eta"][keep] = np.diff(ndtr(ch.z_cuts), prepend=0.0, append=1.0, axis=1)
-            stream.update(ch.ll)
+            waic_stream.update(ch.ll)
             if keep % config.latent_thin == 0:
                 draws["latents"][keep // config.latent_thin] = ch.f
             keep += 1
-    draws["waic"] = stream
     draws["report"] = dict(ch.report, scale=ch.scale, scale_theta=ch.scale_theta)
     return draws
 
@@ -808,7 +795,9 @@ class PosteriorEnsemble:
     order), as :func:`waic_terms` defines them: ``lppd``, the log of the
     draw-mean of exp(ll), and ``p_waic``, the draw variance of ll (ddof 1).
     The sampler accumulates them draw by draw, so they cost memory in
-    ratings, not in draws times ratings; ``waic`` is their deviance.
+    ratings, not in draws times ratings; ``waic`` is their deviance.  Both
+    must hold one term per rating, and every p_waic term must be finite and
+    >= 0, or construction raises InvalidInputError.
     ``metadata`` holds plain numbers only:
     ``n_r``, ``median_gap``, ``flat_likelihood`` and the run report, that is
     ``acceptance`` (each block's mean post-warmup acceptance rate over
@@ -834,6 +823,14 @@ class PosteriorEnsemble:
     config: McmcConfig
     converged: bool
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n_rows = sum(np.shape(self.latents[e])[1] for e in self.entity_ids)
+        for name in ("lppd", "p_waic"):
+            if np.shape(getattr(self, name)) != (n_rows,):
+                raise InvalidInputError(f"{name} must hold one term per rating ({n_rows})")
+        if not (np.isfinite(self.p_waic).all() and (self.p_waic >= 0.0).all()):
+            raise InvalidInputError("p_waic must be finite and >= 0")
 
     @property
     def n_draws(self) -> int:
@@ -893,7 +890,9 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
         q_star = solve_triangular(priors.r_star, X_all.T, lower=False, trans="T").T
     panel = _Panel(histories, q_star, n_r)
     log_rho0 = [_initial_log_rho(h, priors.lengthscale[h.entity_id]) for h in histories]
-    chains = [_run_chain(panel, priors, log_rho0, config, seed, flat_likelihood)
+    # the chains run in turn, so one stream folds the draws in their stacked order
+    waic_stream = _WaicStream(panel.n_rows)
+    chains = [_run_chain(panel, priors, log_rho0, config, seed, flat_likelihood, waic_stream)
               for seed in np.random.SeedSequence(config.seed).spawn(config.chains)]
 
     def stacked(key):
@@ -906,7 +905,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     latent_idx = np.concatenate([c * per_chain + np.arange(0, per_chain, config.latent_thin)
                                  for c in range(config.chains)])
 
-    lppd, p_waic = reduce(_WaicStream.merged, (c["waic"] for c in chains)).terms()
+    lppd, p_waic = waic_stream.terms()
     diagnostics = _compute_diagnostics(
         histories, config, theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws)
     worst = max(v["rhat"] for v in diagnostics.values()) if diagnostics else 1.0
@@ -947,63 +946,30 @@ def _run_report(reports, config, n_e):
 
 
 def _compute_diagnostics(histories, config, theta, rho, sigma, kappa, eta):
-    """Split-Rhat and ESS of every scalar parameter, keyed by name."""
-    names = [f"theta[{j}]" for j in range(theta.shape[1])]
-    for h in histories:
-        e = h.entity_id
-        names += [f"rho[{e}]", f"sigma[{e}]", f"kappa[{e}]"]
-        names += [f"eta[{e},{k + 1}]" for k in range(eta.shape[2])]
-    # one column per name: theta, then per entity rho, sigma, kappa and eta
-    per_entity = np.concatenate([rho[:, :, None], sigma[:, :, None], kappa[:, :, None], eta],
-                                axis=2)
-    draws = np.concatenate([theta, per_entity.reshape(theta.shape[0], -1)], axis=1)
-    series = np.ascontiguousarray(draws.T).reshape(len(names), config.chains, -1)
-    rhat, ess = _rhat_and_ess(series)
-    return {name: {"rhat": r, "ess": s}
-            for name, r, s in zip(names, rhat.tolist(), ess.tolist())}
+    chains = config.chains
+    per_chain = theta.shape[0] // chains
 
+    def chainwise(x):
+        return x.reshape(chains, per_chain, *x.shape[1:])
 
-def _rhat_and_ess(x):
-    """:func:`gelman_rubin` and :func:`effective_sample_size` of many series at once.
+    out = {}
 
-    ``x`` is (series, chains, draws).  The formulas are those of the two
-    per-series functions, which stay as the reference: one ``rfft`` covers
-    every chain of every series, and Geyer's initial-positive-pair rule is a
-    first-negative mask over a running minimum.  Returns two vectors over
-    the series.
-    """
-    p, c, m = x.shape
-    if c < 2 or m < 10:
-        raise InvalidInputError("need >= 2 chains with >= 10 draws each")
-    half = m // 2
-    split = np.concatenate([x[:, :, :half], x[:, :, half: 2 * half]], axis=1)
-    within = split.var(axis=2, ddof=1).mean(axis=1)
-    between = half * split.mean(axis=2).var(axis=1, ddof=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhat = np.sqrt(((half - 1) / half * within + between / half) / within)
-    rhat = np.where(within == 0.0, 1.0, rhat)
+    def add(name, draws):
+        series = chainwise(draws)
+        out[name] = {
+            "rhat": float(gelman_rubin(series)),
+            "ess": float(effective_sample_size(series)),
+        }
 
-    total = c * m
-    centered = (x - x.mean(axis=2, keepdims=True)).reshape(p * c, m)
-    size = 2 ** int(np.ceil(np.log2(2 * m)))
-    fft = np.fft.rfft(centered, n=size, axis=1)
-    acov = np.fft.irfft(fft * np.conj(fft), n=size, axis=1)[:, :m].real / m
-    acov = acov.reshape(p, c, m)
-    within = (acov[:, :, 0] * m / (m - 1)).mean(axis=1)
-    between = m * x.mean(axis=2).var(axis=1, ddof=1)
-    var_plus = (m - 1) / m * within + between / m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = 1.0 - (within[:, None] - acov.mean(axis=1)) / var_plus[:, None]
-    rho[:, 0] = 1.0
-    # Geyer: sum consecutive pairs up to the first negative one, each capped
-    # by the pairs before it; cumsum adds in order, as the per-series loop does
-    n_pairs = m // 2
-    pairs = rho[:, 0:2 * n_pairs:2] + rho[:, 1:2 * n_pairs:2]
-    positive = np.logical_and.accumulate(~(pairs < 0.0), axis=1)
-    tau = np.where(positive, np.minimum.accumulate(pairs, axis=1), 0.0).cumsum(axis=1)[:, -1]
-    tau = np.maximum(2.0 * tau - 1.0, 1.0 / total)
-    ess = np.where(var_plus == 0.0, float(total), np.minimum(total / tau, total * 2.0))
-    return rhat, ess
+    for j in range(theta.shape[1]):
+        add(f"theta[{j}]", theta[:, j])
+    for i, h in enumerate(histories):
+        add(f"rho[{h.entity_id}]", rho[:, i])
+        add(f"sigma[{h.entity_id}]", sigma[:, i])
+        add(f"kappa[{h.entity_id}]", kappa[:, i])
+        for k in range(eta.shape[2]):
+            add(f"eta[{h.entity_id},{k + 1}]", eta[:, i, k])
+    return out
 
 
 # ---------------------------------------------------------------------------

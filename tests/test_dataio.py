@@ -412,6 +412,25 @@ class TestFitArtifacts:
         with pytest.raises(DataError, match=f"lppd.*{message}"):
             load_fit(p)
 
+    @pytest.mark.parametrize("key, edit, message", [
+        ("p_waic", lambda a: np.where(np.arange(a.size) == 3, -1e-3, a), "p_waic must be finite"),
+        ("p_waic", lambda a: np.where(np.arange(a.size) == 0, np.inf, a), "p_waic must be finite"),
+        ("p_waic", lambda a: a[:-1], "p_waic must hold one term per rating"),
+        ("lppd", lambda a: np.append(a, -1.0), "lppd must hold one term per rating"),
+    ], ids=["negative_p_waic", "infinite_p_waic", "short_p_waic", "long_lppd"])
+    def test_invalid_waic_terms_are_a_data_error(self, tmp_path, small_mcmc_fit,
+                                                 key, edit, message):
+        _, fit = small_mcmc_fit
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        bad = edit(getattr(fit, key))
+        doc["payload"][key] = {"dtype": "<f8", "shape": list(bad.shape),
+                               "data": base64.b64encode(bad.tobytes()).decode()}
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"malformed artifact.*{message}"):
+            load_fit(p)
+
     def test_invalid_stored_values_are_a_data_error(self, tmp_path, small_svi_fit):
         _, state = small_svi_fit
         p = tmp_path / "fit.json"
@@ -424,11 +443,14 @@ class TestFitArtifacts:
 
     @pytest.mark.parametrize("backend", ["mcmc"])
     def test_schema_1_artifact_loads_and_predicts_as_schema_2(
-            self, tmp_path, small_mcmc_fit, backend):
+            self, tmp_path, small_mcmc_run, backend):
         # SVI artifacts before schema 3 are refused (see above)
-        histories, fit = small_mcmc_fit
+        histories, fit, rows = small_mcmc_run
         v1_path = DATA / f"fit_v1_{backend}.json"
-        assert json.loads(v1_path.read_text(encoding="utf-8"))["schema_version"] == 1
+        v1_doc = json.loads(v1_path.read_text(encoding="utf-8"))
+        assert v1_doc["schema_version"] == 1
+        # the stored matrix is exactly the rows a fresh fit folds into its WAIC
+        assert rows.tobytes() == np.array(v1_doc["payload"]["pointwise_loglik"]).tobytes()
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         old, new = load_fit(v1_path, expect_backend=backend), load_fit(p)
@@ -438,6 +460,9 @@ class TestFitArtifacts:
         diffs = [d for d in fit_differences(new, old)
                  if not d.startswith(("fit.metadata", "fit.lppd", "fit.p_waic"))]
         assert diffs == []
+        lppd, p_waic = waic_terms(rows)
+        assert old.lppd.tobytes() == lppd.tobytes()
+        assert old.p_waic.tobytes() == p_waic.tobytes()
         np.testing.assert_allclose(old.lppd, new.lppd, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(old.p_waic, new.p_waic, rtol=0.0, atol=1e-12)
         for h in histories:

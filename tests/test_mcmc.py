@@ -492,20 +492,9 @@ def small_config(**kw):
     return McmcConfig(**base)
 
 
-def mixed_panel():
-    """A single-rating entity, a 1e-6-year tie; fit with n_r=7 it leaves two
-    rating levels unobserved."""
-    rng = np.random.default_rng(41)
-    t = np.sort(rng.uniform(0.0, 4.0, 10))
-    t[5] = t[4] + 1e-6
-    tied = EntityHistory("tied", t, rng.integers(1, 6, 10), rng.normal(size=(10, 2)))
-    single = EntityHistory("single", [1.5], [4], rng.normal(size=(1, 2)))
-    return [random_history(rng, 12, "plain"), single, tied]
-
-
 def run_mcmc_recording_rows(*args, **kwargs):
     """run_mcmc, and the (draws, ratings) matrix of the pointwise
-    log-likelihood rows its chains folded into their WAIC streams, in order."""
+    log-likelihood rows its chains folded into the WAIC stream, in order."""
     rows = []
     update = mcmc._WaicStream.update
 
@@ -520,7 +509,7 @@ def run_mcmc_recording_rows(*args, **kwargs):
 
 def test_run_mcmc_shapes_and_draw_invariants():
     hs = small_dataset()
-    fit = run_mcmc(hs, small_config())
+    fit, rows = run_mcmc_recording_rows(hs, small_config())
     S = 2 * 30
     assert fit.theta.shape == (S, 2)
     assert fit.rho.shape == fit.sigma.shape == fit.kappa.shape == (S, 2)
@@ -529,6 +518,7 @@ def test_run_mcmc_shapes_and_draw_invariants():
     assert np.all(fit.rho > 0) and np.all(fit.sigma > 0) and np.all(fit.kappa > 0)
     assert np.all(fit.eta > 0)
     assert np.allclose(fit.eta.sum(axis=2), 1.0, atol=1e-9)
+    assert rows.shape == (S, 24) and np.all(rows <= 0.0)
     assert np.all(fit.lppd <= 0.0) and np.all(fit.p_waic >= 0.0)
     # cutpoints derived from every draw must be strictly increasing
     for s in range(0, S, 7):
@@ -691,8 +681,14 @@ def test_run_report_counts_without_changing_draws(monkeypatch):
 
 
 def test_run_mcmc_mixed_panel_invariants():
-    hs = mixed_panel()
-    fit = run_mcmc(hs, small_config(), n_r=7)
+    # a single-rating entity, a 1e-6-year tie and two unobserved rating levels
+    rng = np.random.default_rng(41)
+    t = np.sort(rng.uniform(0.0, 4.0, 10))
+    t[5] = t[4] + 1e-6
+    tied = EntityHistory("tied", t, rng.integers(1, 6, 10), rng.normal(size=(10, 2)))
+    single = EntityHistory("single", [1.5], [4], rng.normal(size=(1, 2)))
+    hs = [random_history(rng, 12, "plain"), single, tied]
+    fit, rows = run_mcmc_recording_rows(hs, small_config(), n_r=7)
     S = 60
     assert fit.theta.shape == (S, 2)
     assert fit.rho.shape == fit.sigma.shape == fit.kappa.shape == (S, 3)
@@ -701,6 +697,8 @@ def test_run_mcmc_mixed_panel_invariants():
     assert np.all(fit.rho > 0) and np.all(fit.sigma > 0) and np.all(fit.kappa > 0)
     assert np.all(fit.eta > 0)
     assert np.allclose(fit.eta.sum(axis=2), 1.0, atol=1e-9)
+    assert rows.shape == (S, 23)
+    assert np.all(np.isfinite(rows)) and np.all(rows <= 0.0)
     assert np.all(np.isfinite(fit.lppd)) and np.all(fit.lppd <= 0.0)
     assert np.all(np.isfinite(fit.p_waic)) and np.all(fit.p_waic >= 0.0)
     for s in range(0, S, 7):
@@ -716,14 +714,13 @@ def test_run_mcmc_mixed_panel_invariants():
 
 
 # ---------------------------------------------------------------------------
-# WAIC streamed while sampling, diagnostics over all series at once
+# WAIC streamed while sampling
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("chains, flat", [(2, False), (3, False), (2, True)])
-def test_streamed_waic_matches_batch_on_the_folded_rows(chains, flat):
+@pytest.mark.parametrize("flat", [False, True])
+def test_streamed_waic_matches_batch_on_the_folded_rows(flat):
     hs = small_dataset()
-    fit, rows = run_mcmc_recording_rows(hs, small_config(chains=chains),
-                                        flat_likelihood=flat)
+    fit, rows = run_mcmc_recording_rows(hs, small_config(chains=2), flat_likelihood=flat)
     assert rows.shape == (fit.n_draws, 24)
     lppd, p_waic = waic_terms(rows)
     np.testing.assert_allclose(fit.lppd, lppd, rtol=1e-12, atol=0.0)
@@ -732,47 +729,3 @@ def test_streamed_waic_matches_batch_on_the_folded_rows(chains, flat):
     if flat:
         assert np.all(fit.p_waic == 0.0)
 
-
-def _series(fit, name):
-    """The (chains, draws) series of a diagnostics key such as 'eta[e0,3]'."""
-    key, inside = name[:-1].split("[")
-    if key == "theta":
-        x = fit.theta[:, int(inside)]
-    else:
-        eid, *level = inside.split(",")
-        x = getattr(fit, key)[:, fit.entity_index(eid)]
-        if level:
-            x = x[:, int(level[0]) - 1]
-    return x.reshape(fit.config.chains, -1)
-
-
-@pytest.mark.parametrize("panel", ["small", "mixed"])
-def test_diagnostics_match_the_per_series_functions(panel):
-    if panel == "small":
-        fit = run_mcmc(small_dataset(), small_config())
-    else:
-        fit = run_mcmc(mixed_panel(), small_config(), n_r=7)
-    n_e, n_r = fit.eta.shape[1:]
-    assert len(fit.diagnostics) == fit.theta.shape[1] + n_e * (3 + n_r)
-    for name, entry in fit.diagnostics.items():
-        x = _series(fit, name)
-        assert entry["rhat"] == pytest.approx(gelman_rubin(x), rel=1e-12, abs=0.0), name
-        assert entry["ess"] == pytest.approx(effective_sample_size(x), rel=1e-12, abs=0.0), name
-
-
-def test_batched_diagnostics_cover_degenerate_series():
-    rng = np.random.default_rng(43)
-    m = 37
-    ar = np.empty((3, m))
-    ar[:, 0] = rng.normal(size=3)
-    for t in range(1, m):
-        ar[:, t] = 0.95 * ar[:, t - 1] + rng.normal(size=3)
-    stuck = np.repeat(rng.normal(size=(3, 1)), m, axis=1)   # zero within-chain variance
-    series = np.stack([rng.normal(size=(3, m)), ar, np.ones((3, m)), stuck,
-                       -rng.exponential(size=(3, m))])
-    rhat, ess = mcmc._rhat_and_ess(series)
-    for x, r, e in zip(series, rhat, ess):
-        assert r == pytest.approx(gelman_rubin(x), rel=1e-12, abs=0.0)
-        assert e == pytest.approx(effective_sample_size(x), rel=1e-12, abs=0.0)
-    with pytest.raises(InvalidInputError):
-        mcmc._rhat_and_ess(np.zeros((4, 2, 9)))
