@@ -24,9 +24,11 @@ E_q[log p(y_k | x_k . theta + g_k)] minus KL(q || prior). Fitting is
 variational EM on one flat panel (:class:`_PanelVi`), with one step of each
 kind per iteration:
 
-- one quadrature pass, in blocks of ``_QUADRATURE_CHUNK`` rows, gives the
-  expected log-likelihood and its gradients in each rating's marginal mean
-  (gamma) and variance (beta);
+- one quadrature pass gives the expected log-likelihood and its gradients
+  in each rating's marginal mean (gamma) and variance (beta). A rating
+  between 1 and n_r is scored on both cutpoints of its cell; a rating of 1
+  or n_r, whose cell reaches to -inf or +inf, on its one finite cutpoint.
+  Each group runs in blocks of ``_QUADRATURE_CHUNK`` rows;
 - the sites take one conjugate-computation step (Khan & Lin 2017,
   arXiv:1703.04265), a natural-gradient step that moves lam2 towards
   -2 beta and lam1 towards gamma - 2 beta m. The ordered-probit likelihood
@@ -62,11 +64,16 @@ from .model import (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _PROB_FLOOR = 1e-300
-# Ratings per Gauss-Hermite block. On a 2-core host with one BLAS thread,
-# one block over all 18,000 rows of a 200-entity panel took 59 ms per pass,
-# no faster than one pass per entity (57 ms), while blocks of 512-1,024 rows
-# took 32-39 ms: the (2, rows, nodes) temporaries of a block stay in cache.
+# Ratings per Gauss-Hermite block, in each of the two row groups. On a
+# 2-core host with one BLAS thread, one block over all 18,000 rows of a
+# 200-entity panel took 59 ms per pass, no faster than one pass per entity
+# (57 ms), while blocks of 512-1,024 rows took 32-39 ms: a block's
+# temporaries, (2, rows, nodes) for two-sided rows and (rows, nodes) for
+# one-sided ones, stay in cache.
 _QUADRATURE_CHUNK = 1024
+# numpy's Gauss-Hermite weights underflow to 0 or turn NaN from 371 nodes;
+# larger counts are refused unbuilt, as building a rule takes an n x n matrix.
+_MAX_QUADRATURE_NODES = 1000
 # The sites' natural-gradient step: 1 jumps to each quadrature target. At
 # fixed hyperparameters the sites then settle within 3-5 steps.
 _SITE_STEP = 1.0
@@ -94,8 +101,7 @@ class SviConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise InvalidInputError("iterations must be >= 1")
-        if self.quadrature_nodes < 5:
-            raise InvalidInputError("quadrature_nodes must be >= 5")
+        _quadrature_nodes(self.quadrature_nodes)
         if self.learning_rate <= 0 or self.hyper_learning_rate <= 0:
             raise InvalidInputError("learning rates must be positive")
         if self.minibatch is not None and self.minibatch < 1:
@@ -167,6 +173,12 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar):
     probe evaluations: per row d/dmu (gamma) and d/ds2 (beta), and per
     entity d/dlog kappa (n_entities,) and d/dlam through cutpoints and
     softmax (n_entities, n_r).
+
+    The rows fall in two groups, each scored in blocks of
+    ``_QUADRATURE_CHUNK``: two-sided rows (1 < y < n_r) on both bounds of
+    their cell, and one-sided rows (y = 1 or n_r) on their one finite bound,
+    since Phi and its density are constant at an infinite one. ``gamma`` and
+    ``beta`` are written back by row index.
     """
     n_e, n_r = lam.shape
     e = np.exp(lam - lam.max(axis=1, keepdims=True))
@@ -181,40 +193,56 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar):
     kappa = np.exp(log_kappa)
     # row k's cell lies between the flat cutpoints at[k] - 1 and at[k]
     at = entity * (n_r + 1) + y
+    one_sided = (y == 1) | (y == n_r)
 
     total = 0.0
     gamma = np.empty(y.size)
     beta = np.empty(y.size)
     g_kappa = np.zeros(n_e)
     bins = np.zeros(z_full.size)
-    for first in range(0, y.size, _QUADRATURE_CHUNK):
-        rows = slice(first, first + _QUADRATURE_CHUNK)
-        kap = kappa.take(entity[rows])
-        s_rows = s[rows]
-        g = (mu[rows] / kap)[:, None] + ((_SQRT_2 / kap) * s_rows)[:, None] * xq
-        # Both integration bounds ride in one (2, rows, q) stack so each
-        # elementwise pass below dispatches once instead of twice; index 0 is
-        # the lower bound.
-        b = z_full.take(np.vstack((at[rows] - 1, at[rows])))[:, :, None] - g
-        # Phi(b[1]) - Phi(b[0]) from the tail nearest zero (the model module's
-        # cell-probability trick), with both tails pushed through a single ndtr.
-        sgn = np.where(b[0] >= 0.0, -1.0, 1.0)
-        nd = ndtr(sgn * b)
-        p = np.maximum(sgn * (nd[1] - nd[0]), _PROB_FLOOR)
-        total += float((np.log(p) @ wbar).sum())
-
-        pw = _npdf(b) * (wbar / p)
-        dw = pw[0] - pw[1]
-        gamma[rows] = dw.sum(axis=1) / kap
-        g_kappa -= np.bincount(entity[rows], (dw * g).sum(axis=1), minlength=n_e)
-        # Cutpoint zeta_j is the upper bound of cell j+1 and the lower bound
-        # of cell j+2. Binning each upper bound's density at its rating and
-        # each lower bound's, negated, one below leaves d/dzeta_j in bin j+1
-        # of the entity's block; the infinite outer bounds contribute zero.
-        dens = pw.sum(axis=2)
-        bins += np.bincount(np.concatenate((at[rows], at[rows] - 1)),
-                            np.concatenate((dens[1], -dens[0])), minlength=bins.size)
-        beta[rows] = _SQRT_2 * (dw @ xq) / (2.0 * kap * s_rows)
+    for two_sided in (True, False):
+        group = np.flatnonzero(one_sided != two_sided)
+        for first in range(0, group.size, _QUADRATURE_CHUNK):
+            rows = group[first:first + _QUADRATURE_CHUNK]
+            kap = kappa.take(entity[rows])
+            s_rows = s[rows]
+            g = (mu[rows] / kap)[:, None] + ((_SQRT_2 / kap) * s_rows)[:, None] * xq
+            if two_sided:
+                # Both bounds ride in one (2, rows, q) stack so each
+                # elementwise pass below dispatches once instead of twice;
+                # index 0 is the lower bound.
+                b = z_full.take(np.vstack((at[rows] - 1, at[rows])))[:, :, None] - g
+                # Phi(b[1]) - Phi(b[0]) from the tail nearest zero (the model
+                # module's cell-probability trick), both tails in one ndtr.
+                sgn = np.where(b[0] >= 0.0, -1.0, 1.0)
+                nd = ndtr(sgn * b)
+                p = np.maximum(sgn * (nd[1] - nd[0]), _PROB_FLOOR)
+                pw = _npdf(b) * (wbar / p)
+                dw = pw[0] - pw[1]
+                # Cutpoint zeta_j is the upper bound of cell j+1 and the
+                # lower bound of cell j+2. Binning each upper bound's density
+                # at its rating and each lower bound's, negated, one below
+                # leaves d/dzeta_j in bin j+1 of the entity's block.
+                bound = np.concatenate((at[rows], at[rows] - 1))
+                dens = np.concatenate((pw[1].sum(axis=1), -pw[0].sum(axis=1)))
+            else:
+                # Phi and phi are constant at an infinite bound, so a rating
+                # of 1 (side +1) is scored on its upper bound zeta_1 alone,
+                # at flat index at, and a rating of n_r (side -1) on its
+                # lower bound zeta_{n_r-1}, at at - 1: p = Phi(side b).
+                lowest = y[rows] == 1
+                side = np.where(lowest, 1.0, -1.0)
+                bound = np.where(lowest, at[rows], at[rows] - 1)
+                b = z_full.take(bound)[:, None] - g
+                p = np.maximum(ndtr(side[:, None] * b), _PROB_FLOOR)
+                pw = _npdf(b) * (wbar / p)
+                dw = -side[:, None] * pw
+                dens = side * pw.sum(axis=1)
+            total += float((np.log(p) @ wbar).sum())
+            gamma[rows] = dw.sum(axis=1) / kap
+            g_kappa -= np.bincount(entity[rows], (dw * g).sum(axis=1), minlength=n_e)
+            bins += np.bincount(bound, dens, minlength=bins.size)
+            beta[rows] = _SQRT_2 * (dw @ xq) / (2.0 * kap * s_rows)
 
     g_cum = bins.reshape(n_e, n_r + 1)[:, 1:n_r] / _npdf(zeta)
     g_eta = np.zeros((n_e, n_r))
@@ -540,8 +568,23 @@ def _rho_inits(histories):
 
 
 def _quadrature_nodes(n_nodes):
-    xq, wq = np.polynomial.hermite.hermgauss(n_nodes)
-    return xq, wq / math.sqrt(math.pi)
+    """Gauss-Hermite nodes and the weights over sqrt(pi), which sum to 1.
+
+    The one check of a node count, for :class:`SviConfig` and :func:`elbo`
+    alike: at least 5 nodes and a rule whose weights sum to 1, which NaN or
+    infinite weights cannot, else :class:`InvalidInputError`.
+    """
+    if n_nodes < 5:
+        raise InvalidInputError("quadrature_nodes must be >= 5")
+    if n_nodes <= _MAX_QUADRATURE_NODES:
+        with np.errstate(all="ignore"):
+            xq, wq = np.polynomial.hermite.hermgauss(n_nodes)
+            wbar = wq / math.sqrt(math.pi)
+        if abs(wbar.sum() - 1.0) < 1e-9:
+            return xq, wbar
+    raise InvalidInputError(
+        f"quadrature_nodes={n_nodes}: the Gauss-Hermite weights are not finite numbers "
+        "summing to 1")
 
 
 def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> VariationalState:
@@ -667,8 +710,7 @@ def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int 
     Raises :class:`NumericalError` when the kernel factor is singular or
     the objective is not finite there.
     """
-    if quadrature_nodes < 5:
-        raise InvalidInputError("quadrature_nodes must be >= 5")
+    xq, wbar = _quadrature_nodes(quadrature_nodes)
     q_mean = _entity_q(history, state)
     eid = history.entity_id
     kp = state.kernel[eid]
@@ -678,7 +720,7 @@ def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int 
     vp.log_kappa[0] = math.log(ep.kappa)
     vp.log_sigma[0] = math.log(kp.sigma)
     vp.set_q(q_mean, state.site_precision[eid])
-    out = vp.forward(state.theta, *_quadrature_nodes(quadrature_nodes))
+    out = vp.forward(state.theta, xq, wbar)
     if out is None:
         raise NumericalError(f"ELBO of entity {eid!r} is singular or not finite")
     return out["elbo"]

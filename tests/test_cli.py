@@ -146,6 +146,17 @@ class TestPipelines:
         assert isinstance(diag["rollbacks"], int)
         assert isinstance(diag["lr_scale"], float)
 
+    @pytest.mark.parametrize("nodes", [4, 372])
+    def test_fit_rejects_a_bad_quadrature_rule(self, sim_dataset, tmp_path, capsys, nodes):
+        # 372 nodes passes the >= 5 rule, but numpy's weights for it are NaN
+        cfg = write_cfg(tmp_path, {"svi": {"iterations": 5, "quadrature_nodes": nodes}})
+        code = main(["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                     "--seed", "2", "--backend", "svi", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "bad svi config" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fit.json").exists()
+
     @pytest.mark.parametrize("split", [False, True])
     def test_fit_reports_stage_seconds(self, sim_dataset, tmp_path, split):
         cfg = write_cfg(tmp_path, SVI_CFG)

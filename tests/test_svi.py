@@ -574,6 +574,12 @@ def test_config_validation():
         SviConfig(iterations=0)
     with pytest.raises(InvalidInputError):
         SviConfig(quadrature_nodes=4)
+    assert SviConfig(quadrature_nodes=370).quadrature_nodes == 370
+    # numpy's weights are all 0 at 371 nodes and NaN from 372; past 1,000
+    # the rule is refused without being built
+    for nodes in (371, 372, 1001):
+        with pytest.raises(InvalidInputError, match=f"quadrature_nodes={nodes}"):
+            SviConfig(quadrature_nodes=nodes)
     with pytest.raises(InvalidInputError):
         SviConfig(hyper_learning_rate=0.0)
     with pytest.raises(InvalidInputError):
@@ -760,8 +766,9 @@ def test_elbo_entry_point_validates():
     state = fit_svi(hs, SviConfig(iterations=20))
     with pytest.raises(InvalidInputError):
         elbo(make_entity(eid="unknown"), state)
-    with pytest.raises(InvalidInputError):
-        elbo(hs[0], state, quadrature_nodes=3)
+    for nodes in (3, 372):
+        with pytest.raises(InvalidInputError, match="quadrature_nodes"):
+            elbo(hs[0], state, quadrature_nodes=nodes)
     with pytest.raises(InvalidInputError, match="ratings of entity"):
         elbo(make_entity(eid="s0", n=4), state)
     assert math.isfinite(elbo(hs[0], state))
@@ -850,8 +857,8 @@ def test_complexity_probe_slope_is_at_most_linear():
 
 def ragged_quadrature_inputs(rng):
     """Four entities at n_r = 7: one single rating at the top level, one that
-    never uses levels 6 and 7, and two that use every level; 1,310 rows, so
-    the 1,024-row block boundary falls inside the last entity."""
+    never uses levels 6 and 7, and two that use every level; 1,310 rows, with
+    both one-sided (ratings 1 and 7) and two-sided rows in every long entity."""
     sizes = [1, 700, 9, 600]
     y = [np.array([7]), rng.integers(1, 6, 700), rng.integers(1, 8, 9), rng.integers(1, 8, 600)]
     entity = np.repeat(np.arange(4), sizes)
@@ -860,15 +867,14 @@ def ragged_quadrature_inputs(rng):
             np.concatenate(y), entity, rng.normal(size=(4, 7)), rng.normal(scale=0.3, size=4))
 
 
-@pytest.mark.parametrize("chunk", [1024, 5])
-def test_batched_quadrature_matches_one_entity_calls(monkeypatch, chunk):
-    monkeypatch.setattr(svi_mod, "_QUADRATURE_CHUNK", chunk)
-    sizes, mu, s, y, entity, lam, log_kappa = ragged_quadrature_inputs(np.random.default_rng(17))
+def assert_quadrature_matches_reference(sizes, mu, s, y, entity, lam, log_kappa):
+    """The batched pass against :func:`_quadrature_reference`, entity by entity."""
+    n_e, n_r = lam.shape
     xq, wbar = _quadrature_nodes(20)
     total, gamma, beta, g_kappa, g_lam = _emission_quadrature(
         mu, s, y, entity, lam, log_kappa, xq, wbar)
     assert beta.shape == gamma.shape == y.shape
-    assert g_kappa.shape == (4,) and g_lam.shape == (4, 7)
+    assert g_kappa.shape == (n_e,) and g_lam.shape == (n_e, n_r)
     ref_total = 0.0
     for e, rows in enumerate(np.split(np.arange(y.size), np.cumsum(sizes)[:-1])):
         t_e, gamma_e, beta_e, g_kappa_e, g_lam_e = _quadrature_reference(
@@ -879,6 +885,65 @@ def test_batched_quadrature_matches_one_entity_calls(monkeypatch, chunk):
         assert g_kappa[e] == pytest.approx(g_kappa_e, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(g_lam[e], g_lam_e, rtol=1e-12, atol=1e-12 * np.abs(g_lam_e).max())
     assert total == pytest.approx(ref_total, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("chunk", [1024, 5])
+def test_batched_quadrature_matches_one_entity_calls(monkeypatch, chunk):
+    monkeypatch.setattr(svi_mod, "_QUADRATURE_CHUNK", chunk)
+    assert_quadrature_matches_reference(*ragged_quadrature_inputs(np.random.default_rng(17)))
+
+
+def one_sided_quadrature_inputs(case, rng):
+    """Panels that put every row in one group, or rows in the far tails.
+
+    ``all_one_sided``: n_r = 2, so every rating is 1 or n_r.
+    ``all_two_sided``: n_r = 5 and no rating of 1 or 5.
+    ``far_tails``: n_r = 5 and |mu| in [40, 45] kappa, on the side away from
+    the rating's cell for ratings 1 and 5, so that p meets its 1e-300 floor.
+    """
+    n_r = 2 if case == "all_one_sided" else 5
+    sizes = [13, 1, 22]
+    n = sum(sizes)
+    entity = np.repeat(np.arange(len(sizes)), sizes)
+    lo, hi = (2, n_r - 1) if case == "all_two_sided" else (1, n_r)
+    y = rng.integers(lo, hi + 1, n)
+    log_kappa = rng.normal(scale=0.3, size=len(sizes))
+    mu = rng.normal(scale=1.5, size=n)
+    if case == "far_tails":
+        away = np.where(y == 1, 1.0, np.where(y == n_r, -1.0, rng.choice([-1.0, 1.0], n)))
+        mu = away * rng.uniform(40.0, 45.0, n) * np.exp(log_kappa)[entity]
+    return (sizes, mu, rng.uniform(0.05, 1.5, n), y, entity,
+            rng.normal(size=(len(sizes), n_r)), log_kappa)
+
+
+@pytest.mark.parametrize("chunk", [1024, 5])
+@pytest.mark.parametrize("case", ["all_one_sided", "all_two_sided", "far_tails"])
+def test_quadrature_one_sided_rows(monkeypatch, case, chunk):
+    # Ratings of 1 and n_r are scored on their one finite cutpoint; the
+    # reference scores every row on both bounds, infinite ones included.
+    monkeypatch.setattr(svi_mod, "_QUADRATURE_CHUNK", chunk)
+    inputs = one_sided_quadrature_inputs(case, np.random.default_rng(23))
+    sizes, mu, s, y, entity, lam, log_kappa = inputs
+    n_r = lam.shape[1]
+    one_sided = (y == 1) | (y == n_r)
+    if case == "all_one_sided":
+        assert one_sided.all()
+    elif case == "all_two_sided":
+        assert not one_sided.any()
+    else:
+        assert one_sided.any() and not one_sided.all()
+        # the cell probability of every one-sided row falls below the floor
+        # at some node
+        xq, _ = _quadrature_nodes(20)
+        kappa = np.exp(log_kappa)[entity][:, None]
+        g = mu[:, None] / kappa + math.sqrt(2.0) * s[:, None] * xq / kappa
+        e = np.exp(lam - lam.max(axis=1, keepdims=True))
+        eta = e / e.sum(axis=1, keepdims=True)
+        zeta = stats.norm.ppf(np.cumsum(eta, axis=1)[:, :-1])[entity]
+        low = np.where((y == 1)[:, None], stats.norm.cdf(zeta[:, :1] - g),
+                       stats.norm.sf(zeta[:, -1:] - g))
+        assert np.all(low[one_sided].min(axis=1) < 1e-300)
+    assert_quadrature_matches_reference(*inputs)
 
 
 def perturbed_panel(histories, n_r=5, seed=0):
