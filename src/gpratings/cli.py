@@ -5,7 +5,8 @@ benchmark) share a layered configuration: package defaults, then the
 --config JSON file, then GPRATINGS_* environment variables, then flags.
 Every command is a pure function of (config, input files, seed), and output
 files carry no timestamps, so re-runs are bit-identical; the one exception
-is the wall time per stage that ``fit`` reports in diagnostics.json.
+is the wall time per stage that ``fit`` reports in diagnostics.json and
+``benchmark`` in benchmark.json.
 
 Exit codes: 0 success, 2 configuration problems, 3 data problems,
 4 numerical failure, 5 completed but not converged (artifacts still written).
@@ -428,19 +429,24 @@ BASELINE_KINDS = ("sample_mean", "weighted_mean", "sliding_window", "discounted"
 
 
 def cmd_benchmark(cfg) -> int:
+    ticks = [time.perf_counter()]
     histories, _ = _ingest(cfg)
+    ticks.append(time.perf_counter())
     usable, skipped = _train_split(histories, cfg.holdout)
     if skipped:
         print(f"excluded {skipped} entities with <= {cfg.holdout} ratings",
               file=sys.stderr)
     trains = [train for _, train, _ in usable]
+    ticks.append(time.perf_counter())
     fit = _fit_backend(cfg, trains)
+    ticks.append(time.perf_counter())
     rows = {}
     truth = {h.entity_id: float(held.mean()) for h, _, held in usable}
     model_scores = {}
     for h, train, _ in usable:
         dist = marginalize(train, fit, L=cfg.L, seed=cfg.seed)
         model_scores[h.entity_id] = float(dist.expected_rating)
+    ticks.append(time.perf_counter())
     ids = sorted(truth)
     model_errors = np.array([model_scores[e] - truth[e] for e in ids])
     rows["model"] = {"mae": mae(model_errors), "rmse": rmse(model_errors)}
@@ -453,6 +459,7 @@ def cmd_benchmark(cfg) -> int:
         errors = np.array([scores[e] - truth[e] for e in ids])
         rows[kind] = {"mae": mae(errors), "rmse": rmse(errors)}
         base_abs[kind] = np.abs(errors)
+    ticks.append(time.perf_counter())
     best_kind = min(BASELINE_KINDS, key=lambda k: rows[k]["mae"])
     best_mae = rows[best_kind]["mae"]
     improvement = (best_mae - rows["model"]["mae"]) / best_mae if best_mae else 0.0
@@ -464,6 +471,8 @@ def cmd_benchmark(cfg) -> int:
         "methods": rows,
         "best_baseline": best_kind,
         "relative_mae_improvement": improvement,
+        "stage_seconds": dict(zip(("ingest", "split", "fit", "predict", "baselines"),
+                                  np.diff(ticks).tolist())),
     }
     if len(ids) >= 10:
         report["wilcoxon_p_model_vs_best_baseline"] = wilcoxon_signed_rank(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gpratings.baselines import (
     ALPHA_GRID,
+    KINDS,
     LAMBDA_GRID,
     BaselineSpec,
     aggregate,
@@ -16,6 +17,7 @@ from gpratings.baselines import (
 )
 from gpratings.errors import InvalidInputError
 
+from baselines_reference import reference_scores, reference_tune
 from test_model import make_history
 
 
@@ -59,6 +61,27 @@ class TestAggregators:
         with pytest.raises(InvalidInputError):
             weighted_mean([1, 2], alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_weighted_mean_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidInputError):
+            weighted_mean([1, 2], alpha=alpha)
+
+    def test_weighted_mean_rating_above_top_level_rejected(self):
+        with pytest.raises(InvalidInputError, match="above the top level 5"):
+            weighted_mean([1, 7, 3], alpha=1.0, n_r=5)
+
+    def test_weighted_mean_rating_below_one_rejected(self):
+        # a 0 used to enter the denominator but not the counts: 2.5 here
+        with pytest.raises(InvalidInputError):
+            weighted_mean([0, 2, 3], alpha=1.0, n_r=5)
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+    def test_weighted_mean_non_integer_rating_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            weighted_mean([2, bad, 3], alpha=1.0, n_r=5)
+        with pytest.raises(InvalidInputError):
+            tune([2, bad, 3] * 5, "weighted_mean", n_r=5)
+
     def test_sliding_window_values(self):
         h = history_of([1, 1, 5, 5])
         assert sliding_window_mean(h, 2) == 5.0
@@ -70,6 +93,14 @@ class TestAggregators:
             sliding_window_mean(history_of([1, 2, 3]), 4)
         with pytest.raises(InvalidInputError):
             sliding_window_mean(history_of([1, 2, 3]), 0)
+
+    @pytest.mark.parametrize("l", [2.5, 2.0, True])
+    def test_window_must_be_an_integer(self, l):
+        with pytest.raises(InvalidInputError):
+            sliding_window_mean(history_of([1, 2, 3]), l)
+
+    def test_window_accepts_numpy_integers(self):
+        assert sliding_window_mean(history_of([1, 1, 5, 5]), np.int64(2)) == 5.0
 
     def test_discounted_hand_value(self):
         # ratings [2, 4], lambda=1: weights e^-1 and 1 on old and new
@@ -94,6 +125,11 @@ class TestAggregators:
     def test_discounted_negative_lambda_rejected(self):
         with pytest.raises(InvalidInputError):
             discounted_mean([1, 2], -0.5)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_discounted_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(InvalidInputError):
+            discounted_mean([1, 2], lam)
 
     @given(
         ratings=st.lists(st.integers(1, 5), min_size=1, max_size=40),
@@ -142,6 +178,13 @@ class TestBaselineSpec:
             BaselineSpec("sliding_window", 2.5)
         with pytest.raises(InvalidInputError):
             BaselineSpec("sliding_window", 0)
+
+    @pytest.mark.parametrize("kind", ["sliding_window", "weighted_mean", "discounted"])
+    def test_bool_param_rejected(self, kind):
+        # True == 1 and 1.0, False == 0.0: each is a valid value of some grid
+        for flag in (True, False):
+            with pytest.raises(InvalidInputError):
+                BaselineSpec(kind, flag)
 
     def test_aggregate_dispatches(self):
         h = history_of([1, 1, 5, 5])
@@ -211,3 +254,51 @@ class TestTuning:
             spec = tune(h, kind, n_r=5)
             value = aggregate(h, spec, n_r=5)
             assert 1.0 <= value <= 5.0
+
+
+def _histories(seed):
+    """Seeded integer histories: random, constant and step series over every fold count."""
+    rng = np.random.default_rng(seed)
+    lengths = [10, 12, 14, 15, 19, 22, 29, 30, 31, 47, 90, 250, 997]
+    out = []
+    for n in lengths:
+        n_r = int(rng.integers(2, 11))
+        cut = int(rng.integers(1, n))
+        low, high = sorted(rng.integers(1, n_r + 1, size=2))
+        out.append((rng.integers(1, n_r + 1, size=n), n_r))
+        out.append((np.full(n, int(rng.integers(1, n_r + 1))), n_r))
+        out.append((np.r_[np.full(cut, low), np.full(n - cut, high)], n_r))
+        out.append((np.r_[rng.integers(1, 3, size=cut),
+                          rng.integers(n_r - 1, n_r + 1, size=n - cut)], n_r))
+    return out
+
+
+class TestTuneMatchesReference:
+    """``tune`` against the per-cell grid search it replaced (baselines_reference)."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_integer_histories_pick_the_same_spec(self, seed):
+        for r, n_r in _histories(seed):
+            for kind in KINDS:
+                assert tune(r, kind, n_r=n_r) == reference_tune(r, kind, n_r=n_r), \
+                    (kind, r.size, n_r)
+            # weighted_mean infers the top level from the data when n_r is absent
+            assert tune(r, "weighted_mean") == reference_tune(r, "weighted_mean")
+
+    def test_entity_histories_pick_the_same_spec(self):
+        rng = np.random.default_rng(4)
+        h = history_of(rng.integers(1, 6, size=64))
+        for kind in KINDS:
+            assert tune(h, kind, n_r=5) == reference_tune(h, kind, n_r=5)
+
+    @pytest.mark.parametrize("kind", ["sliding_window", "discounted"])
+    def test_float_ratings_pick_a_minimum_score(self, kind):
+        # float sums are not exact, so the pick may differ from the oracle's
+        # inside the 1e-12 tie window, but its oracle score may not exceed
+        # the oracle's minimum by more than that window
+        rng = np.random.default_rng(9)
+        for n in (10, 14, 23, 30, 61, 200):
+            r = rng.uniform(1.0, 5.0, size=n)
+            scores = dict(reference_scores(r, kind))
+            pick = tune(r, kind).tuned_param
+            assert scores[pick] <= min(scores.values()) + 1e-12, (kind, n)

@@ -247,6 +247,9 @@ class TestPipelines:
             "discounted"}
         assert report["best_baseline"] in report["methods"]
         assert np.isfinite(report["relative_mae_improvement"])
+        stages = report["stage_seconds"]
+        assert set(stages) == {"ingest", "split", "fit", "predict", "baselines"}
+        assert all(v >= 0.0 for v in stages.values())
         table = capsys.readouterr().out
         assert "model" in table and "best baseline" in table
 
