@@ -64,6 +64,8 @@ def _ratings_of(history_or_ratings):
     r = np.asarray(ratings, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise InvalidInputError("ratings must be a non-empty vector")
+    if not np.isfinite(r).all():
+        raise InvalidInputError("ratings must be finite")
     return r
 
 
@@ -74,7 +76,7 @@ def sample_mean(history) -> float:
 
 def _levels_of(r, n_r):
     """Ratings as integer levels 1..n_r; n_r defaults to the largest rating."""
-    if not np.all(np.isfinite(r) & (r == np.floor(r)) & (r >= 1)):
+    if not np.all((r == np.floor(r)) & (r >= 1)):
         raise InvalidInputError("weighted_mean needs integer ratings >= 1")
     if n_r is None:
         n_r = int(r.max())
@@ -183,9 +185,9 @@ def tune(history, kind: str, n_r: int = None) -> BaselineSpec:
     """
     if kind not in KINDS:
         raise InvalidInputError(f"unknown baseline kind {kind!r}")
+    r = _ratings_of(history)
     if kind == "sample_mean":
         return BaselineSpec("sample_mean", None)
-    r = _ratings_of(history)
     n = r.size
     if kind == "weighted_mean":
         levels_of_r, n_r = _levels_of(r, n_r)

@@ -425,9 +425,6 @@ def cmd_recover(cfg) -> int:
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
-BASELINE_KINDS = ("sample_mean", "weighted_mean", "sliding_window", "discounted")
-
-
 def cmd_benchmark(cfg) -> int:
     ticks = [time.perf_counter()]
     histories, _ = _ingest(cfg)
@@ -451,7 +448,7 @@ def cmd_benchmark(cfg) -> int:
     model_errors = np.array([model_scores[e] - truth[e] for e in ids])
     rows["model"] = {"mae": mae(model_errors), "rmse": rmse(model_errors)}
     base_abs = {}
-    for kind in BASELINE_KINDS:
+    for kind in bl.KINDS:
         scores = {}
         for h, train, _ in usable:
             spec = bl.tune(train, kind, n_r=cfg.n_r)
@@ -460,7 +457,7 @@ def cmd_benchmark(cfg) -> int:
         rows[kind] = {"mae": mae(errors), "rmse": rmse(errors)}
         base_abs[kind] = np.abs(errors)
     ticks.append(time.perf_counter())
-    best_kind = min(BASELINE_KINDS, key=lambda k: rows[k]["mae"])
+    best_kind = min(bl.KINDS, key=lambda k: rows[k]["mae"])
     best_mae = rows[best_kind]["mae"]
     improvement = (best_mae - rows["model"]["mae"]) / best_mae if best_mae else 0.0
     report = {
@@ -481,7 +478,7 @@ def cmd_benchmark(cfg) -> int:
     _write_json(out / "benchmark.json", report)
     width = max(len(k) for k in rows)
     print(f"{'method'.ljust(width)}  {'MAE':>8}  {'RMSE':>8}")
-    for name in ["model"] + list(BASELINE_KINDS):
+    for name in ["model"] + list(bl.KINDS):
         print(f"{name.ljust(width)}  {rows[name]['mae']:8.4f}  "
               f"{rows[name]['rmse']:8.4f}")
     print(f"best baseline: {best_kind}; "
@@ -530,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="score entities with a tuned arithmetic baseline")
     common(p, dataset=True)
-    p.add_argument("--kind", choices=list(BASELINE_KINDS), help="baseline family (default sample_mean)")
+    p.add_argument("--kind", choices=list(bl.KINDS), help="baseline family (default sample_mean)")
     p.add_argument("--holdout", type=int, help="final ratings per entity reserved as hold-out")
 
     p = sub.add_parser("evaluate", help="compare score files against hold-out truth")

@@ -1,9 +1,10 @@
 """Full Bayesian estimation of the rating model by MCMC.
 
-A chain holds every entity at once, as one flat panel built before sampling
-(:class:`_Panel`, the shared :class:`~gpratings.model.Panel` layout): the
-ratings of all entities back to back, the entity of each row, the time gap
-to the entity's previous rating (+inf at its first) and the whitened
+A chain holds every entity at once, as one flat panel built once per fit
+(:class:`_Panel`, the shared :class:`~gpratings.model.Panel` layout, which
+also checks the inputs, infers n_r and counts each entity's rating levels):
+the ratings of all entities back to back, the entity of each row, the time
+gap to the entity's previous rating (+inf at its first) and the whitened
 covariate rows.  The per-entity state is a set of arrays of length
 n_entities (log rho, log sigma, log kappa, proposal scales, acceptance
 counts) plus an (n_entities, n_r - 1) table of standardized
@@ -35,7 +36,7 @@ Each block scores the ratings it moves in one
 :func:`~gpratings.model.emission_loglik` call, sums the result per entity
 with ``np.add.reduceat`` and accepts or rejects per entity through masks.
 The latents map to the path through the exponential kernel's closed-form
-Markov factor (:func:`~gpratings.model.markov_factor_from_gaps`), which
+Markov factor (:meth:`~gpratings.model.Panel.markov_factor`), which
 concatenates across entities because a_k = 0 at each entity's first
 rating: a kernel rebuild, an unwhitening and a whitening are each one O(n)
 pass over the whole panel, and no n-by-n matrix is formed.
@@ -59,15 +60,16 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import gammaincc, gammainccinv, logsumexp, ndtr, ndtri
+from scipy.special import gammaincc, gammainccinv, logsumexp, ndtr
 
 from .errors import InvalidInputError, NumericalError
 from .model import (
     EntityHistory,
+    MarkovFactor,
     Panel,
+    cutpoints_from_eta,
     emission_loglik,
-    markov_factor_from_gaps,
-    _dirichlet_logpdf,  # noqa: F401  (eta prior; _update_cutpoints samples it as cutpoints)
+    eta_from_cutpoints,
     _halfcauchy_logpdf,
     _halfnormal_logpdf,
     _invgamma_logpdf,
@@ -270,18 +272,19 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
 
 def build_prior_spec(histories, tail_mass: float = DEFAULT_TAIL_MASS) -> PriorSpec:
     """Solve every entity's length-scale prior and the theta whitening map."""
-    multi = [h for h in histories if h.n >= 2]
-    fallback = None
-    if multi:
-        lows = [float(np.diff(h.timestamps).min()) for h in multi]
-        highs = [float(h.timestamps[-1] - h.timestamps[0]) for h in multi]
-        fallback = (float(np.median(lows)), float(np.median(highs)))
-    lengthscale = {
-        h.entity_id: solve_lengthscale_prior(h, tail_mass, fallback_interval=fallback)
-        for h in histories
-    }
-    X = np.vstack([h.covariates for h in histories])
-    return PriorSpec(lengthscale=lengthscale, r_star=_whitening_matrix(X))
+    return _prior_spec(Panel(histories), tail_mass)
+
+
+def _prior_spec(panel, tail_mass=DEFAULT_TAIL_MASS):
+    """:func:`build_prior_spec` on a built panel: each entity's prior spans
+    its :meth:`~gpratings.model.Panel.gap_interval`."""
+    lo, hi = panel.gap_interval()
+    if np.isnan(lo).any():
+        raise InvalidInputError(
+            f"entity {panel.entity_ids[0]!r} has one rating and no fallback interval")
+    lengthscale = {e: _solve_interval_prior(l, u, tail_mass)
+                   for e, l, u in zip(panel.entity_ids, lo.tolist(), hi.tolist())}
+    return PriorSpec(lengthscale=lengthscale, r_star=_whitening_matrix(panel.X))
 
 
 def _whitening_matrix(X):
@@ -321,19 +324,23 @@ class _Rows(NamedTuple):
 class _Panel(Panel):
     """The shared row layout plus what the sampler reads of it.
 
-    ``q_star`` holds the whitened covariate rows, ``everything`` all rows
-    gathered once, and ``cut_rows[j]`` the rows whose likelihood reads
-    cutpoint j.
+    ``priors`` are the given priors, or those solved from the panel when
+    None; ``q_star`` holds the covariate rows whitened by them,
+    ``everything`` all rows gathered once, and ``cut_rows[j]`` the rows
+    whose likelihood reads cutpoint j.
     """
 
-    def __init__(self, histories, q_star, n_r):
+    def __init__(self, histories, n_r=None, priors=None):
         super().__init__(histories, n_r)
-        self.q_star = q_star
+        self.priors = _prior_spec(self) if priors is None else priors
+        r_star = self.priors.r_star
+        self.q_star = (self.X if r_star is None
+                       else solve_triangular(r_star, self.X.T, lower=False, trans="T").T)
         self.everything = self.rows(np.arange(self.n_rows))
         # the rows whose likelihood reads cutpoint j: rating levels j + 1 and j + 2
         self.cut_rows = [self.rows(np.flatnonzero((self.ratings == j + 1)
                                                   | (self.ratings == j + 2)))
-                         for j in range(n_r - 1)]
+                         for j in range(self.n_r - 1)]
 
     def rows(self, index) -> _Rows:
         return _Rows(index, self.ratings[index], self.entity[index])
@@ -360,18 +367,17 @@ class _Chain:
     slice sampler's shrinks and collapses.
     """
 
-    def __init__(self, panel, priors, log_rho0, rngs, theta_rng, flat):
+    def __init__(self, panel, log_rho0, rngs, theta_rng, flat):
         self.panel = panel
         self.rngs = rngs
         self.theta_rng = theta_rng
         self.flat = flat
-        n_e, n_r = panel.n_entities, panel.n_r
-        self.prior = tuple(np.array([priors.lengthscale[e][k] for e in panel.entity_ids])
+        n_e = panel.n_entities
+        lengthscale = panel.priors.lengthscale
+        self.prior = tuple(np.array([lengthscale[e][k] for e in panel.entity_ids])
                            for k in (0, 1))
-        counts = np.bincount(panel.entity * (n_r + 1) + panel.ratings,
-                             minlength=n_e * (n_r + 1)).reshape(n_e, n_r + 1)[:, 1:]
-        eta = (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + n_r)
-        self.z_cuts = ndtri(np.cumsum(eta, axis=1)[:, :-1])
+        eta = (panel.level_counts + 1.0) / (panel.sizes[:, None] + panel.n_r)
+        self.z_cuts = cutpoints_from_eta(eta, 1.0)
         self.log_kappa = np.empty(n_e)
         self.log_rho = np.empty(n_e)
         self.log_sigma = np.empty(n_e)
@@ -382,7 +388,7 @@ class _Chain:
             self.log_sigma[i] = 0.2 * rng.standard_normal()
             self.f_tilde[panel.segment(i)] = 0.1 * rng.standard_normal(panel.sizes[i])
         self.kappa = np.exp(self.log_kappa)
-        self.factor, ok = self.kernel_factor(self.log_rho, self.log_sigma)
+        self.factor, ok = panel.markov_factor(self.log_rho, self.log_sigma)
         if not ok.all():
             bad = panel.entity_ids[int(np.argmin(ok))]
             raise NumericalError(f"initial kernel factorization failed for {bad!r}")
@@ -404,14 +410,6 @@ class _Chain:
         kappa = self.kappa if kappa is None else kappa
         z_cuts = self.z_cuts if z_cuts is None else z_cuts
         return emission_loglik(rows.ratings, f, kappa, kappa[:, None] * z_cuts, rows.entity)
-
-    def kernel_factor(self, log_rho, log_sigma):
-        """The panel's Markov factor at per-entity (log rho, log sigma), and a
-        mask of the entities whose factor is not singular."""
-        p = self.panel
-        factor = markov_factor_from_gaps(p.gaps, p.per_row(np.exp(log_rho)),
-                                         p.per_row(np.exp(log_sigma)))
-        return factor, np.logical_and.reduceat(factor.c > 0.0, p.starts)
 
     def variates(self, n_normal, n_uniform=1):
         """From each entity's stream, standard normals and then uniforms,
@@ -524,7 +522,7 @@ def _update_kernel_params(ch: _Chain, gamma):
     step = ch.scale["rho_sigma"][:, None] * z
     lr_new = ch.log_rho + step[:, 0]
     ls_new = ch.log_sigma + step[:, 1]
-    factor, ok = ch.kernel_factor(lr_new, ls_new)
+    factor, ok = p.markov_factor(lr_new, ls_new)
     f_new = factor.unwhiten(ch.f_tilde) + ch.mean
     ll_new = ch.loglik(f_new)
     ll_sum_new = p.per_entity_sum(ll_new)
@@ -534,9 +532,7 @@ def _update_kernel_params(ch: _Chain, gamma):
     rows = p.per_row(acc)
     ch.log_rho = np.where(acc, lr_new, ch.log_rho)
     ch.log_sigma = np.where(acc, ls_new, ch.log_sigma)
-    # band row 0 is the unit diagonal in both factors
-    factor.band[1] = np.where(rows, factor.band[1], ch.factor.band[1])
-    ch.factor = factor._replace(c=np.where(rows, factor.c, ch.factor.c))
+    ch.factor = MarkovFactor(*(np.where(rows, new, old) for new, old in zip(factor, ch.factor)))
     ch.f = np.where(rows, f_new, ch.f)
     ch.ll = np.where(rows, ll_new, ch.ll)
     ch.ll_sum = np.where(acc, ll_sum_new, ch.ll_sum)
@@ -617,7 +613,7 @@ def _shift_emission(ch: _Chain, gamma):
     z, log_u = ch.variates(1)
     delta = ch.scale["shift"] * z[:, 0]
     z_new = ch.z_cuts + (delta / ch.kappa)[:, None]
-    eta_new = np.diff(ndtr(z_new), prepend=0.0, append=1.0, axis=1)
+    eta_new = eta_from_cutpoints(z_new, 1.0)
     u = ch.factor.whiten(np.ones(p.n_rows))
     log_a = (-delta * p.per_entity_sum(ch.f_tilde * u)
              - 0.5 * delta * delta * p.per_entity_sum(u * u)
@@ -745,13 +741,13 @@ class _WaicStream:
         return self.log_sum - math.log(self.count), self.m2 / (self.count - 1)
 
 
-def _run_chain(panel, priors, log_rho0, config, seed, flat, waic_stream):
+def _run_chain(panel, log_rho0, config, seed, flat, waic_stream):
     """Run one chain from its SeedSequence; return its retained draws and
     report.  Each retained draw's pointwise log-likelihood is folded into
     ``waic_stream``, which the chains share."""
     n_e = panel.n_entities
     streams = seed.spawn(n_e + 1)
-    ch = _Chain(panel, priors, log_rho0, [np.random.default_rng(s) for s in streams[:n_e]],
+    ch = _Chain(panel, log_rho0, [np.random.default_rng(s) for s in streams[:n_e]],
                 np.random.default_rng(streams[n_e]), flat)
     per_chain = (config.iterations - config.warmup) // config.thin
     draws = {
@@ -767,11 +763,11 @@ def _run_chain(panel, priors, log_rho0, config, seed, flat, waic_stream):
         warm = it < config.warmup
         _sweep(ch, (it + 1.0) ** -0.6 if warm else 0.0)
         if not warm and (it - config.warmup) % config.thin == 0:
-            draws["theta"][keep] = priors.unwhiten_theta(ch.theta_t)
+            draws["theta"][keep] = panel.priors.unwhiten_theta(ch.theta_t)
             draws["rho"][keep] = np.exp(ch.log_rho)
             draws["sigma"][keep] = np.exp(ch.log_sigma)
             draws["kappa"][keep] = ch.kappa
-            draws["eta"][keep] = np.diff(ndtr(ch.z_cuts), prepend=0.0, append=1.0, axis=1)
+            draws["eta"][keep] = eta_from_cutpoints(ch.z_cuts, 1.0)
             waic_stream.update(ch.ll)
             if keep % config.latent_thin == 0:
                 draws["latents"][keep // config.latent_thin] = ch.f
@@ -862,8 +858,8 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
         Built from the data when omitted.
     n_r : int, optional
         Number of rating levels.  Inferred as the largest observed rating
-        when omitted; pass the dataset's configured value when some levels
-        may be unobserved.
+        (at least 2) when omitted; pass the dataset's configured value when
+        some levels may be unobserved.
     flat_likelihood : bool
         Validation affordance: forces the likelihood to a constant so the
         sampler targets the prior exactly.  Used by the sampler-validity
@@ -874,25 +870,11 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     PosteriorEnsemble
         Flagged non-converged (but complete) when any split-Rhat exceeds 1.02.
     """
-    if not histories:
-        raise InvalidInputError("need at least one entity")
-    if priors is None:
-        priors = build_prior_spec(histories)
-    if n_r is None:
-        n_r = max(int(max(h.ratings.max() for h in histories)), 2)
-    elif any(h.ratings.max() > n_r for h in histories):
-        raise InvalidInputError("observed rating exceeds n_r")
-
-    X_all = np.vstack([h.covariates for h in histories])
-    if priors.r_star is None:
-        q_star = X_all
-    else:
-        q_star = solve_triangular(priors.r_star, X_all.T, lower=False, trans="T").T
-    panel = _Panel(histories, q_star, n_r)
-    log_rho0 = [_initial_log_rho(h, priors.lengthscale[h.entity_id]) for h in histories]
+    panel = _Panel(histories, n_r, priors)
+    log_rho0 = [_initial_log_rho(h, panel.priors.lengthscale[h.entity_id]) for h in histories]
     # the chains run in turn, so one stream folds the draws in their stacked order
     waic_stream = _WaicStream(panel.n_rows)
-    chains = [_run_chain(panel, priors, log_rho0, config, seed, flat_likelihood, waic_stream)
+    chains = [_run_chain(panel, log_rho0, config, seed, flat_likelihood, waic_stream)
               for seed in np.random.SeedSequence(config.seed).spawn(config.chains)]
 
     def stacked(key):
@@ -909,8 +891,6 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     diagnostics = _compute_diagnostics(
         histories, config, theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws)
     worst = max(v["rhat"] for v in diagnostics.values()) if diagnostics else 1.0
-    gaps = np.concatenate([np.diff(h.timestamps) for h in histories if h.n >= 2]) \
-        if any(h.n >= 2 for h in histories) else np.array([1.0])
     return PosteriorEnsemble(
         entity_ids=list(panel.entity_ids),
         theta=theta_draws, rho=rho_draws, sigma=sigma_draws, kappa=kappa_draws,
@@ -920,7 +900,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
         latent_draw_indices=latent_idx,
         lppd=lppd, p_waic=p_waic, diagnostics=diagnostics, config=config,
         converged=bool(worst <= 1.02),
-        metadata={"n_r": n_r, "median_gap": float(np.median(gaps)),
+        metadata={"n_r": panel.n_r, "median_gap": panel.median_gap,
                   "flat_likelihood": bool(flat_likelihood),
                   **_run_report([c["report"] for c in chains], config, panel.n_entities)},
     )

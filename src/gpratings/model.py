@@ -24,6 +24,7 @@ LOG_PROB_FLOOR = 1e-300  # probit cells underflow for |f| large; floored before 
 JITTER_BASE = 1e-8       # relative to sigma^2; dense blocks only, the latent prior has none
 JITTER_MAX = 1e-4
 SIMPLEX_TOL = 1e-10      # |sum(x) - 1| allowed for a point of the simplex
+_CUM_MIN, _CUM_MAX = 1e-12, 1.0 - 1e-16   # cumulative rating mass fed to Phi^-1
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -116,8 +117,10 @@ class KernelParams:
 class EmissionParams:
     """Ordered-probit readout: noise scale kappa and rating simplex eta.
 
-    The cutpoints are derived, c_j = kappa * Phi^-1(eta_1 + ... + eta_j), so
-    that at latent value 0 the rating distribution is exactly eta.
+    The cutpoints are derived by :func:`cutpoints_from_eta`,
+    c_j = kappa * Phi^-1(eta_1 + ... + eta_j), so that at latent value 0 the
+    rating distribution is eta (up to the clip of a cumulative mass that
+    rounds to 0 or 1).
     """
 
     kappa: float
@@ -177,21 +180,32 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 def cutpoints_from_eta(eta, kappa):
-    """Map a rating simplex to ordered-probit cutpoints.
+    """Map rating simplices to ordered-probit cutpoints, over the last axis.
 
-    c_j = kappa * Phi^-1(cumsum(eta)_j) for j = 1..n_r-1; strictly increasing
-    whenever eta is a valid simplex with positive entries.
+    c_j = kappa * Phi^-1(eta_1 + ... + eta_j) for j = 1..n_r-1, with the
+    cumulative mass held in [1e-12, 1 - 1e-16] so that a mass that rounds to
+    0 or 1 still gives a finite cutpoint.  ``eta`` is (..., n_r) and
+    ``kappa`` broadcasts against the (..., n_r - 1) result.
     """
-    eta = np.asarray(eta, dtype=float)
-    cum = np.cumsum(eta)[:-1]
-    return kappa * ndtri(cum)
+    cum = np.cumsum(np.asarray(eta, dtype=float), axis=-1)[..., :-1]
+    return kappa * ndtri(np.clip(cum, _CUM_MIN, _CUM_MAX))
 
 
 def eta_from_cutpoints(cutpoints, kappa):
-    """Inverse of :func:`cutpoints_from_eta` (used for round-trip checks)."""
+    """Inverse of :func:`cutpoints_from_eta`, over the last axis."""
     cum = ndtr(np.asarray(cutpoints, dtype=float) / kappa)
-    full = np.concatenate([cum, [1.0]])
-    return np.diff(full, prepend=0.0)
+    return np.diff(cum, prepend=0.0, append=1.0, axis=-1)
+
+
+def cell_edges(cutpoints):
+    """Cutpoints padded with -inf and +inf over the last axis, so that rating
+    r's cell runs from ``edges[..., r - 1]`` to ``edges[..., r]``."""
+    cutpoints = np.asarray(cutpoints, dtype=float)
+    edges = np.empty(cutpoints.shape[:-1] + (cutpoints.shape[-1] + 2,))
+    edges[..., 0] = -np.inf
+    edges[..., 1:-1] = cutpoints
+    edges[..., -1] = np.inf
+    return edges
 
 
 def kernel_matrix(history: EntityHistory, kp: KernelParams, jitter: float | None = None):
@@ -229,28 +243,30 @@ class MarkovFactor(NamedTuple):
 
     The kernel is an Ornstein-Uhlenbeck process, Markov in time: over sorted
     times f_k = a_k f_{k-1} + c_k z_k with a_k = exp(-dt_k / rho), c_0 = sigma
-    and c_k = sigma sqrt(1 - a_k^2).  So L = B^-1 diag(c) with B unit
-    lower-bidiagonal, held in LAPACK lower-band storage: ``band[1, k]`` is
-    -a_{k+1} (last entry unused).  log det K = 2 sum_k log c_k.
+    and c_k = sigma sqrt(1 - a_k^2); a_k is 0 where a path starts.  So
+    L = B^-1 diag(c) with B unit lower-bidiagonal, -a_k left of its diagonal
+    in row k.  log det K = 2 sum_k log c_k.
     """
 
-    band: np.ndarray
+    a: np.ndarray
     c: np.ndarray
 
     def unwhiten(self, z):
         """L z for a whitened (n,) vector: one bidiagonal solve."""
-        return dtbtrs(self.band, self.c * z, uplo="L", overwrite_b=1)[0]
+        band = np.ones((2, self.a.size))   # LAPACK lower-band storage of B
+        band[1, :-1] = -self.a[1:]
+        return dtbtrs(band, self.c * z, uplo="L", overwrite_b=1)[0]
 
     def whiten(self, r):
         """L^-1 r for an (n,) vector or (n, k) block: w_k = (r_k - a_k r_{k-1}) / c_k."""
         w = np.array(r, dtype=float)
-        w[1:] += _rows(self.band[1, :-1], w) * w[:-1]
+        w[1:] -= _rows(self.a[1:], w) * w[:-1]
         return w / _rows(self.c, w)
 
     def whiten_t(self, w):
         """L^-T w for an (n,) vector or (n, k) block, so K^-1 r = whiten_t(whiten(r))."""
         v = w / _rows(self.c, w)
-        v[:-1] += _rows(self.band[1, :-1], v) * v[1:]
+        v[:-1] -= _rows(self.a[1:], v) * v[1:]
         return v
 
 
@@ -281,9 +297,7 @@ def markov_factor_from_gaps(gaps, rho, sigma) -> MarkovFactor:
     value per gap.  The caller tests ``c > 0``.
     """
     scaled_gaps = gaps / rho
-    band = np.ones((2, scaled_gaps.size))
-    band[1, :-1] = -np.exp(-scaled_gaps[1:])
-    return MarkovFactor(band, sigma * np.sqrt(-np.expm1(-2.0 * scaled_gaps)))
+    return MarkovFactor(np.exp(-scaled_gaps), sigma * np.sqrt(-np.expm1(-2.0 * scaled_gaps)))
 
 
 def cholesky_with_jitter(K, sigma2, entity_id="?"):
@@ -352,21 +366,65 @@ class Segments:
 class Panel(Segments):
     """Every entity's ratings back to back, the row layout both backends fit on.
 
+    A fit builds one, and it is where the inputs are checked: at least one
+    entity, one covariate width across entities, and ratings in 1..n_r with
+    n_r >= 2; ``n_r`` defaults to the largest rating, and at least 2.  Each
+    failure raises :class:`InvalidInputError`.
+
     Rows run entity by entity, each entity's in time order.  ``gaps`` holds
     t_k - t_{k-1} with +inf at each entity's first row, where
-    :func:`markov_factor_from_gaps` starts an independent path.
+    :meth:`markov_factor` starts an independent path; ``span`` holds each
+    entity's last time minus its first.  ``X`` stacks the covariate rows,
+    ``level_counts[i, r - 1]`` counts entity i's ratings of r, and
+    ``median_gap`` is the median gap between consecutive ratings of one
+    entity, 1 when no entity has two.
     """
 
-    def __init__(self, histories, n_r):
+    def __init__(self, histories, n_r=None):
+        if not histories:
+            raise InvalidInputError("need at least one entity")
+        if len({h.d for h in histories}) > 1:
+            raise InvalidInputError("covariate dimension differs across entities")
+        top = max(int(h.ratings.max()) for h in histories)
+        if n_r is None:
+            n_r = max(top, 2)
+        elif n_r < 2:
+            raise InvalidInputError("n_r must be >= 2")
+        elif top > n_r:
+            raise InvalidInputError(f"observed rating {top} exceeds n_r={n_r}")
         super().__init__([h.n for h in histories])
         self.entity_ids = [h.entity_id for h in histories]
         self.n_r = n_r
         self.ratings = np.concatenate([h.ratings for h in histories])
         self.gaps = np.concatenate([np.diff(h.timestamps, prepend=-np.inf) for h in histories])
+        self.span = np.array([h.timestamps[-1] - h.timestamps[0] for h in histories])
+        self.X = np.vstack([h.covariates for h in histories])
+        self.level_counts = np.bincount(self.entity * n_r + self.ratings - 1,
+                                        minlength=self.n_entities * n_r).reshape(-1, n_r)
+        inner = self.gaps[np.isfinite(self.gaps)]
+        self.median_gap = float(np.median(inner)) if inner.size else 1.0
 
     @property
     def n_rows(self) -> int:
         return self.ratings.size
+
+    def markov_factor(self, log_rho, log_sigma):
+        """``(factor, ok)``: the panel's Markov factor at per-entity (log rho,
+        log sigma), and a mask of the entities whose factor is not singular."""
+        factor = markov_factor_from_gaps(self.gaps, self.per_row(np.exp(log_rho)),
+                                         self.per_row(np.exp(log_sigma)))
+        return factor, np.logical_and.reduceat(factor.c > 0.0, self.starts)
+
+    def gap_interval(self):
+        """Per entity, the smallest gap between consecutive ratings and the
+        span: the time scales its ratings can resolve.  A single-rating entity
+        gets the medians over the others, or NaN when no entity has two."""
+        lo, hi = np.minimum.reduceat(self.gaps, self.starts), self.span.copy()
+        single = self.sizes == 1
+        if single.all():
+            return np.full(lo.size, np.nan), np.full(lo.size, np.nan)
+        lo[single], hi[single] = np.median(lo[~single]), np.median(hi[~single])
+        return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +463,7 @@ def emission_loglik(ratings, f, kappa, cutpoints, entity=None):
     (n,) array of log cell probabilities, floored at log(1e-300).
     """
     ratings = np.asarray(ratings)
-    cutpoints = np.asarray(cutpoints, dtype=float)
-    padded = np.empty(cutpoints.shape[:-1] + (cutpoints.shape[-1] + 2,))
-    padded[..., 0] = -np.inf
-    padded[..., 1:-1] = cutpoints
-    padded[..., -1] = np.inf
+    padded = cell_edges(cutpoints)
     if entity is None:
         upper, lower = padded[ratings], padded[ratings - 1]
     else:
@@ -439,8 +493,7 @@ def rating_cell_probs(f, kappa, cutpoints, n_r):
     f may be a scalar or array; the rating axis is appended last.
     """
     f = np.asarray(f, dtype=float)
-    padded = np.concatenate([[-np.inf], np.asarray(cutpoints, dtype=float), [np.inf]])
-    z = (padded - f[..., None]) / kappa
+    z = (cell_edges(cutpoints) - f[..., None]) / kappa
     return _cell_prob(z[..., :-1], z[..., 1:])
 
 

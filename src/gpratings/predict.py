@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidInputError
-from .model import KernelParams, _cell_prob
+from .model import KernelParams, _cell_prob, cell_edges, cutpoints_from_eta
 from .svi import VariationalState, last_marginal
 
 _VAR_FLOOR_REL = 1e-12
@@ -137,20 +136,13 @@ def conditional_moments(history, draw_state, query_time, query_covariates):
     return float(mu[0]), float(nu2[0])
 
 
-def _cutpoints_rows(eta_rows, kappa_col):
-    cum = np.clip(np.cumsum(eta_rows, axis=-1)[..., :-1], 1e-12, 1.0 - 1e-16)
-    return kappa_col * ndtri(cum)
-
-
 def _probs_from_moments(mu, nu2, kappa, cutpoints):
     """Average cell probabilities over draw/query axes.
 
     ``mu`` and ``nu2`` are (S, L); ``kappa`` is (S,); ``cutpoints`` is
     (S, n_r - 1). Returns the (n_r,) averaged distribution.
     """
-    S, L = mu.shape
-    edges = np.concatenate(
-        [np.full((S, 1), -np.inf), cutpoints, np.full((S, 1), np.inf)], axis=1)
+    edges = cell_edges(cutpoints)
     scale = np.sqrt(kappa[:, None] ** 2 + nu2)
     z = (edges[:, None, :] - mu[:, :, None]) / scale[:, :, None]
     cells = _cell_prob(z[..., :-1], z[..., 1:])
@@ -161,12 +153,9 @@ def _query_distribution(history, fit, times, xs):
     """Cell probabilities averaged over posterior draws and the query batch."""
     if getattr(fit, "backend", None) == "svi":
         mu, nu2 = _vi_moments(history, fit, times, xs)
-        eid = history.entity_id
-        ep = fit.emission[eid]
-        kappa = np.array([ep.kappa])
-        cuts = _cutpoints_rows(ep.eta[None, :], kappa[:, None])
-        probs = _probs_from_moments(mu[None, :], nu2[None, :], kappa, cuts)
-        return probs
+        ep = fit.emission[history.entity_id]
+        return _probs_from_moments(mu[None, :], nu2[None, :], np.array([ep.kappa]),
+                                   ep.cutpoints[None, :])
     idx = fit.entity_index(history.entity_id)
     sel = fit.latent_draw_indices
     if sel.size == 0:
@@ -175,7 +164,7 @@ def _query_distribution(history, fit, times, xs):
         history, fit.theta[sel], fit.rho[sel, idx], fit.sigma[sel, idx],
         fit.latents[history.entity_id][:, -1], times, xs)
     kappa = fit.kappa[sel, idx]
-    cuts = _cutpoints_rows(fit.eta[sel, idx, :], kappa[:, None])
+    cuts = cutpoints_from_eta(fit.eta[sel, idx, :], kappa[:, None])
     return _probs_from_moments(mu, nu2, kappa, cuts)
 
 

@@ -21,8 +21,11 @@ entity's last rating, which prediction starts from.
 
 The objective is the summed ELBO: Gauss-Hermite estimates of
 E_q[log p(y_k | x_k . theta + g_k)] minus KL(q || prior). Fitting is
-variational EM on one flat panel (:class:`_PanelVi`), with one step of each
-kind per iteration:
+variational EM on one flat panel (:class:`_PanelVi` over the shared
+:class:`~gpratings.model.Panel`, which checks the inputs and supplies the
+level counts, the gap interval behind the initial length scales and the
+Markov factor a_k, c_k of the prior), with one step of each kind per
+iteration:
 
 - one quadrature pass gives the expected log-likelihood and its gradients
   in each rating's marginal mean (gamma) and variance (beta). A rating
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import InvalidInputError, NumericalError
 from .model import (
@@ -58,7 +61,8 @@ from .model import (
     EntityHistory,
     KernelParams,
     Panel,
-    markov_factor_from_gaps,
+    cell_edges,
+    cutpoints_from_eta,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -183,13 +187,8 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar):
     n_e, n_r = lam.shape
     e = np.exp(lam - lam.max(axis=1, keepdims=True))
     eta = e / e.sum(axis=1, keepdims=True)
-    cum = np.minimum(np.maximum(np.cumsum(eta, axis=1)[:, :-1], 1e-12), 1.0 - 1e-16)
-    zeta = ndtri(cum)
-    z_full = np.empty((n_e, n_r + 1))
-    z_full[:, 0] = -np.inf
-    z_full[:, 1:-1] = zeta
-    z_full[:, -1] = np.inf
-    z_full = z_full.ravel()
+    zeta = cutpoints_from_eta(eta, 1.0)
+    z_full = cell_edges(zeta).ravel()
     kappa = np.exp(log_kappa)
     # row k's cell lies between the flat cutpoints at[k] - 1 and at[k]
     at = entity * (n_r + 1) + y
@@ -344,7 +343,11 @@ def _smooth(a, c2, lam1, lam2, pos, rpos):
 class _PanelVi:
     """The sites, parameters and q marginals of every entity, on one flat panel.
 
-    Rows follow ``panel``. ``lam1`` and ``lam2`` hold one site per rating;
+    Rows follow ``panel``, the :class:`~gpratings.model.Panel` of the
+    histories, which checks them and infers n_r when it is None. ``rho0``
+    holds the initial length scales, by default each entity's geometric mean
+    of its :meth:`~gpratings.model.Panel.gap_interval` (1 when no entity has
+    two ratings). ``lam1`` and ``lam2`` hold one site per rating;
     ``params`` packs the per-entity parameters [lam | log_kappa | log_rho |
     log_sigma], with ``lam`` (n_entities, n_r) and the others
     (n_entities,) as views into it, and ``owner`` names the entity of each
@@ -352,10 +355,9 @@ class _PanelVi:
     marginals ``mean``, ``var`` and ``cov`` of q.
     """
 
-    def __init__(self, histories, n_r, rho0):
+    def __init__(self, histories, n_r=None, rho0=None):
         p = self.panel = Panel(histories, n_r)
-        n_e = p.n_entities
-        self.X = np.vstack([h.covariates for h in histories])
+        n_e, n_r = p.n_entities, p.n_r
         self.inner = np.flatnonzero(np.isfinite(p.gaps))  # rows after their entity's first
         self.lam1 = np.zeros(p.n_rows)
         self.lam2 = np.zeros(p.n_rows)
@@ -364,10 +366,11 @@ class _PanelVi:
         self.lam = self.params[:n_lam].reshape(n_e, n_r)
         self.log_kappa, self.log_rho, self.log_sigma = self.params[n_lam:].reshape(3, n_e)
         self.owner = np.concatenate((np.repeat(np.arange(n_e), n_r), np.tile(np.arange(n_e), 3)))
-        counts = np.bincount(p.entity * (n_r + 1) + p.ratings,
-                             minlength=n_e * (n_r + 1)).reshape(n_e, n_r + 1)[:, 1:]
-        lam = np.log((counts + 0.5) / (p.sizes[:, None] + 0.5 * n_r))
+        lam = np.log((p.level_counts + 0.5) / (p.sizes[:, None] + 0.5 * n_r))
         self.lam[:] = lam - lam.mean(axis=1, keepdims=True)
+        if rho0 is None:
+            lo, hi = np.nan_to_num(p.gap_interval(), nan=1.0)
+            rho0 = np.sqrt(np.maximum(lo, 1e-12) * np.maximum(hi, 1e-12))
         self.log_rho[:] = np.log(np.asarray(rho0, dtype=float))
         # ratings before and after each row in its entity, for the smoother
         self.pos = np.arange(p.n_rows) - p.per_row(p.starts)
@@ -381,18 +384,16 @@ class _PanelVi:
         marked ``broken``; its moments are then meaningless but finite, and
         the other entities' are as they would be alone.
         """
-        p = self.panel
-        f = self.factor = markov_factor_from_gaps(p.gaps, p.per_row(np.exp(self.log_rho)),
-                                                  p.per_row(np.exp(self.log_sigma)))
-        self.broken = ~np.logical_and.reduceat(f.c > 0.0, p.starts)
-        self.a = np.concatenate(([0.0], -f.band[1, :-1]))   # a_k, zero at first ratings
+        self.factor, ok = self.panel.markov_factor(self.log_rho, self.log_sigma)
+        self.broken = ~ok
+        a, c = self.factor
         with np.errstate(divide="ignore", invalid="ignore"):
             self.pp, self.pf, self.mf, self.var, self.mean = _smooth(
-                self.a, f.c ** 2, self.lam1, self.lam2, self.pos, self.rpos)
+                a, c ** 2, self.lam1, self.lam2, self.pos, self.rpos)
             k = self.inner
             # the smoother gain G_{k-1}: S_{k-1,k} = G_{k-1} S_kk
-            self.gain = self.a[k] * self.pf[k - 1] / self.pp[k]
-        self.cov = np.zeros(p.n_rows - 1)
+            self.gain = a[k] * self.pf[k - 1] / self.pp[k]
+        self.cov = np.zeros(self.panel.n_rows - 1)
         self.cov[k - 1] = self.gain * self.var[k]
 
     def set_q(self, mean, lam2):
@@ -408,7 +409,7 @@ class _PanelVi:
     def _kl(self):
         """Per entity: KL(q || prior) and the gradients of -KL in log rho and
         log sigma at fixed q."""
-        p, c = self.panel, self.factor.c
+        p, (a, c) = self.panel, self.factor
         m, var, lam1, lam2 = self.mean, self.var, self.lam1, self.lam2
         # with m = S lam1: tr(K^-1 S) = n - sum_k lam2_k S_kk and
         # m^T K^-1 m = m^T lam1 - sum_k lam2_k m_k^2; and
@@ -424,7 +425,7 @@ class _PanelVi:
         # Cov[w_k, g_{k-1}] = c_k (G_{k-1} S_kk - a_k pf_{k-1}) / pp_k.
         k = self.inner
         owner = p.entity[k]
-        a, ck, pp, pf_prev = self.a[k], c[k], self.pp[k], self.pf[k - 1]
+        a, ck, pp, pf_prev = a[k], c[k], self.pp[k], self.pf[k - 1]
         da = (p.gaps[k] / np.exp(self.log_rho).take(owner)) * a
         dlog_c = -np.exp(2.0 * self.log_sigma).take(owner) * a * da / (ck * ck)
         w_mean = ck * (m[k] - a * self.mf[k - 1]) / pp
@@ -448,7 +449,7 @@ class _PanelVi:
         p = self.panel
         ents = slice(None) if batch is None else batch
         rows = slice(None) if batch is None else np.flatnonzero(np.isin(p.entity, batch))
-        X = self.X[rows]
+        X = p.X[rows]
         lik, gamma, beta, g_kappa, g_lam = _emission_quadrature(
             X @ theta + self.mean[rows], np.sqrt(self.var[rows]), p.ratings[rows],
             p.entity[rows], self.lam, self.log_kappa, xq, wbar)
@@ -546,27 +547,6 @@ def _optimizer(vp, d, cfg):
     return (_Adam(vp.params.size, vp.owner), _Adam(d)), rates
 
 
-def _rho_inits(histories):
-    """Geometric mean of (min gap, span) per entity; dataset medians for singletons."""
-    lows, highs = [], []
-    for h in histories:
-        if h.n >= 2:
-            gaps = np.diff(h.timestamps)
-            lows.append(float(gaps.min()))
-            highs.append(float(h.timestamps[-1] - h.timestamps[0]))
-    out = []
-    for h in histories:
-        if h.n >= 2:
-            gaps = np.diff(h.timestamps)
-            lo, hi = float(gaps.min()), float(h.timestamps[-1] - h.timestamps[0])
-        elif lows:
-            lo, hi = float(np.median(lows)), float(np.median(highs))
-        else:
-            lo = hi = 1.0
-        out.append(math.sqrt(max(lo, 1e-12) * max(hi, 1e-12)))
-    return np.array(out)
-
-
 def _quadrature_nodes(n_nodes):
     """Gauss-Hermite nodes and the weights over sqrt(pi), which sum to 1.
 
@@ -598,27 +578,15 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
     failures; ``metadata["rollbacks"]`` counts the rollbacks and
     ``metadata["lr_scale"]`` holds the final scale.
     """
-    if not histories:
-        raise InvalidInputError("histories must be non-empty")
     cfg = config if config is not None else SviConfig()
-    observed_max = max(int(h.ratings.max()) for h in histories)
-    if n_r is None:
-        n_r = max(observed_max, 2)
-    elif observed_max > n_r:
-        raise InvalidInputError(f"observed rating {observed_max} exceeds n_r={n_r}")
-    if n_r < 2:
-        raise InvalidInputError("n_r must be >= 2")
-    d = histories[0].covariates.shape[1]
-    for h in histories:
-        if h.covariates.shape[1] != d:
-            raise InvalidInputError("covariate dimension differs across entities")
-
-    vp = _PanelVi(histories, n_r, _rho_inits(histories))
+    vp = _PanelVi(histories, n_r)
+    p = vp.panel
+    d = p.X.shape[1]
     theta = np.zeros(d)
     xq, wbar = _quadrature_nodes(cfg.quadrature_nodes)
     adams, rates = _optimizer(vp, d, cfg)
     rng = np.random.default_rng(cfg.seed)
-    n_e = len(histories)
+    n_e = p.n_entities
     batch_size = n_e if cfg.minibatch is None else min(cfg.minibatch, n_e)
 
     trace = np.empty(cfg.iterations)
@@ -651,8 +619,6 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
         snap = (theta, vp.snapshot())
         theta = _ascend(vp, out, theta, adams, rates, lr_scale, batch)
 
-    gaps = np.concatenate([np.diff(h.timestamps) for h in histories if h.n >= 2] or [np.array([1.0])])
-    p = vp.panel
     ids = p.entity_ids
     return VariationalState(
         entity_ids=list(ids),
@@ -666,7 +632,7 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
                   for i, e in enumerate(ids)},
         elbo_trace=trace,
         config=cfg,
-        metadata={"n_r": n_r, "median_gap": float(np.median(gaps)),
+        metadata={"n_r": p.n_r, "median_gap": p.median_gap,
                   "final_elbo": float(trace[-1]), "rollbacks": rollbacks,
                   "lr_scale": lr_scale},
     )

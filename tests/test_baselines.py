@@ -75,6 +75,25 @@ class TestAggregators:
         with pytest.raises(InvalidInputError):
             weighted_mean([0, 2, 3], alpha=1.0, n_r=5)
 
+    # nineteen threes and one non-finite rating; a NaN used to give a NaN
+    # mean, an inf an infinite one, and tune a misleading grid error
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("aggregator", [
+        sample_mean,
+        lambda r: weighted_mean(r, alpha=1.0, n_r=5),
+        lambda r: sliding_window_mean(r, 5),
+        lambda r: discounted_mean(r, 1.0),
+    ], ids=["sample_mean", "weighted_mean", "sliding_window", "discounted"])
+    def test_non_finite_rating_rejected_by_aggregator(self, aggregator, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            aggregator([3.0] * 19 + [bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_rating_rejected_by_tune(self, kind, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            tune([3.0] * 19 + [bad], kind, n_r=5)
+
     @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
     def test_weighted_mean_non_integer_rating_rejected(self, bad):
         with pytest.raises(InvalidInputError):

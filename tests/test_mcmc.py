@@ -27,7 +27,6 @@ from gpratings.mcmc import (
     McmcConfig,
     PriorSpec,
     _Chain,
-    _dirichlet_logpdf,
     _elliptical_slice,
     _initial_log_rho,
     _kappa_log_target,
@@ -43,7 +42,7 @@ from gpratings.mcmc import (
     waic,
     waic_terms,
 )
-from gpratings.model import EntityHistory, KernelParams, kernel_matrix
+from gpratings.model import EntityHistory, KernelParams, _dirichlet_logpdf, kernel_matrix
 
 from test_model import make_history
 
@@ -70,9 +69,9 @@ def unwhiten(f_tilde, L, mean=0.0):
 
 def make_chain(histories, priors, seeds, n_r=5):
     """One chain over ``histories``; entity i draws from default_rng(seeds[i])."""
-    panel = _Panel(histories, np.vstack([h.covariates for h in histories]), n_r)
+    panel = _Panel(histories, n_r, priors)
     log_rho0 = [_initial_log_rho(h, priors.lengthscale[h.entity_id]) for h in histories]
-    return _Chain(panel, priors, log_rho0, [np.random.default_rng(s) for s in seeds],
+    return _Chain(panel, log_rho0, [np.random.default_rng(s) for s in seeds],
                   np.random.default_rng(0), False)
 
 
@@ -259,10 +258,10 @@ def test_singular_kernel_proposal_is_rejected_and_consumes_one_uniform():
     both = make_chain([a, b], priors, [7, 3])
     alone = make_chain([a], priors, [7])
     both.log_rho[1] = 700.0
-    assert both.kernel_factor(both.log_rho, both.log_sigma)[1].tolist() == [True, False]
+    assert both.panel.markov_factor(both.log_rho, both.log_sigma)[1].tolist() == [True, False]
     b_rows = both.panel.segment(1)
     before = (both.log_rho[1], both.log_sigma[1], both.factor.c[b_rows].copy(),
-              both.f[b_rows].copy(), both.ll_sum[1], both.factor.band[:, b_rows].copy())
+              both.f[b_rows].copy(), both.ll_sum[1], both.factor.a[b_rows].copy())
     replay = np.random.default_rng()
     replay.bit_generator.state = both.rngs[1].bit_generator.state
     _update_kernel_params(both, 0.0)
@@ -270,7 +269,7 @@ def test_singular_kernel_proposal_is_rejected_and_consumes_one_uniform():
     assert both.report["rho_sigma"].tolist() == [1.0, 0.0]   # a moves, b is rejected
     assert (both.log_rho[1], both.log_sigma[1]) == before[:2]
     assert np.array_equal(both.factor.c[b_rows], before[2])
-    assert np.array_equal(both.factor.band[:, b_rows], before[5])
+    assert np.array_equal(both.factor.a[b_rows], before[5])
     assert np.array_equal(both.f[b_rows], before[3]) and both.ll_sum[1] == before[4]
     replay.standard_normal(2)
     replay.random()

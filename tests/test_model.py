@@ -15,7 +15,7 @@ from scipy import integrate
 from scipy import stats
 
 from gpratings.errors import InvalidInputError
-from gpratings.mcmc import PriorSpec, build_prior_spec
+from gpratings.mcmc import McmcConfig, PriorSpec, build_prior_spec, run_mcmc
 from gpratings.model import (
     EmissionParams,
     EntityHistory,
@@ -23,6 +23,7 @@ from gpratings.model import (
     LatentValues,
     MeanCoefficients,
     ModelParams,
+    Panel,
     ReviewRecord,
     cutpoints_from_eta,
     emission_loglik,
@@ -35,6 +36,7 @@ from gpratings.model import (
     mean_vector,
     rating_cell_probs,
 )
+from gpratings.svi import SviConfig, fit_svi
 
 
 def make_history(timestamps, ratings=None, covariates=None, entity_id="e1"):
@@ -162,6 +164,70 @@ def test_markov_factor_from_gaps_stacks_entities(seed):
         [f.unwhiten(w) for f, w in zip(parts, np.split(z, cut))]))
     assert np.array_equal(panel.whiten(z), np.concatenate(
         [f.whiten(w) for f, w in zip(parts, np.split(z, cut))]))
+    assert np.array_equal(panel.whiten_t(z), np.concatenate(
+        [f.whiten_t(w) for f, w in zip(parts, np.split(z, cut))]))
+    assert np.array_equal(panel.a, np.concatenate([f.a for f in parts]))
+    assert not panel.a[np.r_[0, cut]].any()
+
+
+# ---------------------------------------------------------------------------
+# the flat panel
+# ---------------------------------------------------------------------------
+
+def _panel_histories():
+    rng = np.random.default_rng(11)
+    return [make_history(np.cumsum(rng.exponential(0.4, n)), ratings=rng.integers(1, 4, n),
+                         entity_id=f"e{i}") for i, n in enumerate((5, 1, 8))]
+
+
+def test_panel_counts_levels_and_gaps():
+    hs = _panel_histories()
+    panel = Panel(hs, n_r=5)
+    assert panel.n_r == 5 and panel.X.shape == (14, 2)
+    for i, h in enumerate(hs):
+        assert panel.level_counts[i].tolist() == [int((h.ratings == r).sum()) for r in range(1, 6)]
+    inner = np.concatenate([np.diff(h.timestamps) for h in hs if h.n > 1])
+    assert panel.median_gap == np.median(inner)
+    lo, hi = panel.gap_interval()
+    lows = [np.diff(hs[i].timestamps).min() for i in (0, 2)]
+    highs = [hs[i].timestamps[-1] - hs[i].timestamps[0] for i in (0, 2)]
+    assert lo.tolist() == [lows[0], np.median(lows), lows[1]]
+    assert hi.tolist() == [highs[0], np.median(highs), highs[1]]
+    assert Panel([hs[1]]).median_gap == 1.0
+    assert np.isnan(Panel([hs[1]]).gap_interval()).all()
+
+
+def test_panel_infers_n_r_of_at_least_two():
+    assert Panel([make_history([0.0, 1.0], ratings=[1, 1])]).n_r == 2
+    hs = _panel_histories()
+    assert Panel(hs).n_r == max(int(h.ratings.max()) for h in hs)
+
+
+def _fit_mcmc(histories, n_r=None):
+    return run_mcmc(histories, McmcConfig(chains=2, iterations=20, warmup=10), n_r=n_r)
+
+
+def _fit_svi(histories, n_r=None):
+    return fit_svi(histories, SviConfig(iterations=5), n_r=n_r)
+
+
+@pytest.mark.parametrize("fit", [_fit_mcmc, _fit_svi], ids=["mcmc", "svi"])
+@pytest.mark.parametrize("case", ["empty", "mixed_widths", "n_r_1", "rating_above_n_r"])
+def test_both_backends_reject_what_the_panel_rejects(fit, case):
+    hs = _panel_histories()
+    n_r = None
+    if case == "empty":
+        hs = []
+    elif case == "mixed_widths":
+        hs.append(make_history([0.0, 1.0], covariates=np.zeros((2, 3)), entity_id="wide"))
+    elif case == "n_r_1":
+        hs, n_r = [make_history([0.0, 1.0, 2.0])], 1
+    else:
+        n_r = 2
+    with pytest.raises(InvalidInputError):
+        Panel(hs, n_r)
+    with pytest.raises(InvalidInputError):
+        fit(hs, n_r)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +355,26 @@ def test_cutpoints_round_trip(seed):
     assert np.all(np.diff(cuts) > 0)
     back = eta_from_cutpoints(cuts, kappa)
     assert np.allclose(back, eta, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_cutpoint_maps_work_row_by_row(seed):
+    # a table of simplices maps exactly as its rows do one at a time
+    rng = np.random.default_rng(seed)
+    eta = rng.dirichlet(np.ones(5), size=(3, 4))
+    kappa = rng.uniform(0.1, 3.0, size=(3, 4, 1))
+    cuts = cutpoints_from_eta(eta, kappa)
+    back = eta_from_cutpoints(cuts, kappa)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(cuts[idx], cutpoints_from_eta(eta[idx], kappa[idx]))
+        assert np.array_equal(back[idx], eta_from_cutpoints(cuts[idx], kappa[idx]))
+
+
+def test_cutpoints_stay_finite_when_the_mass_rounds_to_one():
+    eta = np.array([1.0 - 1e-17, 1e-17])
+    assert np.isfinite(cutpoints_from_eta(eta, 1.0)).all()
+    assert np.isfinite(EmissionParams(kappa=1.0, eta=eta).cutpoints).all()
 
 
 def test_rating_cell_probs_rows_sum_to_one():

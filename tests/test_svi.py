@@ -569,6 +569,16 @@ def test_fit_svi_rejects_mixed_covariate_dims():
         fit_svi(hs + [bad], SviConfig(iterations=5))
 
 
+def test_elbo_rejects_a_rating_above_the_state_n_r():
+    h = make_entity(seed=4, n=6, n_r=3)
+    state = fit_svi([h], SviConfig(iterations=5), n_r=3)
+    ratings = h.ratings.copy()
+    ratings[2] = 5
+    above = EntityHistory(h.entity_id, h.timestamps, ratings, h.covariates)
+    with pytest.raises(InvalidInputError, match="exceeds n_r=3"):
+        elbo(above, state)
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         SviConfig(iterations=0)
