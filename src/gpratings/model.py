@@ -296,8 +296,19 @@ def markov_factor_from_gaps(gaps, rho, sigma) -> MarkovFactor:
     each entity's first rating.  ``rho`` and ``sigma`` are scalars or one
     value per gap.  The caller tests ``c > 0``.
     """
-    scaled_gaps = gaps / rho
-    return MarkovFactor(np.exp(-scaled_gaps), sigma * np.sqrt(-np.expm1(-2.0 * scaled_gaps)))
+    a, one_minus_a2 = ou_step(gaps / rho)
+    return MarkovFactor(a, sigma * np.sqrt(one_minus_a2))
+
+
+def ou_step(scaled_gaps):
+    """``(a, 1 - a^2)`` with a = exp(-x), for gaps x measured in length scales.
+
+    One Ornstein-Uhlenbeck step: the path keeps a times its deviation from
+    the mean and gains variance sigma^2 (1 - a^2), taken as -expm1(-2x) so
+    that it stays exact for small gaps.  The Markov factor and the predictive
+    moments both use it.
+    """
+    return np.exp(-scaled_gaps), -np.expm1(-2.0 * scaled_gaps)
 
 
 def cholesky_with_jitter(K, sigma2, entity_id="?"):

@@ -14,7 +14,9 @@ MCMC draw knows g_n exactly; a variational fit has q(g_n) = N(m_n, S_nn)
 the only difference between the two paths.
 Deployment scores marginalize the query over time gaps and covariate rows
 resampled from the entity's own history, so prediction never touches
-covariates of unseen future reviews.
+covariates of unseen future reviews. The L queries are drawn as two index
+arrays and scored in one pass; :class:`MarginalizationDraw` is only the
+public view of one query (:func:`marginalization_draws`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import KernelParams, _cell_prob, cell_edges, cutpoints_from_eta
+from .model import KernelParams, _cell_prob, cell_edges, cutpoints_from_eta, ou_step
 from .svi import VariationalState, last_marginal
 
 _VAR_FLOOR_REL = 1e-12
@@ -92,9 +94,10 @@ def _ou_moments(history, theta, rho, sigma, resid, times, xs, resid_var=None):
     """
     delta = np.maximum(np.asarray(times, dtype=float) - history.timestamps[-1], 0.0)
     decay = delta[None, :] / rho[:, None]
-    mu = theta @ xs.T + np.exp(-decay) * resid[:, None]
+    a, one_minus_a2 = ou_step(decay)
+    mu = theta @ xs.T + a * resid[:, None]
     sigma2 = (sigma ** 2)[:, None]
-    nu2 = np.maximum(-sigma2 * np.expm1(-2.0 * decay), _VAR_FLOOR_REL * sigma2)
+    nu2 = np.maximum(sigma2 * one_minus_a2, _VAR_FLOOR_REL * sigma2)
     if resid_var is not None:
         nu2 = nu2 + np.exp(-2.0 * decay) * resid_var
     return mu, nu2
@@ -178,13 +181,24 @@ def predictive_probs(history, fit, query) -> PredictiveDistribution:
     return PredictiveDistribution.from_probs(probs)
 
 
-def marginalization_draws(history, L, seed, fallback_gap=None):
-    """Resample L (gap, covariates) pairs from the entity's own history.
+def _check_count(name, value, least):
+    # bool is an int subclass, and numpy integers are not ints
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
 
-    Gaps and covariate rows are drawn independently, uniformly with
-    replacement. A single-rating entity has no observed gap, so the caller
-    supplies a dataset-level fallback.
+
+def _query_arrays(history, L, seed, fallback_gap):
+    """``(deltas, rows)``: L time gaps and L covariate row indices.
+
+    Gaps and rows are drawn independently from the entity's own history,
+    uniformly with replacement, from ``default_rng(seed)``. A single-rating
+    entity has no observed gap, so the caller supplies a dataset-level
+    fallback.
     """
+    _check_count("L", L, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if history.n >= 2:
         gaps = np.diff(history.timestamps)
@@ -195,18 +209,31 @@ def marginalization_draws(history, L, seed, fallback_gap=None):
                 "single-rating entity needs a positive fallback gap")
         deltas = np.full(L, float(fallback_gap))
     rows = rng.integers(0, history.n, L)
+    if not (deltas > 0).all():
+        raise InvalidInputError("delta must be positive")
+    return deltas, rows
+
+
+def marginalization_draws(history, L, seed, fallback_gap=None):
+    """The L (gap, covariates) queries that :func:`marginalize` scores.
+
+    A view for callers that want the queries one by one: the draws come
+    from the same index arrays, so they match ``marginalize`` for the same
+    ``L``, ``seed`` and fallback gap.
+    """
+    deltas, rows = _query_arrays(history, L, seed, fallback_gap)
     return [MarginalizationDraw(delta=float(d), covariates=history.covariates[r])
             for d, r in zip(deltas, rows)]
 
 
 def marginalize(history, fit, L: int = 50, seed: int = 0) -> PredictiveDistribution:
-    """Deployment-time score: average the predictive over resampled queries."""
-    if L < 1:
-        raise InvalidInputError("L must be >= 1")
+    """Deployment-time score: average the predictive over resampled queries.
+
+    ``L`` is a positive integer and ``seed`` a non-negative one; anything
+    else raises :class:`InvalidInputError`.
+    """
     fallback = fit.metadata.get("median_gap") if hasattr(fit, "metadata") else None
-    draws = marginalization_draws(history, L, seed, fallback_gap=fallback)
-    t_last = history.timestamps[-1]
-    times = np.array([t_last + d.delta for d in draws])
-    xs = np.vstack([d.covariates for d in draws])
-    probs = _query_distribution(history, fit, times, xs)
+    deltas, rows = _query_arrays(history, L, seed, fallback)
+    times = history.timestamps[-1] + deltas
+    probs = _query_distribution(history, fit, times, history.covariates[rows])
     return PredictiveDistribution.from_probs(probs)

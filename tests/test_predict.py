@@ -22,6 +22,7 @@ from gpratings.predict import (
     predictive_probs,
 )
 from gpratings.svi import SviConfig, fit_svi
+from predict_reference import reference_marginalize
 
 
 def make_history(seed=0, n=8, eid="e1", d=2):
@@ -287,6 +288,11 @@ def test_predictive_probs_end_to_end_svi(svi_fit):
 # marginalization
 # ---------------------------------------------------------------------------
 
+def assert_same_bytes(got, want):
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert np.float64(got.expected_rating).tobytes() == np.float64(want.expected_rating).tobytes()
+
+
 def test_marginalization_draws_reproducible():
     h = make_history(seed=10)
     a = marginalization_draws(h, 20, seed=3)
@@ -328,6 +334,9 @@ def test_marginalize_single_rating_uses_fallback_gap(svi_fit):
     state = fit_svi(hs + [h1], SviConfig(iterations=50, seed=6))
     dist = marginalize(h1, state, L=10, seed=2)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
+    assert_same_bytes(dist, reference_marginalize(h1, state, L=10, seed=2))
+    assert_same_bytes(marginalize(h1, state, L=1, seed=2),
+                      reference_marginalize(h1, state, L=1, seed=2))
     with pytest.raises(InvalidInputError):
         marginalization_draws(h1, 10, seed=2, fallback_gap=None)
 
@@ -338,3 +347,50 @@ def test_marginalize_seed_determinism(mcmc_fit):
     a = marginalize(h, fit, L=30, seed=11)
     b = marginalize(h, fit, L=30, seed=11)
     assert np.array_equal(a.probs, b.probs)
+
+
+@pytest.mark.parametrize("L, seed", [(50, 0), (1, 3), (137, 12)])
+def test_marginalize_matches_per_query_reference(mcmc_fit, svi_fit, L, seed):
+    # the index-array path against the per-object one it replaced
+    # (predict_reference), byte for byte, on both backends
+    for hs, fit in (mcmc_fit, svi_fit):
+        for h in hs:
+            assert_same_bytes(marginalize(h, fit, L=L, seed=seed),
+                              reference_marginalize(h, fit, L=L, seed=seed))
+
+
+def test_marginalization_draws_follow_the_seeded_stream():
+    # gap indices first, then row indices, from one default_rng(seed)
+    h = make_history(seed=12)
+    draws = marginalization_draws(h, 7, seed=5)
+    rng = np.random.default_rng(5)
+    gaps = np.diff(h.timestamps)[rng.integers(0, h.n - 1, 7)]
+    rows = rng.integers(0, h.n, 7)
+    assert [d.delta for d in draws] == gaps.tolist()
+    assert np.array_equal(np.vstack([d.covariates for d in draws]), h.covariates[rows])
+
+
+@pytest.mark.parametrize("L", [2.5, 3.0, True, np.bool_(True), "5", None, 0, -2])
+def test_marginalize_rejects_a_bad_query_count(svi_fit, L):
+    hs, state = svi_fit
+    with pytest.raises(InvalidInputError, match="L must be"):
+        marginalize(hs[0], state, L=L, seed=0)
+    with pytest.raises(InvalidInputError, match="L must be"):
+        marginalization_draws(hs[0], L, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_marginalize_rejects_a_bad_seed(svi_fit, seed):
+    hs, state = svi_fit
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        marginalize(hs[0], state, L=5, seed=seed)
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        marginalization_draws(hs[0], 5, seed=seed)
+
+
+def test_marginalize_accepts_numpy_integers(svi_fit):
+    hs, state = svi_fit
+    h = hs[0]
+    assert_same_bytes(marginalize(h, state, L=np.int64(3), seed=np.uint32(4)),
+                      marginalize(h, state, L=3, seed=4))
+    assert len(marginalization_draws(h, np.int32(3), seed=np.int64(4))) == 3
