@@ -22,9 +22,7 @@ from .dataio import DatasetManifest, ingest, load_fit, save_fit
 from .errors import ConfigError, DataError, InvalidInputError, NumericalError
 from .evaluate import (
     EntityEval,
-    EvalProtocol,
     choice_set_simulation,
-    classification_report,
     emd,
     empirical_distribution,
     holdout_split,
@@ -42,7 +40,6 @@ from .mcmc import (
     effective_sample_size,
     gelman_rubin,
     run_mcmc,
-    solve_lengthscale_prior,
     waic,
     waic_terms,
 )
@@ -50,19 +47,11 @@ from .model import (
     EmissionParams,
     EntityHistory,
     KernelParams,
-    LatentValues,
-    MeanCoefficients,
-    ModelParams,
-    ReviewRecord,
-    emission_logprob,
-    joint_logdensity,
     kernel_matrix,
-    mean_vector,
 )
 from .predict import (
     MarginalizationDraw,
     PredictiveDistribution,
-    conditional_moments,
     marginalization_draws,
     marginalize,
     predictive_probs,
@@ -90,20 +79,15 @@ __all__ = [
     "EmissionParams",
     "EntityEval",
     "EntityHistory",
-    "EvalProtocol",
     "InvalidInputError",
     "KernelParams",
-    "LatentValues",
     "MarginalizationDraw",
     "McmcConfig",
-    "MeanCoefficients",
-    "ModelParams",
     "NumericalError",
     "PosteriorEnsemble",
     "PredictiveDistribution",
     "PriorSpec",
     "RecoveryReport",
-    "ReviewRecord",
     "SimSpec",
     "SimTruth",
     "SviConfig",
@@ -111,26 +95,21 @@ __all__ = [
     "aggregate",
     "build_prior_spec",
     "choice_set_simulation",
-    "classification_report",
-    "conditional_moments",
     "discounted_mean",
     "effective_sample_size",
     "elbo",
     "emd",
-    "emission_logprob",
     "empirical_distribution",
     "fit_svi",
     "gelman_rubin",
     "holdout_split",
     "ingest",
-    "joint_logdensity",
     "jsd",
     "kernel_matrix",
     "load_fit",
     "mae",
     "marginalization_draws",
     "marginalize",
-    "mean_vector",
     "predictive_probs",
     "recover",
     "regime_shift_scenario",
@@ -141,7 +120,6 @@ __all__ = [
     "sensitivity_buckets",
     "simulate",
     "sliding_window_mean",
-    "solve_lengthscale_prior",
     "tune",
     "waic",
     "waic_terms",

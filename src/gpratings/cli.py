@@ -62,7 +62,6 @@ class RunConfig:
     backend: str = "mcmc"
     out: str = "."
     seed: Optional[int] = None
-    threads: int = 1
     holdout: int = 10
     L: int = 50
     kind: str = "sample_mean"
@@ -82,14 +81,14 @@ class RunConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.holdout < 1:
             raise ConfigError("holdout must be >= 1")
-        if self.L < 1 or self.threads < 1 or self.sets < 1:
-            raise ConfigError("L, threads, and sets must be >= 1")
+        if self.L < 1 or self.sets < 1:
+            raise ConfigError("L and sets must be >= 1")
         self.mcmc = dict(self.mcmc or {})
         self.svi = dict(self.svi or {})
         self.sim = dict(self.sim or {})
 
     def mcmc_config(self) -> McmcConfig:
-        kw = {"seed": self.seed, "threads": self.threads, **self.mcmc}
+        kw = {"seed": self.seed, **self.mcmc}
         try:
             return McmcConfig(**kw)
         except (TypeError, InvalidInputError) as exc:
@@ -115,8 +114,8 @@ class RunConfig:
 
 _CONFIG_KEYS = {
     "dataset": str, "fmt": str, "backend": str, "out": str, "seed": int,
-    "threads": int, "holdout": int, "L": int, "kind": str, "K": int,
-    "sets": int, "fit_path": str, "n_r": int,
+    "holdout": int, "L": int, "kind": str, "K": int, "sets": int,
+    "fit_path": str, "n_r": int,
 }
 
 
@@ -502,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (layered under env and flags)")
         p.add_argument("--out", help="output directory (default: current directory)")
         p.add_argument("--seed", type=int, help="random seed (required via flag, env, or config)")
-        p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; MCMC chains run in one process")
         if dataset:
             p.add_argument("--dataset", help="review dataset path")
             p.add_argument("--fmt", choices=["csv", "jsonl"], help="dataset format (default: by extension)")

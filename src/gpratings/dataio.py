@@ -574,7 +574,7 @@ def save_fit(fit, path) -> None:
         raise InvalidInputError(f"cannot persist object with backend {backend!r}")
     config = _listify(asdict(fit.config))
     # thread count is orchestration, not part of the model: dropping it keeps
-    # artifacts bit-identical across --threads values (draws already are)
+    # artifacts bit-identical across McmcConfig.threads values (draws already are)
     config.pop("threads", None)
     doc = {
         "schema_version": SCHEMA_VERSION,

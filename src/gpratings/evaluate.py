@@ -9,8 +9,8 @@ per-entity errors feed the metrics below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 from scipy.special import ndtr
@@ -37,23 +37,6 @@ class EntityEval:
     prediction: float
     baseline_prediction: float
     holdout_mean: float
-
-
-@dataclass
-class EvalProtocol:
-    """Hold-out evaluation results over a set of entities."""
-
-    holdout_size: int = 10
-    records: List[EntityEval] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.holdout_size < 1:
-            raise InvalidInputError("holdout_size must be at least 1")
-
-    def errors(self, which: str = "model") -> np.ndarray:
-        preds = [r.prediction if which == "model" else r.baseline_prediction
-                 for r in self.records]
-        return np.array([p - r.holdout_mean for p, r in zip(preds, self.records)])
 
 
 def holdout_split(history: EntityHistory, holdout_size: int = 10):
@@ -190,46 +173,13 @@ def _average_ranks(values):
     return ranks
 
 
-def classification_report(predictions, holdout_means, n_r: int = 5) -> dict:
-    """Macro-averaged precision/recall/F1 after rounding to rating levels.
-
-    Values round half-up and clip into 1..n_r. Averages run over the classes
-    present in the rounded truth; a class never predicted contributes
-    precision 0 rather than being skipped.
-    """
-    pred = np.asarray(predictions, dtype=float)
-    true = np.asarray(holdout_means, dtype=float)
-    if pred.shape != true.shape or pred.ndim != 1 or pred.size == 0:
-        raise InvalidInputError("predictions and truths must be matching vectors")
-    r_pred = np.clip(np.floor(pred + 0.5), 1, n_r).astype(int)
-    r_true = np.clip(np.floor(true + 0.5), 1, n_r).astype(int)
-    classes = np.unique(r_true)
-    precision, recall, f1 = [], [], []
-    for c in classes:
-        tp = int(np.sum((r_pred == c) & (r_true == c)))
-        n_pred = int(np.sum(r_pred == c))
-        n_true = int(np.sum(r_true == c))
-        p = tp / n_pred if n_pred else 0.0
-        r = tp / n_true
-        precision.append(p)
-        recall.append(r)
-        f1.append(2 * p * r / (p + r) if p + r else 0.0)
-    return {
-        "balanced_accuracy": float(np.mean(recall)),
-        "precision": float(np.mean(precision)),
-        "recall": float(np.mean(recall)),
-        "f1": float(np.mean(f1)),
-    }
-
-
-def _records_of(protocol_or_records) -> List[EntityEval]:
-    records = getattr(protocol_or_records, "records", protocol_or_records)
+def _records_of(records) -> List[EntityEval]:
     if len(records) == 0:
         raise InvalidInputError("no evaluation records")
     return list(records)
 
 
-def choice_set_simulation(protocol_or_records, K: int,
+def choice_set_simulation(records, K: int,
                           n_sets: int = 2000, seed: int = 0) -> dict:
     """Simulated pick-the-best task over random K-entity choice sets.
 
@@ -241,7 +191,7 @@ def choice_set_simulation(protocol_or_records, K: int,
         raise InvalidInputError(f"choice set size must be one of {CHOICE_SET_SIZES}")
     if n_sets < 1:
         raise InvalidInputError("n_sets must be positive")
-    records = _records_of(protocol_or_records)
+    records = _records_of(records)
     if len(records) < K:
         raise InvalidInputError(f"need at least {K} entities, got {len(records)}")
     rng = np.random.default_rng(seed)
@@ -257,13 +207,13 @@ def choice_set_simulation(protocol_or_records, K: int,
     return {f"top{m + 1}": float(hits[m] / n_sets) for m in range(3)}
 
 
-def sensitivity_buckets(protocol_or_records, kind: str = "volume") -> List[dict]:
+def sensitivity_buckets(records, kind: str = "volume") -> List[dict]:
     """MAE/RMSE per entity bucket, with relative MAE improvement vs baseline.
 
     Buckets are left-closed, right-open on training volume or training-set
     rating SD; empty buckets are omitted from the result.
     """
-    records = _records_of(protocol_or_records)
+    records = _records_of(records)
     if kind == "volume":
         edges, labels = VOLUME_EDGES, VOLUME_LABELS
         values = np.array([r.n_train for r in records], dtype=float)

@@ -44,12 +44,9 @@ pass over the whole panel, and no n-by-n matrix is formed.
 Proposal scales adapt toward ~30% acceptance during warmup and are frozen
 afterwards.  Every entity owns an independent seeded RNG stream, drawn in a
 fixed order whatever the other entities do, so results are bit-reproducible
-for a fixed seed.  The chains run one after another in the calling process
-whatever ``threads`` is: the batched sweep leaves no per-entity work to
-spread over threads, and on the benchmark panels a spawned worker's start-up
-cost more than the chain it ran.  A fit reports each block's acceptance rate,
-its final proposal step size and how often the slice bracket collapsed in
-``PosteriorEnsemble.metadata``.
+for a fixed seed.  The chains run one after another in the calling process.
+A fit reports each block's acceptance rate, its final proposal step size and
+how often the slice bracket collapsed in ``PosteriorEnsemble.metadata``.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ from scipy.special import gammaincc, gammainccinv, logsumexp, ndtr
 
 from .errors import InvalidInputError, NumericalError
 from .model import (
-    EntityHistory,
     MarkovFactor,
     Panel,
     cutpoints_from_eta,
@@ -125,44 +121,15 @@ class PriorSpec:
     lengthscale: dict
     r_star: np.ndarray | None = None
 
-    def whiten_theta(self, theta):
-        if self.r_star is None:
-            return np.asarray(theta, dtype=float)
-        return self.r_star @ theta
-
     def unwhiten_theta(self, theta_t):
         if self.r_star is None:
             return np.asarray(theta_t, dtype=float)
         return solve_triangular(self.r_star, theta_t, lower=False)
 
-    def theta_log_jacobian(self):
-        if self.r_star is None:
-            return 0.0
-        return float(np.log(np.abs(np.diag(self.r_star))).sum())
-
-
-def solve_lengthscale_prior(history: EntityHistory, tail_mass: float = DEFAULT_TAIL_MASS,
-                            fallback_interval=None):
-    """Inverse-gamma (shape, scale) placing ~tail_mass/2 below the smallest
-    and above the largest pairwise time distance of the entity.
-
-    For a single-rating entity there are no pairwise distances; pass the
-    dataset-level (l, u) fallback via ``fallback_interval``.
-    """
-    if history.n >= 2:
-        gaps = np.diff(history.timestamps)
-        l = float(gaps.min())
-        u = float(history.timestamps[-1] - history.timestamps[0])
-    elif fallback_interval is not None:
-        l, u = map(float, fallback_interval)
-    else:
-        raise InvalidInputError(
-            f"entity {history.entity_id!r} has one rating and no fallback interval"
-        )
-    return _solve_interval_prior(l, u, tail_mass)
-
 
 def _solve_interval_prior(l, u, tail_mass):
+    """Inverse-gamma (shape, scale) placing ~tail_mass/2 below ``l`` and
+    above ``u``: an entity's smallest gap between ratings and its span."""
     if not 0.0 < tail_mass < 1.0:
         raise InvalidInputError("tail_mass must lie strictly between 0 and 1")
     if l <= 0 or u <= 0 or not (np.isfinite(l) and np.isfinite(u)):
@@ -698,20 +665,26 @@ def _sweep(ch: _Chain, gamma):
     _update_theta(ch, gamma)
 
 
-def _initial_log_rho(h, prior):
-    """Centre of the initial log length scale, before each chain's jitter.
+def _initial_log_rho(panel):
+    """Each entity's centre of the initial log length scale, before each
+    chain's jitter.
 
-    It starts at the geometric middle of the scales the data can resolve;
-    the solved prior is anchored at the minimum gap, which for dense
-    histories sits far below any identifiable length, and chains started
-    there must climb out of a near-white-noise regime during warmup.
+    It starts at the geometric middle of the scales the data can resolve,
+    the median gap between consecutive ratings and the span; the solved
+    prior is anchored at the minimum gap, which for dense histories sits far
+    below any identifiable length, and chains started there must climb out
+    of a near-white-noise regime during warmup.  A single-rating entity
+    starts at its prior's mode.
     """
-    if h.n > 1:
-        gaps = np.diff(h.timestamps)
-        span = float(h.timestamps[-1] - h.timestamps[0])
-        return math.log(math.sqrt(float(np.median(gaps)) * span))
-    shape, scale = prior
-    return math.log(scale / (shape + 1.0))
+    out = []
+    for i, e in enumerate(panel.entity_ids):
+        if panel.sizes[i] > 1:
+            gaps = panel.gaps[panel.segment(i)][1:]
+            out.append(math.log(math.sqrt(float(np.median(gaps)) * float(panel.span[i]))))
+        else:
+            shape, scale = panel.priors.lengthscale[e]
+            out.append(math.log(scale / (shape + 1.0)))
+    return out
 
 
 class _WaicStream:
@@ -853,7 +826,6 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     ----------
     histories : list of EntityHistory
     config : McmcConfig
-        The chains run in this process; ``threads`` does not change the draws.
     priors : PriorSpec, optional
         Built from the data when omitted.
     n_r : int, optional
@@ -871,7 +843,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
         Flagged non-converged (but complete) when any split-Rhat exceeds 1.02.
     """
     panel = _Panel(histories, n_r, priors)
-    log_rho0 = [_initial_log_rho(h, panel.priors.lengthscale[h.entity_id]) for h in histories]
+    log_rho0 = _initial_log_rho(panel)
     # the chains run in turn, so one stream folds the draws in their stacked order
     waic_stream = _WaicStream(panel.n_rows)
     chains = [_run_chain(panel, log_rho0, config, seed, flat_likelihood, waic_stream)
@@ -889,7 +861,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
 
     lppd, p_waic = waic_stream.terms()
     diagnostics = _compute_diagnostics(
-        histories, config, theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws)
+        panel.entity_ids, config, theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws)
     worst = max(v["rhat"] for v in diagnostics.values()) if diagnostics else 1.0
     return PosteriorEnsemble(
         entity_ids=list(panel.entity_ids),
@@ -925,7 +897,7 @@ def _run_report(reports, config, n_e):
     }
 
 
-def _compute_diagnostics(histories, config, theta, rho, sigma, kappa, eta):
+def _compute_diagnostics(entity_ids, config, theta, rho, sigma, kappa, eta):
     chains = config.chains
     per_chain = theta.shape[0] // chains
 
@@ -943,12 +915,12 @@ def _compute_diagnostics(histories, config, theta, rho, sigma, kappa, eta):
 
     for j in range(theta.shape[1]):
         add(f"theta[{j}]", theta[:, j])
-    for i, h in enumerate(histories):
-        add(f"rho[{h.entity_id}]", rho[:, i])
-        add(f"sigma[{h.entity_id}]", sigma[:, i])
-        add(f"kappa[{h.entity_id}]", kappa[:, i])
+    for i, e in enumerate(entity_ids):
+        add(f"rho[{e}]", rho[:, i])
+        add(f"sigma[{e}]", sigma[:, i])
+        add(f"kappa[{e}]", kappa[:, i])
         for k in range(eta.shape[2]):
-            add(f"eta[{h.entity_id},{k + 1}]", eta[:, i, k])
+            add(f"eta[{e},{k + 1}]", eta[:, i, k])
     return out
 
 

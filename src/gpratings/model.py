@@ -16,39 +16,19 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.special import gammaln, ndtr, ndtri, xlogy
+from scipy.special import gammaln, ndtr, ndtri
 
 from .errors import InvalidInputError, NumericalError
 
 LOG_PROB_FLOOR = 1e-300  # probit cells underflow for |f| large; floored before log
 JITTER_BASE = 1e-8       # relative to sigma^2; dense blocks only, the latent prior has none
 JITTER_MAX = 1e-4
-SIMPLEX_TOL = 1e-10      # |sum(x) - 1| allowed for a point of the simplex
 _CUM_MIN, _CUM_MAX = 1e-12, 1.0 - 1e-16   # cumulative rating mass fed to Phi^-1
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReviewRecord:
-    """One rating event: who was rated, what, when, and the review features."""
-
-    entity_id: str
-    rating: int
-    timestamp: float
-    covariates: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "covariates", np.asarray(self.covariates, dtype=float))
-        if not np.isfinite(self.timestamp):
-            raise InvalidInputError(f"non-finite timestamp for entity {self.entity_id!r}")
-        if int(self.rating) != self.rating or self.rating < 1:
-            raise InvalidInputError(f"rating must be a positive integer, got {self.rating!r}")
-
 
 @dataclass(eq=False)
 class EntityHistory:
@@ -89,17 +69,6 @@ class EntityHistory:
     @property
     def d(self) -> int:
         return self.covariates.shape[1]
-
-    @classmethod
-    def from_records(cls, entity_id: str, records) -> "EntityHistory":
-        recs = sorted(records, key=lambda r: r.timestamp)
-        return cls(
-            entity_id=entity_id,
-            timestamps=np.array([r.timestamp for r in recs], dtype=float),
-            ratings=np.array([r.rating for r in recs], dtype=np.int64),
-            covariates=np.array([r.covariates for r in recs], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -142,41 +111,8 @@ class EmissionParams:
         return self.eta.size
 
 
-@dataclass(frozen=True)
-class MeanCoefficients:
-    """Pooled linear mean coefficients theta (no separate intercept)."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        if self.theta.ndim != 1 or not np.all(np.isfinite(self.theta)):
-            raise InvalidInputError("theta must be a finite 1-d vector")
-
-
-@dataclass(eq=False)
-class LatentValues:
-    """Latent quality values f aligned with one entity's rating order."""
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=float)
-        if not np.all(np.isfinite(self.f)):
-            raise InvalidInputError("latent values must be finite")
-
-
-@dataclass(eq=False)
-class ModelParams:
-    """One complete parameter state: pooled theta plus per-entity params."""
-
-    theta: MeanCoefficients
-    kernel: dict
-    emission: dict
-
-
 # ---------------------------------------------------------------------------
-# kernel and mean
+# cutpoints and kernel
 # ---------------------------------------------------------------------------
 
 def cutpoints_from_eta(eta, kappa):
@@ -330,16 +266,6 @@ def cholesky_with_jitter(K, sigma2, entity_id="?"):
     raise NumericalError(f"Cholesky failed for entity {entity_id!r} after jitter escalation")
 
 
-def mean_vector(history: EntityHistory, theta: MeanCoefficients):
-    """Linear mean m_j = theta . x_j evaluated at every rating's covariates."""
-    th = theta.theta
-    if history.covariates.shape[1] != th.shape[0]:
-        raise InvalidInputError(
-            f"covariate dimension {history.covariates.shape[1]} != theta length {th.shape[0]}"
-        )
-    return history.covariates @ th
-
-
 # ---------------------------------------------------------------------------
 # the flat panel
 # ---------------------------------------------------------------------------
@@ -490,14 +416,6 @@ def emission_loglik(ratings, f, kappa, cutpoints, entity=None):
     return np.log(np.maximum(p, LOG_PROB_FLOOR))
 
 
-def emission_logprob(rating: int, f: float, ep: EmissionParams) -> float:
-    """Log probability of one ordinal rating given its latent value."""
-    if not 1 <= rating <= ep.n_r:
-        raise InvalidInputError(f"rating {rating} outside 1..{ep.n_r}")
-    out = emission_loglik(np.array([rating]), np.array([float(f)]), ep.kappa, ep.cutpoints)
-    return float(out[0])
-
-
 def rating_cell_probs(f, kappa, cutpoints, n_r):
     """All n_r cell probabilities at latent value(s) f; rows sum to 1.
 
@@ -509,10 +427,10 @@ def rating_cell_probs(f, kappa, cutpoints, n_r):
 
 
 # ---------------------------------------------------------------------------
-# joint log-density
+# parameter priors
 # ---------------------------------------------------------------------------
 
-# the parameter priors work elementwise, so the sampler scores every entity at once
+# the densities work elementwise, so the sampler scores every entity at once
 
 def _halfnormal_logpdf(x):
     return np.where(x > 0, 0.5 * math.log(2.0 / math.pi) - 0.5 * x * x, -np.inf)
@@ -526,55 +444,3 @@ def _invgamma_logpdf(x, shape, scale):
     with np.errstate(divide="ignore", invalid="ignore"):
         logpdf = shape * np.log(scale) - gammaln(shape) - (shape + 1) * np.log(x) - scale / x
     return np.where(x > 0, logpdf, -np.inf)
-
-
-def _dirichlet_logpdf(x, alpha):
-    """Dirichlet(alpha) log-density at x: -inf off the simplex, finite on its boundary where alpha_k = 1."""
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(x < 0) or abs(x.sum() - 1.0) > SIMPLEX_TOL:
-        return -np.inf
-    return float(gammaln(alpha.sum()) - gammaln(alpha).sum() + xlogy(alpha - 1.0, x).sum())
-
-
-def joint_logdensity(histories, params: ModelParams, latents, priors) -> float:
-    """Full unnormalized-model log density: GP + emission + parameter priors.
-
-    Parameters
-    ----------
-    histories : list of EntityHistory
-    params : ModelParams
-    latents : mapping entity_id -> LatentValues
-    priors : PriorSpec
-        Supplies the per-entity inverse-gamma (shape, scale) for rho and,
-        optionally, the whitening matrix for theta (see estimation module).
-
-    Notes
-    -----
-    The latent term is evaluated directly in f coordinates, which is the same
-    density the samplers target in whitened coordinates up to the fixed
-    Jacobian of the whitening map.
-    """
-    theta = params.theta
-    total = 0.0
-    for h in histories:
-        kp = params.kernel[h.entity_id]
-        ep = params.emission[h.entity_id]
-        f = latents[h.entity_id].f
-        if f.shape[0] != h.n:
-            raise InvalidInputError(f"latent length mismatch for entity {h.entity_id!r}")
-        factor = markov_factor(h.timestamps, kp.rho, kp.sigma, h.entity_id)
-        w = factor.whiten(f - mean_vector(h, theta))
-        total += float(-0.5 * w @ w - np.log(factor.c).sum() - 0.5 * h.n * _LOG_2PI)
-        total += emission_loglik(h.ratings, f, ep.kappa, ep.cutpoints).sum()
-        # hyperparameter priors
-        shape, scale = priors.lengthscale[h.entity_id]
-        total += _invgamma_logpdf(kp.rho, shape, scale)
-        total += _halfnormal_logpdf(kp.sigma)
-        total += _halfcauchy_logpdf(ep.kappa)
-        total += _dirichlet_logpdf(ep.eta, np.ones(ep.n_r))
-    # standard-normal prior on the whitened coefficients
-    theta_t = priors.whiten_theta(theta.theta)
-    total += float(-0.5 * theta_t @ theta_t - 0.5 * theta_t.size * _LOG_2PI)
-    total += priors.theta_log_jacobian()
-    return total

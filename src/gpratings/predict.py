@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import KernelParams, _cell_prob, cell_edges, cutpoints_from_eta, ou_step
+from .model import _cell_prob, cell_edges, cutpoints_from_eta, ou_step
 from .svi import VariationalState, last_marginal
 
 _VAR_FLOOR_REL = 1e-12
@@ -69,15 +69,6 @@ class MarginalizationDraw:
         object.__setattr__(self, "covariates", np.asarray(self.covariates, dtype=float))
 
 
-@dataclass(frozen=True)
-class DrawState:
-    """One posterior draw's view of an entity: theta, kernel, latent path."""
-
-    theta: np.ndarray
-    kernel: KernelParams
-    latent: np.ndarray
-
-
 def _check_query_time(history, query_time):
     if query_time < history.timestamps[-1] - 1e-9:
         raise InvalidInputError(
@@ -116,27 +107,6 @@ def _vi_moments(history, state: VariationalState, times, xs):
     mu, nu2 = _ou_moments(history, state.theta[None, :], np.array([kp.rho]),
                           np.array([kp.sigma]), np.array([mean]), times, xs, var)
     return mu[0], nu2[0]
-
-
-def conditional_moments(history, draw_state, query_time, query_covariates):
-    """Latent conditional moments (mu, nu^2) at a single future query.
-
-    ``draw_state`` is either a :class:`DrawState` carrying one posterior
-    draw or a fitted :class:`VariationalState`, whose marginal at the last
-    rating supplies the moments directly.
-    """
-    _check_query_time(history, query_time)
-    xs = np.asarray(query_covariates, dtype=float)[None, :]
-    times = np.array([query_time], dtype=float)
-    if isinstance(draw_state, VariationalState):
-        mu, nu2 = _vi_moments(history, draw_state, times, xs)
-    else:
-        kp = draw_state.kernel
-        (mu,), (nu2,) = _mcmc_draw_moments(
-            history, np.asarray(draw_state.theta, dtype=float)[None, :],
-            np.array([kp.rho]), np.array([kp.sigma]),
-            np.asarray(draw_state.latent, dtype=float)[-1:], times, xs)
-    return float(mu[0]), float(nu2[0])
 
 
 def _probs_from_moments(mu, nu2, kappa, cutpoints):

@@ -45,6 +45,16 @@ class TestConfigLayering:
         assert code == 2
         assert "mystery" in capsys.readouterr().err
 
+    def test_threads_is_not_a_setting(self, tmp_path, capsys):
+        # the chains run in one process, so there is no thread count to set
+        cfg = write_cfg(tmp_path, {"seed": 1, "threads": 2})
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "1", "--threads", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])
@@ -102,14 +112,14 @@ class TestPipelines:
             assert abs(sum(entry["probs"]) - 1.0) < 1e-9
 
     def test_fit_mcmc_thread_count_invariant(self, sim_dataset, tmp_path):
-        cfg = write_cfg(tmp_path, MCMC_CFG)
         outs = []
         for threads, name in ((1, "t1"), (3, "t3")):
+            cfg = write_cfg(tmp_path, {"mcmc": dict(MCMC_CFG["mcmc"], threads=threads)},
+                            name=f"{name}.json")
             out = tmp_path / name
             code = main(["fit", "--dataset", str(sim_dataset),
                          "--covariates", "x1,x2", "--seed", "4",
-                         "--config", cfg, "--threads", str(threads),
-                         "--out", str(out)])
+                         "--config", cfg, "--out", str(out)])
             assert code in (0, 5)   # tiny chains may fail the rhat gate
             outs.append((out / "fit.json").read_bytes())
         assert outs[0] == outs[1]

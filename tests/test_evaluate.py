@@ -8,9 +8,7 @@ from scipy.stats import rankdata, wasserstein_distance
 from gpratings.errors import InvalidInputError
 from gpratings.evaluate import (
     EntityEval,
-    EvalProtocol,
     choice_set_simulation,
-    classification_report,
     emd,
     empirical_distribution,
     holdout_split,
@@ -218,52 +216,6 @@ def test_wilcoxon_drops_zero_differences():
 
 
 # ---------------------------------------------------------------------------
-# classification report
-# ---------------------------------------------------------------------------
-
-def test_classification_perfect_scores():
-    preds = [1.4, 2.0, 3.4, 5.2, 0.6]
-    truths = [1.0, 2.0, 3.0, 5.0, 1.0]
-    report = classification_report(preds, truths)
-    assert report == {
-        "balanced_accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
-
-
-def test_classification_rounds_half_up_and_clips():
-    report = classification_report([1.5, 2.5, 5.7, 0.3], [2, 3, 5, 1])
-    assert report["balanced_accuracy"] == 1.0
-
-
-def test_classification_hand_confusion_table():
-    truths = [1, 1, 2, 2, 2, 3]
-    preds = [1, 2, 2, 2, 3, 3]
-    report = classification_report(preds, truths)
-    assert report["balanced_accuracy"] == pytest.approx(13 / 18)
-    assert report["precision"] == pytest.approx(13 / 18)
-    assert report["recall"] == pytest.approx(13 / 18)
-    assert report["f1"] == pytest.approx(2 / 3)
-
-
-def test_classification_macro_runs_over_truth_classes_only():
-    # a stray prediction outside the truth's classes only hurts recall
-    report = classification_report([1, 3, 2, 2], [1, 1, 2, 2])
-    assert report["balanced_accuracy"] == pytest.approx((0.5 + 1.0) / 2)
-
-
-def test_classification_unpredicted_class_scores_zero_precision():
-    report = classification_report([2, 2, 2], [1, 2, 2])
-    assert report["precision"] == pytest.approx((0.0 + 2 / 3) / 2)
-    assert report["balanced_accuracy"] == pytest.approx(0.5)
-
-
-def test_classification_validation():
-    with pytest.raises(InvalidInputError):
-        classification_report([1.0], [1.0, 2.0])
-    with pytest.raises(InvalidInputError):
-        classification_report([], [])
-
-
-# ---------------------------------------------------------------------------
 # choice-set simulation
 # ---------------------------------------------------------------------------
 
@@ -374,14 +326,3 @@ def test_holdout_split_validation():
         holdout_split(h, holdout_size=10)
     with pytest.raises(InvalidInputError):
         holdout_split(h, holdout_size=0)
-
-
-def test_protocol_error_vectors():
-    protocol = EvalProtocol(records=[
-        record("a", 3.0, 3.5, base=4.0),
-        record("b", 2.0, 1.5, base=1.0),
-    ])
-    assert np.allclose(protocol.errors("model"), [-0.5, 0.5])
-    assert np.allclose(protocol.errors("baseline"), [0.5, -0.5])
-    with pytest.raises(InvalidInputError):
-        EvalProtocol(holdout_size=0)

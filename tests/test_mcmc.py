@@ -38,11 +38,10 @@ from gpratings.mcmc import (
     effective_sample_size,
     gelman_rubin,
     run_mcmc,
-    solve_lengthscale_prior,
     waic,
     waic_terms,
 )
-from gpratings.model import EntityHistory, KernelParams, _dirichlet_logpdf, kernel_matrix
+from gpratings.model import EntityHistory, KernelParams, Panel, kernel_matrix
 
 from test_model import make_history
 
@@ -70,8 +69,7 @@ def unwhiten(f_tilde, L, mean=0.0):
 def make_chain(histories, priors, seeds, n_r=5):
     """One chain over ``histories``; entity i draws from default_rng(seeds[i])."""
     panel = _Panel(histories, n_r, priors)
-    log_rho0 = [_initial_log_rho(h, priors.lengthscale[h.entity_id]) for h in histories]
-    return _Chain(panel, log_rho0, [np.random.default_rng(s) for s in seeds],
+    return _Chain(panel, _initial_log_rho(panel), [np.random.default_rng(s) for s in seeds],
                   np.random.default_rng(0), False)
 
 
@@ -79,9 +77,13 @@ def make_chain(histories, priors, seeds, n_r=5):
 # length-scale prior
 # ---------------------------------------------------------------------------
 
+def lengthscale_prior(history, **kw):
+    return build_prior_spec([history], **kw).lengthscale[history.entity_id]
+
+
 def test_lengthscale_prior_cdf_round_trip():
     h = make_history([0.0, 0.1, 2.0])
-    shape, scale = solve_lengthscale_prior(h)
+    shape, scale = lengthscale_prior(h)
     dist = stats.invgamma(shape, scale=scale)
     assert dist.cdf(0.1) == pytest.approx(0.005, abs=1e-3)
     assert 1.0 - dist.cdf(2.0) == pytest.approx(0.005, abs=1e-3)
@@ -89,7 +91,7 @@ def test_lengthscale_prior_cdf_round_trip():
 
 def test_lengthscale_prior_custom_tail_mass():
     h = make_history([0.0, 0.5, 3.0])
-    shape, scale = solve_lengthscale_prior(h, tail_mass=0.1)
+    shape, scale = lengthscale_prior(h, tail_mass=0.1)
     dist = stats.invgamma(shape, scale=scale)
     assert dist.cdf(0.5) == pytest.approx(0.05, abs=1e-4)
     assert dist.cdf(3.0) == pytest.approx(0.95, abs=1e-4)
@@ -99,14 +101,14 @@ def test_lengthscale_prior_rejects_degenerate_tail_mass():
     h = make_history([0.0, 1.0])
     for bad in (1.0, 0.0, -0.2, 1.7):
         with pytest.raises(InvalidInputError):
-            solve_lengthscale_prior(h, tail_mass=bad)
+            lengthscale_prior(h, tail_mass=bad)
 
 
 def test_lengthscale_prior_scales_with_time_units():
     h1 = make_history([0.0, 0.3, 1.4, 2.2])
     h2 = make_history([0.0, 0.6, 2.8, 4.4])
-    s1 = solve_lengthscale_prior(h1)
-    s2 = solve_lengthscale_prior(h2)
+    s1 = lengthscale_prior(h1)
+    s2 = lengthscale_prior(h2)
     # doubling all timestamps keeps the shape and doubles the scale
     assert s2[0] == pytest.approx(s1[0], rel=1e-6)
     assert s2[1] == pytest.approx(2.0 * s1[1], rel=1e-6)
@@ -117,17 +119,24 @@ def test_lengthscale_prior_scales_with_time_units():
 
 def test_lengthscale_prior_equal_gaps_widens_bracket():
     h = make_history([0.0, 1.0])  # single gap: l == u == 1
-    shape, scale = solve_lengthscale_prior(h)
+    shape, scale = lengthscale_prior(h)
     dist = stats.invgamma(shape, scale=scale)
     assert dist.cdf(0.8) == pytest.approx(0.005, abs=1e-3)
     assert dist.cdf(1.2) == pytest.approx(0.995, abs=1e-3)
 
 
 def test_lengthscale_prior_single_rating_fallback():
-    h = make_history([1.5])
-    with pytest.raises(InvalidInputError):
-        solve_lengthscale_prior(h)
-    shape, scale = solve_lengthscale_prior(h, fallback_interval=(0.2, 3.0))
+    # alone, a single-rating entity has no gap to anchor its prior; in a
+    # panel it takes the others' median interval (Panel.gap_interval)
+    h = make_history([1.5], entity_id="one")
+    with pytest.raises(InvalidInputError, match="no fallback interval"):
+        build_prior_spec([h])
+    others = [make_history([0.0, 0.2, 3.0], entity_id="a"),
+              make_history([0.0, 0.1, 0.2, 3.0], entity_id="b"),
+              make_history([0.0, 0.5, 3.0], entity_id="c")]
+    lo, hi = Panel(others + [h]).gap_interval()
+    assert (lo[-1], hi[-1]) == (0.2, 3.0)
+    shape, scale = build_prior_spec(others + [h]).lengthscale["one"]
     dist = stats.invgamma(shape, scale=scale)
     assert dist.cdf(0.2) == pytest.approx(0.005, abs=1e-3)
     assert dist.cdf(3.0) == pytest.approx(0.995, abs=1e-3)
@@ -141,8 +150,8 @@ def test_build_prior_spec_uses_dataset_median_for_singletons():
     assert set(spec.lengthscale) == {"a", "b", "c"}
     lows = [float(np.diff(h.timestamps).min()) for h in hs[:2]]
     highs = [float(h.timestamps[-1] - h.timestamps[0]) for h in hs[:2]]
-    expected = solve_lengthscale_prior(
-        hs[2], fallback_interval=(np.median(lows), np.median(highs)))
+    expected = mcmc._solve_interval_prior(np.median(lows), np.median(highs),
+                                          mcmc.DEFAULT_TAIL_MASS)
     assert spec.lengthscale["c"] == pytest.approx(expected)
 
 
@@ -330,7 +339,7 @@ def test_whitening_matrix_handles_zero_column():
     assert np.allclose(X @ np.linalg.inv(R) @ (R @ theta), X @ theta, atol=1e-10)
     assert R[1, 1] == 1.0
     spec = PriorSpec(lengthscale={}, r_star=R)
-    assert np.allclose(spec.unwhiten_theta(spec.whiten_theta(theta)), theta, atol=1e-12)
+    assert np.allclose(spec.unwhiten_theta(R @ theta), theta, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +363,6 @@ def test_kappa_target_matches_transformed_density():
     for lk in (-1.0, 0.0, 1.5):
         expected = stats.halfcauchy.logpdf(math.exp(lk)) + lk
         assert _kappa_log_target(0.0, lk) == pytest.approx(expected, rel=1e-12)
-
-
-def test_dirichlet_logpdf_matches_scipy():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        alpha = rng.uniform(0.5, 5.0, size=4)
-        x = rng.dirichlet(alpha)
-        assert _dirichlet_logpdf(x, alpha) == pytest.approx(
-            stats.dirichlet(alpha).logpdf(x), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

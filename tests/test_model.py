@@ -1,4 +1,4 @@
-"""Core model math: kernel, mean, ordered-probit emission, joint density.
+"""Core model math: kernel, Markov factor, panel, ordered-probit emission, priors.
 
 Derived expectations are checked against independently coded oracles
 (direct formula evaluation, scipy.integrate quadrature, scipy.stats
@@ -15,25 +15,21 @@ from scipy import integrate
 from scipy import stats
 
 from gpratings.errors import InvalidInputError
-from gpratings.mcmc import McmcConfig, PriorSpec, build_prior_spec, run_mcmc
+from gpratings.mcmc import McmcConfig, run_mcmc
 from gpratings.model import (
     EmissionParams,
     EntityHistory,
     KernelParams,
-    LatentValues,
-    MeanCoefficients,
-    ModelParams,
     Panel,
-    ReviewRecord,
+    _halfcauchy_logpdf,
+    _halfnormal_logpdf,
+    _invgamma_logpdf,
     cutpoints_from_eta,
     emission_loglik,
-    emission_logprob,
     eta_from_cutpoints,
-    joint_logdensity,
     kernel_matrix,
     markov_factor,
     markov_factor_from_gaps,
-    mean_vector,
     rating_cell_probs,
 )
 from gpratings.svi import SviConfig, fit_svi
@@ -231,60 +227,24 @@ def test_both_backends_reject_what_the_panel_rejects(fit, case):
 
 
 # ---------------------------------------------------------------------------
-# mean function
-# ---------------------------------------------------------------------------
-
-def test_mean_zero_coefficients():
-    h = make_history([0.0, 1.0], covariates=np.random.default_rng(0).normal(size=(2, 3)))
-    out = mean_vector(h, MeanCoefficients(np.zeros(3)))
-    assert np.array_equal(out, np.zeros(2))
-
-
-def test_mean_known_dot_product():
-    h = make_history([0.0], covariates=np.array([[3.0, 2.0]]))
-    out = mean_vector(h, MeanCoefficients(np.array([0.0, 0.1])))
-    assert out[0] == pytest.approx(0.2)
-
-
-def test_mean_single_identity_covariate():
-    cov = np.array([[4.2], [3.1], [2.9]])
-    h = make_history([0.0, 1.0, 2.0], covariates=cov)
-    out = mean_vector(h, MeanCoefficients(np.array([1.0])))
-    assert np.array_equal(out, cov[:, 0])
-
-
-def test_mean_dimension_mismatch():
-    h = make_history([0.0], covariates=np.array([[1.0, 2.0]]))
-    with pytest.raises(InvalidInputError):
-        mean_vector(h, MeanCoefficients(np.array([1.0, 2.0, 3.0])))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_mean_is_linear_in_theta(seed):
-    rng = np.random.default_rng(seed)
-    h = make_history(np.arange(4.0), covariates=rng.normal(size=(4, 3)))
-    t1, t2 = rng.normal(size=3), rng.normal(size=3)
-    lhs = mean_vector(h, MeanCoefficients(t1 + t2))
-    rhs = mean_vector(h, MeanCoefficients(t1)) + mean_vector(h, MeanCoefficients(t2))
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
 def test_emission_at_zero_latent_recovers_eta():
     eta = np.array([0.1, 0.25, 0.3, 0.2, 0.15])
     ep = EmissionParams(kappa=1.7, eta=eta)
-    probs = np.exp([emission_logprob(r, 0.0, ep) for r in range(1, 6)])
+    ratings = np.arange(1, 6)
+    probs = np.exp(emission_loglik(ratings, np.zeros(5), ep.kappa, ep.cutpoints))
     assert np.allclose(probs, eta, atol=1e-12)
+    assert np.allclose(rating_cell_probs(0.0, ep.kappa, ep.cutpoints, 5), eta, atol=1e-12)
 
 
 def test_emission_extreme_latent_concentrates_on_top_rating():
     ep = EmissionParams(kappa=1.0, eta=np.full(5, 0.2))
-    assert math.exp(emission_logprob(5, 60.0, ep)) == pytest.approx(1.0, abs=1e-12)
-    assert emission_logprob(1, 60.0, ep) == pytest.approx(math.log(1e-300))
+    top, bottom = emission_loglik(np.array([5, 1]), np.full(2, 60.0), ep.kappa, ep.cutpoints)
+    assert math.exp(top) == pytest.approx(1.0, abs=1e-12)
+    # the cell of rating 1 underflows to 0 and is floored at 1e-300
+    assert bottom == pytest.approx(math.log(1e-300))
 
 
 def test_emission_against_quadrature_oracle():
@@ -293,20 +253,15 @@ def test_emission_against_quadrature_oracle():
     ep = EmissionParams(kappa=1.0, eta=eta)
     f = 0.5
     edges = np.concatenate([[-np.inf], ep.cutpoints, [np.inf]])
+    loglik = emission_loglik(np.arange(1, 6), np.full(5, f), ep.kappa, ep.cutpoints)
+    cells = rating_cell_probs(f, ep.kappa, ep.cutpoints, 5)
     for r in range(1, 6):
         lo = (edges[r - 1] - f) / ep.kappa
         hi = (edges[r] - f) / ep.kappa
         target, err = integrate.quad(stats.norm.pdf, lo, hi)
         assert err < 1e-8
-        assert math.exp(emission_logprob(r, f, ep)) == pytest.approx(target, abs=1e-9)
-
-
-def test_emission_rejects_out_of_range_rating():
-    ep = EmissionParams(kappa=1.0, eta=np.full(5, 0.2))
-    with pytest.raises(InvalidInputError):
-        emission_logprob(6, 0.0, ep)
-    with pytest.raises(InvalidInputError):
-        emission_logprob(0, 0.0, ep)
+        assert math.exp(loglik[r - 1]) == pytest.approx(target, abs=1e-9)
+        assert cells[r - 1] == pytest.approx(target, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,8 +294,10 @@ def test_emission_cells_sum_to_one(seed):
     eta /= eta.sum()
     ep = EmissionParams(kappa=float(rng.uniform(0.05, 4.0)), eta=eta)
     f = float(rng.normal(scale=3.0))
-    total = sum(math.exp(emission_logprob(r, f, ep)) for r in range(1, n_r + 1))
-    assert total == pytest.approx(1.0, abs=1e-10)
+    ratings = np.arange(1, n_r + 1)
+    loglik = emission_loglik(ratings, np.full(n_r, f), ep.kappa, ep.cutpoints)
+    assert np.exp(loglik).sum() == pytest.approx(1.0, abs=1e-10)
+    assert rating_cell_probs(f, ep.kappa, ep.cutpoints, n_r).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,119 +358,30 @@ def test_history_requires_at_least_one_rating():
         make_history([])
 
 
-def test_history_from_records_sorts_by_time():
-    records = [
-        ReviewRecord("a", 4, 2.0, np.array([0.0, 1.0])),
-        ReviewRecord("a", 2, 0.5, np.array([1.0, 0.0])),
+def test_history_rejects_a_rating_below_one():
+    with pytest.raises(InvalidInputError):
+        make_history([0.0, 1.0], ratings=[3, 0])
+
+
+# ---------------------------------------------------------------------------
+# parameter priors
+# ---------------------------------------------------------------------------
+
+def test_prior_densities_match_scipy_over_arrays():
+    # MCMC scores every entity's rho, sigma and kappa at once, so each
+    # density works elementwise, and x <= 0 lies outside its support
+    x = np.array([[-2.0, 0.0, 1e-300, 1e-3], [0.3, 1.0, 4.5, 80.0]])
+    pos = x > 0
+    shape = np.array([0.7, 2.0, 5.5, 31.0])
+    scale = np.array([0.05, 1.0, 3.2, 40.0])
+    scipy_densities = [
+        (_halfnormal_logpdf(x), stats.halfnorm.logpdf(x[pos])),
+        (_halfcauchy_logpdf(x), stats.halfcauchy.logpdf(x[pos])),
+        (_invgamma_logpdf(x, shape, scale),
+         stats.invgamma(np.broadcast_to(shape, x.shape)[pos],
+                        scale=np.broadcast_to(scale, x.shape)[pos]).logpdf(x[pos])),
     ]
-    h = EntityHistory.from_records("a", records)
-    assert np.array_equal(h.timestamps, [0.5, 2.0])
-    assert np.array_equal(h.ratings, [2, 4])
-
-
-def test_record_rejects_bad_rating():
-    with pytest.raises(InvalidInputError):
-        ReviewRecord("a", 0, 0.0, np.zeros(2))
-
-
-# ---------------------------------------------------------------------------
-# joint log-density
-# ---------------------------------------------------------------------------
-
-def _toy_instance(seed=7):
-    rng = np.random.default_rng(seed)
-    h = make_history(
-        [0.0, 0.4, 1.1],
-        ratings=[2, 4, 3],
-        covariates=rng.normal(size=(3, 2)),
-    )
-    params = ModelParams(
-        theta=MeanCoefficients(np.array([0.3, -0.2])),
-        kernel={"e1": KernelParams(rho=0.9, sigma=1.1)},
-        emission={"e1": EmissionParams(kappa=0.8, eta=np.array([0.1, 0.2, 0.3, 0.25, 0.15]))},
-    )
-    latents = {"e1": LatentValues(np.array([0.2, -0.4, 0.5]))}
-    priors = build_prior_spec([h])
-    return h, params, latents, priors
-
-
-def test_joint_logdensity_matches_termwise_oracle():
-    h, params, latents, priors = _toy_instance()
-    result = joint_logdensity([h], params, latents, priors)
-
-    # oracle: every term rebuilt from scipy.stats and explicit formulas
-    kp = params.kernel["e1"]
-    ep = params.emission["e1"]
-    f = latents["e1"].f
-    dt = np.abs(h.timestamps[:, None] - h.timestamps[None, :])
-    K = kp.sigma ** 2 * np.exp(-dt / kp.rho)
-    m = h.covariates @ params.theta.theta
-    expected = stats.multivariate_normal(mean=m, cov=K).logpdf(f)
-    cuts = ep.kappa * stats.norm.ppf(np.cumsum(ep.eta)[:-1])
-    edges = np.concatenate([[-np.inf], cuts, [np.inf]])
-    for r, fj in zip(h.ratings, f):
-        expected += math.log(
-            stats.norm.cdf((edges[r] - fj) / ep.kappa)
-            - stats.norm.cdf((edges[r - 1] - fj) / ep.kappa)
-        )
-    shape, scale = priors.lengthscale["e1"]
-    expected += stats.invgamma(shape, scale=scale).logpdf(kp.rho)
-    expected += stats.halfnorm.logpdf(kp.sigma)
-    expected += stats.halfcauchy.logpdf(ep.kappa)
-    expected += stats.dirichlet(np.ones(5)).logpdf(ep.eta / ep.eta.sum())
-    theta_t = priors.r_star @ params.theta.theta
-    expected += stats.multivariate_normal(mean=np.zeros(2), cov=np.eye(2)).logpdf(theta_t)
-    expected += np.linalg.slogdet(priors.r_star)[1]
-
-    assert result == pytest.approx(expected, rel=1e-10)
-
-
-def test_joint_logdensity_single_rating_entity():
-    h = make_history([0.0], ratings=[3], covariates=np.zeros((1, 2)))
-    params = ModelParams(
-        theta=MeanCoefficients(np.zeros(2)),
-        kernel={"e1": KernelParams(rho=1.0, sigma=1.5)},
-        emission={"e1": EmissionParams(kappa=1.0, eta=np.full(5, 0.2))},
-    )
-    latents = {"e1": LatentValues(np.array([0.7]))}
-    priors = PriorSpec(lengthscale={"e1": (3.0, 2.0)}, r_star=None)
-
-    result = joint_logdensity([h], params, latents, priors)
-    var = 1.5 ** 2
-    gp_term = stats.norm(scale=math.sqrt(var)).logpdf(0.7)
-    # strip the GP term; the rest must be the emission plus priors
-    assert np.isfinite(result)
-    rest = result - gp_term
-    ep = params.emission["e1"]
-    assert rest == pytest.approx(
-        emission_logprob(3, 0.7, ep)
-        + stats.invgamma(3.0, scale=2.0).logpdf(1.0)
-        + stats.halfnorm.logpdf(1.5)
-        + stats.halfcauchy.logpdf(1.0)
-        + stats.dirichlet(np.ones(5)).logpdf(np.full(5, 0.2))
-        + stats.multivariate_normal(np.zeros(2), np.eye(2)).logpdf(np.zeros(2)),
-        rel=1e-9,
-    )
-
-
-def test_joint_logdensity_penalizes_least_probable_rating():
-    h, params, latents, priors = _toy_instance()
-    base = joint_logdensity([h], params, latents, priors)
-    ep = params.emission["e1"]
-    f = latents["e1"].f
-    probs = rating_cell_probs(f, ep.kappa, ep.cutpoints, 5)
-    for j in range(h.n):
-        worst = int(np.argmin(probs[j])) + 1
-        if worst == h.ratings[j]:
-            continue
-        ratings = h.ratings.copy()
-        ratings[j] = worst
-        h2 = make_history(h.timestamps, ratings=ratings, covariates=h.covariates)
-        assert joint_logdensity([h2], params, latents, priors) < base
-
-
-def test_joint_logdensity_latent_length_mismatch():
-    h, params, latents, priors = _toy_instance()
-    bad = {"e1": LatentValues(np.zeros(2))}
-    with pytest.raises(InvalidInputError):
-        joint_logdensity([h], params, bad, priors)
+    for got, want in scipy_densities:
+        assert got.shape == x.shape
+        assert np.all(got[~pos] == -np.inf)
+        assert np.allclose(got[pos], want, rtol=1e-12, atol=0.0)

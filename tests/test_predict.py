@@ -8,21 +8,19 @@ from scipy import stats
 
 from gpratings.errors import InvalidInputError
 from gpratings.mcmc import McmcConfig, run_mcmc
-from gpratings.model import EntityHistory, KernelParams, kernel_matrix
+from gpratings.model import EntityHistory, kernel_matrix
 from gpratings.predict import (
-    DrawState,
     MarginalizationDraw,
     PredictiveDistribution,
     _probs_from_moments,
     _query_distribution,
     _vi_moments,
-    conditional_moments,
     marginalization_draws,
     marginalize,
     predictive_probs,
 )
 from gpratings.svi import SviConfig, fit_svi
-from predict_reference import reference_marginalize
+from predict_reference import draw_moments, per_draw_moments, reference_marginalize
 
 
 def make_history(seed=0, n=8, eid="e1", d=2):
@@ -80,13 +78,13 @@ def test_marginalization_draw_requires_positive_gap():
 # conditional moments
 # ---------------------------------------------------------------------------
 
-def dense_moments(h, theta, kp, latent, t_star, x_star):
+def dense_moments(h, theta, rho, sigma, latent, t_star, x_star):
     """Independent oracle using a full solve instead of Cholesky factors."""
     d = np.abs(h.timestamps[:, None] - h.timestamps[None, :])
-    K = kp.sigma ** 2 * np.exp(-d / kp.rho)
-    k_star = kp.sigma ** 2 * np.exp(-np.abs(t_star - h.timestamps) / kp.rho)
+    K = sigma ** 2 * np.exp(-d / rho)
+    k_star = sigma ** 2 * np.exp(-np.abs(t_star - h.timestamps) / rho)
     mu = float(x_star @ theta + k_star @ np.linalg.solve(K, latent - h.covariates @ theta))
-    nu2 = float(kp.sigma ** 2 - k_star @ np.linalg.solve(K, k_star))
+    nu2 = float(sigma ** 2 - k_star @ np.linalg.solve(K, k_star))
     return mu, nu2
 
 
@@ -94,33 +92,25 @@ def test_mcmc_moments_match_dense_solver():
     h = make_history(seed=1)
     rng = np.random.default_rng(2)
     theta = np.array([0.3, -0.2])
-    kp = KernelParams(rho=0.8, sigma=1.2)
     latent = rng.normal(size=h.n)
     t_star = float(h.timestamps[-1] + 0.7)
     x_star = np.array([0.5, 0.1])
-    mu, nu2 = conditional_moments(h, DrawState(theta, kp, latent), t_star, x_star)
-    mu_o, nu2_o = dense_moments(h, theta, kp, latent, t_star, x_star)
+    mu, nu2 = draw_moments(h, theta, 0.8, 1.2, latent[-1], t_star, x_star)
+    mu_o, nu2_o = dense_moments(h, theta, 0.8, 1.2, latent, t_star, x_star)
     assert mu == pytest.approx(mu_o, rel=1e-9)
     assert nu2 == pytest.approx(nu2_o, rel=1e-7)
 
 
 def test_multi_draw_predictive_matches_per_draw_loop(mcmc_fit):
-    # oracle: one conditional_moments call per retained draw and query,
-    # averaged through the same probability step
+    # oracle: one moments call per retained draw and query
+    # (predict_reference), averaged through the same probability step
     hs, fit = mcmc_fit
     h = hs[1]
-    eid = h.entity_id
-    idx = fit.entity_index(eid)
+    idx = fit.entity_index(h.entity_id)
     sel = fit.latent_draw_indices
     times = h.timestamps[-1] + np.array([0.0, 0.03, 0.4, 2.5])
     xs = np.random.default_rng(8).normal(size=(times.size, 2))
-    mu = np.empty((sel.size, times.size))
-    nu2 = np.empty_like(mu)
-    for s, g in enumerate(sel):
-        state = DrawState(fit.theta[g], KernelParams(fit.rho[g, idx], fit.sigma[g, idx]),
-                          fit.latents[eid][s])
-        for j, (t, x) in enumerate(zip(times, xs)):
-            mu[s, j], nu2[s, j] = conditional_moments(h, state, float(t), x)
+    mu, nu2 = per_draw_moments(h, fit, times, xs)
     kappa = fit.kappa[sel, idx]
     cuts = kappa[:, None] * stats.norm.ppf(np.cumsum(fit.eta[sel, idx], axis=1)[:, :-1])
     want = _probs_from_moments(mu, nu2, kappa, cuts)
@@ -131,9 +121,8 @@ def test_multi_draw_predictive_matches_per_draw_loop(mcmc_fit):
 def test_moments_interpolate_at_last_observation():
     h = make_history(seed=3)
     latent = np.random.default_rng(4).normal(size=h.n)
-    kp = KernelParams(rho=1.0, sigma=1.0)
-    mu, nu2 = conditional_moments(
-        h, DrawState(np.zeros(2), kp, latent), float(h.timestamps[-1]), np.zeros(2))
+    mu, nu2 = draw_moments(h, np.zeros(2), 1.0, 1.0, latent[-1], float(h.timestamps[-1]),
+                           np.zeros(2))
     assert mu == pytest.approx(latent[-1], abs=1e-3)
     assert 0 < nu2 < 1e-3
 
@@ -142,19 +131,18 @@ def test_moments_revert_to_mean_far_ahead():
     h = make_history(seed=5)
     latent = np.random.default_rng(6).normal(size=h.n) + 3.0
     theta = np.array([0.4, 0.2])
-    kp = KernelParams(rho=0.5, sigma=1.3)
     x_star = np.array([1.0, -1.0])
-    mu, nu2 = conditional_moments(
-        h, DrawState(theta, kp, latent), float(h.timestamps[-1] + 50.0), x_star)
+    mu, nu2 = draw_moments(h, theta, 0.5, 1.3, latent[-1], float(h.timestamps[-1] + 50.0),
+                           x_star)
     assert mu == pytest.approx(float(theta @ x_star), abs=1e-8)
-    assert nu2 == pytest.approx(kp.sigma ** 2, rel=1e-8)
+    assert nu2 == pytest.approx(1.3 ** 2, rel=1e-8)
 
 
-def test_query_before_last_observation_rejected():
-    h = make_history(seed=7)
-    state = DrawState(np.zeros(2), KernelParams(1.0, 1.0), np.zeros(h.n))
-    with pytest.raises(InvalidInputError):
-        conditional_moments(h, state, float(h.timestamps[0]), np.zeros(2))
+def test_query_before_last_observation_rejected(mcmc_fit, svi_fit):
+    for hs, fit in (mcmc_fit, svi_fit):
+        h = hs[0]
+        with pytest.raises(InvalidInputError, match="must not precede"):
+            predictive_probs(h, fit, (float(h.timestamps[0]), np.zeros(2)))
 
 
 def dense_vi_moments(h, state, times, xs):
@@ -177,7 +165,7 @@ def test_vi_moments_match_dense_projection(svi_fit):
     h = hs[0]
     t_star = float(h.timestamps[-1] + 0.4)
     x_star = np.array([0.2, -0.5])
-    mu, nu2 = conditional_moments(h, state, t_star, x_star)
+    (mu,), (nu2,) = _vi_moments(h, state, np.array([t_star]), x_star[None, :])
     (mu_o,), (nu2_o,) = dense_vi_moments(h, state, np.array([t_star]), x_star[None, :])
     assert mu == pytest.approx(mu_o, rel=1e-8)
     assert nu2 == pytest.approx(nu2_o, rel=1e-6)
@@ -204,13 +192,13 @@ def test_vi_moments_propagate_the_fitted_last_rating(svi_fit):
     hs, state = svi_fit
     h = hs[0]
     short = EntityHistory(h.entity_id, h.timestamps[:-3], h.ratings[:-3], h.covariates[:-3])
-    x = np.array([0.3, -0.1])
+    xs = np.array([[0.3, -0.1]])
     lag = 0.25
-    got = conditional_moments(short, state, float(short.timestamps[-1] + lag), x)
-    full = conditional_moments(h, state, float(h.timestamps[-1] + lag), x)
-    assert got == pytest.approx(full, rel=1e-12)
+    got = _vi_moments(short, state, short.timestamps[-1:] + lag, xs)
+    full = _vi_moments(h, state, h.timestamps[-1:] + lag, xs)
+    assert np.allclose(got, full, rtol=1e-12, atol=0.0)
     with pytest.raises(InvalidInputError, match="no entity"):
-        conditional_moments(make_history(eid="nobody"), state, 10.0, np.zeros(2))
+        predictive_probs(make_history(eid="nobody"), state, (10.0, np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
