@@ -3,6 +3,7 @@
 Seven subcommands (fit, predict, baseline, evaluate, simulate, recover,
 benchmark) share a layered configuration: package defaults, then the
 --config JSON file, then GPRATINGS_* environment variables, then flags.
+An unknown config key or GPRATINGS_* variable is a configuration error.
 Every command is a pure function of (config, input files, seed), and output
 files carry no timestamps, so re-runs are bit-identical; the one exception
 is the wall time per stage that ``fit`` reports in diagnostics.json and
@@ -139,6 +140,10 @@ def _load_config_file(path):
 
 
 def _env_overrides(environ):
+    known = {ENV_PREFIX + key.upper() for key in _CONFIG_KEYS} | {ENV_PREFIX + "COVARIATES"}
+    unknown = sorted(k for k in environ if k.startswith(ENV_PREFIX) and k not in known)
+    if unknown:
+        raise ConfigError(f"unknown environment variables: {', '.join(unknown)}")
     out = {}
     for key, cast in _CONFIG_KEYS.items():
         raw = environ.get(ENV_PREFIX + key.upper())
@@ -236,8 +241,6 @@ def cmd_fit(cfg) -> int:
                            for k, v in fit.diagnostics.items()},
             "acceptance": fit.metadata["acceptance"],
             "step_sizes": fit.metadata["step_sizes"],
-            "slice_shrinks": fit.metadata["slice_shrinks"],
-            "slice_collapses": fit.metadata["slice_collapses"],
             "waic": fit.waic,
             "lppd": float(fit.lppd.sum()),
             "p_waic": float(fit.p_waic.sum()),

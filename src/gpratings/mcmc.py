@@ -16,10 +16,12 @@ terms as it is drawn (``_WaicStream``) and not kept.
 One sampler iteration cycles these block updates, each run once per chain
 for all entities together:
 
-(a) elliptical slice sampling of each entity's whitened latent vector
-    (rejection-free and exact under the standard-normal whitened prior),
-    with one angle bracket per entity; an entity leaves the shrinking loop
-    as soon as its proposal lands on its slice,
+(a) an exact Gibbs draw of every latent path (``_update_latents``): each
+    rating's latent utility z_k ~ N(f_k, kappa^2), truncated to the rating's
+    cell, by data augmentation (Albert & Chib 1993), then the residual path
+    given the utilities by forward filtering backward sampling (Carter &
+    Kohn 1994) over the model module's Gauss-Markov scans: O(N log n) numpy
+    work for N ratings and n in the longest history, with no rejection,
 (b) adaptive random-walk Metropolis on (log rho_i, log sigma_i) jointly,
     plus a separate walk on log kappa_i,
 (c) adaptive random-walk Metropolis on the rating simplex eta_i through its
@@ -32,7 +34,7 @@ for all entities together:
     (``_rescale_emission``),
 (e) adaptive random-walk Metropolis on the whitened pooled coefficients.
 
-Each block scores the ratings it moves in one
+Each Metropolis block scores the ratings it moves in one
 :func:`~gpratings.model.emission_loglik` call, sums the result per entity
 with ``np.add.reduceat`` and accepts or rejects per entity through masks.
 The latents map to the path through the exponential kernel's closed-form
@@ -42,11 +44,11 @@ rating: a kernel rebuild, an unwhitening and a whitening are each one O(n)
 pass over the whole panel, and no n-by-n matrix is formed.
 
 Proposal scales adapt toward ~30% acceptance during warmup and are frozen
-afterwards.  Every entity owns an independent seeded RNG stream, drawn in a
-fixed order whatever the other entities do, so results are bit-reproducible
-for a fixed seed.  The chains run one after another in the calling process.
-A fit reports each block's acceptance rate, its final proposal step size and
-how often the slice bracket collapsed in ``PosteriorEnsemble.metadata``.
+afterwards.  Each chain draws every block's variates from one random
+stream, as arrays over the panel, so draws are bit-reproducible for a fixed
+seed and panel.  The chains run one after another in the calling process.
+A fit reports each Metropolis block's acceptance rate and its final proposal
+step size in ``PosteriorEnsemble.metadata``.
 """
 
 from __future__ import annotations
@@ -63,21 +65,22 @@ from .errors import InvalidInputError, NumericalError
 from .model import (
     MarkovFactor,
     Panel,
+    cell_edges,
     cutpoints_from_eta,
     emission_loglik,
     eta_from_cutpoints,
+    sample_path,
+    truncated_normal,
     _halfcauchy_logpdf,
     _halfnormal_logpdf,
     _invgamma_logpdf,
 )
 
 DEFAULT_TAIL_MASS = 0.01
-_TWO_PI = 2.0 * math.pi
 
 # acceptance-rate target for all adaptive Metropolis blocks; the adaptation
 # band in the contract is 23..40%, and 0.30 sits comfortably inside it
 _ACCEPT_TARGET = 0.30
-_MAX_SHRINK = 200
 # the per-entity Metropolis blocks, as named in the run report
 _BLOCKS = ("rho_sigma", "kappa", "cutpoints", "shift", "rescale")
 
@@ -293,8 +296,9 @@ class _Panel(Panel):
 
     ``priors`` are the given priors, or those solved from the panel when
     None; ``q_star`` holds the covariate rows whitened by them,
-    ``everything`` all rows gathered once, and ``cut_rows[j]`` the rows
-    whose likelihood reads cutpoint j.
+    ``everything`` all rows gathered once, ``cell_at`` each row's upper cell
+    edge in a flattened :func:`~gpratings.model.cell_edges` table and
+    ``cut_rows[j]`` the rows whose likelihood reads cutpoint j.
     """
 
     def __init__(self, histories, n_r=None, priors=None):
@@ -304,6 +308,7 @@ class _Panel(Panel):
         self.q_star = (self.X if r_star is None
                        else solve_triangular(r_star, self.X.T, lower=False, trans="T").T)
         self.everything = self.rows(np.arange(self.n_rows))
+        self.cell_at = self.entity * (self.n_r + 1) + self.ratings
         # the rows whose likelihood reads cutpoint j: rating levels j + 1 and j + 2
         self.cut_rows = [self.rows(np.flatnonzero((self.ratings == j + 1)
                                                   | (self.ratings == j + 2)))
@@ -325,19 +330,18 @@ def _tally(report, key, value):
 class _Chain:
     """One chain's sampler state over the panel.
 
-    Per entity: ``log_rho``, ``log_sigma``, ``log_kappa`` (and ``kappa``),
-    the standardized cutpoints ``z_cuts`` (n_entities, n_r - 1) and each
-    block's proposal ``scale``.  Per rating: the whitened latents
-    ``f_tilde``, the path ``f``, its ``mean``, the pointwise log-likelihood
-    ``ll`` and the kernel ``factor``; ``ll_sum`` is ``ll`` summed per
-    entity.  ``report`` counts post-warmup acceptances per block and the
-    slice sampler's shrinks and collapses.
+    ``rng`` is the chain's one random stream.  Per entity: ``log_rho``,
+    ``log_sigma``, ``log_kappa`` (and ``kappa``), the standardized cutpoints
+    ``z_cuts`` (n_entities, n_r - 1) and each block's proposal ``scale``.
+    Per rating: the whitened latents ``f_tilde``, the path ``f``, its
+    ``mean``, the pointwise log-likelihood ``ll`` and the kernel ``factor``;
+    ``ll_sum`` is ``ll`` summed per entity.  ``report`` counts post-warmup
+    acceptances per block.
     """
 
-    def __init__(self, panel, log_rho0, rngs, theta_rng, flat):
+    def __init__(self, panel, log_rho0, rng, flat):
         self.panel = panel
-        self.rngs = rngs
-        self.theta_rng = theta_rng
+        self.rng = rng
         self.flat = flat
         n_e = panel.n_entities
         lengthscale = panel.priors.lengthscale
@@ -345,25 +349,20 @@ class _Chain:
                            for k in (0, 1))
         eta = (panel.level_counts + 1.0) / (panel.sizes[:, None] + panel.n_r)
         self.z_cuts = cutpoints_from_eta(eta, 1.0)
-        self.log_kappa = np.empty(n_e)
-        self.log_rho = np.empty(n_e)
-        self.log_sigma = np.empty(n_e)
-        self.f_tilde = np.empty(panel.n_rows)
-        for i, rng in enumerate(rngs):
-            self.log_kappa[i] = 0.1 * rng.standard_normal()
-            self.log_rho[i] = log_rho0[i] + 0.2 * rng.standard_normal()
-            self.log_sigma[i] = 0.2 * rng.standard_normal()
-            self.f_tilde[panel.segment(i)] = 0.1 * rng.standard_normal(panel.sizes[i])
+        self.log_kappa = 0.1 * rng.standard_normal(n_e)
+        self.log_rho = np.asarray(log_rho0) + 0.2 * rng.standard_normal(n_e)
+        self.log_sigma = 0.2 * rng.standard_normal(n_e)
+        self.f_tilde = 0.1 * rng.standard_normal(panel.n_rows)
         self.kappa = np.exp(self.log_kappa)
         self.factor, ok = panel.markov_factor(self.log_rho, self.log_sigma)
         if not ok.all():
             bad = panel.entity_ids[int(np.argmin(ok))]
             raise NumericalError(f"initial kernel factorization failed for {bad!r}")
         self.scale = {b: np.full(n_e, 0.3) for b in _BLOCKS}
-        self.theta_t = 0.1 * theta_rng.standard_normal(panel.q_star.shape[1])
+        self.theta_t = 0.1 * rng.standard_normal(panel.q_star.shape[1])
         self.scale_theta = 0.2
         self.report = {b: np.zeros(n_e) for b in _BLOCKS}
-        self.report.update(theta=0, slice_shrinks=0, slice_collapses=0)
+        self.report["theta"] = 0
         self.mean = panel.q_star @ self.theta_t
         self.f = self.factor.unwhiten(self.f_tilde) + self.mean
         self.ll = self.loglik(self.f)
@@ -379,14 +378,11 @@ class _Chain:
         return emission_loglik(rows.ratings, f, kappa, kappa[:, None] * z_cuts, rows.entity)
 
     def variates(self, n_normal, n_uniform=1):
-        """From each entity's stream, standard normals and then uniforms,
-        the latter as log(1 - u) for Metropolis tests; shaped (n_entities, count)."""
-        z = np.empty((len(self.rngs), n_normal))
-        u = np.empty((len(self.rngs), n_uniform))
-        for i, rng in enumerate(self.rngs):
-            z[i] = rng.standard_normal(n_normal)
-            u[i] = rng.random(n_uniform)
-        return z, np.log(1.0 - u)
+        """Standard normals and then uniforms for every entity, the latter as
+        log(1 - u) for Metropolis tests; shaped (n_entities, count)."""
+        n_e = self.panel.n_entities
+        z = self.rng.standard_normal((n_e, n_normal))
+        return z, np.log(1.0 - self.rng.random((n_e, n_uniform)))
 
     def adapt(self, block, accepted, gamma):
         """Move a block's proposal scales toward the target acceptance during
@@ -419,71 +415,39 @@ def _kappa_log_target(ll_sum, log_kappa):
     return ll_sum + _halfcauchy_logpdf(np.exp(log_kappa)) + log_kappa
 
 
-def _elliptical_slice(ch: _Chain):
-    """One elliptical-slice step of every entity's whitened latents.
+def _update_latents(ch: _Chain):
+    """One exact Gibbs draw of every entity's latent path.
 
-    Each entity has its own slice height and angle bracket.  A pass scores
-    the rows of the entities still shrinking in one likelihood call; an
-    entity whose proposal lands on its slice keeps that angle and leaves,
-    and only then are the working rows narrowed.  The kept angles move the
-    latents in one pass at the end.  An entity still shrinking after
-    ``_MAX_SHRINK`` passes keeps its state and is counted as a collapse.
+    Each rating's utility z_k = f_k + kappa eps_k is drawn truncated to the
+    rating's cell, and then the residual path g = f - mean given the
+    utilities, whose likelihood is one Gaussian site per rating with
+    lam2 = 1 / kappa^2 and lam1 = (z - mean) / kappa^2, by
+    :func:`~gpratings.model.sample_path`.  Under a flat likelihood the
+    whitened latents are drawn from their standard-normal prior instead.
     """
-    p = ch.panel
-    nu = np.empty(p.n_rows)
-    log_y = np.empty(p.n_entities)
-    phi = np.empty(p.n_entities)
-    for i, rng in enumerate(ch.rngs):
-        nu[p.segment(i)] = rng.standard_normal(p.sizes[i])
-        log_y[i] = math.log(1.0 - rng.random())
-        phi[i] = rng.uniform(0.0, _TWO_PI)
-    log_y += ch.ll_sum
-    lo, hi = (phi - _TWO_PI).tolist(), phi.tolist()
-    l_nu = ch.factor.unwhiten(nu)
-    centered = ch.f - ch.mean
-    moved = np.zeros(p.n_entities, dtype=bool)
-    active = np.arange(p.n_entities)
-    rows, sizes, seg = p.everything, p.sizes, p.starts
-    c_r, l_r, m_r = centered, l_nu, ch.mean
-    for _ in range(_MAX_SHRINK):
-        ph = phi[active]
-        f_new = c_r * np.cos(ph).repeat(sizes) + l_r * np.sin(ph).repeat(sizes) + m_r
-        ll_new = ch.loglik(f_new, rows)
-        ll_sum_new = np.add.reduceat(ll_new, seg)
-        on = ll_sum_new > log_y[active]
-        if on.any():
-            take = on.repeat(sizes)
-            ch.ll[rows.index[take]] = ll_new[take]
-            ch.ll_sum[active[on]] = ll_sum_new[on]
-            moved[active[on]] = True
-            # narrow the working rows to the entities still shrinking
-            off, keep = ~on, ~take
-            active, ph, sizes = active[off], ph[off], sizes[off]
-            if active.size == 0:
-                break
-            rows = _Rows(*(x[keep] for x in rows))
-            c_r, l_r, m_r = c_r[keep], l_r[keep], m_r[keep]
-            seg = np.concatenate([[0], np.cumsum(sizes[:-1])])
-        _tally(ch.report, "slice_shrinks", active.size)
-        # shrink each bracket toward the current state (phi = 0), then redraw
-        for i, x in zip(active.tolist(), ph.tolist()):
-            if x < 0.0:
-                lo[i] = x
-            else:
-                hi[i] = x
-            phi[i] = ch.rngs[i].uniform(lo[i], hi[i])
-    else:
-        # these brackets collapsed onto the current state, which they keep
-        _tally(ch.report, "slice_collapses", active.size)
-    rows_moved = p.per_row(moved)
-    cos, sin = p.per_row(np.cos(phi)), p.per_row(np.sin(phi))
-    ch.f_tilde = np.where(rows_moved, ch.f_tilde * cos + nu * sin, ch.f_tilde)
-    ch.f = np.where(rows_moved, centered * cos + l_nu * sin + ch.mean, ch.f)
+    p, rng = ch.panel, ch.rng
+    if ch.flat:
+        ch.f_tilde = rng.standard_normal(p.n_rows)
+        ch.f = ch.factor.unwhiten(ch.f_tilde) + ch.mean
+        return
+    kappa = p.per_row(ch.kappa)
+    edges = cell_edges(ch.z_cuts).ravel()
+    scaled = ch.f / kappa
+    eps = truncated_normal(edges.take(p.cell_at - 1) - scaled, edges.take(p.cell_at) - scaled,
+                           1.0 - rng.random(p.n_rows))
+    lam2 = 1.0 / (kappa * kappa)
+    lam1 = (ch.f - ch.mean + kappa * eps) * lam2
+    a, c = ch.factor
+    g = sample_path(a, c * c, lam1, lam2, p.pos, p.rpos, rng.standard_normal(p.n_rows))
+    ch.f = g + ch.mean
+    ch.f_tilde = ch.factor.whiten(g)
+    ch.ll = ch.loglik(ch.f)
+    ch.ll_sum = p.per_entity_sum(ch.ll)
 
 
 def _update_kernel_params(ch: _Chain, gamma):
     """Joint random walk on (log rho, log sigma); a singular proposed factor
-    is rejected, and its entity still consumes its one uniform."""
+    is rejected, and its entity's variates are drawn all the same."""
     p = ch.panel
     z, log_u = ch.variates(2)
     step = ch.scale["rho_sigma"][:, None] * z
@@ -633,8 +597,8 @@ def _rescale_emission(ch: _Chain, gamma):
 
 def _update_theta(ch: _Chain, gamma):
     """Random walk on the whitened pooled coefficients: one accept test for
-    the whole panel, drawn from the chain's own stream."""
-    rng = ch.theta_rng
+    the whole panel."""
+    rng = ch.rng
     theta_prop = ch.theta_t + ch.scale_theta * rng.standard_normal(ch.theta_t.size)
     delta = theta_prop - ch.theta_t
     shift = ch.panel.q_star @ delta
@@ -656,7 +620,7 @@ def _update_theta(ch: _Chain, gamma):
 
 
 def _sweep(ch: _Chain, gamma):
-    _elliptical_slice(ch)
+    _update_latents(ch)
     _update_kernel_params(ch, gamma)
     _update_kappa(ch, gamma)
     _update_cutpoints(ch, gamma)
@@ -719,9 +683,7 @@ def _run_chain(panel, log_rho0, config, seed, flat, waic_stream):
     report.  Each retained draw's pointwise log-likelihood is folded into
     ``waic_stream``, which the chains share."""
     n_e = panel.n_entities
-    streams = seed.spawn(n_e + 1)
-    ch = _Chain(panel, log_rho0, [np.random.default_rng(s) for s in streams[:n_e]],
-                np.random.default_rng(streams[n_e]), flat)
+    ch = _Chain(panel, log_rho0, np.random.default_rng(seed), flat)
     per_chain = (config.iterations - config.warmup) // config.thin
     draws = {
         "theta": np.empty((per_chain, panel.q_star.shape[1])),
@@ -769,13 +731,11 @@ class PosteriorEnsemble:
     >= 0, or construction raises InvalidInputError.
     ``metadata`` holds plain numbers only:
     ``n_r``, ``median_gap``, ``flat_likelihood`` and the run report, that is
-    ``acceptance`` (each block's mean post-warmup acceptance rate over
-    entities and chains, the pooled coefficients as ``theta``),
-    ``step_sizes`` (each block's final proposal scale, the median over
-    entities and chains, the pooled coefficients' as ``theta``),
-    ``slice_shrinks`` (mean shrinks per elliptical-slice step) and
-    ``slice_collapses`` (slice steps whose bracket shrank ``_MAX_SHRINK``
-    times and kept the current state), warmup included.
+    ``acceptance`` (each Metropolis block's mean post-warmup acceptance rate
+    over entities and chains, the pooled coefficients as ``theta``)
+    and ``step_sizes`` (each block's final proposal scale, the median over
+    entities and chains, the pooled coefficients' as ``theta``).  The
+    latent block is an exact Gibbs draw, so it has neither.
     """
 
     entity_ids: list
@@ -879,8 +839,8 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
 
 
 def _run_report(reports, config, n_e):
-    """Acceptance rates, slice-sampler counts and final proposal step sizes
-    over chains, as plain numbers."""
+    """Acceptance rates and final proposal step sizes over chains, as plain
+    numbers."""
     sampled = config.chains * (config.iterations - config.warmup)
     acceptance = {b: float(sum(r[b].sum() for r in reports) / (sampled * n_e))
                   for b in _BLOCKS}
@@ -888,13 +848,7 @@ def _run_report(reports, config, n_e):
     step_sizes = {b: float(np.median(np.concatenate([r["scale"][b] for r in reports])))
                   for b in _BLOCKS}
     step_sizes["theta"] = float(np.median([r["scale_theta"] for r in reports]))
-    return {
-        "acceptance": acceptance,
-        "step_sizes": step_sizes,
-        "slice_shrinks": float(sum(r["slice_shrinks"] for r in reports)
-                               / (config.chains * config.iterations * n_e)),
-        "slice_collapses": int(sum(r["slice_collapses"] for r in reports)),
-    }
+    return {"acceptance": acceptance, "step_sizes": step_sizes}
 
 
 def _compute_diagnostics(entity_ids, config, theta, rho, sigma, kappa, eta):

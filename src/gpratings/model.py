@@ -4,8 +4,10 @@ An entity's ratings are noisy ordinal readouts of a latent quality function
 f(t) with a linear-in-covariates mean and an exponential-decay covariance in
 time.  The readout is an ordered probit: the latent value plus Gaussian noise
 of scale kappa is binned by an increasing cutpoint vector derived from a
-probability simplex eta.  Everything in this module is a pure function over
-immutable inputs; both estimation backends build on it.
+probability simplex eta.  Everything public in this module is a pure
+function over immutable inputs (the private scans work in place on their
+arguments); both estimation backends build on it, the Gauss-Markov filter
+and path sampler included.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.special import gammaln, ndtr, ndtri
+from scipy.special import gammaln, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import InvalidInputError, NumericalError
 
@@ -247,6 +249,107 @@ def ou_step(scaled_gaps):
     return np.exp(-scaled_gaps), -np.expm1(-2.0 * scaled_gaps)
 
 
+# ---------------------------------------------------------------------------
+# Gauss-Markov scans over the flat panel
+# ---------------------------------------------------------------------------
+
+def _mobius_scan(p, q, r, pos):
+    """The value at 0 of every prefix composition of the maps
+    x -> (p x + q) / (r x + 1), each segment of rows on its own.
+
+    Row k's map is applied after those of the rows before it in its segment;
+    ``pos`` is each row's index in its segment, and the arrays are
+    overwritten. A Hillis-Steele scan: step d composes each row's window of
+    d maps with the d maps before it, as 2x2 matrices [[p, q], [r, 1]]
+    rescaled to a unit corner, so a segment of n rows takes ceil(log2 n)
+    steps of numpy calls over all rows at once. With p, q, r >= 0 every
+    product adds positive terms. Where the maps before a window lie in the
+    previous segment, their q and r are taken as 0, a map that fixes 0, so
+    the window's value stays bit for bit what its segment alone gives.
+    """
+    d, top = 1, pos.max(initial=0)
+    while d <= top:
+        keep = pos[d:] >= d
+        p1, q1, r1 = p[d:], q[d:], r[d:]
+        p2 = p[:-d]
+        q2 = np.where(keep, q[:-d], 0.0)
+        r2 = np.where(keep, r[:-d], 0.0)
+        # the product's entries over its corner r1 q2 + 1, built in place
+        unit = r1 * q2
+        unit += 1.0
+        np.reciprocal(unit, out=unit)
+        new_p = p1 * p2
+        new_p += q1 * r2
+        new_q = p1 * q2
+        new_q += q1
+        new_r = r1 * p2
+        new_r += r2
+        for x, new in ((p, new_p), (q, new_q), (r, new_r)):
+            new *= unit
+            x[d:] = new
+        d *= 2
+    return q
+
+
+def _affine_scan(alpha, beta, pos):
+    """x_k = alpha_k x_{k-1} + beta_k over each segment, by the same scan as
+    :func:`_mobius_scan`. No mask is needed: every segment must start with
+    alpha = 0, a map that ignores its input, so a window that reaches back
+    past it keeps its value bit for bit while the rows before are finite."""
+    d, top = 1, pos.max(initial=0)
+    while d <= top:
+        a1 = alpha[d:]
+        beta[d:], alpha[d:] = a1 * beta[:-d] + beta[d:], a1 * alpha[:-d]
+        d *= 2
+    return beta
+
+
+def kalman_filter(a, c2, lam1, lam2, pos):
+    """Kalman filter of a residual path over the rows of a panel.
+
+    The path has the Markov prior g_k = a_k g_{k-1} + c_k z_k (a = 0 and
+    c2 = sigma^2 at an entity's first rating) and row k one Gaussian site
+    exp(lam1_k g_k - lam2_k g_k^2 / 2) with lam2 >= 0; ``pos`` counts the
+    ratings before the row in its entity. Returns per row the predictive
+    variance ``pp``, and the filtered variance and mean ``pf`` and ``mf``:
+    pf_k = pp_k / (1 + lam2_k pp_k) with pp_k = c2_k + a_k^2 pf_{k-1},
+    mf_k = (a_k mf_{k-1} + pp_k lam1_k) / (1 + lam2_k pp_k).
+    The variances are linear-fractional and the means affine in the previous
+    row's, so each runs as one scan over all entities at once. Every step
+    adds or divides positive terms, so near-tied ratings lose no digits.
+    """
+    a2 = a * a
+    unit = 1.0 / (1.0 + lam2 * c2)
+    a2u = a2 * unit
+    pf = _mobius_scan(a2u, c2 * unit, lam2 * a2u, pos)
+    pp = c2 + a2 * np.concatenate(([0.0], pf[:-1]))
+    gain = 1.0 + lam2 * pp
+    mf = _affine_scan(a / gain, pp * lam1 / gain, pos)
+    return pp, pf, mf
+
+
+def sample_path(a, c2, lam1, lam2, pos, rpos, eps):
+    """A draw of the residual path from the posterior of :func:`kalman_filter`'s
+    model, by forward filtering backward sampling (Carter & Kohn 1994).
+
+    ``rpos`` counts the ratings after each row in its entity and ``eps``
+    holds one standard normal per row. Going back from each entity's last
+    rating, g_k given g_{k+1} is normal with mean r_k mf_k + alpha_k g_{k+1}
+    and variance r_k pf_k, where alpha_k = a_{k+1} pf_k / pp_{k+1} and
+    r_k = c2_{k+1} / pp_{k+1}: one reversed :func:`_affine_scan`. At an
+    entity's last rating the next row's a is 0, so alpha = 0 and r = 1 there
+    and the scan needs no mask. The draw is affine in ``eps``; at eps = 0
+    it is the posterior mean S lam1, with S = (K^-1 + diag(lam2))^-1.
+    """
+    pp, pf, mf = kalman_filter(a, c2, lam1, lam2, pos)
+    pp_next = np.append(pp[1:], 1.0)
+    r = np.append(c2[1:], 1.0) / pp_next
+    alpha = np.append(a[1:], 0.0) * pf / pp_next
+    beta = r * mf + np.sqrt(r * pf) * eps
+    rev = slice(None, None, -1)
+    return _affine_scan(alpha[rev], beta[rev], rpos[rev])[rev]
+
+
 def cholesky_with_jitter(K, sigma2, entity_id="?"):
     """``(L, jitter)``: Cholesky of K + jitter * I for dense kernel blocks.
 
@@ -311,7 +414,9 @@ class Panel(Segments):
     Rows run entity by entity, each entity's in time order.  ``gaps`` holds
     t_k - t_{k-1} with +inf at each entity's first row, where
     :meth:`markov_factor` starts an independent path; ``span`` holds each
-    entity's last time minus its first.  ``X`` stacks the covariate rows,
+    entity's last time minus its first; ``pos`` and ``rpos`` count the
+    ratings before and after each row in its entity, which the
+    Gauss-Markov scans take.  ``X`` stacks the covariate rows,
     ``level_counts[i, r - 1]`` counts entity i's ratings of r, and
     ``median_gap`` is the median gap between consecutive ratings of one
     entity, 1 when no entity has two.
@@ -335,6 +440,8 @@ class Panel(Segments):
         self.ratings = np.concatenate([h.ratings for h in histories])
         self.gaps = np.concatenate([np.diff(h.timestamps, prepend=-np.inf) for h in histories])
         self.span = np.array([h.timestamps[-1] - h.timestamps[0] for h in histories])
+        self.pos = np.arange(self.n_rows) - self.per_row(self.starts)
+        self.rpos = self.per_row(self.sizes) - 1 - self.pos
         self.X = np.vstack([h.covariates for h in histories])
         self.level_counts = np.bincount(self.entity * n_r + self.ratings - 1,
                                         minlength=self.n_entities * n_r).reshape(-1, n_r)
@@ -379,6 +486,27 @@ def _cell_prob(z_lo, z_hi):
     sgn = np.where(z_lo >= 0.0, -1.0, 1.0)
     p = sgn * (ndtr(sgn * z_hi) - ndtr(sgn * z_lo))
     return np.maximum(p, 0.0)
+
+
+def truncated_normal(z_lo, z_hi, u):
+    """Standard normal draws truncated to [z_lo, z_hi], by the inverse CDF at
+    uniforms ``u`` in (0, 1].
+
+    Like :func:`_cell_prob` it works from the tail nearest zero: a cell
+    right of zero is reflected to the left, where Phi keeps its relative
+    precision, by the same sign factor. The CDF is mixed and inverted in
+    logs, so a cell 40 standard deviations out, where Phi underflows to 0,
+    still gives a finite draw inside it. A draw that rounding puts past a
+    bound is clipped to it.
+    """
+    z_lo = np.asarray(z_lo, dtype=float)
+    z_hi = np.asarray(z_hi, dtype=float)
+    sgn = np.where(z_lo >= 0.0, -1.0, 1.0)
+    lo, hi = np.minimum(sgn * z_lo, sgn * z_hi), np.maximum(sgn * z_lo, sgn * z_hi)
+    with np.errstate(divide="ignore"):
+        # log((1 - u) Phi(lo) + u Phi(hi)); u = 1 gives log(0) = -inf
+        log_p = np.logaddexp(log_ndtr(lo) + np.log1p(-u), log_ndtr(hi) + np.log(u))
+    return np.clip(sgn * ndtri_exp(log_p), z_lo, z_hi)
 
 
 def emission_loglik(ratings, f, kappa, cutpoints, entity=None):

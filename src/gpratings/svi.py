@@ -9,11 +9,11 @@ Archambeau 2009),
 
 so q(g) = N(m, S) with S^-1 = K^-1 + diag(lam2) and m = S lam1. The
 exponential kernel is an Ornstein-Uhlenbeck process, Markov in time, so q
-is a Gauss-Markov chain: a Kalman filter and a two-filter smoother
-(:func:`_smooth`) give every marginal mean and variance and the lag-one
-covariances (Chang et al. 2020, arXiv:2007.04731). Their recursions run as
-parallel prefix scans over all entities at once, ceil(log2 n) numpy passes
-for histories of up to n ratings. Unlike a factorization of the
+is a Gauss-Markov chain: the model module's Kalman filter and a two-filter
+smoother (:func:`_smooth`) give every marginal mean and variance and the
+lag-one covariances (Chang et al. 2020, arXiv:2007.04731). Their recursions
+run as parallel prefix scans over all entities at once, ceil(log2 n) numpy
+passes for histories of up to n ratings. Unlike a factorization of the
 tridiagonal S^-1, whose entries 1/c_k^2 grow without bound as two ratings
 tie, the scans add and divide positive terms only. A fitted state keeps m
 and lam2, which with the kernel determine q, and the variance of q at each
@@ -61,8 +61,11 @@ from .model import (
     EntityHistory,
     KernelParams,
     Panel,
+    _affine_scan,
+    _mobius_scan,
     cell_edges,
     cutpoints_from_eta,
+    kalman_filter,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -250,84 +253,24 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar):
     return total, gamma, beta, g_kappa, g_lam
 
 
-def _mobius_scan(p, q, r, pos):
-    """The value at 0 of every prefix composition of the maps
-    x -> (p x + q) / (r x + 1), each segment of rows on its own.
-
-    Row k's map is applied after those of the rows before it in its segment;
-    ``pos`` is each row's index in its segment, and the arrays are
-    overwritten. A Hillis-Steele scan: step d composes each row's window of
-    d maps with the d maps before it, as 2x2 matrices [[p, q], [r, 1]]
-    rescaled to a unit corner, so a segment of n rows takes ceil(log2 n)
-    steps of numpy calls over all rows at once. With p, q, r >= 0 every
-    product adds positive terms. Where the maps before a window lie in the
-    previous segment, their q and r are taken as 0, a map that fixes 0, so
-    the window's value stays bit for bit what its segment alone gives.
-    """
-    d, top = 1, pos.max(initial=0)
-    while d <= top:
-        keep = pos[d:] >= d
-        p1, q1, r1 = p[d:], q[d:], r[d:]
-        p2 = p[:-d]
-        q2 = np.where(keep, q[:-d], 0.0)
-        r2 = np.where(keep, r[:-d], 0.0)
-        # the product's entries over its corner r1 q2 + 1, built in place
-        unit = r1 * q2
-        unit += 1.0
-        np.reciprocal(unit, out=unit)
-        new_p = p1 * p2
-        new_p += q1 * r2
-        new_q = p1 * q2
-        new_q += q1
-        new_r = r1 * p2
-        new_r += r2
-        for x, new in ((p, new_p), (q, new_q), (r, new_r)):
-            new *= unit
-            x[d:] = new
-        d *= 2
-    return q
-
-
-def _affine_scan(alpha, beta, pos):
-    """x_k = alpha_k x_{k-1} + beta_k over each segment, by the same scan as
-    :func:`_mobius_scan`. No mask is needed: every segment must start with
-    alpha = 0, a map that ignores its input, so a window that reaches back
-    past it keeps its value bit for bit while the rows before are finite."""
-    d, top = 1, pos.max(initial=0)
-    while d <= top:
-        a1 = alpha[d:]
-        beta[d:], alpha[d:] = a1 * beta[:-d] + beta[d:], a1 * alpha[:-d]
-        d *= 2
-    return beta
-
-
 def _smooth(a, c2, lam1, lam2, pos, rpos):
     """Kalman filter and two-filter smoother of q over the rows of a panel.
 
-    Per row, ``a`` and ``c2`` give the prior step g_k = a_k g_{k-1} + c_k z_k
-    (a = 0 and c2 = sigma^2 at an entity's first rating) and ``lam1``,
-    ``lam2`` the site; ``pos`` and ``rpos`` count the ratings before and
-    after the row in its entity. Returns per row the predictive variance
-    ``pp``, the filtered variance and mean ``pf`` and ``mf``, and the
-    smoothed variance and mean. The filter
-    pf_k = pp_k / (1 + lam2_k pp_k) with pp_k = c2_k + a_k^2 pf_{k-1},
-    mf_k = (a_k mf_{k-1} + pp_k lam1_k) / (1 + lam2_k pp_k)
-    and the information (psi, eta) that a rating and those after it carry
-    about the rating before,
+    The arguments are those of :func:`~gpratings.model.kalman_filter`, plus
+    ``rpos``, the ratings after each row in its entity. Returns per row the
+    filter's ``pp``, ``pf`` and ``mf``, and the smoothed variance and mean.
+    The smoother combines the filter with the information (psi, eta) that a
+    rating and those after it carry about the rating before,
     psi_{k-1} = a_k^2 i_k / (1 + c2_k i_k) with i_k = lam2_k + psi_k,
     eta_{k-1} = a_k (lam1_k + eta_k) / (1 + c2_k i_k),
-    are linear-fractional in the variances and affine in the means, so each
-    runs as one scan. Every step adds or divides positive terms, so
+    which are linear-fractional and affine like the filter's recursions, so
+    each runs as one scan. Every step adds or divides positive terms, so
     near-tied ratings, whose precision entries 1/c_k^2 are huge, lose no
     digits.
     """
-    a2 = a * a
+    pp, pf, mf = kalman_filter(a, c2, lam1, lam2, pos)
     unit = 1.0 / (1.0 + lam2 * c2)
-    a2u, c2u = a2 * unit, c2 * unit
-    pf = _mobius_scan(a2u.copy(), c2u.copy(), lam2 * a2u, pos)
-    pp = c2 + a2 * np.concatenate(([0.0], pf[:-1]))
-    gain = 1.0 + lam2 * pp
-    mf = _affine_scan(a / gain, pp * lam1 / gain, pos)
+    a2u, c2u = a * a * unit, c2 * unit
     # backward over the reversed rows (the scan may overwrite a2u and c2u):
     # row k's maps carry psi_k, eta_k to psi_{k-1}, eta_{k-1}, and at an
     # entity's first row (a = 0) they send both to 0, where the previous
@@ -372,9 +315,6 @@ class _PanelVi:
             lo, hi = np.nan_to_num(p.gap_interval(), nan=1.0)
             rho0 = np.sqrt(np.maximum(lo, 1e-12) * np.maximum(hi, 1e-12))
         self.log_rho[:] = np.log(np.asarray(rho0, dtype=float))
-        # ratings before and after each row in its entity, for the smoother
-        self.pos = np.arange(p.n_rows) - p.per_row(p.starts)
-        self.rpos = p.per_row(p.sizes) - 1 - self.pos
         self.rebuild()
 
     def rebuild(self):
@@ -389,7 +329,7 @@ class _PanelVi:
         a, c = self.factor
         with np.errstate(divide="ignore", invalid="ignore"):
             self.pp, self.pf, self.mf, self.var, self.mean = _smooth(
-                a, c ** 2, self.lam1, self.lam2, self.pos, self.rpos)
+                a, c ** 2, self.lam1, self.lam2, self.panel.pos, self.panel.rpos)
             k = self.inner
             # the smoother gain G_{k-1}: S_{k-1,k} = G_{k-1} S_kk
             self.gain = a[k] * self.pf[k - 1] / self.pp[k]

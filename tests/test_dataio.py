@@ -16,11 +16,11 @@ from gpratings.dataio import (
     save_fit,
 )
 from gpratings.errors import DataError, InvalidInputError
-from gpratings.mcmc import McmcConfig, waic_terms
+from gpratings.mcmc import waic_terms
 from gpratings.predict import predictive_probs
 from gpratings.svi import SviConfig, fit_svi
 
-from test_mcmc import run_mcmc_recording_rows
+import schema1_writer
 from test_model import make_history
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -200,17 +200,7 @@ class TestManifest:
 @pytest.fixture(scope="module")
 def small_mcmc_run():
     """The histories, the fit and the log-likelihood rows its WAIC streams folded."""
-    rng = np.random.default_rng(2)
-    histories = [
-        make_history(np.sort(rng.uniform(0, 2, 12)),
-                     ratings=rng.integers(1, 6, 12),
-                     covariates=rng.normal(size=(12, 2)),
-                     entity_id=f"e{i}")
-        for i in range(2)
-    ]
-    fit, rows = run_mcmc_recording_rows(
-        histories, McmcConfig(chains=2, iterations=80, warmup=40, seed=5))
-    return histories, fit, rows
+    return schema1_writer.small_mcmc_run()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""Core model math: kernel, Markov factor, panel, ordered-probit emission, priors.
+"""Core model math: kernel, Markov factor, Gauss-Markov scans, panel,
+ordered-probit emission, truncated draws, priors.
 
 Derived expectations are checked against independently coded oracles
 (direct formula evaluation, scipy.integrate quadrature, scipy.stats
@@ -21,16 +22,21 @@ from gpratings.model import (
     EntityHistory,
     KernelParams,
     Panel,
+    _affine_scan,
     _halfcauchy_logpdf,
     _halfnormal_logpdf,
     _invgamma_logpdf,
+    _mobius_scan,
     cutpoints_from_eta,
     emission_loglik,
     eta_from_cutpoints,
+    kalman_filter,
     kernel_matrix,
     markov_factor,
     markov_factor_from_gaps,
     rating_cell_probs,
+    sample_path,
+    truncated_normal,
 )
 from gpratings.svi import SviConfig, fit_svi
 
@@ -164,6 +170,126 @@ def test_markov_factor_from_gaps_stacks_entities(seed):
         [f.whiten_t(w) for f, w in zip(parts, np.split(z, cut))]))
     assert np.array_equal(panel.a, np.concatenate([f.a for f in parts]))
     assert not panel.a[np.r_[0, cut]].any()
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Markov scans
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scans_match_their_recursions_segment_by_segment(seed):
+    # oracle: each segment's recursion run row by row in plain Python
+    rng = np.random.default_rng(seed)
+    sizes = [1, 5, 70, 2, 33]
+    pos = np.concatenate([np.arange(n) for n in sizes])
+    p, q, r = rng.uniform(0.0, 2.0, (3, pos.size))
+    alpha, beta = rng.normal(size=(2, pos.size))
+    alpha[pos == 0] = 0.0     # every segment of the affine scan starts with alpha = 0
+    mobius = np.empty(pos.size)
+    affine = np.empty(pos.size)
+    for k in range(pos.size):
+        x_m = 0.0 if pos[k] == 0 else mobius[k - 1]
+        mobius[k] = (p[k] * x_m + q[k]) / (r[k] * x_m + 1.0)
+        affine[k] = alpha[k] * (0.0 if pos[k] == 0 else affine[k - 1]) + beta[k]
+    np.testing.assert_allclose(_mobius_scan(p.copy(), q.copy(), r.copy(), pos), mobius,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(_affine_scan(alpha.copy(), beta.copy(), pos), affine,
+                               rtol=1e-10, atol=1e-12)
+
+
+def gauss_markov_panel(seed):
+    """Per-entity histories (one of a single rating, one with a 1e-6-year
+    tie), their panel, a Markov factor at random kernels, and random sites
+    with some lam2 = 0."""
+    rng = np.random.default_rng(seed)
+    hs = []
+    for i, n in enumerate((1, 6, 9, 2)):
+        t = np.sort(rng.uniform(0.0, 3.0, n))
+        if n == 9:
+            t[4] = t[3] + 1e-6
+        hs.append(make_history(t, entity_id=f"g{i}"))
+    panel = Panel(hs)
+    rho, sigma = rng.uniform(0.3, 2.0, 4), rng.uniform(0.5, 1.5, 4)
+    factor, ok = panel.markov_factor(np.log(rho), np.log(sigma))
+    assert ok.all()
+    lam1 = rng.normal(size=panel.n_rows)
+    lam2 = rng.uniform(0.2, 3.0, panel.n_rows)
+    lam2[::5] = 0.0
+    return hs, panel, factor, rho, sigma, lam1, lam2
+
+
+def dense_posterior(h, rho, sigma, lam1, lam2):
+    """S = (K^-1 + diag(lam2))^-1, solved as (I + K diag(lam2))^-1 K from
+    the jitter-free kernel, and the mean S lam1."""
+    K = kernel_matrix(h, KernelParams(rho=rho, sigma=sigma), jitter=0.0)
+    S = np.linalg.solve(np.eye(h.n) + K * lam2[None, :], K)
+    return S @ lam1, S
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kalman_filter_matches_dense_prefix_posteriors(seed):
+    # the filtered moments at row k are the dense posterior of g_k given the
+    # sites up to k; pp is the prior variance of g_k given the sites before
+    hs, panel, (a, c), rho, sigma, lam1, lam2 = gauss_markov_panel(seed)
+    pp, pf, mf = kalman_filter(a, c * c, lam1, lam2, panel.pos)
+    for i, h in enumerate(hs):
+        rows = np.arange(panel.n_rows)[panel.segment(i)]
+        for k in range(h.n):
+            prefix = make_history(h.timestamps[:k + 1])
+            m, S = dense_posterior(prefix, rho[i], sigma[i], lam1[rows[:k + 1]],
+                                   lam2[rows[:k + 1]])
+            assert mf[rows[k]] == pytest.approx(m[-1], rel=1e-9, abs=1e-12)
+            assert pf[rows[k]] == pytest.approx(S[-1, -1], rel=1e-9)
+            sites = lam2[rows[:k + 1]].copy()
+            sites[-1] = 0.0
+            assert pp[rows[k]] == pytest.approx(
+                dense_posterior(prefix, rho[i], sigma[i], 0.0 * sites, sites)[1][-1, -1],
+                rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_path_is_the_posterior_mean_plus_a_square_root_of_s(seed):
+    # sample_path is affine in eps: at eps = 0 it is the dense posterior mean
+    # S lam1, and the columns M of its linear part give M M^T = S, entity by
+    # entity, with no cross-entity term
+    hs, panel, (a, c), rho, sigma, lam1, lam2 = gauss_markov_panel(seed)
+
+    def draw(eps):
+        return sample_path(a, c * c, lam1, lam2, panel.pos, panel.rpos, eps)
+
+    n = panel.n_rows
+    at_zero = draw(np.zeros(n))
+    M = np.column_stack([draw(e) - at_zero for e in np.eye(n)])
+    blocks = np.zeros((n, n))
+    for i, h in enumerate(hs):
+        rows = panel.segment(i)
+        m, S = dense_posterior(h, rho[i], sigma[i], lam1[rows], lam2[rows])
+        np.testing.assert_allclose(at_zero[rows], m, rtol=1e-9, atol=0.0)
+        blocks[rows, rows] = S
+    np.testing.assert_allclose(M @ M.T, blocks, rtol=1e-9, atol=0.0)
+    eps = np.random.default_rng(seed).standard_normal(n)
+    np.testing.assert_allclose(draw(eps), at_zero + M @ eps, rtol=1e-9, atol=1e-12)
+
+
+def test_truncated_draws_stay_inside_far_and_narrow_cells():
+    rng = np.random.default_rng(4)
+    cells = [(40.0, np.inf), (-np.inf, -40.0), (40.0, 40.5), (-41.0, -40.0),
+             (0.3, 0.3 + 1e-6), (-2.0 - 1e-6, -2.0), (-1e-7, 1e-7), (8.0, 8.0 + 1e-4)]
+    lo, hi = (np.repeat(x, 2000) for x in np.array(cells).T)
+    x = truncated_normal(lo, hi, 1.0 - rng.random(lo.size))
+    assert np.isfinite(x).all()
+    assert (lo < x).all() and (x < hi).all()
+    # a cell 40 standard deviations out is entered within a fraction of one
+    assert (x[:2000] < 40.2).all() and (x[2000:4000] > -40.2).all()
+
+
+@pytest.mark.parametrize("cell", [(-1.0, 0.5), (0.2, 2.5), (-np.inf, -0.7), (1.3, np.inf),
+                                  (-3.0, -2.0), (-np.inf, np.inf)])
+def test_truncated_draws_follow_the_truncated_cdf(cell):
+    lo, hi = cell
+    u = 1.0 - np.random.default_rng(9).random(4000)
+    x = truncated_normal(np.full(u.size, lo), np.full(u.size, hi), u)
+    assert stats.kstest(x, stats.truncnorm(lo, hi).cdf).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------
