@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -319,10 +320,14 @@ def _load_scores(path):
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
         raise DataError(f"{p}: invalid score file") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{p}: a score file maps entity ids to scores")
     out = {}
     for eid, value in doc.items():
-        out[eid] = float(value["expected_rating"]) if isinstance(value, dict) \
-            else float(value)
+        score = value.get("expected_rating") if isinstance(value, dict) else value
+        if not (isinstance(score, (int, float)) and math.isfinite(score)):
+            raise DataError(f"{p}: entity {eid!r} has no finite score ({score!r})")
+        out[eid] = float(score)
     return out
 
 

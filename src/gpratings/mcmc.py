@@ -110,6 +110,13 @@ class McmcConfig:
             raise InvalidInputError("thin factors must be >= 1")
         if self.threads < 1:
             raise InvalidInputError("threads must be >= 1")
+        if self.draws_per_chain < 10:
+            raise InvalidInputError(f"{self.draws_per_chain} draws per chain; split-Rhat needs 10")
+
+    @property
+    def draws_per_chain(self) -> int:
+        """Every ``thin``-th iteration after warmup, the first included."""
+        return -(-(self.iterations - self.warmup) // self.thin)
 
 
 @dataclass
@@ -684,7 +691,7 @@ def _run_chain(panel, log_rho0, config, seed, flat, waic_stream):
     ``waic_stream``, which the chains share."""
     n_e = panel.n_entities
     ch = _Chain(panel, log_rho0, np.random.default_rng(seed), flat)
-    per_chain = (config.iterations - config.warmup) // config.thin
+    per_chain = config.draws_per_chain
     draws = {
         "theta": np.empty((per_chain, panel.q_star.shape[1])),
         "rho": np.empty((per_chain, n_e)),

@@ -6,8 +6,8 @@ time.  The readout is an ordered probit: the latent value plus Gaussian noise
 of scale kappa is binned by an increasing cutpoint vector derived from a
 probability simplex eta.  Everything public in this module is a pure
 function over immutable inputs (the private scans work in place on their
-arguments); both estimation backends build on it, the Gauss-Markov filter
-and path sampler included.
+arguments); both estimation backends build on it: SVI's smoother and
+MCMC's path sampler share one Kalman filter and one backward pass.
 """
 
 from __future__ import annotations
@@ -328,26 +328,48 @@ def kalman_filter(a, c2, lam1, lam2, pos):
     return pp, pf, mf
 
 
-def sample_path(a, c2, lam1, lam2, pos, rpos, eps):
-    """A draw of the residual path from the posterior of :func:`kalman_filter`'s
-    model, by forward filtering backward sampling (Carter & Kohn 1994).
-
-    ``rpos`` counts the ratings after each row in its entity and ``eps``
-    holds one standard normal per row. Going back from each entity's last
-    rating, g_k given g_{k+1} is normal with mean r_k mf_k + alpha_k g_{k+1}
-    and variance r_k pf_k, where alpha_k = a_{k+1} pf_k / pp_{k+1} and
-    r_k = c2_{k+1} / pp_{k+1}: one reversed :func:`_affine_scan`. At an
-    entity's last rating the next row's a is 0, so alpha = 0 and r = 1 there
-    and the scan needs no mask. The draw is affine in ``eps``; at eps = 0
-    it is the posterior mean S lam1, with S = (K^-1 + diag(lam2))^-1.
-    """
+def _backward_pass(a, c2, lam1, lam2, pos):
+    """:func:`kalman_filter`'s ``pp``, ``pf`` and ``mf``, then the gains
+    ``alpha`` and ``r`` of the Rauch-Tung-Striebel backward pass: given the
+    ratings and g_{k+1}, g_k is normal with mean r_k mf_k + alpha_k g_{k+1}
+    and variance r_k pf_k, alpha_k = a_{k+1} pf_k / pp_{k+1} and
+    r_k = c2_{k+1} / pp_{k+1}. At an entity's last rating the next row's a
+    is 0, so alpha = 0 and r = 1, and :func:`_reverse_scan` needs no mask."""
     pp, pf, mf = kalman_filter(a, c2, lam1, lam2, pos)
     pp_next = np.append(pp[1:], 1.0)
     r = np.append(c2[1:], 1.0) / pp_next
     alpha = np.append(a[1:], 0.0) * pf / pp_next
-    beta = r * mf + np.sqrt(r * pf) * eps
+    return pp, pf, mf, alpha, r
+
+
+def _reverse_scan(alpha, beta, rpos):
+    """x_k = alpha_k x_{k+1} + beta_k from each entity's last row back (``rpos``
+    counts the rows after each in its entity); overwrites its arguments."""
     rev = slice(None, None, -1)
     return _affine_scan(alpha[rev], beta[rev], rpos[rev])[rev]
+
+
+def smooth(a, c2, lam1, lam2, pos, rpos):
+    """The Rauch-Tung-Striebel smoother of :func:`kalman_filter`'s model
+    (Rauch, Tung & Striebel 1965), on its arguments and ``rpos``, the ratings
+    after each row in its entity. Returns per row ``pp``, ``pf``, ``mf``, the
+    gain ``alpha`` of :func:`_backward_pass`, and the smoothed variance and
+    mean, var_k = r_k pf_k + alpha_k^2 var_{k+1} and mean_k = r_k mf_k +
+    alpha_k mean_{k+1}. The lag-one covariance is alpha_k var_{k+1}. Every
+    step adds positive terms, so near-tied ratings lose no digits."""
+    pp, pf, mf, alpha, r = _backward_pass(a, c2, lam1, lam2, pos)
+    var = _reverse_scan(alpha * alpha, r * pf, rpos)
+    return pp, pf, mf, alpha, var, _reverse_scan(alpha.copy(), r * mf, rpos)
+
+
+def sample_path(a, c2, lam1, lam2, pos, rpos, eps):
+    """A draw of the residual path from the posterior of :func:`kalman_filter`'s
+    model, by forward filtering backward sampling (Carter & Kohn 1994): g_k =
+    r_k mf_k + alpha_k g_{k+1} + sqrt(r_k pf_k) eps_k over :func:`smooth`'s
+    backward pass, for one standard normal ``eps`` per row. At eps = 0 it
+    is :func:`smooth`'s mean S lam1, with S = (K^-1 + diag(lam2))^-1."""
+    _, pf, mf, alpha, r = _backward_pass(a, c2, lam1, lam2, pos)
+    return _reverse_scan(alpha, r * mf + np.sqrt(r * pf) * eps, rpos)
 
 
 def cholesky_with_jitter(K, sigma2, entity_id="?"):

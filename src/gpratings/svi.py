@@ -9,15 +9,16 @@ Archambeau 2009),
 
 so q(g) = N(m, S) with S^-1 = K^-1 + diag(lam2) and m = S lam1. The
 exponential kernel is an Ornstein-Uhlenbeck process, Markov in time, so q
-is a Gauss-Markov chain: the model module's Kalman filter and a two-filter
-smoother (:func:`_smooth`) give every marginal mean and variance and the
-lag-one covariances (Chang et al. 2020, arXiv:2007.04731). Their recursions
-run as parallel prefix scans over all entities at once, ceil(log2 n) numpy
-passes for histories of up to n ratings. Unlike a factorization of the
-tridiagonal S^-1, whose entries 1/c_k^2 grow without bound as two ratings
-tie, the scans add and divide positive terms only. A fitted state keeps m
-and lam2, which with the kernel determine q, and the variance of q at each
-entity's last rating, which prediction starts from.
+is a Gauss-Markov chain: the model module's Kalman filter and RTS smoother
+(:func:`~gpratings.model.smooth`, whose backward pass MCMC's path draw
+shares) give every marginal mean and variance and the lag-one covariances
+(Chang et al. 2020, arXiv:2007.04731). Their recursions run as parallel
+prefix scans over all entities at once, ceil(log2 n) numpy passes for
+histories of up to n ratings. Unlike a factorization of the tridiagonal
+S^-1, whose entries 1/c_k^2 grow without bound as two ratings tie, the
+scans add and divide positive terms only. A fitted state keeps m and lam2,
+which with the kernel determine q, and the variance of q at each entity's
+last rating, which prediction starts from.
 
 The objective is the summed ELBO: Gauss-Hermite estimates of
 E_q[log p(y_k | x_k . theta + g_k)] minus KL(q || prior). Fitting is
@@ -61,11 +62,9 @@ from .model import (
     EntityHistory,
     KernelParams,
     Panel,
-    _affine_scan,
-    _mobius_scan,
     cell_edges,
     cutpoints_from_eta,
-    kalman_filter,
+    smooth,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -253,36 +252,6 @@ def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar):
     return total, gamma, beta, g_kappa, g_lam
 
 
-def _smooth(a, c2, lam1, lam2, pos, rpos):
-    """Kalman filter and two-filter smoother of q over the rows of a panel.
-
-    The arguments are those of :func:`~gpratings.model.kalman_filter`, plus
-    ``rpos``, the ratings after each row in its entity. Returns per row the
-    filter's ``pp``, ``pf`` and ``mf``, and the smoothed variance and mean.
-    The smoother combines the filter with the information (psi, eta) that a
-    rating and those after it carry about the rating before,
-    psi_{k-1} = a_k^2 i_k / (1 + c2_k i_k) with i_k = lam2_k + psi_k,
-    eta_{k-1} = a_k (lam1_k + eta_k) / (1 + c2_k i_k),
-    which are linear-fractional and affine like the filter's recursions, so
-    each runs as one scan. Every step adds or divides positive terms, so
-    near-tied ratings, whose precision entries 1/c_k^2 are huge, lose no
-    digits.
-    """
-    pp, pf, mf = kalman_filter(a, c2, lam1, lam2, pos)
-    unit = 1.0 / (1.0 + lam2 * c2)
-    a2u, c2u = a * a * unit, c2 * unit
-    # backward over the reversed rows (the scan may overwrite a2u and c2u):
-    # row k's maps carry psi_k, eta_k to psi_{k-1}, eta_{k-1}, and at an
-    # entity's first row (a = 0) they send both to 0, where the previous
-    # entity's pass starts
-    rev = slice(None, None, -1)
-    psi = np.append(_mobius_scan(a2u[rev], (a2u * lam2)[rev], c2u[rev], rpos[rev])[-2::-1], 0.0)
-    den = 1.0 + c2 * (lam2 + psi)
-    eta = np.append(_affine_scan((a / den)[rev], (a * lam1 / den)[rev], rpos[rev])[-2::-1], 0.0)
-    spread = 1.0 + pf * psi
-    return pp, pf, mf, pf / spread, (mf + pf * eta) / spread
-
-
 class _PanelVi:
     """The sites, parameters and q marginals of every entity, on one flat panel.
 
@@ -294,8 +263,8 @@ class _PanelVi:
     ``params`` packs the per-entity parameters [lam | log_kappa | log_rho |
     log_sigma], with ``lam`` (n_entities, n_r) and the others
     (n_entities,) as views into it, and ``owner`` names the entity of each
-    packed entry. :meth:`rebuild` refreshes the panel's Markov factor and the
-    marginals ``mean``, ``var`` and ``cov`` of q.
+    packed entry. :meth:`rebuild` refreshes the panel's Markov factor, the
+    marginals ``mean`` and ``var`` of q and its smoother gains ``gain``.
     """
 
     def __init__(self, histories, n_r=None, rho0=None):
@@ -328,13 +297,9 @@ class _PanelVi:
         self.broken = ~ok
         a, c = self.factor
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.pp, self.pf, self.mf, self.var, self.mean = _smooth(
+            # gain[k] is the smoother gain G_k: S_{k,k+1} = G_k S_{k+1,k+1}
+            self.pp, self.pf, self.mf, self.gain, self.var, self.mean = smooth(
                 a, c ** 2, self.lam1, self.lam2, self.panel.pos, self.panel.rpos)
-            k = self.inner
-            # the smoother gain G_{k-1}: S_{k-1,k} = G_{k-1} S_kk
-            self.gain = a[k] * self.pf[k - 1] / self.pp[k]
-        self.cov = np.zeros(self.panel.n_rows - 1)
-        self.cov[k - 1] = self.gain * self.var[k]
 
     def set_q(self, mean, lam2):
         """Set the sites from the mean and site precisions of q, then rebuild:
@@ -370,7 +335,7 @@ class _PanelVi:
         dlog_c = -np.exp(2.0 * self.log_sigma).take(owner) * a * da / (ck * ck)
         w_mean = ck * (m[k] - a * self.mf[k - 1]) / pp
         sq = ck * ck * var[k] / (pp * pp) + a * a * pf_prev / pp + w_mean * w_mean
-        cross = ck * (self.gain * var[k] - a * pf_prev) / pp + w_mean * m[k - 1]
+        cross = ck * (self.gain[k - 1] * var[k] - a * pf_prev) / pp + w_mean * m[k - 1]
         g_lrho = -np.bincount(owner, (1.0 - sq) * dlog_c - (da / ck) * cross,
                               minlength=p.n_entities)
         return kl, g_lrho, p.per_entity_sum(quad)

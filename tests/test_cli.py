@@ -133,6 +133,20 @@ class TestPipelines:
             outs.append((out / "fit.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_fit_mcmc_thin_that_does_not_divide_the_draws(self, sim_dataset, tmp_path, capsys):
+        # 31 sampled iterations at thin 3 retain 11 draws per chain
+        cfg = write_cfg(tmp_path, {"mcmc": dict(MCMC_CFG["mcmc"], iterations=61, thin=3)})
+        args = ["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                "--seed", "4", "--config", cfg]
+        assert main([*args, "--out", str(tmp_path / "a")]) in (0, 5)
+        assert load_fit(tmp_path / "a" / "fit.json").theta.shape[0] == 2 * 11
+        # at thin 7 the 30 sampled iterations retain 5 draws, too few for split-Rhat
+        cfg = write_cfg(tmp_path, {"mcmc": dict(MCMC_CFG["mcmc"], thin=7)}, name="thin7.json")
+        args[-1] = cfg
+        assert main([*args, "--out", str(tmp_path / "b")]) == 2
+        assert "5 draws per chain" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "fit.json").exists()
+
     def test_fit_mcmc_writes_run_report(self, sim_dataset, tmp_path):
         cfg = write_cfg(tmp_path, MCMC_CFG)
         code = main(["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
@@ -250,6 +264,26 @@ class TestPipelines:
         assert code == 3
         err = capsys.readouterr().err
         assert "sim001" in err and "ghost" in err
+
+    @pytest.mark.parametrize("doc", [
+        [{"expected_rating": 3.0}],
+        {"sim000": {"kind": "sample_mean"}},
+        {"sim000": {"expected_rating": "abc"}},
+        {"sim000": "abc"},
+        {"sim000": {"expected_rating": float("nan")}},
+        {"sim000": float("inf")},
+    ], ids=["list", "no_expected_rating", "text", "bare_text", "nan", "inf"])
+    def test_evaluate_rejects_a_malformed_score_file(self, sim_dataset, tmp_path, capsys, doc):
+        out = tmp_path / "run"
+        args = ["--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                "--seed", "2", "--holdout", "8", "--out", str(out)]
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["evaluate", *args, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if isinstance(doc, dict):
+            assert "sim000" in err
 
     def test_benchmark_end_to_end(self, sim_dataset, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SVI_CFG)

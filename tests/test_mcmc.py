@@ -592,6 +592,26 @@ def test_config_validation():
         McmcConfig(warmup=50, iterations=50)
     with pytest.raises(InvalidInputError):
         McmcConfig(thin=0)
+    # split-Rhat needs 10 draws per chain, so a layout that retains fewer is
+    # refused before sampling
+    for layout in (dict(iterations=30, warmup=20, thin=20), dict(iterations=19, warmup=10),
+                   dict(iterations=100, warmup=10, thin=10)):
+        with pytest.raises(InvalidInputError, match="draws per chain"):
+            McmcConfig(**layout)
+    assert McmcConfig(iterations=20, warmup=10).draws_per_chain == 10
+    assert McmcConfig(iterations=101, warmup=10, thin=10).draws_per_chain == 10
+
+
+def test_thin_keeps_every_thin_th_draw_when_it_does_not_divide_the_run():
+    # 25 sampled iterations at thin 2 keep 13 draws per chain, the first
+    # included: the thin-1 run's draws 0, 2, ..., 24 of each chain
+    hs = small_dataset()
+    full = run_mcmc(hs, small_config(iterations=30, warmup=5))
+    thinned = run_mcmc(hs, small_config(iterations=30, warmup=5, thin=2))
+    assert thinned.theta.shape[0] == 2 * 13
+    for key in ("theta", "rho", "sigma", "kappa", "eta"):
+        want = getattr(full, key).reshape(2, 25, *getattr(full, key).shape[1:])[:, ::2]
+        np.testing.assert_array_equal(getattr(thinned, key), want.reshape(26, *want.shape[2:]))
 
 
 def test_flat_likelihood_run_matches_prior_for_latents():

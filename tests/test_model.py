@@ -36,6 +36,7 @@ from gpratings.model import (
     markov_factor_from_gaps,
     rating_cell_probs,
     sample_path,
+    smooth,
     truncated_normal,
 )
 from gpratings.svi import SviConfig, fit_svi
@@ -269,6 +270,28 @@ def test_sample_path_is_the_posterior_mean_plus_a_square_root_of_s(seed):
     np.testing.assert_allclose(M @ M.T, blocks, rtol=1e-9, atol=0.0)
     eps = np.random.default_rng(seed).standard_normal(n)
     np.testing.assert_allclose(draw(eps), at_zero + M @ eps, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_smooth_and_sample_path_share_one_backward_pass(seed):
+    # the smoothed mean is sample_path at eps = 0 bit for bit, and the
+    # smoothed variance is the diagonal of M M^T for sample_path's linear
+    # part M; the filter's moments are kalman_filter's own
+    hs, panel, (a, c), rho, sigma, lam1, lam2 = gauss_markov_panel(seed)
+    c2, n = c * c, panel.n_rows
+
+    def draw(eps):
+        return sample_path(a, c2, lam1, lam2, panel.pos, panel.rpos, eps)
+
+    pp, pf, mf, alpha, var, mean = smooth(a, c2, lam1, lam2, panel.pos, panel.rpos)
+    for got, want in zip((pp, pf, mf), kalman_filter(a, c2, lam1, lam2, panel.pos)):
+        np.testing.assert_array_equal(got, want)
+    at_zero = draw(np.zeros(n))
+    np.testing.assert_array_equal(mean, at_zero)
+    M = np.column_stack([draw(e) - at_zero for e in np.eye(n)])
+    np.testing.assert_allclose(var, np.einsum("ij,ij->i", M, M), rtol=1e-9, atol=0.0)
+    # the gain is 0 at each entity's last rating, where the backward pass starts
+    assert not alpha[panel.rpos == 0].any()
 
 
 def test_truncated_draws_stay_inside_far_and_narrow_cells():

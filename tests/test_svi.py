@@ -118,6 +118,12 @@ def _elbo_reference(history, m, S, theta, rho, sigma, kappa, eta, n_nodes):
 # the tridiagonal marginal pass
 # ---------------------------------------------------------------------------
 
+def lag_one(vp):
+    """S_{k,k+1} = G_k S_{k+1,k+1} over each pair of consecutive rows, from
+    the smoother gains: 0 where the pair spans two entities."""
+    return vp.gain[:-1] * vp.var[1:]
+
+
 def random_panel(seed, sizes, tie=1e-6, n_r=5):
     """A panel at random sites and kernels; every entity of two or more
     ratings has one pair of ratings ``tie`` apart."""
@@ -149,11 +155,11 @@ def test_panel_marginals_match_dense_solve(seed, sizes):
         S = dense_q(h, vp.lam2[rows], math.exp(vp.log_rho[i]), math.exp(vp.log_sigma[i]))
         np.testing.assert_allclose(vp.mean[rows], S @ vp.lam1[rows], rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(vp.var[rows], np.diag(S), rtol=1e-10, atol=0.0)
-        np.testing.assert_allclose(vp.cov[rows.start:rows.stop - 1], np.diag(S, 1),
+        np.testing.assert_allclose(lag_one(vp)[rows.start:rows.stop - 1], np.diag(S, 1),
                                    rtol=1e-10, atol=0.0)
         # the lag-one covariance across an entity boundary is exactly zero
         if rows.stop < p.n_rows:
-            assert vp.cov[rows.stop - 1] == 0.0
+            assert lag_one(vp)[rows.stop - 1] == 0.0
     kl = vp._kl()[0]
     for i, h in enumerate(hs):
         rows = p.segment(i)
@@ -176,7 +182,7 @@ def test_panel_marginals_are_each_entitys_own(seed):
         alone.lam1[:] = vp.lam1[rows]
         alone.lam2[:] = vp.lam2[rows]
         alone.rebuild()
-        for key in ("pp", "pf", "mf", "var", "mean"):
+        for key in ("pp", "pf", "mf", "gain", "var", "mean"):
             np.testing.assert_array_equal(getattr(vp, key)[rows], getattr(alone, key), err_msg=key)
 
 
@@ -190,7 +196,8 @@ def test_prior_sites_give_the_prior():
         K = dense_kernel(h, math.exp(vp.log_rho[i]), math.exp(vp.log_sigma[i]))
         assert not vp.mean[rows].any()
         np.testing.assert_allclose(vp.var[rows], np.diag(K), rtol=1e-12)
-        np.testing.assert_allclose(vp.cov[rows.start:rows.stop - 1], np.diag(K, 1), rtol=1e-10)
+        np.testing.assert_allclose(lag_one(vp)[rows.start:rows.stop - 1], np.diag(K, 1),
+                                   rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +513,7 @@ def test_projection_recovers_exact_gaussian_posterior():
     vp.rebuild()
     np.testing.assert_allclose(vp.mean, post_mean, rtol=1e-10)
     np.testing.assert_allclose(vp.var, np.diag(post_cov), rtol=1e-10)
-    np.testing.assert_allclose(vp.cov, np.diag(post_cov, 1), rtol=1e-10)
+    np.testing.assert_allclose(lag_one(vp), np.diag(post_cov, 1), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -682,30 +689,36 @@ def test_singular_heavy_step_marks_entity_broken():
     assert vp.forward(np.zeros(2), xq, wbar)["elbo"] == before["elbo"]
 
 
-def test_singular_entity_breaks_alone():
+@pytest.mark.parametrize("tied_first", [False, True], ids=["tied_after", "tied_before"])
+def test_singular_entity_breaks_alone(tied_first):
     # the tied entity's factor is singular; its neighbour in the panel keeps
-    # its marginals, yet no batch scores while an entity is broken, so a
-    # minibatch fit rolls back before a snapshot can hold the break
+    # its marginals, whether the forward or the reversed scans cross the
+    # broken entity to reach it, yet no batch scores while an entity is
+    # broken, so a minibatch fit rolls back before a snapshot can hold the break
     hs = [small_histories(sizes=(9,))[0], tied_history()]
+    tied = 0 if tied_first else 1
+    if tied_first:
+        hs = hs[::-1]
     vp = _PanelVi(hs, 5, [1.0, 1.0])
     vp.lam2[:] = 0.5
     vp.lam1[:] = np.linspace(-1.0, 1.0, vp.lam1.size)
     vp.rebuild()
     xq, wbar = _quadrature_nodes(20)
-    alone = _PanelVi(hs[:1], 5, [1.0])
+    rows = vp.panel.segment(1 - tied)
+    alone = _PanelVi([hs[1 - tied]], 5, [1.0])
     alone.lam2[:] = 0.5
-    alone.lam1[:] = vp.lam1[:9]
+    alone.lam1[:] = vp.lam1[rows]
     alone.rebuild()
     snap = vp.snapshot()
-    vp.apply(rho_step(vp, 1, 700.0), np.array([1]))
-    assert vp.broken.tolist() == [False, True]
+    vp.apply(rho_step(vp, tied, 700.0), np.array([tied]))
+    assert vp.broken.tolist() == [i == tied for i in range(2)]
     for key in ("mean", "var"):
-        np.testing.assert_array_equal(getattr(vp, key)[:9], getattr(alone, key))
-    np.testing.assert_array_equal(vp.cov[:8], alone.cov)
+        np.testing.assert_array_equal(getattr(vp, key)[rows], getattr(alone, key))
+    np.testing.assert_array_equal(lag_one(vp)[rows.start:rows.stop - 1], lag_one(alone))
     assert vp.forward(np.zeros(2), xq, wbar) is None
-    assert vp.forward(np.zeros(2), xq, wbar, batch=np.array([0])) is None
+    assert vp.forward(np.zeros(2), xq, wbar, batch=np.array([1 - tied])) is None
     vp.restore(snap)
-    out = vp.forward(np.zeros(2), xq, wbar, batch=np.array([0]))
+    out = vp.forward(np.zeros(2), xq, wbar, batch=np.array([1 - tied]))
     assert out["elbo"] == pytest.approx(alone.forward(np.zeros(2), xq, wbar)["elbo"], rel=1e-12)
 
 
@@ -835,7 +848,7 @@ def test_edge_panel_fit(minibatch):
         S = np.linalg.inv(np.linalg.inv(dense_kernel(h, kp.rho, kp.sigma))
                           + np.diag(vp.lam2[rows]))
         np.testing.assert_allclose(vp.var[rows], np.diag(S), rtol=1e-10, atol=0.0)
-        np.testing.assert_allclose(vp.cov[rows.start:rows.stop - 1], np.diag(S, 1),
+        np.testing.assert_allclose(lag_one(vp)[rows.start:rows.stop - 1], np.diag(S, 1),
                                    rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(vp.mean[rows], S @ vp.lam1[rows], rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(vp.mean[rows], state.q_mean[h.entity_id],
