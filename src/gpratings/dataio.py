@@ -654,6 +654,8 @@ def load_fit(path, expect_backend: str = None):
                 metadata=payload["metadata"],
             )
         if backend == "svi":
+            # artifacts of schemas 3 and 4 hold the retired minibatch setting
+            config = {k: v for k, v in doc["config"].items() if k != "minibatch"}
             return VariationalState(
                 entity_ids=list(payload["entity_ids"]),
                 q_mean=per_entity("q_mean"),
@@ -667,7 +669,7 @@ def load_fit(path, expect_backend: str = None):
                               eta=_field(ep["eta"], f"emission[{e!r}].eta", path))
                           for e, ep in payload["emission"].items()},
                 elbo_trace=arr("elbo_trace"),
-                config=SviConfig(**doc["config"]),
+                config=SviConfig(**config),
                 metadata=payload["metadata"],
             )
         raise DataError(f"{path}: unknown backend tag {backend!r}")

@@ -71,6 +71,7 @@ from .model import (
     eta_from_cutpoints,
     sample_path,
     truncated_normal,
+    _check_count,
     _halfcauchy_logpdf,
     _halfnormal_logpdf,
     _invgamma_logpdf,
@@ -102,14 +103,12 @@ class McmcConfig:
     threads: int = 1             # accepted for compatibility; chains run in-process
 
     def __post_init__(self):
-        if self.chains < 2:
-            raise InvalidInputError("need at least 2 chains for convergence diagnostics")
-        if not 0 <= self.warmup < self.iterations:
+        # split-Rhat needs at least 2 chains
+        for name, least in (("chains", 2), ("iterations", 1), ("warmup", 0), ("thin", 1),
+                            ("latent_thin", 1), ("threads", 1), ("seed", 0)):
+            _check_count(name, getattr(self, name), least)
+        if not self.warmup < self.iterations:
             raise InvalidInputError("warmup must satisfy 0 <= warmup < iterations")
-        if self.thin < 1 or self.latent_thin < 1:
-            raise InvalidInputError("thin factors must be >= 1")
-        if self.threads < 1:
-            raise InvalidInputError("threads must be >= 1")
         if self.draws_per_chain < 10:
             raise InvalidInputError(f"{self.draws_per_chain} draws per chain; split-Rhat needs 10")
 

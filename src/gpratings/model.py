@@ -28,6 +28,15 @@ JITTER_MAX = 1e-4
 _CUM_MIN, _CUM_MAX = 1e-12, 1.0 - 1e-16   # cumulative rating mass fed to Phi^-1
 
 
+def _check_count(name, value, least):
+    """Raise :class:`InvalidInputError` unless ``value`` is an integer >= ``least``."""
+    # bool is an int subclass, and numpy integers are not ints
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

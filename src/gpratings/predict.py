@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import _cell_prob, cell_edges, cutpoints_from_eta, ou_step
+from .model import _cell_prob, _check_count, cell_edges, cutpoints_from_eta, ou_step
 from .svi import VariationalState, last_marginal
 
 _VAR_FLOOR_REL = 1e-12
@@ -149,14 +149,6 @@ def predictive_probs(history, fit, query) -> PredictiveDistribution:
     times = np.array([float(query_time)])
     probs = _query_distribution(history, fit, times, xs)
     return PredictiveDistribution.from_probs(probs)
-
-
-def _check_count(name, value, least):
-    # bool is an int subclass, and numpy integers are not ints
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
 
 
 def _query_arrays(history, L, seed, fallback_gap):

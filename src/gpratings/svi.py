@@ -37,21 +37,19 @@ iteration:
   arXiv:1703.04265), a natural-gradient step that moves lam2 towards
   -2 beta and lam1 towards gamma - 2 beta m. The ordered-probit likelihood
   is log-concave, so beta <= 0 and lam2 stays >= 0;
-- Adam moves theta, each entity's emission logits and log kappa along the
-  quadrature gradients, and log rho and log sigma along the gradient of
-  -KL at fixed q, which reads only the filtered and smoothed moments.
+- one Adam step moves theta, each entity's emission logits and log kappa
+  along the quadrature gradients, and log rho and log sigma along the
+  gradient of -KL at fixed q, which reads only the filtered and smoothed
+  moments.
 
-The per-entity parameters form one packed vector with a timestep per
-entity, so that a minibatch moves only its own entities' sites and
-parameters. Beyond the quadrature, an iteration costs O(N log n) for N
-ratings in all and n in the longest history, in O(log n) numpy calls.
+Beyond the quadrature, an iteration costs O(N log n) for N ratings in all
+and n in the longest history, in O(log n) numpy calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -65,6 +63,7 @@ from .model import (
     cell_edges,
     cutpoints_from_eta,
     smooth,
+    _check_count,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -94,24 +93,24 @@ class SviConfig:
     """Optimizer settings for the variational backend.
 
     ``learning_rate`` is the Adam rate of theta and the emission parameters,
-    ``hyper_learning_rate`` that of log rho and log sigma.
+    ``hyper_learning_rate`` that of log rho and log sigma; both must be
+    finite and positive. ``seed`` is recorded only: a fit draws no random
+    numbers, so it is the same for every seed.
     """
 
     iterations: int = 5000
-    minibatch: Optional[int] = None
     quadrature_nodes: int = 20
     learning_rate: float = 0.05
     hyper_learning_rate: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidInputError("iterations must be >= 1")
+        _check_count("iterations", self.iterations, 1)
         _quadrature_nodes(self.quadrature_nodes)
-        if self.learning_rate <= 0 or self.hyper_learning_rate <= 0:
-            raise InvalidInputError("learning rates must be positive")
-        if self.minibatch is not None and self.minibatch < 1:
-            raise InvalidInputError("minibatch must be >= 1 when given")
+        for name in ("learning_rate", "hyper_learning_rate"):
+            rate = getattr(self, name)
+            if not 0.0 < rate < math.inf:
+                raise InvalidInputError(f"{name} must be finite and > 0, got {rate!r}")
 
 
 @dataclass
@@ -262,9 +261,9 @@ class _PanelVi:
     two ratings). ``lam1`` and ``lam2`` hold one site per rating;
     ``params`` packs the per-entity parameters [lam | log_kappa | log_rho |
     log_sigma], with ``lam`` (n_entities, n_r) and the others
-    (n_entities,) as views into it, and ``owner`` names the entity of each
-    packed entry. :meth:`rebuild` refreshes the panel's Markov factor, the
-    marginals ``mean`` and ``var`` of q and its smoother gains ``gain``.
+    (n_entities,) as views into it. :meth:`rebuild` refreshes the panel's
+    Markov factor, the marginals ``mean`` and ``var`` of q and its smoother
+    gains ``gain``.
     """
 
     def __init__(self, histories, n_r=None, rho0=None):
@@ -277,7 +276,6 @@ class _PanelVi:
         self.params = np.zeros(n_lam + 3 * n_e)
         self.lam = self.params[:n_lam].reshape(n_e, n_r)
         self.log_kappa, self.log_rho, self.log_sigma = self.params[n_lam:].reshape(3, n_e)
-        self.owner = np.concatenate((np.repeat(np.arange(n_e), n_r), np.tile(np.arange(n_e), 3)))
         lam = np.log((p.level_counts + 0.5) / (p.sizes[:, None] + 0.5 * n_r))
         self.lam[:] = lam - lam.mean(axis=1, keepdims=True)
         if rho0 is None:
@@ -329,57 +327,48 @@ class _PanelVi:
         # Var[w_k] = c_k^2 S_kk / pp_k^2 + a_k^2 pf_{k-1} / pp_k and
         # Cov[w_k, g_{k-1}] = c_k (G_{k-1} S_kk - a_k pf_{k-1}) / pp_k.
         k = self.inner
-        owner = p.entity[k]
+        ent = p.entity[k]
         a, ck, pp, pf_prev = a[k], c[k], self.pp[k], self.pf[k - 1]
-        da = (p.gaps[k] / np.exp(self.log_rho).take(owner)) * a
-        dlog_c = -np.exp(2.0 * self.log_sigma).take(owner) * a * da / (ck * ck)
+        da = (p.gaps[k] / np.exp(self.log_rho).take(ent)) * a
+        dlog_c = -np.exp(2.0 * self.log_sigma).take(ent) * a * da / (ck * ck)
         w_mean = ck * (m[k] - a * self.mf[k - 1]) / pp
         sq = ck * ck * var[k] / (pp * pp) + a * a * pf_prev / pp + w_mean * w_mean
         cross = ck * (self.gain[k - 1] * var[k] - a * pf_prev) / pp + w_mean * m[k - 1]
-        g_lrho = -np.bincount(owner, (1.0 - sq) * dlog_c - (da / ck) * cross,
+        g_lrho = -np.bincount(ent, (1.0 - sq) * dlog_c - (da / ck) * cross,
                               minlength=p.n_entities)
         return kl, g_lrho, p.per_entity_sum(quad)
 
-    def forward(self, theta, xq, wbar, batch=None):
-        """The ELBO of the entities in ``batch`` (all when None) and its gradients.
+    def forward(self, theta, xq, wbar):
+        """The summed ELBO of every entity and its gradients.
 
-        Returns None when any entity is broken, in the batch or not, or the
-        ELBO is not finite: the rollback must then restore a snapshot taken
-        before the break, not one that already holds it. ``rows`` are the
-        batch's rows, which ``gamma`` and ``beta`` follow; the per-entity
-        gradients span every entity, with meaning only at the batch's.
+        Returns None when any entity is broken or the ELBO is not finite.
+        Per rating, ``gamma`` and ``beta`` are the gradients in the marginal
+        mean and variance of q.
         """
         if self.broken.any():
             return None
         p = self.panel
-        ents = slice(None) if batch is None else batch
-        rows = slice(None) if batch is None else np.flatnonzero(np.isin(p.entity, batch))
-        X = p.X[rows]
         lik, gamma, beta, g_kappa, g_lam = _emission_quadrature(
-            X @ theta + self.mean[rows], np.sqrt(self.var[rows]), p.ratings[rows],
-            p.entity[rows], self.lam, self.log_kappa, xq, wbar)
+            p.X @ theta + self.mean, np.sqrt(self.var), p.ratings, p.entity,
+            self.lam, self.log_kappa, xq, wbar)
         kl, g_lrho, g_lsigma = self._kl()
-        elbo_val = lik - float(kl[ents].sum())
+        elbo_val = lik - float(kl.sum())
         if not math.isfinite(elbo_val):
             return None
-        return {"elbo": elbo_val, "rows": rows, "gamma": gamma, "beta": beta,
-                "g_theta": X.T @ gamma, "g_kappa": g_kappa, "g_lam": g_lam,
+        return {"elbo": elbo_val, "gamma": gamma, "beta": beta,
+                "g_theta": p.X.T @ gamma, "g_kappa": g_kappa, "g_lam": g_lam,
                 "g_lrho": g_lrho, "g_lsigma": g_lsigma}
 
     def step_sites(self, out, rate):
-        """One conjugate-computation step of the batch's sites, by ``rate``."""
-        rows, beta = out["rows"], out["beta"]
-        lam1, lam2 = self.lam1[rows], self.lam2[rows]
-        self.lam1[rows] = lam1 + rate * (out["gamma"] - 2.0 * beta * self.mean[rows] - lam1)
-        self.lam2[rows] = np.maximum(lam2 + rate * (-2.0 * beta - lam2), 0.0)
+        """One conjugate-computation step of every site, by ``rate``."""
+        beta, lam1, lam2 = out["beta"], self.lam1, self.lam2
+        lam1[:] = lam1 + rate * (out["gamma"] - 2.0 * beta * self.mean - lam1)
+        lam2[:] = np.maximum(lam2 + rate * (-2.0 * beta - lam2), 0.0)
 
-    def apply(self, step, batch=None):
-        """Move the packed parameters by ``step``, re-centre the logits of the
-        entities in ``batch`` (all when None) and rebuild."""
+    def apply(self, step):
+        """Move the packed parameters by ``step``, re-centre the logits and rebuild."""
         self.params += step
-        ents = slice(None) if batch is None else batch
-        lam = self.lam[ents]
-        self.lam[ents] = lam - lam.sum(axis=1, keepdims=True) / lam.shape[1]
+        self.lam -= self.lam.sum(axis=1, keepdims=True) / self.lam.shape[1]
         self.rebuild()
 
     def snapshot(self):
@@ -391,76 +380,57 @@ class _PanelVi:
 
 
 class _Adam:
-    """Adam directions for one packed parameter vector.
+    """Adam directions for one parameter vector, with one clock.
 
-    :meth:`step` returns the unit-rate step; the caller scales it. With
-    ``owner``, the entity of each entry, every entity keeps its own
-    timestep, so a minibatch step moves only its entities' entries and
-    clocks; without it the vector has one clock. Moment buffers are updated
-    in place, so the cost per step stays flat as the iteration count grows.
+    :meth:`step` returns the unit-rate step; the caller scales it. The clock
+    is a numpy int64 array: numpy's powers of beta round differently from
+    Python's at some steps, and the pinned fits were made with numpy's.
     """
 
-    def __init__(self, size, owner=None, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.owner = owner
-        self.t = np.zeros(1 if owner is None else int(owner.max()) + 1, dtype=np.int64)
+        self.t = np.zeros(1, dtype=np.int64)
 
-    def step(self, grad, batch=None):
-        """The step for ``grad``, zero outside the entries of the entities in
-        ``batch`` (every entry when None)."""
-        if batch is None:
-            sel = slice(None)
-            self.t += 1
-        else:
-            sel = np.flatnonzero(np.isin(self.owner, batch))
-            self.t[batch] += 1
+    def step(self, grad):
+        self.t += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * np.square(grad)
         c1 = 1 - self.beta1 ** self.t
         c2 = 1 - self.beta2 ** self.t
-        if self.owner is not None:
-            c1 = c1.take(self.owner[sel])
-            c2 = c2.take(self.owner[sel])
-        g = grad[sel]
-        m = self.beta1 * self.m[sel] + (1 - self.beta1) * g
-        v = self.beta2 * self.v[sel] + (1 - self.beta2) * np.square(g)
-        self.m[sel] = m
-        self.v[sel] = v
-        step = np.zeros(grad.size)
-        step[sel] = (m / c1) / (np.sqrt(v / c2) + self.eps)
-        return step
+        return (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
-def _ascend(vp, out, theta, adams, rates, lr_scale, batch=None):
-    """One site step and one Adam step on every parameter; returns theta.
-
-    ``rates`` holds the Adam rate of theta first, then one per packed entry.
-    """
-    params, theta_adam = adams
+def _ascend(vp, out, theta, adam, rates, lr_scale):
+    """One site step and one Adam step on [theta | packed parameters];
+    returns theta."""
     vp.step_sites(out, _SITE_STEP * lr_scale)
-    g = np.concatenate((out["g_lam"].ravel(), out["g_kappa"], out["g_lrho"], out["g_lsigma"]))
-    vp.apply(lr_scale * rates[1:] * params.step(g, batch), batch)
-    return theta + lr_scale * rates[0] * theta_adam.step(out["g_theta"])
+    g = np.concatenate((out["g_theta"], out["g_lam"].ravel(), out["g_kappa"],
+                        out["g_lrho"], out["g_lsigma"]))
+    step = lr_scale * rates * adam.step(g)
+    d = theta.size
+    vp.apply(step[d:])
+    return theta + step[:d]
 
 
 def _optimizer(vp, d, cfg):
-    """Adam states for the packed parameters and theta, and their rates."""
-    rates = np.full(1 + vp.params.size, cfg.learning_rate)
-    rates[1 + vp.lam.size + vp.log_kappa.size:] = cfg.hyper_learning_rate
-    return (_Adam(vp.params.size, vp.owner), _Adam(d)), rates
+    """The Adam state of [theta | packed parameters] and its rates."""
+    rates = np.full(d + vp.params.size, cfg.learning_rate)
+    rates[d + vp.lam.size + vp.log_kappa.size:] = cfg.hyper_learning_rate
+    return _Adam(rates.size), rates
 
 
 def _quadrature_nodes(n_nodes):
     """Gauss-Hermite nodes and the weights over sqrt(pi), which sum to 1.
 
     The one check of a node count, for :class:`SviConfig` and :func:`elbo`
-    alike: at least 5 nodes and a rule whose weights sum to 1, which NaN or
-    infinite weights cannot, else :class:`InvalidInputError`.
+    alike: an integer of at least 5 and a rule whose weights sum to 1, which
+    NaN or infinite weights cannot, else :class:`InvalidInputError`.
     """
-    if n_nodes < 5:
-        raise InvalidInputError("quadrature_nodes must be >= 5")
+    _check_count("quadrature_nodes", n_nodes, 5)
     if n_nodes <= _MAX_QUADRATURE_NODES:
         with np.errstate(all="ignore"):
             xq, wq = np.polynomial.hermite.hermgauss(n_nodes)
@@ -480,8 +450,9 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
     hyperparameters, then refreshes the marginals of q. A non-finite
     objective rolls the parameters and sites back one step, halves the
     step-size scale of both and retries, aborting after five straight
-    failures; ``metadata["rollbacks"]`` counts the rollbacks and
-    ``metadata["lr_scale"]`` holds the final scale.
+    failures. The last step is kept only if a forward pass finds it finite,
+    else it is rolled back too. ``metadata["rollbacks"]`` counts the
+    rollbacks and ``metadata["lr_scale"]`` holds the final scale.
     """
     cfg = config if config is not None else SviConfig()
     vp = _PanelVi(histories, n_r)
@@ -489,22 +460,16 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
     d = p.X.shape[1]
     theta = np.zeros(d)
     xq, wbar = _quadrature_nodes(cfg.quadrature_nodes)
-    adams, rates = _optimizer(vp, d, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    n_e = p.n_entities
-    batch_size = n_e if cfg.minibatch is None else min(cfg.minibatch, n_e)
+    adam, rates = _optimizer(vp, d, cfg)
 
     trace = np.empty(cfg.iterations)
     lr_scale = 1.0
     rollbacks = 0
     snap = None
     for it in range(cfg.iterations):
-        batch = None
-        if batch_size < n_e:
-            batch = np.sort(rng.choice(n_e, batch_size, replace=False))
         attempts = 0
         while True:
-            out = vp.forward(theta, xq, wbar, batch)
+            out = vp.forward(theta, xq, wbar)
             if out is not None:
                 break
             if snap is None:
@@ -517,12 +482,13 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
             vp.restore(snap[1])
             lr_scale *= 0.5
             rollbacks += 1
-        scale = n_e / batch_size
-        trace[it] = out["elbo"] * scale
-        if scale != 1.0:
-            out["g_theta"] = out["g_theta"] * scale
+        trace[it] = out["elbo"]
         snap = (theta, vp.snapshot())
-        theta = _ascend(vp, out, theta, adams, rates, lr_scale, batch)
+        theta = _ascend(vp, out, theta, adam, rates, lr_scale)
+    if vp.forward(theta, xq, wbar) is None:
+        theta = snap[0]
+        vp.restore(snap[1])
+        rollbacks += 1
 
     ids = p.entity_ids
     return VariationalState(

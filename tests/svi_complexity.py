@@ -36,15 +36,15 @@ def complexity_probe(n_values=(256, 1024, 4096), iterations: int = 20, repeats: 
         t += np.arange(n) * 1e-9
         h = EntityHistory(f"probe{n}", t, rng.integers(1, 6, n), rng.normal(size=(n, 2)))
         vp = _PanelVi([h], 5, [1.0])
-        adams, rates = _optimizer(vp, 2, cfg)
-        runs.append({"vp": vp, "adams": adams, "rates": rates, "theta": np.zeros(2),
+        adam, rates = _optimizer(vp, 2, cfg)
+        runs.append({"vp": vp, "adam": adam, "rates": rates, "theta": np.zeros(2),
                      "best": math.inf})
 
     def iterate(run, count):
         vp, theta = run["vp"], run["theta"]
         for _ in range(count):
             out = vp.forward(theta, xq, wbar)
-            theta = _ascend(vp, out, theta, run["adams"], run["rates"], 1.0)
+            theta = _ascend(vp, out, theta, run["adam"], run["rates"], 1.0)
         run["theta"] = theta
 
     for run in runs:  # warm caches and allocator before timing

@@ -189,6 +189,25 @@ class TestPipelines:
         assert "bad svi config" in capsys.readouterr().err
         assert not (tmp_path / "out" / "fit.json").exists()
 
+    @pytest.mark.parametrize("backend, key, value", [
+        ("svi", "iterations", 2.5), ("svi", "iterations", True),
+        ("svi", "learning_rate", math.inf), ("svi", "learning_rate", math.nan),
+        ("svi", "hyper_learning_rate", math.nan), ("svi", "minibatch", 2),
+        ("mcmc", "iterations", 100.5), ("mcmc", "chains", 2.0), ("mcmc", "thin", 1.5),
+    ])
+    def test_fit_rejects_a_bad_count_or_rate(self, sim_dataset, tmp_path, capsys, backend,
+                                             key, value):
+        # counts must be integers and rates finite and positive; minibatch
+        # is no longer an SVI setting
+        base = {"svi": SVI_CFG["svi"], "mcmc": MCMC_CFG["mcmc"]}[backend]
+        cfg = write_cfg(tmp_path, {backend: {**base, key: value}})
+        code = main(["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                     "--seed", "2", "--backend", backend, "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"bad {backend} config" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fit.json").exists()
+
     @pytest.mark.parametrize("split", [False, True])
     def test_fit_reports_stage_seconds(self, sim_dataset, tmp_path, split):
         cfg = write_cfg(tmp_path, SVI_CFG)

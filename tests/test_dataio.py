@@ -252,6 +252,21 @@ class TestFitArtifacts:
         after = predictive_probs(h, loaded, query)
         assert np.array_equal(before.probs, after.probs)
 
+    def test_svi_artifact_with_the_retired_minibatch_setting_loads(self, tmp_path, small_svi_fit):
+        # artifacts of schemas 3 and 4 store "minibatch": null in their config
+        histories, state = small_svi_fit
+        p, old = tmp_path / "fit.json", tmp_path / "old.json"
+        save_fit(state, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc["config"]["minibatch"] = None
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        loaded, loaded_old = load_fit(p), load_fit(old)
+        assert loaded_old.config == loaded.config
+        for h in histories:
+            query = (h.timestamps[-1] + 0.2, h.covariates[-1])
+            assert (predictive_probs(h, loaded_old, query).probs.tobytes()
+                    == predictive_probs(h, loaded, query).probs.tobytes())
+
     def test_svi_site_precision_saved_packed(self, tmp_path, small_svi_fit):
         histories, state = small_svi_fit
         p = tmp_path / "fit.json"

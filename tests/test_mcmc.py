@@ -592,6 +592,12 @@ def test_config_validation():
         McmcConfig(warmup=50, iterations=50)
     with pytest.raises(InvalidInputError):
         McmcConfig(thin=0)
+    # every count is an integer: no floats, bools or negative seeds
+    for bad in (dict(chains=2.0), dict(iterations=100.5), dict(warmup=10.0), dict(thin=1.5),
+                dict(latent_thin=True), dict(threads=1.0), dict(seed=1.5), dict(seed=-1)):
+        name, value = next(iter(bad.items()))
+        with pytest.raises(InvalidInputError, match=name):
+            McmcConfig(**bad)
     # split-Rhat needs 10 draws per chain, so a layout that retains fewer is
     # refused before sampling
     for layout in (dict(iterations=30, warmup=20, thin=20), dict(iterations=19, warmup=10),

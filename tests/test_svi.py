@@ -552,15 +552,6 @@ def test_fit_svi_is_deterministic():
         assert np.array_equal(a.site_precision[eid], b.site_precision[eid])
 
 
-def test_fit_svi_minibatch_deterministic_and_scaled():
-    hs = small_histories(sizes=(12, 14, 10))
-    cfg = SviConfig(iterations=120, minibatch=2, seed=5)
-    a = fit_svi(hs, cfg)
-    b = fit_svi(hs, cfg)
-    assert np.array_equal(a.elbo_trace, b.elbo_trace)
-    assert np.all(np.isfinite(a.elbo_trace))
-
-
 def test_fit_svi_respects_n_r():
     hs = small_histories()
     state = fit_svi(hs, SviConfig(iterations=50), n_r=7)
@@ -597,10 +588,13 @@ def test_config_validation():
     for nodes in (371, 372, 1001):
         with pytest.raises(InvalidInputError, match=f"quadrature_nodes={nodes}"):
             SviConfig(quadrature_nodes=nodes)
-    with pytest.raises(InvalidInputError):
-        SviConfig(hyper_learning_rate=0.0)
-    with pytest.raises(InvalidInputError):
-        SviConfig(minibatch=0)
+    # counts are integers, and both rates finite and positive
+    for bad in (dict(iterations=2.5), dict(iterations=True), dict(quadrature_nodes=20.0),
+                dict(learning_rate=math.nan), dict(learning_rate=math.inf),
+                dict(hyper_learning_rate=0.0), dict(hyper_learning_rate=math.nan)):
+        name, value = next(iter(bad.items()))
+        with pytest.raises(InvalidInputError, match=name):
+            SviConfig(**bad)
 
 
 def test_state_invariant_validation():
@@ -634,11 +628,11 @@ def test_nonfinite_objective_aborts_after_retries(monkeypatch):
     orig = svi_mod._PanelVi.forward
     calls = {"n": 0}
 
-    def failing(self, theta, xq, wbar, batch=None):
+    def failing(self, theta, xq, wbar):
         calls["n"] += 1
         if calls["n"] > 3:
             return None
-        return orig(self, theta, xq, wbar, batch)
+        return orig(self, theta, xq, wbar)
 
     monkeypatch.setattr(svi_mod._PanelVi, "forward", failing)
     with pytest.raises(NumericalError, match="halvings"):
@@ -650,11 +644,11 @@ def test_transient_nonfinite_objective_recovers(monkeypatch):
     orig = svi_mod._PanelVi.forward
     calls = {"n": 0}
 
-    def flaky(self, theta, xq, wbar, batch=None):
+    def flaky(self, theta, xq, wbar):
         calls["n"] += 1
         if calls["n"] in (4, 5):
             return None
-        return orig(self, theta, xq, wbar, batch)
+        return orig(self, theta, xq, wbar)
 
     monkeypatch.setattr(svi_mod._PanelVi, "forward", flaky)
     state = fit_svi(hs, SviConfig(iterations=30))
@@ -693,8 +687,8 @@ def test_singular_heavy_step_marks_entity_broken():
 def test_singular_entity_breaks_alone(tied_first):
     # the tied entity's factor is singular; its neighbour in the panel keeps
     # its marginals, whether the forward or the reversed scans cross the
-    # broken entity to reach it, yet no batch scores while an entity is
-    # broken, so a minibatch fit rolls back before a snapshot can hold the break
+    # broken entity to reach it, yet the panel does not score while an
+    # entity is broken, so a fit rolls back before a snapshot can hold the break
     hs = [small_histories(sizes=(9,))[0], tied_history()]
     tied = 0 if tied_first else 1
     if tied_first:
@@ -704,72 +698,80 @@ def test_singular_entity_breaks_alone(tied_first):
     vp.lam1[:] = np.linspace(-1.0, 1.0, vp.lam1.size)
     vp.rebuild()
     xq, wbar = _quadrature_nodes(20)
-    rows = vp.panel.segment(1 - tied)
-    alone = _PanelVi([hs[1 - tied]], 5, [1.0])
-    alone.lam2[:] = 0.5
-    alone.lam1[:] = vp.lam1[rows]
-    alone.rebuild()
+    singles = []
+    for i, h in enumerate(hs):
+        one = _PanelVi([h], 5, [1.0])
+        one.lam2[:] = 0.5
+        one.lam1[:] = vp.lam1[vp.panel.segment(i)]
+        one.rebuild()
+        singles.append(one)
+    rows, alone = vp.panel.segment(1 - tied), singles[1 - tied]
     snap = vp.snapshot()
-    vp.apply(rho_step(vp, tied, 700.0), np.array([tied]))
+    vp.apply(rho_step(vp, tied, 700.0))
     assert vp.broken.tolist() == [i == tied for i in range(2)]
     for key in ("mean", "var"):
         np.testing.assert_array_equal(getattr(vp, key)[rows], getattr(alone, key))
     np.testing.assert_array_equal(lag_one(vp)[rows.start:rows.stop - 1], lag_one(alone))
     assert vp.forward(np.zeros(2), xq, wbar) is None
-    assert vp.forward(np.zeros(2), xq, wbar, batch=np.array([1 - tied])) is None
     vp.restore(snap)
-    out = vp.forward(np.zeros(2), xq, wbar, batch=np.array([1 - tied]))
-    assert out["elbo"] == pytest.approx(alone.forward(np.zeros(2), xq, wbar)["elbo"], rel=1e-12)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_minibatch_rolls_back_a_break_outside_the_batch(monkeypatch, seed):
-    # one entity per batch: the step that breaks the tied entity is seen by
-    # the next forward pass whichever entity it draws, so the fit rolls back
-    # to the snapshot taken before the step
-    hs = [small_histories(sizes=(9,))[0], tied_history()]
-    orig_apply = svi_mod._PanelVi.apply
-    broke = []
-
-    def break_tie_once(self, step, batch=None):
-        tie = self.panel.entity_ids.index("tie")
-        if not broke and tie in batch:
-            broke.append(True)
-            step = step + rho_step(self, tie, 700.0)
-        orig_apply(self, step, batch)
-
-    monkeypatch.setattr(svi_mod._PanelVi, "apply", break_tie_once)
-    state = fit_svi(hs, SviConfig(iterations=60, minibatch=1, seed=seed))
-    assert broke
-    assert state.metadata["rollbacks"] == 1
-    assert np.all(np.isfinite(state.elbo_trace))
-    assert state.kernel["tie"].rho < 1e300
+    out = vp.forward(np.zeros(2), xq, wbar)
+    assert out["elbo"] == pytest.approx(
+        sum(one.forward(np.zeros(2), xq, wbar)["elbo"] for one in singles), rel=1e-12)
 
 
 def test_singular_heavy_step_rolls_the_fit_back(monkeypatch):
+    # the tied entity alone, then beside a healthy one in the panel
     orig_apply = svi_mod._PanelVi.apply
     orig_restore = svi_mod._PanelVi.restore
-    calls = {"apply": 0, "restore": 0}
+    for hs in ([tied_history()], [small_histories(sizes=(9,))[0], tied_history()]):
+        tie = len(hs) - 1
+        calls = {"apply": 0, "restore": 0}
 
-    def blow_up_once(self, step, batch=None):
-        calls["apply"] += 1
-        if calls["apply"] == 1:
+        def blow_up_once(self, step):
+            calls["apply"] += 1
+            if calls["apply"] == 1:
+                step = step + rho_step(self, tie, 700.0)
+            orig_apply(self, step)
+            assert self.broken.tolist() == [i == tie and calls["apply"] == 1
+                                            for i in range(len(hs))]
+
+        def counted_restore(self, snap):
+            calls["restore"] += 1
+            orig_restore(self, snap)
+
+        monkeypatch.setattr(svi_mod._PanelVi, "apply", blow_up_once)
+        monkeypatch.setattr(svi_mod._PanelVi, "restore", counted_restore)
+        state = fit_svi(hs, SviConfig(iterations=30))
+        assert calls["restore"] == 1
+        assert state.metadata["rollbacks"] == 1
+        assert state.metadata["lr_scale"] == 0.5
+        assert np.all(np.isfinite(state.elbo_trace))
+        assert state.kernel["tie"].rho < 1e300
+
+
+def test_a_break_at_the_last_step_is_rolled_back(monkeypatch):
+    # no forward pass of the loop scores the last step, so a fit must check
+    # it before returning it: the break is undone, and the fit returns the
+    # state its last ELBO scored, that of a fit one iteration shorter
+    iterations = 30
+    shorter = fit_svi([tied_history()], SviConfig(iterations=iterations - 1))
+    orig_apply = svi_mod._PanelVi.apply
+    calls = []
+
+    def blow_up_last(self, step):
+        calls.append(True)
+        if len(calls) == iterations:
             step = step + rho_step(self, 0, 700.0)
-        orig_apply(self, step, batch)
-        assert self.broken[0] == (calls["apply"] == 1)
+        orig_apply(self, step)
 
-    def counted_restore(self, snap):
-        calls["restore"] += 1
-        orig_restore(self, snap)
-
-    monkeypatch.setattr(svi_mod._PanelVi, "apply", blow_up_once)
-    monkeypatch.setattr(svi_mod._PanelVi, "restore", counted_restore)
-    state = fit_svi([tied_history()], SviConfig(iterations=30))
-    assert calls["restore"] == 1
+    monkeypatch.setattr(svi_mod._PanelVi, "apply", blow_up_last)
+    state = fit_svi([tied_history()], SviConfig(iterations=iterations))
+    assert len(calls) == iterations
     assert state.metadata["rollbacks"] == 1
-    assert state.metadata["lr_scale"] == 0.5
-    assert np.all(np.isfinite(state.elbo_trace))
     assert state.kernel["tie"].rho < 1e300
+    assert state.kernel == shorter.kernel
+    assert np.array_equal(state.theta, shorter.theta)
+    assert np.array_equal(state.q_mean["tie"], shorter.q_mean["tie"])
 
 
 def test_elbo_entry_point_matches_dense_oracle():
@@ -815,11 +817,10 @@ def edge_panel():
     ]
 
 
-@pytest.mark.parametrize("minibatch", [None, 2])
-def test_edge_panel_fit(minibatch):
+def test_edge_panel_fit():
     hs = edge_panel()
     assert 5 not in hs[2].ratings
-    cfg = SviConfig(iterations=300, minibatch=minibatch, seed=7)
+    cfg = SviConfig(iterations=300, seed=7)
     state = fit_svi(hs, cfg, n_r=5)
     again = fit_svi(hs, cfg, n_r=5)
     assert np.array_equal(state.elbo_trace, again.elbo_trace)
@@ -987,19 +988,17 @@ def perturbed_panel(histories, n_r=5, seed=0):
     return vp, singles
 
 
-@pytest.mark.parametrize("batch", [None, np.array([1, 3])])
-def test_panel_forward_matches_one_entity_panels(batch):
+def test_panel_forward_matches_one_entity_panels():
     hs = small_histories(seed=44, sizes=(9, 1, 14, 4))
     vp, singles = perturbed_panel(hs, n_r=6)
     theta = np.array([0.3, -0.2])
     xq, wbar = _quadrature_nodes(20)
-    out = vp.forward(theta, xq, wbar, batch=batch)
-    ents = range(len(hs)) if batch is None else batch
-    alone = [singles[i].forward(theta, xq, wbar) for i in ents]
+    out = vp.forward(theta, xq, wbar)
+    alone = [one.forward(theta, xq, wbar) for one in singles]
     assert out["elbo"] == pytest.approx(sum(o["elbo"] for o in alone), rel=1e-12)
     np.testing.assert_allclose(out["g_theta"], sum(o["g_theta"] for o in alone), rtol=1e-12)
     at = 0
-    for i, one in zip(ents, alone):
+    for i, one in enumerate(alone):
         n = hs[i].n
         np.testing.assert_allclose(out["gamma"][at:at + n], one["gamma"], rtol=1e-12)
         np.testing.assert_allclose(out["beta"][at:at + n], one["beta"], rtol=1e-12)
@@ -1013,8 +1012,6 @@ def test_panel_forward_matches_one_entity_panels(batch):
 
 PINNED_INPUTS = {
     "full_batch": (dict(seed=40, sizes=(20, 15)), SviConfig(iterations=60, seed=3), None),
-    "minibatch": (dict(seed=41, sizes=(12, 1, 14, 10)),
-                  SviConfig(iterations=60, minibatch=2, seed=5), 7),
 }
 
 
@@ -1070,6 +1067,14 @@ def test_elbo_at_least_the_inducing_point_fit(case):
     theta = np.array(recorded["theta"])
     converged_sites(vp, theta, sweeps=10)
     xq, wbar = _quadrature_nodes(20)
-    per_entity = [vp.forward(theta, xq, wbar, batch=np.array([i]))["elbo"]
-                  for i in range(len(hs))]
+    per_entity = []
+    for i, h in enumerate(hs):
+        # each entity alone at the panel's converged sites and parameters
+        one = _PanelVi([h], recorded["n_r"], [recorded["rho"][i]])
+        one.log_sigma[0], one.log_kappa[0] = vp.log_sigma[i], vp.log_kappa[i]
+        one.lam[0] = vp.lam[i]
+        rows = vp.panel.segment(i)
+        one.lam1[:], one.lam2[:] = vp.lam1[rows], vp.lam2[rows]
+        one.rebuild()
+        per_entity.append(one.forward(theta, xq, wbar)["elbo"])
     assert np.all(np.array(per_entity) >= np.array(recorded["elbo"]))
