@@ -639,21 +639,17 @@ def _initial_log_rho(panel):
     """Each entity's centre of the initial log length scale, before each
     chain's jitter.
 
-    It starts at the geometric middle of the scales the data can resolve,
-    the median gap between consecutive ratings and the span; the solved
-    prior is anchored at the minimum gap, which for dense histories sits far
-    below any identifiable length, and chains started there must climb out
-    of a near-white-noise regime during warmup.  A single-rating entity
-    starts at its prior's mode.
+    It starts at :meth:`~gpratings.model.Panel.log_rho_start`, the geometric
+    middle of the scales the data can resolve; the solved prior is anchored
+    at the minimum gap, which for dense histories sits far below any
+    identifiable length, and chains started there must climb out of a
+    near-white-noise regime during warmup.  A single-rating entity starts at
+    its prior's mode.
     """
-    out = []
-    for i, e in enumerate(panel.entity_ids):
-        if panel.sizes[i] > 1:
-            gaps = panel.gaps[panel.segment(i)][1:]
-            out.append(math.log(math.sqrt(float(np.median(gaps)) * float(panel.span[i]))))
-        else:
-            shape, scale = panel.priors.lengthscale[e]
-            out.append(math.log(scale / (shape + 1.0)))
+    out = panel.log_rho_start()
+    for i in np.flatnonzero(np.isnan(out)):
+        shape, scale = panel.priors.lengthscale[panel.entity_ids[i]]
+        out[i] = math.log(scale / (shape + 1.0))
     return out
 
 

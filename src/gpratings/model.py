@@ -501,6 +501,17 @@ class Panel(Segments):
         lo[single], hi[single] = np.median(lo[~single]), np.median(hi[~single])
         return lo, hi
 
+    def log_rho_start(self):
+        """Per entity, the log length scale both backends start from:
+        log sqrt(median gap x span), the geometric middle of the scales its
+        ratings resolve.  Unlike the smallest gap, the median does not sit at
+        a tie that ingest nudged apart.  NaN for a single-rating entity."""
+        out = np.full(self.n_entities, np.nan)
+        for i in np.flatnonzero(self.sizes > 1):
+            gaps = self.gaps[self.segment(i)][1:]
+            out[i] = math.log(math.sqrt(float(np.median(gaps)) * float(self.span[i])))
+        return out
+
 
 # ---------------------------------------------------------------------------
 # ordered-probit emission

@@ -24,12 +24,15 @@ The objective is the summed ELBO: Gauss-Hermite estimates of
 E_q[log p(y_k | x_k . theta + g_k)] minus KL(q || prior). Fitting is
 variational EM on one flat panel (:class:`_PanelVi` over the shared
 :class:`~gpratings.model.Panel`, which checks the inputs and supplies the
-level counts, the gap interval behind the initial length scales and the
+level counts, the initial length scales that MCMC starts from too and the
 Markov factor a_k, c_k of the prior), with one step of each kind per
 iteration:
 
 - one quadrature pass gives the expected log-likelihood and its gradients
-  in each rating's marginal mean (gamma) and variance (beta). A rating
+  in each rating's marginal mean (gamma) and variance (beta), from a
+  Gauss-Hermite rule centred and scaled to the marginal of q (Liu & Pierce
+  1994, Biometrika 81, 624-629), of ``_QUADRATURE_NODES`` (10) nodes by
+  default. A rating
   between 1 and n_r is scored on both cutpoints of its cell; a rating of 1
   or n_r, whose cell reaches to -inf or +inf, on its one finite cutpoint.
   Each group runs in blocks of ``_QUADRATURE_CHUNK`` rows;
@@ -69,10 +72,16 @@ from .model import (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _PROB_FLOOR = 1e-300
+# The default Gauss-Hermite node count. At the initial state of a 200-entity,
+# day-resolution panel, where q is widest, 10 nodes put the ELBO within
+# 7.1e-5 nats of a 60-node rule (of about -28,600) and every gradient within
+# 9.8e-6 relative, at half the probe evaluations of 20 nodes.
+_QUADRATURE_NODES = 10
 # Ratings per Gauss-Hermite block, in each of the two row groups. On a
-# 2-core host with one BLAS thread, one block over all 18,000 rows of a
-# 200-entity panel took 59 ms per pass, no faster than one pass per entity
-# (57 ms), while blocks of 512-1,024 rows took 32-39 ms: a block's
+# 2-core host with one BLAS thread, a 10-node forward pass over the 18,000
+# rows of a 200-entity panel took 9.8-10.0 ms in blocks of 1,024 or 2,048
+# rows, 10.6-10.8 ms at 512, 11.0 ms at 4,096 and 12.1-13.1 ms in one block
+# (20 nodes: 16.1-16.4 ms at 1,024, 23.4-24.9 ms in one block): a block's
 # temporaries, (2, rows, nodes) for two-sided rows and (rows, nodes) for
 # one-sided ones, stay in cache.
 _QUADRATURE_CHUNK = 1024
@@ -94,12 +103,14 @@ class SviConfig:
 
     ``learning_rate`` is the Adam rate of theta and the emission parameters,
     ``hyper_learning_rate`` that of log rho and log sigma; both must be
-    finite and positive. ``seed`` is recorded only: a fit draws no random
-    numbers, so it is the same for every seed.
+    finite and positive. ``quadrature_nodes`` is the size of the
+    Gauss-Hermite rule, ``_QUADRATURE_NODES`` (10) by default. ``seed`` is
+    recorded only: a fit draws no random numbers, so it is the same for every
+    seed. The initial length scales are not a setting: see :class:`_PanelVi`.
     """
 
     iterations: int = 5000
-    quadrature_nodes: int = 20
+    quadrature_nodes: int = _QUADRATURE_NODES
     learning_rate: float = 0.05
     hyper_learning_rate: float = 0.02
     seed: int = 0
@@ -256,14 +267,16 @@ class _PanelVi:
 
     Rows follow ``panel``, the :class:`~gpratings.model.Panel` of the
     histories, which checks them and infers n_r when it is None. ``rho0``
-    holds the initial length scales, by default each entity's geometric mean
-    of its :meth:`~gpratings.model.Panel.gap_interval` (1 when no entity has
-    two ratings). ``lam1`` and ``lam2`` hold one site per rating;
-    ``params`` packs the per-entity parameters [lam | log_kappa | log_rho |
-    log_sigma], with ``lam`` (n_entities, n_r) and the others
-    (n_entities,) as views into it. :meth:`rebuild` refreshes the panel's
-    Markov factor, the marginals ``mean`` and ``var`` of q and its smoother
-    gains ``gain``.
+    holds the initial length scales. By default each entity starts where
+    MCMC does, at :meth:`~gpratings.model.Panel.log_rho_start`, sqrt(median
+    gap x span), which a same-day tie nudged 1e-6 years apart does not pull
+    down; a single-rating entity starts at the median of the others' starts,
+    or at rho = 1 when no entity has two ratings. ``lam1`` and ``lam2`` hold
+    one site per rating; ``params`` packs the per-entity parameters [lam |
+    log_kappa | log_rho | log_sigma], with ``lam`` (n_entities, n_r) and the
+    others (n_entities,) as views into it. :meth:`rebuild` refreshes the
+    panel's Markov factor, the marginals ``mean`` and ``var`` of q and its
+    smoother gains ``gain``.
     """
 
     def __init__(self, histories, n_r=None, rho0=None):
@@ -279,9 +292,12 @@ class _PanelVi:
         lam = np.log((p.level_counts + 0.5) / (p.sizes[:, None] + 0.5 * n_r))
         self.lam[:] = lam - lam.mean(axis=1, keepdims=True)
         if rho0 is None:
-            lo, hi = np.nan_to_num(p.gap_interval(), nan=1.0)
-            rho0 = np.sqrt(np.maximum(lo, 1e-12) * np.maximum(hi, 1e-12))
-        self.log_rho[:] = np.log(np.asarray(rho0, dtype=float))
+            start = p.log_rho_start()
+            single = np.isnan(start)
+            start[single] = 0.0 if single.all() else np.median(start[~single])
+            self.log_rho[:] = start
+        else:
+            self.log_rho[:] = np.log(np.asarray(rho0, dtype=float))
         self.rebuild()
 
     def rebuild(self):
@@ -540,7 +556,8 @@ def last_marginal(history: EntityHistory, state: VariationalState):
     return float(state.q_mean[eid][-1]), state.last_variance[eid]
 
 
-def elbo(history: EntityHistory, state: VariationalState, quadrature_nodes: int = 20) -> float:
+def elbo(history: EntityHistory, state: VariationalState,
+         quadrature_nodes: int = _QUADRATURE_NODES) -> float:
     """Single-entity ELBO at the parameters stored in a fitted state.
 
     Scores a one-entity panel through the forward pass that fitting uses.

@@ -29,7 +29,7 @@ def complexity_probe(n_values=(256, 1024, 4096), iterations: int = 20, repeats: 
     """
     rng = np.random.default_rng(seed)
     cfg = SviConfig()
-    xq, wbar = _quadrature_nodes(20)
+    xq, wbar = _quadrature_nodes(cfg.quadrature_nodes)
     runs = []
     for n in n_values:
         t = np.sort(rng.uniform(0.0, 4.0, n))

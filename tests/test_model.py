@@ -340,6 +340,11 @@ def test_panel_counts_levels_and_gaps():
     assert hi.tolist() == [highs[0], np.median(highs), highs[1]]
     assert Panel([hs[1]]).median_gap == 1.0
     assert np.isnan(Panel([hs[1]]).gap_interval()).all()
+    start = panel.log_rho_start()
+    medians = [np.median(np.diff(hs[i].timestamps)) for i in (0, 2)]
+    np.testing.assert_allclose(start[[0, 2]], 0.5 * np.log(np.multiply(medians, highs)),
+                               rtol=1e-14)
+    assert np.isnan(start[1]) and np.isnan(Panel([hs[1]]).log_rho_start()).all()
 
 
 def test_panel_infers_n_r_of_at_least_two():

@@ -4,11 +4,14 @@ The panel's tridiagonal marginal pass is checked against dense inverses of
 the jitter-free kernel, analytic gradients against central finite
 differences of a from-scratch dense ELBO, and that ELBO against dense
 tensor-product quadrature of the exact marginal likelihood on a 3-point
-entity. The flat panel is checked against one-entity panels, and the
-converged sites against the per-entity ELBO of the inducing-point backend
-they replaced.
+entity. The default Gauss-Hermite rule is checked against a 60-node one,
+and the initial length scales against MCMC's, on a day-resolution panel
+with same-day ties. The flat panel is checked against one-entity panels,
+and the converged sites against the per-entity ELBO of the inducing-point
+backend they replaced.
 """
 
+import datetime
 import json
 import math
 from pathlib import Path
@@ -18,13 +21,18 @@ import pytest
 from scipy import integrate, stats
 
 import gpratings.svi as svi_mod
+from gpratings.dataio import ingest
 from gpratings.errors import InvalidInputError, NumericalError
+from gpratings.mcmc import _initial_log_rho
+from gpratings.mcmc import _Panel as McmcPanel
 from gpratings.model import EntityHistory, KernelParams, kernel_matrix
 from gpratings.simulate import SimSpec, simulate
 from gpratings.svi import (
     SviConfig,
     VariationalState,
+    _ascend,
     _emission_quadrature,
+    _optimizer,
     _PanelVi,
     _quadrature_nodes,
     elbo,
@@ -438,6 +446,68 @@ def test_quadrature_refinement_agrees():
     v20 = _elbo_reference(h, m, S, theta, kp.rho, kp.sigma, kappa, eta, 20)
     v50 = _elbo_reference(h, m, S, theta, kp.rho, kp.sigma, kappa, eta, 50)
     assert abs(v20 - v50) < 1e-6
+
+
+def day_resolution_panel(directory, n_entities=12, reviews=60, seed=5):
+    """A simulated panel written with whole-day dates and read back by
+    ingest, which nudges each same-day tie 1e-6 years apart."""
+    hs, _ = simulate(SimSpec(n_entities=n_entities, reviews_per_entity=reviews,
+                             horizon=1.0, seed=seed))
+    base = datetime.date(2012, 1, 1)
+    lines = ["entity_id,rating,timestamp,x1,x2"]
+    for h in hs:
+        for t, y, (x1, x2) in zip(h.timestamps.tolist(), h.ratings.tolist(),
+                                  h.covariates.tolist()):
+            day = base + datetime.timedelta(days=int(t * 365.25))
+            lines.append(f"{h.entity_id},{y},{day.isoformat()},{x1!r},{x2!r}")
+    path = directory / "days.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ingest(path, covariate_columns=("x1", "x2"))[0]
+
+
+def test_default_rule_matches_a_60_node_rule_on_a_tied_panel(tmp_path):
+    # at the initial state, where q is widest (s = sigma = 1, kappa = 1),
+    # and after 50 iterations of the default fit
+    hs = day_resolution_panel(tmp_path)
+    assert all(np.diff(h.timestamps).min() < 2e-6 for h in hs)  # every entity has a tie
+    vp = _PanelVi(hs, 5)
+    cfg = SviConfig()
+    rule, reference = _quadrature_nodes(cfg.quadrature_nodes), _quadrature_nodes(60)
+    theta = np.zeros(2)
+
+    def check():
+        got, ref = vp.forward(theta, *rule), vp.forward(theta, *reference)
+        assert got["elbo"] == pytest.approx(ref["elbo"], rel=1e-8)
+        for key in ("gamma", "beta", "g_kappa", "g_lam"):
+            np.testing.assert_allclose(got[key], ref[key], rtol=0.0,
+                                       atol=1e-4 * np.abs(ref[key]).max(), err_msg=key)
+        return got
+
+    np.testing.assert_allclose(vp.var, 1.0)
+    assert (vp.log_sigma == 0.0).all() and (vp.log_kappa == 0.0).all()
+    adam, rates = _optimizer(vp, theta.size, cfg)
+    for _ in range(50):
+        theta = _ascend(vp, check(), theta, adam, rates, 1.0)
+    check()
+
+
+def test_initial_length_scales_start_where_mcmc_starts(tmp_path):
+    hs = day_resolution_panel(tmp_path, n_entities=5, reviews=30)
+    one = EntityHistory("one", [0.5], [3], [[0.1, 0.2]])
+    panel = hs[:2] + [one] + hs[2:]
+    multi = [i for i, h in enumerate(panel) if h.n > 1]
+    start = _PanelVi(panel, 5).log_rho
+    assert start[multi].tolist() == _initial_log_rho(McmcPanel(panel, 5))[multi].tolist()
+    assert start[2] == np.median(start[multi])
+    # most entities' smallest gap is a 1e-6 nudge; the start stays above one day's
+    assert sum(np.diff(h.timestamps).min() < 2e-6 for h in hs) >= 3
+    span = np.array([h.timestamps[-1] - h.timestamps[0] for h in hs])
+    assert (start[multi] > np.log(np.sqrt(span / 366.0))).all()
+    singles = [one, EntityHistory("two", [1.0], [5], [[0.0, 0.0]])]
+    assert _PanelVi(singles, 5).log_rho.tolist() == [0.0, 0.0]
+    # an explicit start wins
+    explicit = [0.3 + 0.1 * i for i in range(len(panel))]
+    np.testing.assert_array_equal(_PanelVi(panel, 5, explicit).log_rho, np.log(explicit))
 
 
 # ---------------------------------------------------------------------------
@@ -1017,8 +1087,9 @@ PINNED_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(PINNED_INPUTS))
 def test_fit_matches_the_pinned_per_entity_fit(case):
-    # pinned entity by entity when this backend replaced the inducing-point
-    # one; a change that means to keep the fit may move only the last bits
+    # pinned entity by entity at the default quadrature rule and initial
+    # length scales; a change that means to keep the fit may move only the
+    # last bits
     pinned = json.loads((DATA / "svi_pinned_fit.json").read_text())[case]
     spec, cfg, n_r = PINNED_INPUTS[case]
     state = fit_svi(small_histories(**spec), cfg, n_r=n_r)
