@@ -3,7 +3,8 @@
 Seven subcommands (fit, predict, baseline, evaluate, simulate, recover,
 benchmark) share a layered configuration: package defaults, then the
 --config JSON file, then GPRATINGS_* environment variables, then flags.
-An unknown config key or GPRATINGS_* variable is a configuration error.
+An unknown config key or GPRATINGS_* variable, or a config-file value of
+the wrong type, is a configuration error.
 Every command is a pure function of (config, input files, seed), and output
 files carry no timestamps, so re-runs are bit-identical; the one exception
 is the wall time per stage that ``fit`` reports in diagnostics.json and
@@ -119,6 +120,10 @@ _CONFIG_KEYS = {
     "holdout": int, "L": int, "kind": str, "K": int, "sets": int,
     "fit_path": str, "n_r": int,
 }
+# the type of each config-file key's value (an int is no bool), and its name
+_FILE_KEYS = {**_CONFIG_KEYS, "covariates": list, "mcmc": dict, "svi": dict, "sim": dict}
+_JSON_NAMES = {str: "a string", int: "an integer", list: "a list of strings",
+               dict: "a JSON object"}
 
 
 def _load_config_file(path):
@@ -133,10 +138,14 @@ def _load_config_file(path):
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
-    known = set(_CONFIG_KEYS) | {"covariates", "mcmc", "svi", "sim"}
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_FILE_KEYS)
     if unknown:
         raise ConfigError(f"{p}: unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        want = _FILE_KEYS[key]
+        if type(value) is not want or (want is list and any(type(c) is not str for c in value)):
+            raise ConfigError(f"{p}: config key {key!r} must be {_JSON_NAMES[want]}, "
+                              f"got {value!r}")
     return doc
 
 

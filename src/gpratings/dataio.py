@@ -26,6 +26,8 @@ The schemas, and which of them load:
 Every MCMC artifact loads: schemas 1 to 3 store ``pointwise_loglik``, which
 the loader reduces to ``lppd`` and ``p_waic`` through
 :func:`~gpratings.mcmc.waic_terms`. SVI artifacts load from schema 3 on.
+The loader drops the config keys of retired settings (``_RETIRED_KEYS``);
+an MCMC run's stored draws, not its config, record which draws it kept.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ _READABLE_VERSIONS = (1, 2, 3, 4)
 _SVI_VERSIONS = (3, 4)        # SVI payloads before schema 3 are not readable
 _MATRIX_VERSIONS = (1, 2, 3)  # MCMC payloads that store pointwise_loglik
 MANIFEST_VERSION = 1          # the dataset manifest's layout, versioned apart
+# config keys of settings that older artifacts hold and load_fit drops
+_RETIRED_KEYS = {"mcmc": {"thin"},
+                 "svi": {"minibatch", "quadrature_nodes", "learning_rate", "hyper_learning_rate"}}
 DAYS_PER_YEAR = 365.25
 
 DEFAULT_COVARIATES = (
@@ -624,6 +629,8 @@ def load_fit(path, expect_backend: str = None):
             "inducing-point fit, which this build no longer reads; refit it")
     try:
         payload = doc["payload"]
+        config = {k: v for k, v in doc["config"].items()
+                  if k not in _RETIRED_KEYS.get(backend, ())}
 
         def arr(key, code=_FLOAT):
             return _field(payload[key], key, path, code)
@@ -649,13 +656,11 @@ def load_fit(path, expect_backend: str = None):
                 lppd=lppd,
                 p_waic=p_waic,
                 diagnostics=payload["diagnostics"],
-                config=McmcConfig(**doc["config"]),
+                config=McmcConfig(**config),
                 converged=bool(payload["converged"]),
                 metadata=payload["metadata"],
             )
         if backend == "svi":
-            # artifacts of schemas 3 and 4 hold the retired minibatch setting
-            config = {k: v for k, v in doc["config"].items() if k != "minibatch"}
             return VariationalState(
                 entity_ids=list(payload["entity_ids"]),
                 q_mean=per_entity("q_mean"),

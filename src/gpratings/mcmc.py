@@ -92,19 +92,20 @@ _BLOCKS = ("rho_sigma", "kappa", "cutpoints", "shift", "rescale")
 
 @dataclass
 class McmcConfig:
-    """Sampler run configuration (paper-default chain layout)."""
+    """Sampler run configuration (paper-default chain layout). Every draw
+    after ``warmup`` is kept: thinning inside the sampler only throws draws
+    away (Link & Eaton 2012, Methods Ecol. Evol. 3, 112-115)."""
 
     chains: int = 2
     iterations: int = 2500
     warmup: int = 1000
-    thin: int = 1
     seed: int = 0
     latent_thin: int = 4
     threads: int = 1             # accepted for compatibility; chains run in-process
 
     def __post_init__(self):
         # split-Rhat needs at least 2 chains
-        for name, least in (("chains", 2), ("iterations", 1), ("warmup", 0), ("thin", 1),
+        for name, least in (("chains", 2), ("iterations", 1), ("warmup", 0),
                             ("latent_thin", 1), ("threads", 1), ("seed", 0)):
             _check_count(name, getattr(self, name), least)
         if not self.warmup < self.iterations:
@@ -114,8 +115,8 @@ class McmcConfig:
 
     @property
     def draws_per_chain(self) -> int:
-        """Every ``thin``-th iteration after warmup, the first included."""
-        return -(-(self.iterations - self.warmup) // self.thin)
+        """Every iteration after warmup."""
+        return self.iterations - self.warmup
 
 
 @dataclass
@@ -699,7 +700,7 @@ def _run_chain(panel, log_rho0, config, seed, flat, waic_stream):
     for it in range(config.iterations):
         warm = it < config.warmup
         _sweep(ch, (it + 1.0) ** -0.6 if warm else 0.0)
-        if not warm and (it - config.warmup) % config.thin == 0:
+        if not warm:
             draws["theta"][keep] = panel.priors.unwhiten_theta(ch.theta_t)
             draws["rho"][keep] = np.exp(ch.log_rho)
             draws["sigma"][keep] = np.exp(ch.log_sigma)

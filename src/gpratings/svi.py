@@ -29,21 +29,21 @@ Markov factor a_k, c_k of the prior), with one step of each kind per
 iteration:
 
 - one quadrature pass gives the expected log-likelihood and its gradients
-  in each rating's marginal mean (gamma) and variance (beta), from a
-  Gauss-Hermite rule centred and scaled to the marginal of q (Liu & Pierce
-  1994, Biometrika 81, 624-629), of ``_QUADRATURE_NODES`` (10) nodes by
-  default. A rating
-  between 1 and n_r is scored on both cutpoints of its cell; a rating of 1
-  or n_r, whose cell reaches to -inf or +inf, on its one finite cutpoint.
-  Each group runs in blocks of ``_QUADRATURE_CHUNK`` rows;
+  in each rating's marginal mean (gamma) and variance (beta), from the
+  10-node Gauss-Hermite rule ``_RULE``, centred and scaled to the marginal
+  of q (Liu & Pierce 1994, Biometrika 81, 624-629). A rating between 1 and
+  n_r is scored on both cutpoints of its cell; a rating of 1 or n_r, whose
+  cell reaches to -inf or +inf, on its one finite cutpoint. Each group runs
+  in blocks of ``_QUADRATURE_CHUNK`` rows;
 - the sites take one conjugate-computation step (Khan & Lin 2017,
   arXiv:1703.04265), a natural-gradient step that moves lam2 towards
   -2 beta and lam1 towards gamma - 2 beta m. The ordered-probit likelihood
   is log-concave, so beta <= 0 and lam2 stays >= 0;
 - one Adam step moves theta, each entity's emission logits and log kappa
-  along the quadrature gradients, and log rho and log sigma along the
-  gradient of -KL at fixed q, which reads only the filtered and smoothed
-  moments.
+  along the quadrature gradients at rate ``_LEARNING_RATE`` (0.05), and log
+  rho and log sigma along the gradient of -KL at fixed q, which reads only
+  the filtered and smoothed moments, at rate ``_HYPER_LEARNING_RATE``
+  (0.02).
 
 Beyond the quadrature, an iteration costs O(N log n) for N ratings in all
 and n in the longest history, in O(log n) numpy calls.
@@ -72,11 +72,6 @@ from .model import (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _PROB_FLOOR = 1e-300
-# The default Gauss-Hermite node count. At the initial state of a 200-entity,
-# day-resolution panel, where q is widest, 10 nodes put the ELBO within
-# 7.1e-5 nats of a 60-node rule (of about -28,600) and every gradient within
-# 9.8e-6 relative, at half the probe evaluations of 20 nodes.
-_QUADRATURE_NODES = 10
 # Ratings per Gauss-Hermite block, in each of the two row groups. On a
 # 2-core host with one BLAS thread, a 10-node forward pass over the 18,000
 # rows of a 200-entity panel took 9.8-10.0 ms in blocks of 1,024 or 2,048
@@ -85,43 +80,46 @@ _QUADRATURE_NODES = 10
 # temporaries, (2, rows, nodes) for two-sided rows and (rows, nodes) for
 # one-sided ones, stay in cache.
 _QUADRATURE_CHUNK = 1024
-# numpy's Gauss-Hermite weights underflow to 0 or turn NaN from 371 nodes;
-# larger counts are refused unbuilt, as building a rule takes an n x n matrix.
-_MAX_QUADRATURE_NODES = 1000
 # The sites' natural-gradient step: 1 jumps to each quadrature target. At
 # fixed hyperparameters the sites then settle within 3-5 steps.
 _SITE_STEP = 1.0
+# The Adam rates of theta and the emission parameters, and of log rho and
+# log sigma.
+_LEARNING_RATE = 0.05
+_HYPER_LEARNING_RATE = 0.02
 
 
 def _npdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
+def _gauss_hermite(n_nodes):
+    """Gauss-Hermite nodes and the weights over sqrt(pi), which sum to 1."""
+    xq, wq = np.polynomial.hermite.hermgauss(n_nodes)
+    return xq, wq / math.sqrt(math.pi)
+
+
+# The (nodes, weights) of every forward pass. At the initial state of a
+# 200-entity, day-resolution panel, where q is widest, 10 nodes put the ELBO
+# within 7.1e-5 nats of a 60-node rule (of about -28,600) and every gradient
+# within 9.8e-6 relative, at half the probe evaluations of 20 nodes.
+_RULE = _gauss_hermite(10)
+
+
 @dataclass(frozen=True)
 class SviConfig:
-    """Optimizer settings for the variational backend.
+    """Run settings for the variational backend: the iteration count, and a
+    ``seed`` that is recorded only, as a fit draws no random numbers.
 
-    ``learning_rate`` is the Adam rate of theta and the emission parameters,
-    ``hyper_learning_rate`` that of log rho and log sigma; both must be
-    finite and positive. ``quadrature_nodes`` is the size of the
-    Gauss-Hermite rule, ``_QUADRATURE_NODES`` (10) by default. ``seed`` is
-    recorded only: a fit draws no random numbers, so it is the same for every
-    seed. The initial length scales are not a setting: see :class:`_PanelVi`.
+    The quadrature rule, the Adam rates and the initial length scales are
+    not settings: see the module docstring and :class:`_PanelVi`.
     """
 
     iterations: int = 5000
-    quadrature_nodes: int = _QUADRATURE_NODES
-    learning_rate: float = 0.05
-    hyper_learning_rate: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
         _check_count("iterations", self.iterations, 1)
-        _quadrature_nodes(self.quadrature_nodes)
-        for name in ("learning_rate", "hyper_learning_rate"):
-            rate = getattr(self, name)
-            if not 0.0 < rate < math.inf:
-                raise InvalidInputError(f"{name} must be finite and > 0, got {rate!r}")
 
 
 @dataclass
@@ -432,30 +430,11 @@ def _ascend(vp, out, theta, adam, rates, lr_scale):
     return theta + step[:d]
 
 
-def _optimizer(vp, d, cfg):
+def _optimizer(vp, d):
     """The Adam state of [theta | packed parameters] and its rates."""
-    rates = np.full(d + vp.params.size, cfg.learning_rate)
-    rates[d + vp.lam.size + vp.log_kappa.size:] = cfg.hyper_learning_rate
+    rates = np.full(d + vp.params.size, _LEARNING_RATE)
+    rates[d + vp.lam.size + vp.log_kappa.size:] = _HYPER_LEARNING_RATE
     return _Adam(rates.size), rates
-
-
-def _quadrature_nodes(n_nodes):
-    """Gauss-Hermite nodes and the weights over sqrt(pi), which sum to 1.
-
-    The one check of a node count, for :class:`SviConfig` and :func:`elbo`
-    alike: an integer of at least 5 and a rule whose weights sum to 1, which
-    NaN or infinite weights cannot, else :class:`InvalidInputError`.
-    """
-    _check_count("quadrature_nodes", n_nodes, 5)
-    if n_nodes <= _MAX_QUADRATURE_NODES:
-        with np.errstate(all="ignore"):
-            xq, wq = np.polynomial.hermite.hermgauss(n_nodes)
-            wbar = wq / math.sqrt(math.pi)
-        if abs(wbar.sum() - 1.0) < 1e-9:
-            return xq, wbar
-    raise InvalidInputError(
-        f"quadrature_nodes={n_nodes}: the Gauss-Hermite weights are not finite numbers "
-        "summing to 1")
 
 
 def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> VariationalState:
@@ -475,8 +454,7 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
     p = vp.panel
     d = p.X.shape[1]
     theta = np.zeros(d)
-    xq, wbar = _quadrature_nodes(cfg.quadrature_nodes)
-    adam, rates = _optimizer(vp, d, cfg)
+    adam, rates = _optimizer(vp, d)
 
     trace = np.empty(cfg.iterations)
     lr_scale = 1.0
@@ -485,7 +463,7 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
     for it in range(cfg.iterations):
         attempts = 0
         while True:
-            out = vp.forward(theta, xq, wbar)
+            out = vp.forward(theta, *_RULE)
             if out is not None:
                 break
             if snap is None:
@@ -501,7 +479,7 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
         trace[it] = out["elbo"]
         snap = (theta, vp.snapshot())
         theta = _ascend(vp, out, theta, adam, rates, lr_scale)
-    if vp.forward(theta, xq, wbar) is None:
+    if vp.forward(theta, *_RULE) is None:
         theta = snap[0]
         vp.restore(snap[1])
         rollbacks += 1
@@ -556,15 +534,13 @@ def last_marginal(history: EntityHistory, state: VariationalState):
     return float(state.q_mean[eid][-1]), state.last_variance[eid]
 
 
-def elbo(history: EntityHistory, state: VariationalState,
-         quadrature_nodes: int = _QUADRATURE_NODES) -> float:
+def elbo(history: EntityHistory, state: VariationalState) -> float:
     """Single-entity ELBO at the parameters stored in a fitted state.
 
-    Scores a one-entity panel through the forward pass that fitting uses.
-    Raises :class:`NumericalError` when the kernel factor is singular or
-    the objective is not finite there.
+    Scores a one-entity panel through the forward pass that fitting uses,
+    with its quadrature rule. Raises :class:`NumericalError` when the kernel
+    factor is singular or the objective is not finite there.
     """
-    xq, wbar = _quadrature_nodes(quadrature_nodes)
     q_mean = _entity_q(history, state)
     eid = history.entity_id
     kp = state.kernel[eid]
@@ -574,7 +550,7 @@ def elbo(history: EntityHistory, state: VariationalState,
     vp.log_kappa[0] = math.log(ep.kappa)
     vp.log_sigma[0] = math.log(kp.sigma)
     vp.set_q(q_mean, state.site_precision[eid])
-    out = vp.forward(state.theta, xq, wbar)
+    out = vp.forward(state.theta, *_RULE)
     if out is None:
         raise NumericalError(f"ELBO of entity {eid!r} is singular or not finite")
     return out["elbo"]

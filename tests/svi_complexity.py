@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from gpratings.model import EntityHistory
-from gpratings.svi import SviConfig, _ascend, _optimizer, _PanelVi, _quadrature_nodes
+from gpratings.svi import _RULE, _ascend, _optimizer, _PanelVi
 
 
 def complexity_probe(n_values=(256, 1024, 4096), iterations: int = 20, repeats: int = 7,
@@ -28,15 +28,14 @@ def complexity_probe(n_values=(256, 1024, 4096), iterations: int = 20, repeats: 
     iteration.
     """
     rng = np.random.default_rng(seed)
-    cfg = SviConfig()
-    xq, wbar = _quadrature_nodes(cfg.quadrature_nodes)
+    xq, wbar = _RULE
     runs = []
     for n in n_values:
         t = np.sort(rng.uniform(0.0, 4.0, n))
         t += np.arange(n) * 1e-9
         h = EntityHistory(f"probe{n}", t, rng.integers(1, 6, n), rng.normal(size=(n, 2)))
         vp = _PanelVi([h], 5, [1.0])
-        adam, rates = _optimizer(vp, 2, cfg)
+        adam, rates = _optimizer(vp, 2)
         runs.append({"vp": vp, "adam": adam, "rates": rates, "theta": np.zeros(2),
                      "best": math.inf})
 

@@ -60,6 +60,23 @@ class TestConfigLayering:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("covariates", "x1"), ("covariates", "x1,x2"), ("covariates", ["x1", 2]),
+        ("out", 5), ("seed", True), ("seed", 2.0), ("holdout", "5"), ("fmt", None),
+        ("svi", [["iterations", 20]]),
+    ])
+    def test_config_value_of_the_wrong_type_rejected(self, sim_dataset, tmp_path,
+                                                     monkeypatch, capsys, key, value):
+        # a string of covariates is not read as its characters, and a
+        # non-string out directory is no traceback
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, {"seed": 2, "svi": {"iterations": 20}, key: value})
+        code = main(["fit", "--dataset", str(sim_dataset), "--backend", "svi",
+                     "--config", cfg])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not list(tmp_path.rglob("fit.json"))
+
     def test_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, {"seed": 5,
                                    "sim": {"n_entities": 2,
@@ -133,19 +150,15 @@ class TestPipelines:
             outs.append((out / "fit.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_fit_mcmc_thin_that_does_not_divide_the_draws(self, sim_dataset, tmp_path, capsys):
-        # 31 sampled iterations at thin 3 retain 11 draws per chain
-        cfg = write_cfg(tmp_path, {"mcmc": dict(MCMC_CFG["mcmc"], iterations=61, thin=3)})
-        args = ["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
-                "--seed", "4", "--config", cfg]
-        assert main([*args, "--out", str(tmp_path / "a")]) in (0, 5)
-        assert load_fit(tmp_path / "a" / "fit.json").theta.shape[0] == 2 * 11
-        # at thin 7 the 30 sampled iterations retain 5 draws, too few for split-Rhat
-        cfg = write_cfg(tmp_path, {"mcmc": dict(MCMC_CFG["mcmc"], thin=7)}, name="thin7.json")
-        args[-1] = cfg
-        assert main([*args, "--out", str(tmp_path / "b")]) == 2
+    def test_fit_mcmc_with_too_few_draws_per_chain_exits_2(self, sim_dataset, tmp_path,
+                                                            capsys):
+        # 35 iterations after a warmup of 30 keep 5 draws, too few for split-Rhat
+        cfg = write_cfg(tmp_path, {"mcmc": dict(MCMC_CFG["mcmc"], iterations=35)})
+        code = main(["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                     "--seed", "4", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
         assert "5 draws per chain" in capsys.readouterr().err
-        assert not (tmp_path / "b" / "fit.json").exists()
+        assert not (tmp_path / "out" / "fit.json").exists()
 
     def test_fit_mcmc_writes_run_report(self, sim_dataset, tmp_path):
         cfg = write_cfg(tmp_path, MCMC_CFG)
@@ -178,15 +191,21 @@ class TestPipelines:
         assert isinstance(diag["rollbacks"], int)
         assert isinstance(diag["lr_scale"], float)
 
-    @pytest.mark.parametrize("nodes", [4, 372])
-    def test_fit_rejects_a_bad_quadrature_rule(self, sim_dataset, tmp_path, capsys, nodes):
-        # 372 nodes passes the >= 5 rule, but numpy's weights for it are NaN
-        cfg = write_cfg(tmp_path, {"svi": {"iterations": 5, "quadrature_nodes": nodes}})
+    @pytest.mark.parametrize("backend, key, value", [
+        ("svi", "quadrature_nodes", 20), ("svi", "learning_rate", 1e6),
+        ("svi", "hyper_learning_rate", 0.02), ("mcmc", "thin", 2),
+    ])
+    def test_fit_rejects_a_retired_setting(self, sim_dataset, tmp_path, capsys, backend,
+                                           key, value):
+        # the quadrature rule, the Adam rates and thinning are constants now;
+        # a learning rate of 1e6 once overflowed the fit
+        cfg = write_cfg(tmp_path, {backend: {"iterations": 20, key: value}})
         code = main(["fit", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
-                     "--seed", "2", "--backend", "svi", "--config", cfg,
+                     "--seed", "2", "--backend", backend, "--config", cfg,
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "bad svi config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"bad {backend} config" in err and key in err
         assert not (tmp_path / "out" / "fit.json").exists()
 
     @pytest.mark.parametrize("backend, key, value", [

@@ -267,6 +267,39 @@ class TestFitArtifacts:
             assert (predictive_probs(h, loaded_old, query).probs.tobytes()
                     == predictive_probs(h, loaded, query).probs.tobytes())
 
+    def test_svi_artifact_with_retired_settings_loads(self, tmp_path, small_svi_fit):
+        # the quadrature rule and the Adam rates were settings once: an older
+        # artifact records them, and the loader drops them
+        histories, state = small_svi_fit
+        p, old = tmp_path / "fit.json", tmp_path / "old.json"
+        save_fit(state, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc["config"].update(quadrature_nodes=20, learning_rate=0.05,
+                             hyper_learning_rate=0.02, minibatch=None)
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        loaded, loaded_old = load_fit(p), load_fit(old)
+        assert loaded_old.config == loaded.config == state.config
+        for h in histories:
+            query = (h.timestamps[-1] + 0.2, h.covariates[-1])
+            assert (predictive_probs(h, loaded_old, query).probs.tobytes()
+                    == predictive_probs(h, loaded, query).probs.tobytes())
+
+    def test_mcmc_artifact_with_a_retired_thin_loads_its_draws(self, tmp_path, small_mcmc_fit):
+        # the stored draws and latent_draw_indices, not the config, record
+        # which draws a run kept
+        _, fit = small_mcmc_fit
+        p, old = tmp_path / "fit.json", tmp_path / "old.json"
+        save_fit(fit, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc["config"]["thin"] = 2
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        loaded, loaded_old = load_fit(p), load_fit(old)
+        assert loaded_old.config == loaded.config == fit.config
+        for key in ("theta", "rho", "sigma", "kappa", "eta", "latent_draw_indices"):
+            assert getattr(loaded_old, key).tobytes() == getattr(fit, key).tobytes(), key
+        for e in fit.entity_ids:
+            assert loaded_old.latents[e].tobytes() == np.asarray(fit.latents[e]).tobytes()
+
     def test_svi_site_precision_saved_packed(self, tmp_path, small_svi_fit):
         histories, state = small_svi_fit
         p = tmp_path / "fit.json"

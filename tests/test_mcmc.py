@@ -590,34 +590,18 @@ def test_config_validation():
         McmcConfig(chains=1)
     with pytest.raises(InvalidInputError):
         McmcConfig(warmup=50, iterations=50)
-    with pytest.raises(InvalidInputError):
-        McmcConfig(thin=0)
     # every count is an integer: no floats, bools or negative seeds
-    for bad in (dict(chains=2.0), dict(iterations=100.5), dict(warmup=10.0), dict(thin=1.5),
+    for bad in (dict(chains=2.0), dict(iterations=100.5), dict(warmup=10.0),
                 dict(latent_thin=True), dict(threads=1.0), dict(seed=1.5), dict(seed=-1)):
         name, value = next(iter(bad.items()))
         with pytest.raises(InvalidInputError, match=name):
             McmcConfig(**bad)
     # split-Rhat needs 10 draws per chain, so a layout that retains fewer is
     # refused before sampling
-    for layout in (dict(iterations=30, warmup=20, thin=20), dict(iterations=19, warmup=10),
-                   dict(iterations=100, warmup=10, thin=10)):
+    for layout in (dict(iterations=19, warmup=10), dict(iterations=1, warmup=0)):
         with pytest.raises(InvalidInputError, match="draws per chain"):
             McmcConfig(**layout)
     assert McmcConfig(iterations=20, warmup=10).draws_per_chain == 10
-    assert McmcConfig(iterations=101, warmup=10, thin=10).draws_per_chain == 10
-
-
-def test_thin_keeps_every_thin_th_draw_when_it_does_not_divide_the_run():
-    # 25 sampled iterations at thin 2 keep 13 draws per chain, the first
-    # included: the thin-1 run's draws 0, 2, ..., 24 of each chain
-    hs = small_dataset()
-    full = run_mcmc(hs, small_config(iterations=30, warmup=5))
-    thinned = run_mcmc(hs, small_config(iterations=30, warmup=5, thin=2))
-    assert thinned.theta.shape[0] == 2 * 13
-    for key in ("theta", "rho", "sigma", "kappa", "eta"):
-        want = getattr(full, key).reshape(2, 25, *getattr(full, key).shape[1:])[:, ::2]
-        np.testing.assert_array_equal(getattr(thinned, key), want.reshape(26, *want.shape[2:]))
 
 
 def test_flat_likelihood_run_matches_prior_for_latents():
@@ -695,7 +679,7 @@ def test_run_report_counts_without_changing_draws(monkeypatch):
                                        "rescale", "theta"}
     assert all(type(v) is float and 0.0 < v < 1.0 for v in meta["acceptance"].values())
     # theta and rho move only when their walk accepts, so the changes between
-    # consecutive retained draws (thin 1) count the post-warmup acceptances,
+    # consecutive retained draws count the post-warmup acceptances,
     # up to the first retained iteration of each chain
     chains, per_chain = 2, 30
     for name, draws in (("theta", fit.theta[:, 0]), ("rho_sigma", fit.rho)):

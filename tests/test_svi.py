@@ -32,9 +32,9 @@ from gpratings.svi import (
     VariationalState,
     _ascend,
     _emission_quadrature,
+    _gauss_hermite,
     _optimizer,
     _PanelVi,
-    _quadrature_nodes,
     elbo,
     fit_svi,
 )
@@ -100,7 +100,7 @@ def _quadrature_reference(mu, s, y, lam, log_kappa, xq, wbar):
 
 
 def _lik_reference(history, m, s2, theta, kappa, eta, n_nodes):
-    xq, wbar = _quadrature_nodes(n_nodes)
+    xq, wbar = _gauss_hermite(n_nodes)
     lam = np.log(np.maximum(np.asarray(eta, dtype=float), 1e-300))
     mu = history.covariates @ np.asarray(theta, dtype=float) + m
     return _quadrature_reference(mu, np.sqrt(s2), history.ratings, lam, math.log(kappa),
@@ -243,7 +243,7 @@ def fd_setup(h=None):
             math.exp(vp.log_kappa[0] if lk is None else lk),
             _softmax(vp.lam[0] if lam is None else lam), 20)
 
-    out = vp.forward(theta, *_quadrature_nodes(20))
+    out = vp.forward(theta, *_gauss_hermite(20))
     return vp, theta, ref, out, m0, S0
 
 
@@ -342,7 +342,7 @@ def test_gradients_on_near_tied_inducing_points():
 
 
 def converged_sites(vp, theta, sweeps=30):
-    xq, wbar = _quadrature_nodes(20)
+    xq, wbar = _gauss_hermite(20)
     for _ in range(sweeps):
         vp.step_sites(vp.forward(theta, xq, wbar), 1.0)
         vp.rebuild()
@@ -471,8 +471,7 @@ def test_default_rule_matches_a_60_node_rule_on_a_tied_panel(tmp_path):
     hs = day_resolution_panel(tmp_path)
     assert all(np.diff(h.timestamps).min() < 2e-6 for h in hs)  # every entity has a tie
     vp = _PanelVi(hs, 5)
-    cfg = SviConfig()
-    rule, reference = _quadrature_nodes(cfg.quadrature_nodes), _quadrature_nodes(60)
+    rule, reference = svi_mod._RULE, _gauss_hermite(60)
     theta = np.zeros(2)
 
     def check():
@@ -485,7 +484,7 @@ def test_default_rule_matches_a_60_node_rule_on_a_tied_panel(tmp_path):
 
     np.testing.assert_allclose(vp.var, 1.0)
     assert (vp.log_sigma == 0.0).all() and (vp.log_kappa == 0.0).all()
-    adam, rates = _optimizer(vp, theta.size, cfg)
+    adam, rates = _optimizer(vp, theta.size)
     for _ in range(50):
         theta = _ascend(vp, check(), theta, adam, rates, 1.0)
     check()
@@ -538,7 +537,7 @@ def test_prior_matching_q_has_zero_kl():
     h = make_entity(seed=21, n=5)
     vp = _PanelVi([h], 5, [1.0])   # no sites yet: q is the prior
     theta = np.array([0.1, -0.2])
-    out = vp.forward(theta, *_quadrature_nodes(30))
+    out = vp.forward(theta, *_gauss_hermite(30))
     assert vp._kl()[0][0] == pytest.approx(0.0, abs=1e-12)
     oracle = expected_loglik_quad(h, h.covariates @ theta, np.ones(5), 1.0,
                                   _softmax(vp.lam[0]))
@@ -553,7 +552,7 @@ def test_perturbed_q_pays_positive_kl():
     vp.lam2[:] = rng.uniform(0.5, 2.0, 5)
     vp.rebuild()
     theta = np.zeros(2)
-    out = vp.forward(theta, *_quadrature_nodes(30))
+    out = vp.forward(theta, *_gauss_hermite(30))
     oracle = expected_loglik_quad(h, vp.mean, vp.var, 1.0, _softmax(vp.lam[0]))
     assert oracle - out["elbo"] > 0.1  # KL strictly positive for a non-prior q
     assert vp._kl()[0][0] == pytest.approx(
@@ -650,18 +649,8 @@ def test_elbo_rejects_a_rating_above_the_state_n_r():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         SviConfig(iterations=0)
-    with pytest.raises(InvalidInputError):
-        SviConfig(quadrature_nodes=4)
-    assert SviConfig(quadrature_nodes=370).quadrature_nodes == 370
-    # numpy's weights are all 0 at 371 nodes and NaN from 372; past 1,000
-    # the rule is refused without being built
-    for nodes in (371, 372, 1001):
-        with pytest.raises(InvalidInputError, match=f"quadrature_nodes={nodes}"):
-            SviConfig(quadrature_nodes=nodes)
-    # counts are integers, and both rates finite and positive
-    for bad in (dict(iterations=2.5), dict(iterations=True), dict(quadrature_nodes=20.0),
-                dict(learning_rate=math.nan), dict(learning_rate=math.inf),
-                dict(hyper_learning_rate=0.0), dict(hyper_learning_rate=math.nan)):
+    # the iteration count is an integer
+    for bad in (dict(iterations=2.5), dict(iterations=True)):
         name, value = next(iter(bad.items()))
         with pytest.raises(InvalidInputError, match=name):
             SviConfig(**bad)
@@ -742,7 +731,7 @@ def rho_step(vp, i, log_rho):
 def test_singular_heavy_step_marks_entity_broken():
     h = tied_history()
     vp = _PanelVi([h], 5, [1.0])
-    xq, wbar = _quadrature_nodes(20)
+    xq, wbar = _gauss_hermite(20)
     before = vp.forward(np.zeros(2), xq, wbar)
     snap = vp.snapshot()
     vp.apply(rho_step(vp, 0, 700.0))
@@ -767,7 +756,7 @@ def test_singular_entity_breaks_alone(tied_first):
     vp.lam2[:] = 0.5
     vp.lam1[:] = np.linspace(-1.0, 1.0, vp.lam1.size)
     vp.rebuild()
-    xq, wbar = _quadrature_nodes(20)
+    xq, wbar = _gauss_hermite(20)
     singles = []
     for i, h in enumerate(hs):
         one = _PanelVi([h], 5, [1.0])
@@ -861,9 +850,6 @@ def test_elbo_entry_point_validates():
     state = fit_svi(hs, SviConfig(iterations=20))
     with pytest.raises(InvalidInputError):
         elbo(make_entity(eid="unknown"), state)
-    for nodes in (3, 372):
-        with pytest.raises(InvalidInputError, match="quadrature_nodes"):
-            elbo(hs[0], state, quadrature_nodes=nodes)
     with pytest.raises(InvalidInputError, match="ratings of entity"):
         elbo(make_entity(eid="s0", n=4), state)
     assert math.isfinite(elbo(hs[0], state))
@@ -964,7 +950,7 @@ def ragged_quadrature_inputs(rng):
 def assert_quadrature_matches_reference(sizes, mu, s, y, entity, lam, log_kappa):
     """The batched pass against :func:`_quadrature_reference`, entity by entity."""
     n_e, n_r = lam.shape
-    xq, wbar = _quadrature_nodes(20)
+    xq, wbar = _gauss_hermite(20)
     total, gamma, beta, g_kappa, g_lam = _emission_quadrature(
         mu, s, y, entity, lam, log_kappa, xq, wbar)
     assert beta.shape == gamma.shape == y.shape
@@ -1028,7 +1014,7 @@ def test_quadrature_one_sided_rows(monkeypatch, case, chunk):
         assert one_sided.any() and not one_sided.all()
         # the cell probability of every one-sided row falls below the floor
         # at some node
-        xq, _ = _quadrature_nodes(20)
+        xq, _ = _gauss_hermite(20)
         kappa = np.exp(log_kappa)[entity][:, None]
         g = mu[:, None] / kappa + math.sqrt(2.0) * s[:, None] * xq / kappa
         e = np.exp(lam - lam.max(axis=1, keepdims=True))
@@ -1062,7 +1048,7 @@ def test_panel_forward_matches_one_entity_panels():
     hs = small_histories(seed=44, sizes=(9, 1, 14, 4))
     vp, singles = perturbed_panel(hs, n_r=6)
     theta = np.array([0.3, -0.2])
-    xq, wbar = _quadrature_nodes(20)
+    xq, wbar = _gauss_hermite(20)
     out = vp.forward(theta, xq, wbar)
     alone = [one.forward(theta, xq, wbar) for one in singles]
     assert out["elbo"] == pytest.approx(sum(o["elbo"] for o in alone), rel=1e-12)
@@ -1137,7 +1123,7 @@ def test_elbo_at_least_the_inducing_point_fit(case):
     vp.rebuild()
     theta = np.array(recorded["theta"])
     converged_sites(vp, theta, sweeps=10)
-    xq, wbar = _quadrature_nodes(20)
+    xq, wbar = _gauss_hermite(20)
     per_entity = []
     for i, h in enumerate(hs):
         # each entity alone at the panel's converged sites and parameters
