@@ -33,8 +33,10 @@ iteration:
   10-node Gauss-Hermite rule ``_RULE``, centred and scaled to the marginal
   of q (Liu & Pierce 1994, Biometrika 81, 624-629). A rating between 1 and
   n_r is scored on both cutpoints of its cell; a rating of 1 or n_r, whose
-  cell reaches to -inf or +inf, on its one finite cutpoint. Each group runs
-  in blocks of ``_QUADRATURE_CHUNK`` rows;
+  cell reaches to -inf or +inf, on its one finite cutpoint. The row layout
+  of the two groups (:class:`_QuadLayout`) is built once per fit, so each
+  pass reads blocks of ``_QUADRATURE_CHUNK`` rows as contiguous slices; a
+  block is held node-major and its node sums are one matrix product;
 - the sites take one conjugate-computation step (Khan & Lin 2017,
   arXiv:1703.04265), a natural-gradient step that moves lam2 towards
   -2 beta and lam1 towards gamma - 2 beta m. The ordered-probit likelihood
@@ -73,12 +75,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _PROB_FLOOR = 1e-300
 # Ratings per Gauss-Hermite block, in each of the two row groups. On a
-# 2-core host with one BLAS thread, a 10-node forward pass over the 18,000
-# rows of a 200-entity panel took 9.8-10.0 ms in blocks of 1,024 or 2,048
-# rows, 10.6-10.8 ms at 512, 11.0 ms at 4,096 and 12.1-13.1 ms in one block
-# (20 nodes: 16.1-16.4 ms at 1,024, 23.4-24.9 ms in one block): a block's
-# temporaries, (2, rows, nodes) for two-sided rows and (rows, nodes) for
-# one-sided ones, stay in cache.
+# 2-core host with one BLAS thread, the 10-node pass over the 18,000 rows of
+# a 200-entity panel took a median 6.6 ms in blocks of 1,024 rows, 7.0 ms at
+# 512, 7.4-7.5 ms at 2,048, 8.0-8.1 ms at 4,096 and 8.7-9.2 ms in one block:
+# a block's temporaries, (2, nodes, rows) for two-sided rows and (nodes,
+# rows) for one-sided ones, stay in cache.
 _QUADRATURE_CHUNK = 1024
 # The sites' natural-gradient step: 1 jumps to each quadrature target. At
 # fixed hyperparameters the sites then settle within 3-5 steps.
@@ -120,6 +121,7 @@ class SviConfig:
 
     def __post_init__(self):
         _check_count("iterations", self.iterations, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -177,82 +179,112 @@ class VariationalState:
         return bool(np.mean(trace[-w:]) >= np.mean(trace[:w]))
 
 
-def _emission_quadrature(mu, s, y, entity, lam, log_kappa, xq, wbar):
+class _QuadLayout:
+    """The rows of a panel in the order the quadrature scores them, built once
+    per fit from the ratings, their entities and n_r.
+
+    ``order`` lists the two-sided rows (1 < y < n_r), then the one-sided rows
+    (y = 1 or n_r); the first ``n_two`` are two-sided. Per ordered row,
+    ``entity`` names its entity. ``bins`` holds flat indices into the
+    cutpoints of :func:`cell_edges` over all entities. It lists the upper
+    bound of each two-sided row's cell first, then each row's own bound. A
+    two-sided row's own bound is the lower bound of its cell. A one-sided
+    row's is the one finite bound: the upper one for a rating of 1 (``side``
+    +1) and the lower one for a rating of n_r (``side`` -1), with p =
+    Phi(side b).
+    """
+
+    def __init__(self, ratings, entity, n_r):
+        one_sided = (ratings == 1) | (ratings == n_r)
+        self.order = np.argsort(one_sided, kind="stable")
+        self.n_two = int(np.count_nonzero(~one_sided))
+        self.entity = entity[self.order]
+        y = ratings[self.order]
+        # row k's cell lies between the flat cutpoints at[k] - 1 and at[k]
+        at = self.entity * (n_r + 1) + y
+        lowest = y == 1
+        self.side = np.where(lowest[self.n_two:], 1.0, -1.0)
+        self.bins = np.concatenate((at[:self.n_two], np.where(lowest, at, at - 1)))
+
+
+def _emission_quadrature(layout, mu, s, lam, log_kappa, xq, wbar):
     """One Gauss-Hermite pass over the ratings of many entities.
 
-    Row k is rating ``y[k]`` of entity ``entity[k]`` under q(f) = N(mu[k],
-    s[k]^2); it reads that entity's row of the (n_entities, n_r) logits
-    ``lam`` and its entry of ``log_kappa``. Returns the expected
-    log-likelihood total along with the gradients that fall out of the same
-    probe evaluations: per row d/dmu (gamma) and d/ds2 (beta), and per
-    entity d/dlog kappa (n_entities,) and d/dlam through cutpoints and
-    softmax (n_entities, n_r).
+    Row k, in the panel order that ``layout`` (a :class:`_QuadLayout`) was
+    built from, is a rating of entity e under q(f) = N(mu[k], s[k]^2); it
+    reads row e of the (n_entities, n_r) logits ``lam`` and entry e of
+    ``log_kappa``. Returns the expected log-likelihood total along with the
+    gradients that fall out of the same probe evaluations: per row d/dmu
+    (gamma) and d/ds2 (beta), and per entity d/dlog kappa (n_entities,) and
+    d/dlam through cutpoints and softmax (n_entities, n_r).
 
-    The rows fall in two groups, each scored in blocks of
-    ``_QUADRATURE_CHUNK``: two-sided rows (1 < y < n_r) on both bounds of
-    their cell, and one-sided rows (y = 1 or n_r) on their one finite bound,
-    since Phi and its density are constant at an infinite one. ``gamma`` and
-    ``beta`` are written back by row index.
+    mu, s and kappa are gathered once in layout order, so each block of
+    ``_QUADRATURE_CHUNK`` rows is a contiguous slice: two-sided rows are
+    scored on both bounds of their cell, one-sided rows on their one finite
+    bound, since Phi and its density are constant at an infinite one. A block
+    is held node-major, (nodes, rows), and its node sums sum_j pw_j and
+    sum_j x_j pw_j are one product with the (2, nodes) matrix [1; x].
+    ``gamma`` and ``beta`` are scattered back to panel order once.
     """
     n_e, n_r = lam.shape
     e = np.exp(lam - lam.max(axis=1, keepdims=True))
     eta = e / e.sum(axis=1, keepdims=True)
     zeta = cutpoints_from_eta(eta, 1.0)
     z_full = cell_edges(zeta).ravel()
-    kappa = np.exp(log_kappa)
-    # row k's cell lies between the flat cutpoints at[k] - 1 and at[k]
-    at = entity * (n_r + 1) + y
-    one_sided = (y == 1) | (y == n_r)
+    order, n_two = layout.order, layout.n_two
+    kap = np.exp(log_kappa).take(layout.entity)
+    s = s.take(order)
+    z = z_full.take(layout.bins)
+    # both bounds of the two-sided rows, the upper first, and each row's own
+    z_two, z_own = z[:2 * n_two].reshape(2, n_two), z[n_two:]
+    # the probe at node j is g_j = c + d x_j
+    c, d = mu.take(order) / kap, (_SQRT_2 / kap) * s
+    w = wbar[:, None]
+    ones_x = np.vstack((np.ones_like(xq), xq))
 
+    n = order.size
     total = 0.0
-    gamma = np.empty(y.size)
-    beta = np.empty(y.size)
-    g_kappa = np.zeros(n_e)
-    bins = np.zeros(z_full.size)
-    for two_sided in (True, False):
-        group = np.flatnonzero(one_sided != two_sided)
-        for first in range(0, group.size, _QUADRATURE_CHUNK):
-            rows = group[first:first + _QUADRATURE_CHUNK]
-            kap = kappa.take(entity[rows])
-            s_rows = s[rows]
-            g = (mu[rows] / kap)[:, None] + ((_SQRT_2 / kap) * s_rows)[:, None] * xq
-            if two_sided:
-                # Both bounds ride in one (2, rows, q) stack so each
-                # elementwise pass below dispatches once instead of twice;
-                # index 0 is the lower bound.
-                b = z_full.take(np.vstack((at[rows] - 1, at[rows])))[:, :, None] - g
-                # Phi(b[1]) - Phi(b[0]) from the tail nearest zero (the model
-                # module's cell-probability trick), both tails in one ndtr.
-                sgn = np.where(b[0] >= 0.0, -1.0, 1.0)
-                nd = ndtr(sgn * b)
-                p = np.maximum(sgn * (nd[1] - nd[0]), _PROB_FLOOR)
-                pw = _npdf(b) * (wbar / p)
-                dw = pw[0] - pw[1]
-                # Cutpoint zeta_j is the upper bound of cell j+1 and the
-                # lower bound of cell j+2. Binning each upper bound's density
-                # at its rating and each lower bound's, negated, one below
-                # leaves d/dzeta_j in bin j+1 of the entity's block.
-                bound = np.concatenate((at[rows], at[rows] - 1))
-                dens = np.concatenate((pw[1].sum(axis=1), -pw[0].sum(axis=1)))
-            else:
-                # Phi and phi are constant at an infinite bound, so a rating
-                # of 1 (side +1) is scored on its upper bound zeta_1 alone,
-                # at flat index at, and a rating of n_r (side -1) on its
-                # lower bound zeta_{n_r-1}, at at - 1: p = Phi(side b).
-                lowest = y[rows] == 1
-                side = np.where(lowest, 1.0, -1.0)
-                bound = np.where(lowest, at[rows], at[rows] - 1)
-                b = z_full.take(bound)[:, None] - g
-                p = np.maximum(ndtr(side[:, None] * b), _PROB_FLOOR)
-                pw = _npdf(b) * (wbar / p)
-                dw = -side[:, None] * pw
-                dens = side * pw.sum(axis=1)
-            total += float((np.log(p) @ wbar).sum())
-            gamma[rows] = dw.sum(axis=1) / kap
-            g_kappa -= np.bincount(entity[rows], (dw * g).sum(axis=1), minlength=n_e)
-            bins += np.bincount(bound, dens, minlength=bins.size)
-            beta[rows] = _SQRT_2 * (dw @ xq) / (2.0 * kap * s_rows)
+    sum_dw = np.empty(n)      # sum_j dw_j, dw_j = w_j d/dg log p at node j
+    sum_xdw = np.empty(n)     # sum_j x_j dw_j
+    # The signed density sums at the bounds of layout.bins. Cutpoint zeta_j
+    # is the upper bound of cell j+1 and the lower bound of cell j+2, so
+    # binning each upper bound's density at its rating and each lower
+    # bound's, negated, one below leaves d/dzeta_j in bin j+1 of the
+    # entity's block.
+    dens = np.empty(n_two + n)
+    upper, own = dens[:n_two], dens[n_two:]
+    for first in range(0, n_two, _QUADRATURE_CHUNK):
+        rows = slice(first, min(first + _QUADRATURE_CHUNK, n_two))
+        # both bounds in one (2, nodes, rows) stack, so each elementwise pass
+        # dispatches once; index 0 is the upper bound
+        b = z_two[:, None, rows] - (c[rows] + d[rows] * xq[:, None])
+        # Phi(b[0]) - Phi(b[1]) from the tail nearest zero (the model
+        # module's cell-probability trick), both tails in one ndtr
+        sgn = np.where(b[1] >= 0.0, -1.0, 1.0)
+        nd = ndtr(sgn * b)
+        p = np.maximum(sgn * (nd[0] - nd[1]), _PROB_FLOOR)
+        total += float(wbar @ np.log(p).sum(axis=1))
+        # sums[i] = [sum_j pw_j; sum_j x_j pw_j] at bound i; dw = pw[1] - pw[0]
+        sums = ones_x @ (_npdf(b) * (w / p))
+        sum_dw[rows], sum_xdw[rows] = sums[1] - sums[0]
+        upper[rows], own[rows] = sums[0, 0], -sums[1, 0]
+    for first in range(n_two, n, _QUADRATURE_CHUNK):
+        rows = slice(first, first + _QUADRATURE_CHUNK)
+        side = layout.side[first - n_two:first - n_two + _QUADRATURE_CHUNK]
+        b = z_own[rows] - (c[rows] + d[rows] * xq[:, None])
+        p = np.maximum(ndtr(side * b), _PROB_FLOOR)
+        total += float(wbar @ np.log(p).sum(axis=1))
+        # dw = -side pw
+        sums = ones_x @ (_npdf(b) * (w / p))
+        sum_dw[rows], sum_xdw[rows] = -side * sums
+        own[rows] = side * sums[0]
 
+    gamma = np.empty(n)
+    beta = np.empty(n)
+    gamma[order] = sum_dw / kap
+    beta[order] = _SQRT_2 * sum_xdw / (2.0 * kap * s)
+    g_kappa = -np.bincount(layout.entity, c * sum_dw + d * sum_xdw, minlength=n_e)
+    bins = np.bincount(layout.bins, dens, minlength=z_full.size)
     g_cum = bins.reshape(n_e, n_r + 1)[:, 1:n_r] / _npdf(zeta)
     g_eta = np.zeros((n_e, n_r))
     g_eta[:, :-1] = np.cumsum(g_cum[:, ::-1], axis=1)[:, ::-1]
@@ -272,15 +304,19 @@ class _PanelVi:
     or at rho = 1 when no entity has two ratings. ``lam1`` and ``lam2`` hold
     one site per rating; ``params`` packs the per-entity parameters [lam |
     log_kappa | log_rho | log_sigma], with ``lam`` (n_entities, n_r) and the
-    others (n_entities,) as views into it. :meth:`rebuild` refreshes the
-    panel's Markov factor, the marginals ``mean`` and ``var`` of q and its
-    smoother gains ``gain``.
+    others (n_entities,) as views into it. ``layout`` is the rows'
+    :class:`_QuadLayout`, and ``gaps`` the panel's gaps with 0 in place of
+    +inf at each entity's first row. :meth:`rebuild` refreshes the panel's
+    Markov factor, the marginals ``mean`` and ``var`` of q and its smoother
+    gains ``gain``.
     """
 
     def __init__(self, histories, n_r=None, rho0=None):
         p = self.panel = Panel(histories, n_r)
         n_e, n_r = p.n_entities, p.n_r
-        self.inner = np.flatnonzero(np.isfinite(p.gaps))  # rows after their entity's first
+        self.layout = _QuadLayout(p.ratings, p.entity, n_r)
+        # gap_k, taken as 0 at each entity's first row, where a_k = 0
+        self.gaps = np.where(np.isfinite(p.gaps), p.gaps, 0.0)
         self.lam1 = np.zeros(p.n_rows)
         self.lam2 = np.zeros(p.n_rows)
         n_lam = n_e * n_r
@@ -340,14 +376,17 @@ class _PanelVi:
         # E[w_k] = c_k (m_k - a_k mf_{k-1}) / pp_k,
         # Var[w_k] = c_k^2 S_kk / pp_k^2 + a_k^2 pf_{k-1} / pp_k and
         # Cov[w_k, g_{k-1}] = c_k (G_{k-1} S_kk - a_k pf_{k-1}) / pp_k.
-        k = self.inner
+        # The terms run over rows 1.. against rows ..-1; at an entity's first
+        # row a_k = 0 and the gap is taken as 0, so each term there is an
+        # exact zero.
+        k, prev = slice(1, None), slice(None, -1)
         ent = p.entity[k]
-        a, ck, pp, pf_prev = a[k], c[k], self.pp[k], self.pf[k - 1]
-        da = (p.gaps[k] / np.exp(self.log_rho).take(ent)) * a
+        a, ck, pp, pf_prev = a[k], c[k], self.pp[k], self.pf[prev]
+        da = (self.gaps[k] / np.exp(self.log_rho).take(ent)) * a
         dlog_c = -np.exp(2.0 * self.log_sigma).take(ent) * a * da / (ck * ck)
-        w_mean = ck * (m[k] - a * self.mf[k - 1]) / pp
+        w_mean = ck * (m[k] - a * self.mf[prev]) / pp
         sq = ck * ck * var[k] / (pp * pp) + a * a * pf_prev / pp + w_mean * w_mean
-        cross = ck * (self.gain[k - 1] * var[k] - a * pf_prev) / pp + w_mean * m[k - 1]
+        cross = ck * (self.gain[prev] * var[k] - a * pf_prev) / pp + w_mean * m[prev]
         g_lrho = -np.bincount(ent, (1.0 - sq) * dlog_c - (da / ck) * cross,
                               minlength=p.n_entities)
         return kl, g_lrho, p.per_entity_sum(quad)
@@ -363,8 +402,8 @@ class _PanelVi:
             return None
         p = self.panel
         lik, gamma, beta, g_kappa, g_lam = _emission_quadrature(
-            p.X @ theta + self.mean, np.sqrt(self.var), p.ratings, p.entity,
-            self.lam, self.log_kappa, xq, wbar)
+            self.layout, p.X @ theta + self.mean, np.sqrt(self.var), self.lam,
+            self.log_kappa, xq, wbar)
         kl, g_lrho, g_lsigma = self._kl()
         elbo_val = lik - float(kl.sum())
         if not math.isfinite(elbo_val):
@@ -424,7 +463,10 @@ def _ascend(vp, out, theta, adam, rates, lr_scale):
     vp.step_sites(out, _SITE_STEP * lr_scale)
     g = np.concatenate((out["g_theta"], out["g_lam"].ravel(), out["g_kappa"],
                         out["g_lrho"], out["g_lsigma"]))
-    step = lr_scale * rates * adam.step(g)
+    # an overflow here would leave Adam's second moment at inf and the step
+    # at 0, a silent halt: it raises FloatingPointError instead
+    with np.errstate(over="raise"):
+        step = lr_scale * rates * adam.step(g)
     d = theta.size
     vp.apply(step[d:])
     return theta + step[:d]
@@ -478,7 +520,10 @@ def fit_svi(histories, config: SviConfig = None, n_r: int = None) -> Variational
             rollbacks += 1
         trace[it] = out["elbo"]
         snap = (theta, vp.snapshot())
-        theta = _ascend(vp, out, theta, adam, rates, lr_scale)
+        try:
+            theta = _ascend(vp, out, theta, adam, rates, lr_scale)
+        except FloatingPointError:
+            raise NumericalError(f"the Adam update overflowed at iteration {it}") from None
     if vp.forward(theta, *_RULE) is None:
         theta = snap[0]
         vp.restore(snap[1])

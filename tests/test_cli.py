@@ -211,7 +211,7 @@ class TestPipelines:
     @pytest.mark.parametrize("backend, key, value", [
         ("svi", "iterations", 2.5), ("svi", "iterations", True),
         ("svi", "learning_rate", math.inf), ("svi", "learning_rate", math.nan),
-        ("svi", "hyper_learning_rate", math.nan), ("svi", "minibatch", 2),
+        ("svi", "hyper_learning_rate", math.nan), ("svi", "minibatch", 2), ("svi", "seed", "abc"),
         ("mcmc", "iterations", 100.5), ("mcmc", "chains", 2.0), ("mcmc", "thin", 1.5),
     ])
     def test_fit_rejects_a_bad_count_or_rate(self, sim_dataset, tmp_path, capsys, backend,
@@ -354,6 +354,22 @@ class TestPipelines:
         report = json.loads((out / "recovery.json").read_text())
         assert report["backend"] == "svi"
         assert set(report["parameters"]) == {"theta", "rho", "sigma"}
+
+    def test_overflowing_svi_fit_is_a_numerical_error(self, sim_dataset, tmp_path, capsys):
+        # covariates of 1e160 overflow the Adam update of theta
+        lines = sim_dataset.read_text(encoding="utf-8").splitlines()
+        rows = [lines[0]]
+        for line in lines[1:]:
+            eid, rating, t, x1, x2 = line.split(",")
+            rows.append(",".join((eid, rating, t, repr(float(x1) * 1e160), x2)))
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = write_cfg(tmp_path, SVI_CFG)
+        code = main(["fit", "--dataset", str(data), "--covariates", "x1,x2", "--seed", "2",
+                     "--backend", "svi", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "Adam update overflowed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fit.json").exists()
 
     def test_missing_dataset_is_a_data_error(self, tmp_path, capsys):
         code = main(["fit", "--dataset", str(tmp_path / "nope.csv"),

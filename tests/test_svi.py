@@ -649,11 +649,21 @@ def test_elbo_rejects_a_rating_above_the_state_n_r():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         SviConfig(iterations=0)
-    # the iteration count is an integer
-    for bad in (dict(iterations=2.5), dict(iterations=True)):
+    # the iteration count and the seed are integers, the seed >= 0
+    for bad in (dict(iterations=2.5), dict(iterations=True), dict(seed="abc"),
+                dict(seed=-1)):
         name, value = next(iter(bad.items()))
         with pytest.raises(InvalidInputError, match=name):
             SviConfig(**bad)
+
+
+def test_an_overflowing_adam_update_raises():
+    # covariates of 1e160 square past the float range in Adam's second
+    # moment, which would leave its step, and theta, at 0
+    hs = [EntityHistory(h.entity_id, h.timestamps, h.ratings, h.covariates * 1e160)
+          for h in simulate(SimSpec(n_entities=3, reviews_per_entity=20, seed=1))[0]]
+    with pytest.raises(NumericalError, match="Adam update overflowed at iteration 0"):
+        fit_svi(hs, SviConfig(iterations=40))
 
 
 def test_state_invariant_validation():
@@ -952,7 +962,7 @@ def assert_quadrature_matches_reference(sizes, mu, s, y, entity, lam, log_kappa)
     n_e, n_r = lam.shape
     xq, wbar = _gauss_hermite(20)
     total, gamma, beta, g_kappa, g_lam = _emission_quadrature(
-        mu, s, y, entity, lam, log_kappa, xq, wbar)
+        svi_mod._QuadLayout(y, entity, n_r), mu, s, lam, log_kappa, xq, wbar)
     assert beta.shape == gamma.shape == y.shape
     assert g_kappa.shape == (n_e,) and g_lam.shape == (n_e, n_r)
     ref_total = 0.0
@@ -971,6 +981,23 @@ def assert_quadrature_matches_reference(sizes, mu, s, y, entity, lam, log_kappa)
 def test_batched_quadrature_matches_one_entity_calls(monkeypatch, chunk):
     monkeypatch.setattr(svi_mod, "_QUADRATURE_CHUNK", chunk)
     assert_quadrature_matches_reference(*ragged_quadrature_inputs(np.random.default_rng(17)))
+
+
+def test_fit_does_not_depend_on_the_quadrature_block_size(tmp_path, monkeypatch):
+    # In blocks of 5 rows every entity, and both row groups, span many
+    # blocks; a single-rating entity sits among long, day-resolution ones.
+    hs = day_resolution_panel(tmp_path, n_entities=4, reviews=30)
+    panel = hs[:2] + [EntityHistory("one", [0.5], [3], [[0.1, 0.2]])] + hs[2:]
+    fits = []
+    for chunk in (1024, 5):
+        monkeypatch.setattr(svi_mod, "_QUADRATURE_CHUNK", chunk)
+        fits.append(fit_svi(panel, SviConfig(iterations=40), n_r=5))
+    big, small = fits
+    np.testing.assert_allclose(small.elbo_trace, big.elbo_trace, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(small.theta, big.theta, rtol=1e-12, atol=0.0)
+    for e in big.entity_ids:
+        np.testing.assert_allclose(small.q_mean[e], big.q_mean[e], rtol=1e-12, atol=0.0,
+                                   err_msg=e)
 
 
 def one_sided_quadrature_inputs(case, rng):
