@@ -23,6 +23,13 @@ The schemas, and which of them load:
   JSON lists. Their SVI payloads (inducing points and a covariance factor)
   must be refitted.
 
+``save_fit`` streams the document to disk a piece at a time, in the bytes
+one ``json.dumps`` of it would give, so its memory is bounded by one
+entity's block, not by the artifact. It writes a temporary file beside the
+target and replaces the target with it in one step, so a failed save leaves
+no truncated artifact and keeps an earlier one. A review file or an
+artifact that is not UTF-8 text is a DataError.
+
 Every MCMC artifact loads: schemas 1 to 3 store ``pointwise_loglik``, which
 the loader reduces to ``lppd`` and ``p_waic`` through
 :func:`~gpratings.mcmc.waic_terms`. SVI artifacts load from schema 3 on.
@@ -37,9 +44,12 @@ import csv
 import itertools
 import json
 import math
+import os
+import secrets
 import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Tuple
@@ -242,23 +252,26 @@ def _json_records(fh):
 def _read_blocks(path, fmt):
     """The review file as blocks of records with their line numbers: a CSV
     record counts from line 2 (blank lines skipped), a JSONL object is
-    numbered by its line."""
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: missing header row")
-            index = {name: j for j, name in enumerate(header)}
-            first = 2
-            for rows in _blocks(filter(None, reader)):
-                yield _CsvBlock(range(first, first + len(rows)), rows, index)
-                first += len(rows)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            for records in _blocks(_json_records(fh)):
-                lines, rows = zip(*records)
-                yield _JsonBlock(lines, rows)
+    numbered by its line. A file that is not UTF-8 text is a DataError."""
+    try:
+        if fmt == "csv":
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise DataError(f"{path}: missing header row")
+                index = {name: j for j, name in enumerate(header)}
+                first = 2
+                for rows in _blocks(filter(None, reader)):
+                    yield _CsvBlock(range(first, first + len(rows)), rows, index)
+                    first += len(rows)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                for records in _blocks(_json_records(fh)):
+                    lines, rows = zip(*records)
+                    yield _JsonBlock(lines, rows)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 class _Parsed(NamedTuple):
@@ -533,6 +546,32 @@ def _field(value, field, path, code=_FLOAT):
         raise DataError(f"{path}: field {field} is not a numeric array") from None
 
 
+def _dumps(value) -> str:
+    """``value`` as the artifact's JSON text."""
+    return json.dumps(_listify(value), sort_keys=True, separators=(",", ":"))
+
+
+def _write_json(fh, value) -> None:
+    """Write ``value`` to ``fh`` as :func:`_dumps` would, one piece at a time.
+
+    A dict is written key by key in sorted order, as ``sort_keys`` orders
+    it; any other value is encoded whole by one :func:`_dumps` call, a
+    callable first being called, so a packed array is built only when it
+    is written. Only the piece being written is held as text. (``json.dump``
+    to the file would stream too, but through the pure-Python encoder.)
+    """
+    if not isinstance(value, dict):
+        fh.write(_dumps(value() if callable(value) else value))
+        return
+    fh.write("{")
+    for k, key in enumerate(sorted(value)):
+        # the key as the encoder writes it: a str, or an int, float, bool or
+        # None turned into one
+        fh.write(("," if k else "") + _dumps({key: 0})[1:-3] + ":")
+        _write_json(fh, value[key])
+    fh.write("}")
+
+
 def save_fit(fit, path) -> None:
     """Persist a fitted model as one versioned JSON document (see load_fit).
 
@@ -543,41 +582,49 @@ def save_fit(fit, path) -> None:
     round-trips every finite float and -0.0 exactly, but a NaN there comes
     back as the plain NaN.
     Ids, scalars, config, diagnostics and metadata stay plain JSON.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` and a newline, but the document is streamed:
+    each entity's ``latents`` or ``q_mean`` becomes a list, and each array is
+    packed, only as it is written, so memory is bounded by one entity's
+    block, not by the artifact. The text goes to a temporary file beside
+    ``path``, which then replaces ``path`` in one step; a save that fails
+    removes it, leaving any earlier file at ``path`` as it was.
     """
     backend = getattr(fit, "backend", None)
     if backend == "mcmc":
         payload = {
             "entity_ids": list(fit.entity_ids),
-            "theta": _pack(fit.theta),
-            "rho": _pack(fit.rho),
-            "sigma": _pack(fit.sigma),
-            "kappa": _pack(fit.kappa),
-            "eta": _pack(fit.eta),
-            "latents": _listify(fit.latents),
-            "latent_draw_indices": _pack(fit.latent_draw_indices, _INT),
-            "lppd": _pack(fit.lppd),
-            "p_waic": _pack(fit.p_waic),
-            "diagnostics": _listify(fit.diagnostics),
+            "theta": partial(_pack, fit.theta),
+            "rho": partial(_pack, fit.rho),
+            "sigma": partial(_pack, fit.sigma),
+            "kappa": partial(_pack, fit.kappa),
+            "eta": partial(_pack, fit.eta),
+            "latents": fit.latents,
+            "latent_draw_indices": partial(_pack, fit.latent_draw_indices, _INT),
+            "lppd": partial(_pack, fit.lppd),
+            "p_waic": partial(_pack, fit.p_waic),
+            "diagnostics": fit.diagnostics,
             "converged": bool(fit.converged),
-            "metadata": _listify(fit.metadata),
+            "metadata": fit.metadata,
         }
     elif backend == "svi":
         payload = {
             "entity_ids": list(fit.entity_ids),
-            "q_mean": _listify(fit.q_mean),
-            "site_precision": {e: _pack(v) for e, v in fit.site_precision.items()},
+            "q_mean": fit.q_mean,
+            "site_precision": {e: partial(_pack, v) for e, v in fit.site_precision.items()},
             "last_variance": dict(fit.last_variance),
-            "theta": _pack(fit.theta),
+            "theta": partial(_pack, fit.theta),
             "kernel": {e: {"rho": kp.rho, "sigma": kp.sigma}
                        for e, kp in fit.kernel.items()},
-            "emission": {e: {"kappa": ep.kappa, "eta": _pack(ep.eta)}
+            "emission": {e: {"kappa": ep.kappa, "eta": partial(_pack, ep.eta)}
                          for e, ep in fit.emission.items()},
-            "elbo_trace": _pack(fit.elbo_trace),
-            "metadata": _listify(fit.metadata),
+            "elbo_trace": partial(_pack, fit.elbo_trace),
+            "metadata": fit.metadata,
         }
     else:
         raise InvalidInputError(f"cannot persist object with backend {backend!r}")
-    config = _listify(asdict(fit.config))
+    config = asdict(fit.config)
     # thread count is orchestration, not part of the model: dropping it keeps
     # artifacts bit-identical across McmcConfig.threads values (draws already are)
     config.pop("threads", None)
@@ -587,10 +634,17 @@ def save_fit(fit, path) -> None:
         "config": config,
         "payload": payload,
     }
-    # json.dumps takes the C encoder; json.dump to a file never does
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            _write_json(fh, doc)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_fit(path, expect_backend: str = None):
@@ -600,10 +654,10 @@ def load_fit(path, expect_backend: str = None):
     packed {dtype, shape, data} dict (schemas 2 to 4) or a plain JSON list
     (every array of schema 1, and ``latents`` and ``q_mean``). An MCMC
     artifact before schema 4 has its ``pointwise_loglik`` matrix reduced to
-    the per-rating ``lppd`` and ``p_waic`` on load. Raises
-    DataError for truncated or corrupt files, undecodable array fields,
-    foreign schema versions, SVI artifacts older than schema 3, and backend
-    tags that don't match ``expect_backend``.
+    the per-rating ``lppd`` and ``p_waic`` on load. Raises DataError for
+    truncated or corrupt files, files that are not UTF-8 text, undecodable
+    array fields, foreign schema versions, SVI artifacts older than schema
+    3, and backend tags that don't match ``expect_backend``.
     """
     path = Path(path)
     if not path.exists():
@@ -613,6 +667,8 @@ def load_fit(path, expect_backend: str = None):
             doc = json.load(fh)
     except json.JSONDecodeError:
         raise DataError(f"{path}: truncated or corrupt artifact") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: artifact is not UTF-8 text") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise DataError(f"{path}: not a fit artifact")
     if doc["schema_version"] not in _READABLE_VERSIONS:

@@ -817,7 +817,6 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
 
     theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws = (
         stacked(k) for k in ("theta", "rho", "sigma", "kappa", "eta"))
-    latents_flat = stacked("latents")
     per_chain = chains[0]["theta"].shape[0]
     latent_idx = np.concatenate([c * per_chain + np.arange(0, per_chain, config.latent_thin)
                                  for c in range(config.chains)])
@@ -830,7 +829,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
         entity_ids=list(panel.entity_ids),
         theta=theta_draws, rho=rho_draws, sigma=sigma_draws, kappa=kappa_draws,
         eta=eta_draws,
-        latents={e: latents_flat[:, panel.segment(i)].copy()
+        latents={e: np.concatenate([c["latents"][:, panel.segment(i)] for c in chains])
                  for i, e in enumerate(panel.entity_ids)},
         latent_draw_indices=latent_idx,
         lppd=lppd, p_waic=p_waic, diagnostics=diagnostics, config=config,

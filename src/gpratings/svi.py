@@ -218,7 +218,7 @@ def _emission_quadrature(layout, mu, s, lam, log_kappa, xq, wbar):
     (gamma) and d/ds2 (beta), and per entity d/dlog kappa (n_entities,) and
     d/dlam through cutpoints and softmax (n_entities, n_r).
 
-    mu, s and kappa are gathered once in layout order, so each block of
+    mu, s and kappa are gathered in layout order, so each block of
     ``_QUADRATURE_CHUNK`` rows is a contiguous slice: two-sided rows are
     scored on both bounds of their cell, one-sided rows on their one finite
     bound, since Phi and its density are constant at an infinite one. A block
@@ -233,12 +233,12 @@ def _emission_quadrature(layout, mu, s, lam, log_kappa, xq, wbar):
     z_full = cell_edges(zeta).ravel()
     order, n_two = layout.order, layout.n_two
     kap = np.exp(log_kappa).take(layout.entity)
-    s = s.take(order)
+    # the probe at node j is g_j = c + d x_j
+    c, d = mu.take(order) / kap, (_SQRT_2 / kap) * s.take(order)
+    del kap   # not held through the block loop; gathered again for gamma and beta
     z = z_full.take(layout.bins)
     # both bounds of the two-sided rows, the upper first, and each row's own
     z_two, z_own = z[:2 * n_two].reshape(2, n_two), z[n_two:]
-    # the probe at node j is g_j = c + d x_j
-    c, d = mu.take(order) / kap, (_SQRT_2 / kap) * s
     w = wbar[:, None]
     ones_x = np.vstack((np.ones_like(xq), xq))
 
@@ -279,12 +279,20 @@ def _emission_quadrature(layout, mu, s, lam, log_kappa, xq, wbar):
         sum_dw[rows], sum_xdw[rows] = -side * sums
         own[rows] = side * sums[0]
 
-    gamma = np.empty(n)
-    beta = np.empty(n)
-    gamma[order] = sum_dw / kap
-    beta[order] = _SQRT_2 * sum_xdw / (2.0 * kap * s)
     g_kappa = -np.bincount(layout.entity, c * sum_dw + d * sum_xdw, minlength=n_e)
     bins = np.bincount(layout.bins, dens, minlength=z_full.size)
+    # gamma = sum_dw / kappa and beta = sqrt(2) sum_xdw / (2 kappa s), in place:
+    # their temporaries would outweigh the block loop's peak
+    kap = np.exp(log_kappa).take(layout.entity)
+    sum_dw /= kap
+    sum_xdw *= _SQRT_2
+    kap *= 2.0
+    kap *= s.take(order)
+    sum_xdw /= kap
+    gamma = np.empty(n)
+    beta = np.empty(n)
+    gamma[order] = sum_dw
+    beta[order] = sum_xdw
     g_cum = bins.reshape(n_e, n_r + 1)[:, 1:n_r] / _npdf(zeta)
     g_eta = np.zeros((n_e, n_r))
     g_eta[:, :-1] = np.cumsum(g_cum[:, ::-1], axis=1)[:, ::-1]

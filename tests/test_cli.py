@@ -227,6 +227,14 @@ class TestPipelines:
         assert f"bad {backend} config" in capsys.readouterr().err
         assert not (tmp_path / "out" / "fit.json").exists()
 
+    def test_fit_on_a_file_that_is_not_utf8_exits_3(self, sim_dataset, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(sim_dataset.read_bytes().replace(b"\n", b"\n\xe9", 1))
+        code = main(["fit", "--dataset", str(bad), "--covariates", "x1,x2", "--seed", "2",
+                     "--config", write_cfg(tmp_path, MCMC_CFG), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("split", [False, True])
     def test_fit_reports_stage_seconds(self, sim_dataset, tmp_path, split):
         cfg = write_cfg(tmp_path, SVI_CFG)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from gpratings.dataio import (
     save_fit,
 )
 from gpratings.errors import DataError, InvalidInputError
-from gpratings.mcmc import waic_terms
+from gpratings.mcmc import McmcConfig, PosteriorEnsemble, waic_terms
 from gpratings.predict import predictive_probs
 from gpratings.svi import SviConfig, fit_svi
 
@@ -187,6 +188,21 @@ class TestIngestJsonl:
         p.write_text('{"entity_id": "a"\n', encoding="utf-8")
         with pytest.raises(DataError, match="line 1"):
             ingest(p)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("at", [0, 5000], ids=["first_row", "later_block"])
+def test_a_review_file_that_is_not_utf8_is_a_data_error(tmp_path, fmt, at):
+    # "café" in Latin-1: its byte 0xe9 is not UTF-8
+    rows = [full_row("a", 4, 2013.0)] * at + [full_row("café", 4, 2013.0)]
+    if fmt == "csv":
+        lines = [",".join(FULL_HEADER)] + [",".join(map(str, r)) for r in rows]
+    else:
+        lines = [json.dumps(dict(zip(FULL_HEADER, r)), ensure_ascii=False) for r in rows]
+    p = tmp_path / f"latin1.{fmt}"
+    p.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    with pytest.raises(DataError, match="not UTF-8"):
+        ingest(p)
 
 
 class TestManifest:
@@ -419,6 +435,54 @@ class TestFitArtifacts:
         assert fit_differences(fit, load_fit(p)) == []
         assert json.loads(p.read_text(encoding="utf-8"))["schema_version"] == 4
 
+    @pytest.mark.parametrize("backend", ["mcmc", "svi"])
+    def test_saved_bytes_are_one_sorted_compact_json_document(self, tmp_path, small_mcmc_fit,
+                                                              small_svi_fit, backend):
+        # the streamed save writes the bytes of one json.dumps of the document
+        fit = (small_mcmc_fit if backend == "mcmc" else small_svi_fit)[1]
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        text = p.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_save_holds_much_less_than_the_artifact(self, tmp_path):
+        # 24 entities of 40 ratings, 300 latent draws each: the save holds one
+        # entity's block at a time, a small share of the artifact
+        rng = np.random.default_rng(0)
+        ids = [f"e{i:02d}" for i in range(24)]
+        draws, n_i, n_rows = 300, 40, 24 * 40
+        fit = PosteriorEnsemble(
+            entity_ids=ids, theta=rng.normal(size=(draws, 2)),
+            rho=rng.random((draws, 24)), sigma=rng.random((draws, 24)),
+            kappa=rng.random((draws, 24)), eta=rng.dirichlet(np.ones(5), (draws, 24)),
+            latents={e: rng.normal(size=(draws, n_i)) for e in ids},
+            latent_draw_indices=np.arange(draws), lppd=-rng.random(n_rows),
+            p_waic=rng.random(n_rows), diagnostics={}, config=McmcConfig(),
+            converged=True)
+        p = tmp_path / "fit.json"
+        tracemalloc.start()
+        try:
+            save_fit(fit, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.stat().st_size > 5e6
+        assert peak < 0.5 * p.stat().st_size
+        assert fit_differences(fit, load_fit(p)) == []
+
+    def test_a_failed_save_keeps_the_earlier_artifact(self, tmp_path, small_mcmc_fit):
+        # metadata sorts after latents: the save fails with the latents written
+        _, fit = small_mcmc_fit
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        before = p.read_bytes()
+        bad = dataclasses.replace(fit, metadata={**fit.metadata, "unencodable": object()})
+        for target in (p, tmp_path / "new.json"):
+            with pytest.raises(TypeError):
+                save_fit(bad, target)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["fit.json"]
+
     def test_negative_zero_and_nan_bits_survive(self, tmp_path, small_mcmc_fit):
         _, fit = small_mcmc_fit
         lppd = fit.lppd.copy()
@@ -542,6 +606,12 @@ class TestFitArtifacts:
             load_fit(p)
         with pytest.raises(DataError, match="no such artifact"):
             load_fit(tmp_path / "missing.json")
+
+    def test_an_artifact_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        p = tmp_path / "fit.json"
+        p.write_bytes(b"\xff\xfe" + '{"schema_version": 4}'.encode("utf-16-le"))
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_fit(p)
 
     def test_unsaveable_object(self, tmp_path):
         with pytest.raises(InvalidInputError):
