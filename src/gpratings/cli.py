@@ -136,6 +136,8 @@ def _load_config_file(path):
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{p}: config is not UTF-8 text") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
     unknown = set(doc) - set(_FILE_KEYS)
@@ -329,6 +331,8 @@ def _load_scores(path):
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
         raise DataError(f"{p}: invalid score file") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{p}: score file is not UTF-8 text") from None
     if not isinstance(doc, dict):
         raise DataError(f"{p}: a score file maps entity ids to scores")
     out = {}

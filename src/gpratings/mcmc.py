@@ -40,8 +40,9 @@ with ``np.add.reduceat`` and accepts or rejects per entity through masks.
 The latents map to the path through the exponential kernel's closed-form
 Markov factor (:meth:`~gpratings.model.Panel.markov_factor`), which
 concatenates across entities because a_k = 0 at each entity's first
-rating: a kernel rebuild, an unwhitening and a whitening are each one O(n)
-pass over the whole panel, and no n-by-n matrix is formed.
+rating: a kernel rebuild and a whitening are each one O(n) pass over the
+whole panel, an unwhitening is one segmented scan over it, O(N log n) like
+the filter's, and no n-by-n matrix is formed.
 
 Proposal scales adapt toward ~30% acceptance during warmup and are frozen
 afterwards.  Each chain draws every block's variates from one random
@@ -58,7 +59,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaincc, gammainccinv, logsumexp, ndtr
 
 from .errors import InvalidInputError, NumericalError
@@ -134,7 +134,7 @@ class PriorSpec:
     def unwhiten_theta(self, theta_t):
         if self.r_star is None:
             return np.asarray(theta_t, dtype=float)
-        return solve_triangular(self.r_star, theta_t, lower=False)
+        return np.linalg.solve(self.r_star, theta_t)
 
 
 def _solve_interval_prior(l, u, tail_mass):
@@ -312,8 +312,7 @@ class _Panel(Panel):
         super().__init__(histories, n_r)
         self.priors = _prior_spec(self) if priors is None else priors
         r_star = self.priors.r_star
-        self.q_star = (self.X if r_star is None
-                       else solve_triangular(r_star, self.X.T, lower=False, trans="T").T)
+        self.q_star = self.X if r_star is None else np.linalg.solve(r_star.T, self.X.T).T
         self.everything = self.rows(np.arange(self.n_rows))
         self.cell_at = self.entity * (self.n_r + 1) + self.ratings
         # the rows whose likelihood reads cutpoint j: rating levels j + 1 and j + 2
@@ -371,7 +370,7 @@ class _Chain:
         self.report = {b: np.zeros(n_e) for b in _BLOCKS}
         self.report["theta"] = 0
         self.mean = panel.q_star @ self.theta_t
-        self.f = self.factor.unwhiten(self.f_tilde) + self.mean
+        self.f = self.factor.unwhiten(self.f_tilde, panel.pos) + self.mean
         self.ll = self.loglik(self.f)
         self.ll_sum = self.panel.per_entity_sum(self.ll)
 
@@ -435,7 +434,7 @@ def _update_latents(ch: _Chain):
     p, rng = ch.panel, ch.rng
     if ch.flat:
         ch.f_tilde = rng.standard_normal(p.n_rows)
-        ch.f = ch.factor.unwhiten(ch.f_tilde) + ch.mean
+        ch.f = ch.factor.unwhiten(ch.f_tilde, p.pos) + ch.mean
         return
     kappa = p.per_row(ch.kappa)
     edges = cell_edges(ch.z_cuts).ravel()
@@ -461,7 +460,7 @@ def _update_kernel_params(ch: _Chain, gamma):
     lr_new = ch.log_rho + step[:, 0]
     ls_new = ch.log_sigma + step[:, 1]
     factor, ok = p.markov_factor(lr_new, ls_new)
-    f_new = factor.unwhiten(ch.f_tilde) + ch.mean
+    f_new = factor.unwhiten(ch.f_tilde, p.pos) + ch.mean
     ll_new = ch.loglik(f_new)
     ll_sum_new = p.per_entity_sum(ll_new)
     cur = _rho_sigma_log_target(ch.ll_sum, ch.log_rho, ch.log_sigma, ch.prior)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import InvalidInputError, NumericalError
@@ -192,17 +191,20 @@ class MarkovFactor(NamedTuple):
     times f_k = a_k f_{k-1} + c_k z_k with a_k = exp(-dt_k / rho), c_0 = sigma
     and c_k = sigma sqrt(1 - a_k^2); a_k is 0 where a path starts.  So
     L = B^-1 diag(c) with B unit lower-bidiagonal, -a_k left of its diagonal
-    in row k.  log det K = 2 sum_k log c_k.
+    in row k.  log det K = 2 sum_k log c_k.  :meth:`unwhiten` runs the
+    recurrence by the Kalman filter's segmented scan, O(n log n) work in
+    ceil(log2 n) numpy steps; :meth:`whiten` and :meth:`whiten_t` apply B and
+    its transpose, one O(n) pass each.
     """
 
     a: np.ndarray
     c: np.ndarray
 
-    def unwhiten(self, z):
-        """L z for a whitened (n,) vector: one bidiagonal solve."""
-        band = np.ones((2, self.a.size))   # LAPACK lower-band storage of B
-        band[1, :-1] = -self.a[1:]
-        return dtbtrs(band, self.c * z, uplo="L", overwrite_b=1)[0]
+    def unwhiten(self, z, pos):
+        """L z for a whitened (n,) vector: x_k = a_k x_{k-1} + c_k z_k, run
+        as one segmented :func:`_affine_scan` over the rows, ``pos`` counting
+        the rows before each since its path started (a panel's ``pos``)."""
+        return _affine_scan(self.a.copy(), self.c * z, pos)
 
     def whiten(self, r):
         """L^-1 r for an (n,) vector or (n, k) block: w_k = (r_k - a_k r_{k-1}) / c_k."""

@@ -73,7 +73,8 @@ def _balanced_cutpoints(n_r: int) -> np.ndarray:
 def _gp_draw(rng, timestamps, rho, sigma, mean):
     """Exact latent draw over sorted times: mean + Markov factor @ standard normals."""
     t = np.asarray(timestamps, dtype=float)
-    return mean + markov_factor(t, rho, sigma).unwhiten(rng.standard_normal(t.size))
+    z = rng.standard_normal(t.size)
+    return mean + markov_factor(t, rho, sigma).unwhiten(z, np.arange(t.size))
 
 
 def _probit_ratings(rng, latent, kappa, cutpoints):

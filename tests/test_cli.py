@@ -60,6 +60,14 @@ class TestConfigLayering:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"seed": 1, "out": "caf\xe9"}')
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "not UTF-8" in err
+
     @pytest.mark.parametrize("key, value", [
         ("covariates", "x1"), ("covariates", "x1,x2"), ("covariates", ["x1", 2]),
         ("out", 5), ("seed", True), ("seed", 2.0), ("holdout", "5"), ("fmt", None),
@@ -330,6 +338,16 @@ class TestPipelines:
         assert str(path) in err
         if isinstance(doc, dict):
             assert "sim000" in err
+
+    def test_evaluate_on_a_score_file_that_is_not_utf8_exits_3(self, sim_dataset, tmp_path,
+                                                                capsys):
+        path = tmp_path / "scores.json"
+        path.write_bytes(b'{"sim000": 3.0, "caf\xe9": 4.0}')
+        code = main(["evaluate", "--dataset", str(sim_dataset), "--covariates", "x1,x2",
+                     "--seed", "2", "--holdout", "8", "--out", str(tmp_path / "run"), str(path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "not UTF-8" in err
 
     def test_benchmark_end_to_end(self, sim_dataset, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SVI_CFG)

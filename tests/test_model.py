@@ -128,7 +128,7 @@ def test_markov_factor_matches_dense_cholesky(n, rho, sigma, n_ties, seed):
     L = np.linalg.cholesky(kernel_matrix(h, kp, jitter=0.0))
     factor = markov_factor(h.timestamps, rho, sigma)
     z = np.random.default_rng(seed + 1).standard_normal(n)
-    err = np.linalg.norm(factor.unwhiten(z) - L @ z)
+    err = np.linalg.norm(factor.unwhiten(z, np.arange(n)) - L @ z)
     assert err <= 1e-10 * np.linalg.norm(L) * np.linalg.norm(z)
     dense_logdet = 2.0 * np.log(np.diag(L)).sum()
     rounding = 16 * np.finfo(float).eps * np.sum(sigma ** 2 / np.diag(L) ** 2)
@@ -143,7 +143,7 @@ def test_markov_factor_matches_dense_cholesky(n, rho, sigma, n_ties, seed):
 def test_markov_whiten_round_trip_on_near_ties(n, rho, sigma, n_ties, tie_gap, seed):
     factor = markov_factor(tied_times(seed, n, n_ties, tie_gap), rho, sigma)
     r = 2.0 * np.random.default_rng(seed + 1).standard_normal(n)
-    back = factor.unwhiten(factor.whiten(r))
+    back = factor.unwhiten(factor.whiten(r), np.arange(n))
     assert np.max(np.abs(back - r)) <= 1e-10 * np.max(np.abs(r))
 
 
@@ -163,8 +163,9 @@ def test_markov_factor_from_gaps_stacks_entities(seed):
     z = rng.normal(size=sizes.sum())
     cut = np.cumsum(sizes)[:-1]
     assert np.array_equal(panel.c, np.concatenate([f.c for f in parts]))
-    assert np.array_equal(panel.unwhiten(z), np.concatenate(
-        [f.unwhiten(w) for f, w in zip(parts, np.split(z, cut))]))
+    pos = np.concatenate([np.arange(n) for n in sizes])
+    assert np.array_equal(panel.unwhiten(z, pos), np.concatenate(
+        [f.unwhiten(w, np.arange(w.size)) for f, w in zip(parts, np.split(z, cut))]))
     assert np.array_equal(panel.whiten(z), np.concatenate(
         [f.whiten(w) for f, w in zip(parts, np.split(z, cut))]))
     assert np.array_equal(panel.whiten_t(z), np.concatenate(
