@@ -86,6 +86,14 @@ class RunConfig:
             raise ConfigError("holdout must be >= 1")
         if self.L < 1 or self.sets < 1:
             raise ConfigError("L and sets must be >= 1")
+        if self.covariates is not None and not (
+                self.covariates and all(c.strip() for c in self.covariates)):
+            # an empty list would fall back to the default columns, and an
+            # empty name would be fitted as an all-zero column
+            raise ConfigError(
+                "covariates must name at least one column and no empty one "
+                f"(flag --covariates, env {ENV_PREFIX}COVARIATES, or config key "
+                f"'covariates'), got {self.covariates!r}")
         self.mcmc = dict(self.mcmc or {})
         self.svi = dict(self.svi or {})
         self.sim = dict(self.sim or {})
@@ -168,7 +176,7 @@ def _env_overrides(environ):
                 f"bad value for {ENV_PREFIX + key.upper()}: {raw!r}") from None
     raw = environ.get(ENV_PREFIX + "COVARIATES")
     if raw is not None:
-        out["covariates"] = [c.strip() for c in raw.split(",") if c.strip()]
+        out["covariates"] = [c.strip() for c in raw.split(",")]
     return out
 
 

@@ -4,6 +4,12 @@ Review files (CSV or JSONL) become per-entity histories plus a manifest;
 fitted models round-trip through a versioned JSON container whose top level
 is {schema_version, backend, config, payload}.
 
+``ingest`` holds one block of records at a time plus compact numpy columns
+of the rows kept so far (entity codes, years, ratings, covariates and line
+numbers); it sorts those once, and each history's arrays are views of the
+sorted columns. Its memory is thus bounded by a small multiple of the
+histories it returns, not by Python objects per row.
+
 The schemas, and which of them load:
 
 - Schema 4 (written now) stores the numeric arrays of the payload as
@@ -106,7 +112,12 @@ class DatasetManifest:
 
 
 _REQUIRED = ("entity_id", "rating", "timestamp")
-_BLOCK_ROWS = 4096     # records parsed per block; bounds the per-column lists
+# records parsed per block: the Python objects of one block's records are
+# all that ingest holds per row, as each block is reduced to numpy columns
+# before the next is read. Of 128 to 4096, 512 gave the lowest traced peak
+# at no cost in time: 3.5 MB on the 20,000-row wide_svi benchmark file,
+# against 7.9 MB at 4096.
+_BLOCK_ROWS = 512
 
 
 def _year(text):
@@ -275,22 +286,43 @@ def _read_blocks(path, fmt):
 
 
 class _Parsed(NamedTuple):
-    """The rows of one block that ``ingest`` keeps, column by column."""
+    """The rows of one block that ``ingest`` keeps, as compact columns."""
 
-    lines: list               # line numbers (a range when every row is kept)
-    entity_ids: list
-    years: list
+    lines: np.ndarray         # line numbers, for error messages
+    entity: np.ndarray        # codes of the ids, numbered as they first appear
+    years: np.ndarray
     ratings: np.ndarray
     covariates: np.ndarray    # (rows, covariates)
-    dropped: list             # line numbers of out-of-range ratings
-    missing: set              # covariate names with a missing value
 
 
-def _parse_block(block, names, n_r, years_of) -> _Parsed:
-    """Validate and parse one block column by column.
+def _years(texts, years_of):
+    """``_year`` of every timestamp cell: (values, unparsable mask).
 
-    ``years_of`` caches the parse of each distinct timestamp text across
-    blocks (None when it does not parse).
+    Unparsable cells read NaN; the mask is None when every cell parses. A
+    block of plain numbers takes one ``float`` map, as in :func:`_floats`.
+    Only a block that holds some other text goes through ``years_of``, the
+    parse of each distinct text cached across blocks, so the cache grows
+    with the distinct ISO times, not with the rows.
+    """
+    try:
+        return np.fromiter(map(float, texts), float, len(texts)), None
+    except ValueError:
+        pass
+    years_of.update((t, _year(t)) for t in set(texts).difference(years_of))
+    years = list(map(years_of.__getitem__, texts))
+    if None not in years:
+        return np.array(years), None
+    unparsable = np.array([y is None for y in years], dtype=bool)
+    return np.array([math.nan if y is None else y for y in years]), unparsable
+
+
+def _parse_block(block, names, n_r, codes, years_of):
+    """Validate one block column by column and reduce it to compact columns.
+
+    Returns the kept rows as a :class:`_Parsed`, the line numbers of the
+    rows dropped for an out-of-range rating, and the covariate names with a
+    missing value. ``codes`` numbers the entity ids in the order they first
+    appear, across blocks; ``years_of`` is the cache of :func:`_years`.
 
     Raises the DataError of the block's first bad row, and within that row
     of its first bad cell in the order entity_id, rating, timestamp, then
@@ -336,15 +368,11 @@ def _parse_block(block, names, n_r, years_of) -> _Parsed:
         """How many kept rows lie before ``stop``."""
         return int(np.searchsorted(keep, stop))
 
-    stamps = kept_texts("timestamp")
-    years_of.update((t, _year(t)) for t in set(stamps).difference(years_of))
-    years = list(map(years_of.__getitem__, stamps))
-    unparsable = None in years
-    bad = np.flatnonzero(~np.isfinite(
-        [math.nan if y is None else y for y in years] if unparsable else years))
+    years, unparsable = _years(kept_texts("timestamp"), years_of)
+    bad = np.flatnonzero(~np.isfinite(years))
     if bad.size:
         k = int(bad[0])
-        what = "unparsable" if years[k] is None else "non-finite"
+        what = "unparsable" if unparsable is not None and unparsable[k] else "non-finite"
         fail(int(keep[k]), f"{what} timestamp {kept.raw(k, 'timestamp')!r}")
 
     covariates = np.zeros((keep.size, len(names)))
@@ -366,9 +394,13 @@ def _parse_block(block, names, n_r, years_of) -> _Parsed:
         covariates[:values.size, c] = values
     if error is not None:
         raise DataError(error)
-    kept_lines = lines if kept is block else [lines[k] for k in keep.tolist()]
-    return _Parsed(kept_lines, kept_texts("entity_id"), years,
-                   rating[keep].astype(np.int64), covariates, dropped, missing)
+    ids = kept_texts("entity_id")
+    for e in dict.fromkeys(ids):
+        codes.setdefault(e, len(codes))
+    entity = np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
+    part = _Parsed(np.asarray(lines, dtype=np.int64)[keep], entity, years,
+                   rating[keep].astype(np.int64), covariates)
+    return part, dropped, missing
 
 
 def _nudge_ties(t, entity):
@@ -395,15 +427,6 @@ def _nudge_ties(t, entity):
     return None
 
 
-def _line(parts, k):
-    """The line number of the k-th row that the parsed blocks kept."""
-    for part in parts:
-        if k < len(part.lines):
-            return part.lines[k]
-        k -= len(part.lines)
-    raise IndexError(k)
-
-
 def ingest(path, fmt: str = None, covariate_columns=None,
            n_r: int = 5) -> Tuple[List[EntityHistory], DatasetManifest]:
     """Read a review file into sorted per-entity histories plus a manifest.
@@ -419,9 +442,14 @@ def ingest(path, fmt: str = None, covariate_columns=None,
     rounds away is an error naming its line.
 
     The file is read in blocks of ``_BLOCK_ROWS`` records and each block
-    column by column: one ``float`` map per column, one parse per distinct
-    timestamp, ``np.log1p`` on whole count columns. The rows are then put in
-    (entity, time) order by one stable sort.
+    column by column: one ``float`` map per column (timestamps included,
+    unless a block holds ISO text, which is parsed once per distinct text),
+    ``np.log1p`` on whole count columns. Each block is then reduced to
+    compact numpy columns (entity codes, years, ratings, covariates and line
+    numbers) before the next is read, so ingest holds one block of records
+    plus those columns, and no Python object per kept row. At the end each
+    column is joined once, the rows are put in (entity, time) order by one
+    stable sort, and each history's arrays are views of the sorted columns.
     """
     path = Path(path)
     if not path.exists():
@@ -432,10 +460,15 @@ def ingest(path, fmt: str = None, covariate_columns=None,
         raise InvalidInputError(f"unknown dataset format {fmt!r}")
     names = tuple(covariate_columns) if covariate_columns else DEFAULT_COVARIATES
 
-    years_of = {}
-    parts = [_parse_block(block, names, n_r, years_of) for block in _read_blocks(path, fmt)]
-    dropped = [line for part in parts for line in part.dropped]
-    missing_names = set().union(*(part.missing for part in parts))
+    codes, years_of = {}, {}
+    columns = _Parsed([], [], [], [], [])      # each column's parts, block by block
+    dropped, missing_names = [], set()
+    for block in _read_blocks(path, fmt):
+        part, block_dropped, block_missing = _parse_block(block, names, n_r, codes, years_of)
+        for parts, values in zip(columns, part):
+            parts.append(values)
+        dropped += block_dropped
+        missing_names |= block_missing
     if dropped:
         warnings.warn(
             f"dropped {len(dropped)} rows with out-of-range ratings "
@@ -444,43 +477,46 @@ def ingest(path, fmt: str = None, covariate_columns=None,
         warnings.warn(
             "missing covariate values imputed as 0 in columns: "
             + ", ".join(sorted(missing_names)))
-    entity_ids = [e for part in parts for e in part.entity_ids]
-    if not entity_ids:
+    if not codes:
         raise DataError(f"{path}: no usable rows")
 
-    years = [y for part in parts for y in part.years]
-    epoch = min(years)
-    ids = sorted(set(entity_ids))
-    code = {e: c for c, e in enumerate(ids)}
-    entity = np.fromiter(map(code.__getitem__, entity_ids), np.int64, len(entity_ids))
+    def joined(parts):
+        """One column as one array; its parts are dropped."""
+        values = np.concatenate(parts)
+        parts.clear()
+        return values
+
+    years = joined(columns.years)
+    epoch = float(years[np.argmin(years)])     # of equal minima (0.0, -0.0), the first
     with np.errstate(over="ignore"):
-        t = np.array(years) - epoch
+        t = years - epoch
+    del years
+    lines = joined(columns.lines)
     far = np.flatnonzero(~np.isfinite(t))
     if far.size:
-        raise DataError(f"line {_line(parts, far[0])}: timestamp lies too far from the "
+        raise DataError(f"line {lines[far[0]]}: timestamp lies too far from the "
                         "earliest review")
+    ids = sorted(codes)
+    place = {e: k for k, e in enumerate(ids)}
+    rank = np.fromiter(map(place.__getitem__, codes), np.int64, len(ids))   # code -> place
+    entity = rank[joined(columns.entity)]
     order = np.lexsort((t, entity))       # stable: tied times keep file order
-    t = t[order]
-    ratings = np.concatenate([part.ratings for part in parts])[order]
-    covariates = np.concatenate([part.covariates for part in parts])[order]
-    stuck = _nudge_ties(t, entity[order])
+    t, entity = t[order], entity[order]
+    stuck = _nudge_ties(t, entity)
     if stuck is not None:
-        k = int(order[stuck])
-        raise DataError(f"line {_line(parts, k)}: timestamp ties another review of entity "
-                        f"{entity_ids[k]!r} too far from the earliest review to be "
-                        "nudged 1e-6 years apart")
+        raise DataError(f"line {lines[order[stuck]]}: timestamp ties another review of "
+                        f"entity {ids[entity[stuck]]!r} too far from the earliest review "
+                        "to be nudged 1e-6 years apart")
+    del lines
+    ratings = joined(columns.ratings)[order]
+    covariates = joined(columns.covariates)[order]
     sizes = np.bincount(entity, minlength=len(ids))
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    ends = np.cumsum(sizes).tolist()
 
-    histories = []
-    for eid, lo, n in zip(ids, starts.tolist(), sizes.tolist()):
-        rows = slice(lo, lo + n)
-        histories.append(EntityHistory(
-            entity_id=eid,
-            timestamps=t[rows].copy(),
-            ratings=ratings[rows].copy(),
-            covariates=covariates[rows].copy(),
-        ))
+    histories = [
+        EntityHistory(entity_id=eid, timestamps=t[lo:hi], ratings=ratings[lo:hi],
+                      covariates=covariates[lo:hi])
+        for eid, lo, hi in zip(ids, [0] + ends[:-1], ends)]
     manifest = DatasetManifest(
         n_r=n_r, covariate_names=names, epoch=epoch,
         counts=dict(zip(ids, sizes.tolist())), n_dropped=len(dropped))

@@ -85,6 +85,35 @@ class TestConfigLayering:
         assert repr(key) in capsys.readouterr().err
         assert not list(tmp_path.rglob("fit.json"))
 
+    # an empty list once fell back to the eight default columns, and an empty
+    # name was fitted as an all-zero column: both ran to exit 0
+    def _fit_svi(self, sim_dataset, tmp_path, *argv, **config):
+        cfg = write_cfg(tmp_path, {"svi": {"iterations": 20}, **config})
+        return main(["fit", "--dataset", str(sim_dataset), "--backend", "svi", "--seed", "2",
+                     "--config", cfg, "--out", str(tmp_path / "out"), *argv])
+
+    @pytest.mark.parametrize("value", ["x1,,x2", "", "x1, "])
+    def test_empty_covariate_name_in_a_flag_rejected(self, sim_dataset, tmp_path, capsys,
+                                                     value):
+        assert self._fit_svi(sim_dataset, tmp_path, "--covariates", value) == 2
+        assert "covariates must name" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fit.json").exists()
+
+    @pytest.mark.parametrize("value", ["", "x1,,x2", " , "])
+    def test_empty_covariates_in_the_env_rejected(self, sim_dataset, tmp_path, monkeypatch,
+                                                  capsys, value):
+        monkeypatch.setenv("GPRATINGS_COVARIATES", value)
+        assert self._fit_svi(sim_dataset, tmp_path) == 2
+        assert "covariates must name" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fit.json").exists()
+
+    @pytest.mark.parametrize("value", [[], ["x1", ""], [" "]])
+    def test_empty_covariates_in_a_config_file_rejected(self, sim_dataset, tmp_path, capsys,
+                                                        value):
+        assert self._fit_svi(sim_dataset, tmp_path, covariates=value) == 2
+        assert "covariates must name" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fit.json").exists()
+
     def test_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, {"seed": 5,
                                    "sim": {"n_entities": 2,
@@ -404,8 +433,9 @@ class TestPipelines:
 
     def test_non_finite_timestamp_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "reviews.csv"
-        data.write_text("entity_id,rating,timestamp\na,3,2013\nb,4,inf\n", encoding="utf-8")
-        code = main(["fit", "--dataset", str(data), "--covariates", "", "--seed", "1",
+        data.write_text("entity_id,rating,timestamp,x1\na,3,2013,0\nb,4,inf,0\n",
+                        encoding="utf-8")
+        code = main(["fit", "--dataset", str(data), "--covariates", "x1", "--seed", "1",
                      "--out", str(tmp_path)])
         assert code == 3
         assert "line 3: non-finite timestamp 'inf'" in capsys.readouterr().err

@@ -4,11 +4,13 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gpratings.cli import main
 from gpratings.dataio import (
     DEFAULT_COVARIATES,
     DatasetManifest,
@@ -29,6 +31,7 @@ DATA = ROOT / "tests" / "data"
 # the benchmark's own bit-for-bit comparison, so both check the same round trip
 sys.path.append(str(ROOT / "bench"))
 from checks import fit_differences  # noqa: E402
+from workloads import WORKLOADS, generate, write_reviews  # noqa: E402
 
 
 def write_csv(path, rows, header):
@@ -469,6 +472,31 @@ class TestFitArtifacts:
         assert p.stat().st_size > 5e6
         assert peak < 0.5 * p.stat().st_size
         assert fit_differences(fit, load_fit(p)) == []
+
+    @pytest.mark.parametrize("source", ["wide_svi", "simulate"])
+    def test_ingest_holds_little_more_than_its_histories(self, tmp_path, source):
+        # ISO dates from the benchmark's generator, or real-valued years as
+        # `gpratings simulate` writes them: ingest keeps one block of records
+        # plus compact columns, and the histories are views of the sorted ones
+        if source == "wide_svi":
+            path, columns = tmp_path / "reviews.csv", None
+            write_reviews(generate(WORKLOADS["wide_svi"], 0, 0), path)
+        else:
+            path, columns = tmp_path / "sim" / "sim.csv", ["x1", "x2"]
+            assert main(["simulate", "--seed", "1", "--entities", "200", "--reviews", "100",
+                         "--out", str(path.parent)]) == 0
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # imputed covariates
+                histories, manifest = ingest(path, covariate_columns=columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(h.timestamps.nbytes + h.ratings.nbytes + h.covariates.nbytes
+                   for h in histories)
+        assert sum(manifest.counts.values()) >= 20_000
+        assert peak <= 3 * held
 
     def test_a_failed_save_keeps_the_earlier_artifact(self, tmp_path, small_mcmc_fit):
         # metadata sorts after latents: the save fails with the latents written

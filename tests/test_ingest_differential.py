@@ -221,6 +221,16 @@ CASES = {
                                 "a,4,2e10", "a,5,2e10"),
     "difference_overflows": _lines("entity_id,rating,timestamp", "a,3,1e308", "b,3,-1e308"),
     "one_level": _lines("entity_id,rating,timestamp", "a,1,2013"),
+    # at two rows a block: an entity first seen, a row dropped and a tie made
+    # after the first block, and ids first seen out of sorted order
+    "late_entity_and_dropped_row": _lines("entity_id,rating,timestamp",
+                                          "c,3,2013", "c,4,2013", "a,5,2013.5", "c,9,2014",
+                                          "b,1,2012", "a,2,2013.5"),
+    # at two rows a block: the earliest time and a time too far from it lie
+    # after the first block, in the rows of an entity first seen there
+    "late_entity_and_far_time": _lines("entity_id,rating,timestamp",
+                                       "c,3,2013", "c,9,2013", "a,5,-1e308", "c,4,2013",
+                                       "a,2,1e308"),
 }
 
 JSONL_CASES = {
@@ -250,13 +260,17 @@ JSONL_CASES = {
 }
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+# a row a block, two, the size that ships, and one block for the whole file
+NAMED_BLOCKS = sorted({1, 2, dataio._BLOCK_ROWS, 4096})
+
+
+@pytest.mark.parametrize("block_rows", NAMED_BLOCKS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_named_csv_case(case, block_rows):
     _check(CASES[case], ".csv", block_rows, n_r=5 if case != "one_level" else 1)
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+@pytest.mark.parametrize("block_rows", NAMED_BLOCKS)
 @pytest.mark.parametrize("case", sorted(JSONL_CASES))
 def test_named_jsonl_case(case, block_rows):
     _check(JSONL_CASES[case], ".jsonl", block_rows)
@@ -268,6 +282,8 @@ NAMED_ERRORS = [
     (".csv", "nudge_rounds_away", "line 5: timestamp ties another review of entity 'a' "
                                   "too far from the earliest review to be nudged 1e-6 years apart"),
     (".csv", "difference_overflows", "line 2: timestamp lies too far from the earliest review"),
+    (".csv", "late_entity_and_far_time",
+     "line 6: timestamp lies too far from the earliest review"),
     (".jsonl", "numeric_entity_ids", "line 1: entity_id 7 is not a JSON string"),
     (".jsonl", "object_entity_id_before_blank_rating",
      "line 1: entity_id {'a': 1} is not a JSON string"),
