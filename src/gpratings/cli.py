@@ -214,17 +214,17 @@ def _ingest(cfg):
 
 
 def _train_split(histories, holdout):
-    """(entity, train prefix, holdout ratings) for entities long enough."""
-    usable, skipped = [], 0
-    for h in histories:
-        if h.n <= holdout:
-            skipped += 1
-            continue
-        train, held = holdout_split(h, holdout)
-        usable.append((h, train, held))
+    """(entity, train prefix, holdout ratings) for entities long enough.
+
+    The entities too short for the hold-out are reported on stderr.
+    """
+    usable = [(h, *holdout_split(h, holdout)) for h in histories if h.n > holdout]
     if not usable:
         raise DataError(f"no entity has more than {holdout} ratings")
-    return usable, skipped
+    skipped = len(histories) - len(usable)
+    if skipped:
+        print(f"excluded {skipped} entities with <= {holdout} ratings", file=sys.stderr)
+    return usable
 
 
 def _fit_backend(cfg, histories):
@@ -242,10 +242,7 @@ def cmd_fit(cfg) -> int:
     histories, manifest = _ingest(cfg)
     ticks.append(time.perf_counter())
     if cfg.holdout_for_fit:
-        usable, skipped = _train_split(histories, cfg.holdout)
-        if skipped:
-            print(f"excluded {skipped} entities with <= {cfg.holdout} ratings",
-                  file=sys.stderr)
+        usable = _train_split(histories, cfg.holdout)
         histories = [train for _, train, _ in usable]
     ticks.append(time.perf_counter())
     fit = _fit_backend(cfg, histories)
@@ -291,10 +288,7 @@ def cmd_predict(cfg) -> int:
     histories, _ = _ingest(cfg)
     fit_path = cfg.fit_path or (Path(cfg.out) / "fit.json")
     fit = load_fit(fit_path, expect_backend=cfg.backend)
-    usable, skipped = _train_split(histories, cfg.holdout)
-    if skipped:
-        print(f"excluded {skipped} entities with <= {cfg.holdout} ratings",
-              file=sys.stderr)
+    usable = _train_split(histories, cfg.holdout)
     scores = {}
     for h, train, _ in usable:
         if train.entity_id not in fit.entity_ids:
@@ -312,10 +306,7 @@ def cmd_predict(cfg) -> int:
 
 def cmd_baseline(cfg) -> int:
     histories, _ = _ingest(cfg)
-    usable, skipped = _train_split(histories, cfg.holdout)
-    if skipped:
-        print(f"excluded {skipped} entities with <= {cfg.holdout} ratings",
-              file=sys.stderr)
+    usable = _train_split(histories, cfg.holdout)
     scores = {}
     for h, train, _ in usable:
         spec = bl.tune(train, cfg.kind, n_r=cfg.n_r)
@@ -356,7 +347,7 @@ def cmd_evaluate(cfg, score_files) -> int:
     if not score_files:
         raise ConfigError("evaluate needs at least one score file")
     histories, _ = _ingest(cfg)
-    usable, _ = _train_split(histories, cfg.holdout)
+    usable = _train_split(histories, cfg.holdout)
     truth = {h.entity_id: float(held.mean()) for h, _, held in usable}
     tables = {name: _load_scores(name) for name in score_files}
     ids = sorted(truth)
@@ -457,10 +448,7 @@ def cmd_benchmark(cfg) -> int:
     ticks = [time.perf_counter()]
     histories, _ = _ingest(cfg)
     ticks.append(time.perf_counter())
-    usable, skipped = _train_split(histories, cfg.holdout)
-    if skipped:
-        print(f"excluded {skipped} entities with <= {cfg.holdout} ratings",
-              file=sys.stderr)
+    usable = _train_split(histories, cfg.holdout)
     trains = [train for _, train, _ in usable]
     ticks.append(time.perf_counter())
     fit = _fit_backend(cfg, trains)
@@ -492,7 +480,7 @@ def cmd_benchmark(cfg) -> int:
         "backend": cfg.backend,
         "n_entities": len(ids),
         "holdout": cfg.holdout,
-        "excluded": skipped,
+        "excluded": len(histories) - len(usable),
         "methods": rows,
         "best_baseline": best_kind,
         "relative_mae_improvement": improvement,

@@ -10,37 +10,28 @@ numbers); it sorts those once, and each history's arrays are views of the
 sorted columns. Its memory is thus bounded by a small multiple of the
 histories it returns, not by Python objects per row.
 
-The schemas, and which of them load:
-
-- Schema 4 (written now) stores the numeric arrays of the payload as
-  {"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}: the array's
-  little-endian bytes, base64-encoded, so saving and loading skip the
-  per-float text formatting and the round trip is bit for bit. An MCMC
-  payload holds each rating's two WAIC terms, ``lppd`` and ``p_waic``
-  (vectors over the ratings), in place of the draws-by-ratings
-  ``pointwise_loglik`` matrix. Two small per-entity fields, ``latents``
-  (MCMC) and ``q_mean`` (SVI), stay JSON lists: ``bench/test_bench.py``
-  proves the benchmark's round-trip check by nudging one of their stored
-  numbers in the JSON text.
-- Schema 3 holds the MCMC payload of schema 2 and the SVI payload of
-  schema 4: q_mean and the site precisions at every rating time, plus each
-  entity's variance of q at its last rating (a plain JSON number).
-- Schema 2 packs the arrays as schema 4 does; schema 1 holds every array as
-  JSON lists. Their SVI payloads (inducing points and a covariance factor)
-  must be refitted.
+The fit artifact has one schema, ``SCHEMA_VERSION`` (4). It stores the
+numeric arrays of the payload as {"dtype": "<f8" | "<i8", "shape": [...],
+"data": <base64>}: the array's little-endian bytes, base64-encoded, so
+saving and loading skip the per-float text formatting and the round trip is
+bit for bit. An MCMC payload holds each rating's two WAIC terms, ``lppd``
+and ``p_waic`` (vectors over the ratings). Two small per-entity fields,
+``latents`` (MCMC) and ``q_mean`` (SVI), are JSON lists:
+``bench/test_bench.py`` proves the benchmark's round-trip check by nudging
+one of their stored numbers in the JSON text. The config holds the fit's
+settings, less the thread count.
 
 ``save_fit`` streams the document to disk a piece at a time, in the bytes
 one ``json.dumps`` of it would give, so its memory is bounded by one
 entity's block, not by the artifact. It writes a temporary file beside the
 target and replaces the target with it in one step, so a failed save leaves
-no truncated artifact and keeps an earlier one. A review file or an
-artifact that is not UTF-8 text is a DataError.
+no truncated artifact and keeps an earlier one.
 
-Every MCMC artifact loads: schemas 1 to 3 store ``pointwise_loglik``, which
-the loader reduces to ``lppd`` and ``p_waic`` through
-:func:`~gpratings.mcmc.waic_terms`. SVI artifacts load from schema 3 on.
-The loader drops the config keys of retired settings (``_RETIRED_KEYS``);
-an MCMC run's stored draws, not its config, record which draws it kept.
+``load_fit`` reads only what ``save_fit`` writes. Another schema version, a
+config key that is not a setting of the backend, or an array field in the
+other form (a JSON list where a packed array belongs, or the reverse) is a
+DataError; an artifact of an older schema must be refitted. A review file
+or an artifact that is not UTF-8 text is a DataError too.
 """
 
 from __future__ import annotations
@@ -53,7 +44,7 @@ import math
 import os
 import secrets
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -63,18 +54,12 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DataError, InvalidInputError
-from .mcmc import McmcConfig, PosteriorEnsemble, waic_terms
+from .mcmc import McmcConfig, PosteriorEnsemble
 from .model import EmissionParams, EntityHistory, KernelParams
 from .svi import SviConfig, VariationalState
 
-SCHEMA_VERSION = 4            # the fit artifact's layout
-_READABLE_VERSIONS = (1, 2, 3, 4)
-_SVI_VERSIONS = (3, 4)        # SVI payloads before schema 3 are not readable
-_MATRIX_VERSIONS = (1, 2, 3)  # MCMC payloads that store pointwise_loglik
+SCHEMA_VERSION = 4            # the fit artifact's layout, the one load_fit reads
 MANIFEST_VERSION = 1          # the dataset manifest's layout, versioned apart
-# config keys of settings that older artifacts hold and load_fit drops
-_RETIRED_KEYS = {"mcmc": {"thin"},
-                 "svi": {"minibatch", "quadrature_nodes", "learning_rate", "hyper_learning_rate"}}
 DAYS_PER_YEAR = 365.25
 
 DEFAULT_COVARIATES = (
@@ -118,6 +103,7 @@ _REQUIRED = ("entity_id", "rating", "timestamp")
 # at no cost in time: 3.5 MB on the 20,000-row wide_svi benchmark file,
 # against 7.9 MB at 4096.
 _BLOCK_ROWS = 512
+_NAMED_DROPS = 10    # the out-of-range rows whose lines the warning names
 
 
 def _year(text):
@@ -431,8 +417,11 @@ def ingest(path, fmt: str = None, covariate_columns=None,
            n_r: int = 5) -> Tuple[List[EntityHistory], DatasetManifest]:
     """Read a review file into sorted per-entity histories plus a manifest.
 
-    Ratings outside 1..n_r are dropped with a warning naming their lines;
-    anything unparsable is a hard error, naming the first bad row. Missing
+    ``covariate_columns`` names the covariate columns; None means
+    ``DEFAULT_COVARIATES``, and an empty list or a blank name is an
+    InvalidInputError. Ratings outside 1..n_r are dropped with a warning that
+    counts them and names the lines of the first ``_NAMED_DROPS``; anything
+    unparsable is a hard error, naming the first bad row. Missing
     covariate values impute to zero (also warned). Count columns
     (``LOG_COLUMNS``) enter as log1p(count). Timestamps may be ISO-8601 or
     real-valued years and come out as fractional years since the earliest
@@ -447,9 +436,10 @@ def ingest(path, fmt: str = None, covariate_columns=None,
     ``np.log1p`` on whole count columns. Each block is then reduced to
     compact numpy columns (entity codes, years, ratings, covariates and line
     numbers) before the next is read, so ingest holds one block of records
-    plus those columns, and no Python object per kept row. At the end each
-    column is joined once, the rows are put in (entity, time) order by one
-    stable sort, and each history's arrays are views of the sorted columns.
+    plus those columns, and no Python object per kept or dropped row. At
+    the end each column is joined once, the rows are put in (entity, time)
+    order by one stable sort, and each history's arrays are views of the
+    sorted columns.
     """
     path = Path(path)
     if not path.exists():
@@ -458,21 +448,29 @@ def ingest(path, fmt: str = None, covariate_columns=None,
         fmt = "jsonl" if path.suffix in (".jsonl", ".json") else "csv"
     if fmt not in ("csv", "jsonl"):
         raise InvalidInputError(f"unknown dataset format {fmt!r}")
-    names = tuple(covariate_columns) if covariate_columns else DEFAULT_COVARIATES
+    if covariate_columns is None:
+        names = DEFAULT_COVARIATES
+    else:
+        names = tuple(covariate_columns)
+        if not (names and all(name.strip() for name in names)):
+            raise InvalidInputError("covariate_columns must name at least one column and "
+                                    f"no blank one, got {covariate_columns!r}")
 
     codes, years_of = {}, {}
     columns = _Parsed([], [], [], [], [])      # each column's parts, block by block
-    dropped, missing_names = [], set()
+    n_dropped, named, missing_names = 0, [], set()
     for block in _read_blocks(path, fmt):
-        part, block_dropped, block_missing = _parse_block(block, names, n_r, codes, years_of)
+        part, dropped, block_missing = _parse_block(block, names, n_r, codes, years_of)
         for parts, values in zip(columns, part):
             parts.append(values)
-        dropped += block_dropped
+        n_dropped += len(dropped)
+        named += dropped[:_NAMED_DROPS - len(named)]
         missing_names |= block_missing
-    if dropped:
+    if n_dropped:
+        more = f" and {n_dropped - len(named)} more" if n_dropped > len(named) else ""
         warnings.warn(
-            f"dropped {len(dropped)} rows with out-of-range ratings "
-            f"(lines {', '.join(map(str, dropped))})")
+            f"dropped {n_dropped} rows with out-of-range ratings "
+            f"(lines {', '.join(map(str, named))}{more})")
     if missing_names:
         warnings.warn(
             "missing covariate values imputed as 0 in columns: "
@@ -519,7 +517,7 @@ def ingest(path, fmt: str = None, covariate_columns=None,
         for eid, lo, hi in zip(ids, [0] + ends[:-1], ends)]
     manifest = DatasetManifest(
         n_r=n_r, covariate_names=names, epoch=epoch,
-        counts=dict(zip(ids, sizes.tolist())), n_dropped=len(dropped))
+        counts=dict(zip(ids, sizes.tolist())), n_dropped=n_dropped)
     return histories, manifest
 
 
@@ -552,8 +550,10 @@ def _pack(a, code=_FLOAT):
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _unpack(doc, field, path, code):
+def _unpack(doc, field, path, code=_FLOAT):
     """Inverse of :func:`_pack`; any mismatch is a DataError naming ``field``."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: field {field} is not a packed array")
     if doc.get("dtype") != code:
         raise DataError(f"{path}: field {field} has dtype {doc.get('dtype')!r}, "
                         f"expected {code!r}")
@@ -572,12 +572,12 @@ def _unpack(doc, field, path, code):
     return np.frombuffer(raw, dtype=code).astype(code[1:]).reshape(shape)
 
 
-def _field(value, field, path, code=_FLOAT):
-    """One stored array: a packed dict, or a JSON list (schema 1, and schema 2's lists)."""
-    if isinstance(value, dict):
-        return _unpack(value, field, path, code)
+def _unlist(value, field, path):
+    """One entity's ``latents`` or ``q_mean``: a JSON list of numbers."""
+    if not isinstance(value, list):
+        raise DataError(f"{path}: field {field} is not a JSON list")
     try:
-        return np.asarray(value, dtype=code[1:])
+        return np.asarray(value, dtype=float)
     except ValueError:
         raise DataError(f"{path}: field {field} is not a numeric array") from None
 
@@ -684,16 +684,16 @@ def save_fit(fit, path) -> None:
 
 
 def load_fit(path, expect_backend: str = None):
-    """Load a fit artifact saved by save_fit: any schema for MCMC, 3 or 4 for SVI.
+    """Load a fit artifact in the one format save_fit writes (schema 4).
 
-    Each array field goes through one decoder that takes either form: a
-    packed {dtype, shape, data} dict (schemas 2 to 4) or a plain JSON list
-    (every array of schema 1, and ``latents`` and ``q_mean``). An MCMC
-    artifact before schema 4 has its ``pointwise_loglik`` matrix reduced to
-    the per-rating ``lppd`` and ``p_waic`` on load. Raises DataError for
-    truncated or corrupt files, files that are not UTF-8 text, undecodable
-    array fields, foreign schema versions, SVI artifacts older than schema
-    3, and backend tags that don't match ``expect_backend``.
+    Each packed array field must be a {dtype, shape, data} dict, and each
+    entity's ``latents`` or ``q_mean`` a JSON list; a field in the other
+    form is a DataError naming it. Raises DataError too for truncated or
+    corrupt files, files that are not UTF-8 text, undecodable array fields,
+    any schema version but ``SCHEMA_VERSION``, config keys that are not
+    settings of the backend's config class, and backend tags that don't
+    match ``expect_backend``. An artifact of another schema, or one that
+    records a retired setting, must be refitted.
     """
     path = Path(path)
     if not path.exists():
@@ -707,35 +707,33 @@ def load_fit(path, expect_backend: str = None):
         raise DataError(f"{path}: artifact is not UTF-8 text") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise DataError(f"{path}: not a fit artifact")
-    if doc["schema_version"] not in _READABLE_VERSIONS:
+    if doc["schema_version"] != SCHEMA_VERSION:
         raise DataError(
-            f"{path}: schema version {doc['schema_version']} needs migration; "
-            f"this build reads versions {', '.join(map(str, _READABLE_VERSIONS))}")
+            f"{path}: schema version {doc['schema_version']} needs migration; this "
+            f"build reads only version {SCHEMA_VERSION}, so refit it")
     backend = doc.get("backend")
     if expect_backend is not None and backend != expect_backend:
         raise DataError(
             f"{path}: artifact backend is {backend!r}, expected {expect_backend!r}")
-    if backend == "svi" and doc["schema_version"] not in _SVI_VERSIONS:
-        raise DataError(
-            f"{path}: SVI artifact of schema version {doc['schema_version']} holds an "
-            "inducing-point fit, which this build no longer reads; refit it")
+    config_class = {"mcmc": McmcConfig, "svi": SviConfig}.get(backend)
+    if config_class is None:
+        raise DataError(f"{path}: unknown backend tag {backend!r}")
     try:
         payload = doc["payload"]
-        config = {k: v for k, v in doc["config"].items()
-                  if k not in _RETIRED_KEYS.get(backend, ())}
+        settings = {f.name for f in fields(config_class)}
+        unknown = next((k for k in doc["config"] if k not in settings), None)
+        if unknown is not None:
+            raise DataError(f"{path}: config key {unknown!r} is not a {backend} setting "
+                            "of this build; refit it")
+        config = config_class(**doc["config"])
 
         def arr(key, code=_FLOAT):
-            return _field(payload[key], key, path, code)
+            return _unpack(payload[key], key, path, code)
 
-        def per_entity(key):
-            return {e: _field(v, f"{key}[{e!r}]", path)
-                    for e, v in payload[key].items()}
+        def per_entity(key, read=_unpack):
+            return {e: read(v, f"{key}[{e!r}]", path) for e, v in payload[key].items()}
 
         if backend == "mcmc":
-            if doc["schema_version"] in _MATRIX_VERSIONS:
-                lppd, p_waic = waic_terms(arr("pointwise_loglik"))
-            else:
-                lppd, p_waic = arr("lppd"), arr("p_waic")
             return PosteriorEnsemble(
                 entity_ids=list(payload["entity_ids"]),
                 theta=arr("theta"),
@@ -743,33 +741,31 @@ def load_fit(path, expect_backend: str = None):
                 sigma=arr("sigma"),
                 kappa=arr("kappa"),
                 eta=arr("eta"),
-                latents=per_entity("latents"),
+                latents=per_entity("latents", _unlist),
                 latent_draw_indices=arr("latent_draw_indices", _INT),
-                lppd=lppd,
-                p_waic=p_waic,
+                lppd=arr("lppd"),
+                p_waic=arr("p_waic"),
                 diagnostics=payload["diagnostics"],
-                config=McmcConfig(**config),
+                config=config,
                 converged=bool(payload["converged"]),
                 metadata=payload["metadata"],
             )
-        if backend == "svi":
-            return VariationalState(
-                entity_ids=list(payload["entity_ids"]),
-                q_mean=per_entity("q_mean"),
-                site_precision=per_entity("site_precision"),
-                last_variance=payload["last_variance"],
-                theta=arr("theta"),
-                kernel={e: KernelParams(**kp)
-                        for e, kp in payload["kernel"].items()},
-                emission={e: EmissionParams(
-                              kappa=ep["kappa"],
-                              eta=_field(ep["eta"], f"emission[{e!r}].eta", path))
-                          for e, ep in payload["emission"].items()},
-                elbo_trace=arr("elbo_trace"),
-                config=SviConfig(**config),
-                metadata=payload["metadata"],
-            )
-        raise DataError(f"{path}: unknown backend tag {backend!r}")
+        return VariationalState(
+            entity_ids=list(payload["entity_ids"]),
+            q_mean=per_entity("q_mean", _unlist),
+            site_precision=per_entity("site_precision"),
+            last_variance=payload["last_variance"],
+            theta=arr("theta"),
+            kernel={e: KernelParams(**kp)
+                    for e, kp in payload["kernel"].items()},
+            emission={e: EmissionParams(
+                          kappa=ep["kappa"],
+                          eta=_unpack(ep["eta"], f"emission[{e!r}].eta", path))
+                      for e, ep in payload["emission"].items()},
+            elbo_trace=arr("elbo_trace"),
+            config=config,
+            metadata=payload["metadata"],
+        )
     except (KeyError, TypeError, AttributeError, InvalidInputError) as exc:
         # InvalidInputError: stored values the fit's own classes reject
         raise DataError(f"{path}: malformed artifact ({exc})") from None

@@ -780,16 +780,14 @@ class PosteriorEnsemble:
         return self.entity_ids.index(entity_id)
 
 
-def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
-             n_r: int | None = None, flat_likelihood: bool = False) -> PosteriorEnsemble:
+def run_mcmc(histories, config: McmcConfig, *, n_r: int | None = None,
+             flat_likelihood: bool = False) -> PosteriorEnsemble:
     """Sample the joint posterior over all entities and pooled coefficients.
 
     Parameters
     ----------
     histories : list of EntityHistory
     config : McmcConfig
-    priors : PriorSpec, optional
-        Built from the data when omitted.
     n_r : int, optional
         Number of rating levels.  Inferred as the largest observed rating
         (at least 2) when omitted; pass the dataset's configured value when
@@ -804,7 +802,7 @@ def run_mcmc(histories, config: McmcConfig, priors: PriorSpec | None = None,
     PosteriorEnsemble
         Flagged non-converged (but complete) when any split-Rhat exceeds 1.02.
     """
-    panel = _Panel(histories, n_r, priors)
+    panel = _Panel(histories, n_r)
     log_rho0 = _initial_log_rho(panel)
     # the chains run in turn, so one stream folds the draws in their stacked order
     waic_stream = _WaicStream(panel.n_rows)

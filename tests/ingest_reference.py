@@ -105,10 +105,16 @@ def reference_ingest(path, fmt=None, covariate_columns=None, n_r=5):
         fmt = "jsonl" if path.suffix in (".jsonl", ".json") else "csv"
     if fmt not in ("csv", "jsonl"):
         raise InvalidInputError(f"unknown dataset format {fmt!r}")
-    names = tuple(covariate_columns) if covariate_columns else DEFAULT_COVARIATES
+    if covariate_columns is None:
+        names = DEFAULT_COVARIATES
+    else:
+        names = tuple(covariate_columns)
+        if not names or any(name.strip() == "" for name in names):
+            raise InvalidInputError("covariate_columns must name at least one column and "
+                                    f"no blank one, got {covariate_columns!r}")
 
     rows = []          # (entity_id, year_coord, rating, covariates, line_no)
-    dropped = []
+    n_dropped, named = 0, []    # named: the lines of the first 10 dropped rows
     missing_names = set()
     for line_no, row in _iter_rows(path, fmt):
         for required in ("entity_id", "rating", "timestamp"):
@@ -119,15 +125,18 @@ def reference_ingest(path, fmt=None, covariate_columns=None, n_r=5):
                     f"line {line_no}: entity_id {row['entity_id']!r} is not a JSON string")
         rating = _parse_rating(row["rating"], line_no)
         if not 1 <= rating <= n_r:
-            dropped.append(line_no)
+            n_dropped += 1
+            if len(named) < 10:
+                named.append(line_no)
             continue
         year = _parse_timestamp(row["timestamp"], line_no)
         covs = [_parse_covariate(row, name, line_no, missing_names) for name in names]
         rows.append((row["entity_id"], year, rating, covs, line_no))
-    if dropped:
-        warnings.warn(
-            f"dropped {len(dropped)} rows with out-of-range ratings "
-            f"(lines {', '.join(map(str, dropped))})")
+    if n_dropped:
+        lines = ", ".join(map(str, named))
+        if n_dropped > len(named):
+            lines += f" and {n_dropped - len(named)} more"
+        warnings.warn(f"dropped {n_dropped} rows with out-of-range ratings (lines {lines})")
     if missing_names:
         warnings.warn(
             "missing covariate values imputed as 0 in columns: "
@@ -165,5 +174,5 @@ def reference_ingest(path, fmt=None, covariate_columns=None, n_r=5):
         counts[eid] = len(recs)
     manifest = DatasetManifest(
         n_r=n_r, covariate_names=names, epoch=epoch, counts=counts,
-        n_dropped=len(dropped))
+        n_dropped=n_dropped)
     return histories, manifest

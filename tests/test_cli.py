@@ -333,6 +333,21 @@ class TestPipelines:
         for entry in report["files"].values():
             assert entry["mae"] >= 0
 
+    def test_evaluate_reports_the_entities_it_excludes(self, tmp_path, capsys):
+        # "b" has too few ratings for a hold-out of 8, as in every command that splits
+        data = tmp_path / "short.csv"
+        data.write_text("entity_id,rating,timestamp,x1\n" + "".join(
+            f"{e},{1 + k % 5},{2013 + k / 10},0.5\n" for e, n in (("a", 12), ("b", 3))
+            for k in range(n)), encoding="utf-8")
+        out = tmp_path / "run"
+        args = ["--dataset", str(data), "--covariates", "x1", "--seed", "2",
+                "--holdout", "8", "--out", str(out)]
+        assert main(["baseline", *args]) == 0
+        assert "excluded 1 entities with <= 8 ratings" in capsys.readouterr().err
+        assert main(["evaluate", *args, str(out / "baseline_sample_mean.json")]) == 0
+        assert "excluded 1 entities with <= 8 ratings" in capsys.readouterr().err
+        assert json.loads((out / "evaluation.json").read_text())["n_entities"] == 1
+
     def test_evaluate_mismatched_entities(self, sim_dataset, tmp_path, capsys):
         out = tmp_path / "run"
         args = ["--dataset", str(sim_dataset), "--covariates", "x1,x2",

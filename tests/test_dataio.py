@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +20,14 @@ from gpratings.dataio import (
     save_fit,
 )
 from gpratings.errors import DataError, InvalidInputError
-from gpratings.mcmc import McmcConfig, PosteriorEnsemble, waic_terms
+from gpratings.mcmc import McmcConfig, PosteriorEnsemble
 from gpratings.predict import predictive_probs
 from gpratings.svi import SviConfig, fit_svi
 
-import schema1_writer
+from test_mcmc import run_mcmc_recording_rows
 from test_model import make_history
 
 ROOT = Path(__file__).resolve().parents[1]
-DATA = ROOT / "tests" / "data"
 # the benchmark's own bit-for-bit comparison, so both check the same round trip
 sys.path.append(str(ROOT / "bench"))
 from checks import fit_differences  # noqa: E402
@@ -41,6 +41,30 @@ def write_csv(path, rows, header):
 
 
 FULL_HEADER = ("entity_id", "rating", "timestamp") + DEFAULT_COVARIATES
+
+
+def unpacked(doc):
+    """The inverse of :func:`packed`, as a JSON list."""
+    return np.frombuffer(base64.b64decode(doc["data"]), "<f8").reshape(doc["shape"]).tolist()
+
+
+def stored_as(form, *keys):
+    """An edit of an artifact document that stores ``payload[keys...]`` in ``form``."""
+    *outer, last = keys
+
+    def edit(doc):
+        d = doc["payload"]
+        for key in outer:
+            d = d[key]
+        d[last] = form(d[last])
+    return edit
+
+
+def packed(a):
+    """A float array as save_fit stores it: {dtype, shape, data}."""
+    a = np.asarray(a, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode()}
 
 
 def full_row(eid, rating, ts, helpfulness=0):
@@ -98,6 +122,28 @@ class TestIngestCsv:
             histories, manifest = ingest(p)
         assert histories[0].n == 2
         assert manifest.n_dropped == 2
+
+    def test_many_dropped_rows_are_counted_and_the_first_ten_named(self, tmp_path):
+        p = tmp_path / "nines.csv"
+        write_csv(p, [("a", 4, 2013.0, 0.5)] + [("a", 9, 2013.0 + k * 1e-3, 0.5)
+                                               for k in range(20_000)],
+                  ("entity_id", "rating", "timestamp", "x1"))
+        with pytest.warns(UserWarning) as caught:
+            histories, manifest = ingest(p, covariate_columns=["x1"])
+        assert manifest.n_dropped == 20_000 and histories[0].n == 1
+        [warning] = caught
+        message = str(warning.message)
+        assert message == ("dropped 20000 rows with out-of-range ratings (lines "
+                           + ", ".join(map(str, range(3, 13))) + " and 19990 more)")
+        assert len(message) < 300
+
+    @pytest.mark.parametrize("columns", [[], (), ["x1", ""], ["  "]])
+    def test_no_covariate_or_a_blank_one_is_invalid(self, tmp_path, columns):
+        # only None means the default columns
+        p = tmp_path / "toy.csv"
+        write_csv(p, [("a", 4, 2013.0, 0.5)], ("entity_id", "rating", "timestamp", "x1"))
+        with pytest.raises(InvalidInputError, match="covariate_columns"):
+            ingest(p, covariate_columns=columns)
 
     def test_unparsable_rating_is_hard_error(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -219,7 +265,17 @@ class TestManifest:
 @pytest.fixture(scope="module")
 def small_mcmc_run():
     """The histories, the fit and the log-likelihood rows its WAIC streams folded."""
-    return schema1_writer.small_mcmc_run()
+    rng = np.random.default_rng(2)
+    histories = [
+        make_history(np.sort(rng.uniform(0, 2, 12)),
+                     ratings=rng.integers(1, 6, 12),
+                     covariates=rng.normal(size=(12, 2)),
+                     entity_id=f"e{i}")
+        for i in range(2)
+    ]
+    fit, rows = run_mcmc_recording_rows(
+        histories, McmcConfig(chains=2, iterations=80, warmup=40, seed=5))
+    return histories, fit, rows
 
 
 @pytest.fixture(scope="module")
@@ -271,54 +327,6 @@ class TestFitArtifacts:
         after = predictive_probs(h, loaded, query)
         assert np.array_equal(before.probs, after.probs)
 
-    def test_svi_artifact_with_the_retired_minibatch_setting_loads(self, tmp_path, small_svi_fit):
-        # artifacts of schemas 3 and 4 store "minibatch": null in their config
-        histories, state = small_svi_fit
-        p, old = tmp_path / "fit.json", tmp_path / "old.json"
-        save_fit(state, p)
-        doc = json.loads(p.read_text(encoding="utf-8"))
-        doc["config"]["minibatch"] = None
-        old.write_text(json.dumps(doc), encoding="utf-8")
-        loaded, loaded_old = load_fit(p), load_fit(old)
-        assert loaded_old.config == loaded.config
-        for h in histories:
-            query = (h.timestamps[-1] + 0.2, h.covariates[-1])
-            assert (predictive_probs(h, loaded_old, query).probs.tobytes()
-                    == predictive_probs(h, loaded, query).probs.tobytes())
-
-    def test_svi_artifact_with_retired_settings_loads(self, tmp_path, small_svi_fit):
-        # the quadrature rule and the Adam rates were settings once: an older
-        # artifact records them, and the loader drops them
-        histories, state = small_svi_fit
-        p, old = tmp_path / "fit.json", tmp_path / "old.json"
-        save_fit(state, p)
-        doc = json.loads(p.read_text(encoding="utf-8"))
-        doc["config"].update(quadrature_nodes=20, learning_rate=0.05,
-                             hyper_learning_rate=0.02, minibatch=None)
-        old.write_text(json.dumps(doc), encoding="utf-8")
-        loaded, loaded_old = load_fit(p), load_fit(old)
-        assert loaded_old.config == loaded.config == state.config
-        for h in histories:
-            query = (h.timestamps[-1] + 0.2, h.covariates[-1])
-            assert (predictive_probs(h, loaded_old, query).probs.tobytes()
-                    == predictive_probs(h, loaded, query).probs.tobytes())
-
-    def test_mcmc_artifact_with_a_retired_thin_loads_its_draws(self, tmp_path, small_mcmc_fit):
-        # the stored draws and latent_draw_indices, not the config, record
-        # which draws a run kept
-        _, fit = small_mcmc_fit
-        p, old = tmp_path / "fit.json", tmp_path / "old.json"
-        save_fit(fit, p)
-        doc = json.loads(p.read_text(encoding="utf-8"))
-        doc["config"]["thin"] = 2
-        old.write_text(json.dumps(doc), encoding="utf-8")
-        loaded, loaded_old = load_fit(p), load_fit(old)
-        assert loaded_old.config == loaded.config == fit.config
-        for key in ("theta", "rho", "sigma", "kappa", "eta", "latent_draw_indices"):
-            assert getattr(loaded_old, key).tobytes() == getattr(fit, key).tobytes(), key
-        for e in fit.entity_ids:
-            assert loaded_old.latents[e].tobytes() == np.asarray(fit.latents[e]).tobytes()
-
     def test_svi_site_precision_saved_packed(self, tmp_path, small_svi_fit):
         histories, state = small_svi_fit
         p = tmp_path / "fit.json"
@@ -350,9 +358,7 @@ class TestFitArtifacts:
             lam2 = lam2[:-1]
         else:
             lam2[3] = value
-        doc["payload"]["site_precision"]["v1"] = {
-            "dtype": "<f8", "shape": [lam2.size],
-            "data": base64.b64encode(lam2.tobytes()).decode()}
+        doc["payload"]["site_precision"]["v1"] = packed(lam2)
         p.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=f"malformed artifact.*site_precision of entity 'v1'.*{message}"):
             load_fit(p)
@@ -369,47 +375,6 @@ class TestFitArtifacts:
                      encoding="utf-8")
         with pytest.raises(DataError, match="malformed artifact.*last_variance of entity 'v1'"):
             load_fit(p)
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_old_svi_artifacts_ask_for_a_refit(self, tmp_path, version):
-        # schemas 1 and 2 hold an inducing-point fit (inducing_times, q_chol)
-        doc = json.loads((DATA / "fit_v1_svi.json").read_text(encoding="utf-8"))
-        doc["schema_version"] = version
-        p = tmp_path / "fit.json"
-        p.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match=f"schema version {version}.*refit"):
-            load_fit(p)
-
-    def test_schema_2_mcmc_artifact_still_loads(self, tmp_path, small_mcmc_run):
-        # schemas 2 and 3 stored the (draws, ratings) pointwise_loglik matrix
-        _, fit, rows = small_mcmc_run
-        lppd, p_waic = waic_terms(rows)
-        p = tmp_path / "fit.json"
-        save_fit(fit, p)
-        doc = json.loads(p.read_text(encoding="utf-8"))
-        payload = doc["payload"]
-        del payload["lppd"], payload["p_waic"]
-        payload["pointwise_loglik"] = {
-            "dtype": "<f8", "shape": list(rows.shape),
-            "data": base64.b64encode(rows.tobytes()).decode()}
-        for version in (2, 3):
-            doc["schema_version"] = version
-            p.write_text(json.dumps(doc), encoding="utf-8")
-            loaded = load_fit(p, expect_backend="mcmc")
-            assert loaded.lppd.tobytes() == lppd.tobytes()
-            assert loaded.p_waic.tobytes() == p_waic.tobytes()
-            diffs = fit_differences(fit, loaded)
-            assert all(d.startswith(("fit.lppd", "fit.p_waic")) for d in diffs), diffs
-            np.testing.assert_allclose(loaded.lppd, fit.lppd, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(loaded.p_waic, fit.p_waic, rtol=0.0, atol=1e-12)
-
-    def test_v1_mcmc_waic_terms_reduce_its_matrix(self):
-        doc = json.loads((DATA / "fit_v1_mcmc.json").read_text(encoding="utf-8"))
-        lppd, p_waic = waic_terms(np.array(doc["payload"]["pointwise_loglik"]))
-        loaded = load_fit(DATA / "fit_v1_mcmc.json")
-        assert loaded.lppd.tobytes() == lppd.tobytes()
-        assert loaded.p_waic.tobytes() == p_waic.tobytes()
-        assert loaded.waic == -2.0 * float((lppd - p_waic).sum())
 
     def test_no_field_holds_draws_by_ratings(self, tmp_path, small_mcmc_run):
         histories, fit, rows = small_mcmc_run
@@ -554,9 +519,7 @@ class TestFitArtifacts:
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         doc = json.loads(p.read_text(encoding="utf-8"))
-        bad = edit(getattr(fit, key))
-        doc["payload"][key] = {"dtype": "<f8", "shape": list(bad.shape),
-                               "data": base64.b64encode(bad.tobytes()).decode()}
+        doc["payload"][key] = packed(edit(getattr(fit, key)))
         p.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=f"malformed artifact.*{message}"):
             load_fit(p)
@@ -566,40 +529,10 @@ class TestFitArtifacts:
         p = tmp_path / "fit.json"
         save_fit(state, p)
         doc = json.loads(p.read_text(encoding="utf-8"))
-        doc["payload"]["emission"]["v0"]["eta"] = [0.5, 0.6, 0.1, 0.1, 0.1]
+        doc["payload"]["emission"]["v0"]["eta"] = packed([0.5, 0.6, 0.1, 0.1, 0.1])
         p.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match="malformed artifact.*sum to 1"):
             load_fit(p)
-
-    @pytest.mark.parametrize("backend", ["mcmc"])
-    def test_schema_1_artifact_loads_and_predicts_as_schema_2(
-            self, tmp_path, small_mcmc_run, backend):
-        # SVI artifacts before schema 3 are refused (see above)
-        histories, fit, rows = small_mcmc_run
-        v1_path = DATA / f"fit_v1_{backend}.json"
-        v1_doc = json.loads(v1_path.read_text(encoding="utf-8"))
-        assert v1_doc["schema_version"] == 1
-        # the stored matrix is exactly the rows a fresh fit folds into its WAIC
-        assert rows.tobytes() == np.array(v1_doc["payload"]["pointwise_loglik"]).tobytes()
-        p = tmp_path / "fit.json"
-        save_fit(fit, p)
-        old, new = load_fit(v1_path, expect_backend=backend), load_fit(p)
-        # the schema-1 files predate the run-report keys in metadata; their
-        # WAIC terms are reduced from the stored matrix in another order than
-        # the sampler's stream
-        diffs = [d for d in fit_differences(new, old)
-                 if not d.startswith(("fit.metadata", "fit.lppd", "fit.p_waic"))]
-        assert diffs == []
-        lppd, p_waic = waic_terms(rows)
-        assert old.lppd.tobytes() == lppd.tobytes()
-        assert old.p_waic.tobytes() == p_waic.tobytes()
-        np.testing.assert_allclose(old.lppd, new.lppd, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(old.p_waic, new.p_waic, rtol=0.0, atol=1e-12)
-        for h in histories:
-            query = (h.timestamps[-1] + 0.25, h.covariates[-1])
-            before = predictive_probs(h, new, query)
-            after = predictive_probs(h, old, query)
-            assert before.probs.tobytes() == after.probs.tobytes()
 
     def test_truncated_artifact(self, tmp_path, small_svi_fit):
         _, state = small_svi_fit
@@ -625,6 +558,34 @@ class TestFitArtifacts:
         doc["schema_version"] = 99
         p.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match="migration"):
+            load_fit(p)
+
+    @pytest.mark.parametrize("backend, edit, message", [
+        *[(backend, partial(dict.update, schema_version=version),
+           f"schema version {version} needs migration.*refit")
+          for backend in ("mcmc", "svi") for version in (1, 2, 3)],
+        ("mcmc", lambda doc: doc["config"].update(thin=2), "config key 'thin'.*refit"),
+        ("svi", lambda doc: doc["config"].update(minibatch=None), "config key 'minibatch'.*refit"),
+        ("svi", lambda doc: doc["config"].update(quadrature_nodes=20),
+         "config key 'quadrature_nodes'.*refit"),
+        *[(backend, stored_as(unpacked, "theta"), "field theta is not a packed array")
+          for backend in ("mcmc", "svi")],
+        ("mcmc", stored_as(packed, "latents", "e0"), r"field latents\['e0'\] is not a JSON list"),
+        ("svi", stored_as(packed, "q_mean", "v0"), r"field q_mean\['v0'\] is not a JSON list"),
+    ], ids=[*[f"{b}-schema_{v}" for b in ("mcmc", "svi") for v in (1, 2, 3)],
+            "mcmc-thin", "svi-minibatch", "svi-quadrature_nodes",
+            "mcmc-theta_as_list", "svi-theta_as_list", "mcmc-latents_packed",
+            "svi-q_mean_packed"])
+    def test_only_what_save_fit_writes_loads(self, tmp_path, small_mcmc_fit, small_svi_fit,
+                                             backend, edit, message):
+        # older schemas, retired settings and the other form of a field
+        fit = (small_mcmc_fit if backend == "mcmc" else small_svi_fit)[1]
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        edit(doc)
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=message):
             load_fit(p)
 
     def test_not_an_artifact(self, tmp_path):

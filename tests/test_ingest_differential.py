@@ -181,8 +181,8 @@ def test_jsonl_matches_the_row_reader(text, block_rows):
 
 @settings(max_examples=40, deadline=None)
 @given(csv_files(), BLOCKS,
-       st.lists(st.sampled_from(DEFAULT_COVARIATES + ("absent", "rating")),
-                min_size=1, max_size=4))
+       st.lists(st.sampled_from(DEFAULT_COVARIATES + ("absent", "rating", "", " ")),
+                max_size=4))
 def test_chosen_covariate_columns_match(text, block_rows, columns):
     _check(text, ".csv", block_rows, covariate_columns=columns)
 
@@ -221,6 +221,10 @@ CASES = {
                                 "a,4,2e10", "a,5,2e10"),
     "difference_overflows": _lines("entity_id,rating,timestamp", "a,3,1e308", "b,3,-1e308"),
     "one_level": _lines("entity_id,rating,timestamp", "a,1,2013"),
+    # more dropped rows than the warning names, across blocks
+    "many_dropped": _lines("entity_id,rating,timestamp", "a,3,2013",
+                           *[f"a,{9 if k % 3 else 0},{2013 + k}" for k in range(7)], "b,2,2014",
+                           *[f"b,9,{2014 + k}" for k in range(7)]),
     # at two rows a block: an entity first seen, a row dropped and a tie made
     # after the first block, and ids first seen out of sorted order
     "late_entity_and_dropped_row": _lines("entity_id,rating,timestamp",
