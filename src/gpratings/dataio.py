@@ -10,13 +10,16 @@ numbers); it sorts those once, and each history's arrays are views of the
 sorted columns. Its memory is thus bounded by a small multiple of the
 histories it returns, not by Python objects per row.
 
-The fit artifact has one schema, ``SCHEMA_VERSION`` (4). It stores the
+The fit artifact has one schema, ``SCHEMA_VERSION`` (5). It stores the
 numeric arrays of the payload as {"dtype": "<f8" | "<i8", "shape": [...],
 "data": <base64>}: the array's little-endian bytes, base64-encoded, so
 saving and loading skip the per-float text formatting and the round trip is
-bit for bit. An MCMC payload holds each rating's two WAIC terms, ``lppd``
-and ``p_waic`` (vectors over the ratings). Two small per-entity fields,
-``latents`` (MCMC) and ``q_mean`` (SVI), are JSON lists:
+bit for bit. An MCMC payload holds no draws-by-ratings array: each rating's
+two WAIC terms, ``lppd`` and ``p_waic``, and its posterior mean path value
+(``latents``, one row per entity) are vectors over the ratings, and
+``last_latent`` (packed, draws × entities) holds each entity's last latent
+per thinned draw, which is what prediction reads. Two small per-entity
+fields, ``latents`` (MCMC) and ``q_mean`` (SVI), are JSON lists of numbers:
 ``bench/test_bench.py`` proves the benchmark's round-trip check by nudging
 one of their stored numbers in the JSON text. The config holds the fit's
 settings, less the thread count.
@@ -30,7 +33,8 @@ no truncated artifact and keeps an earlier one.
 ``load_fit`` reads only what ``save_fit`` writes. Another schema version, a
 config key that is not a setting of the backend, or an array field in the
 other form (a JSON list where a packed array belongs, or the reverse) is a
-DataError; an artifact of an older schema must be refitted. A review file
+DataError; an artifact of an older schema (schema 4 included, whose
+``latents`` held every thinned draw's path) must be refitted. A review file
 or an artifact that is not UTF-8 text is a DataError too.
 """
 
@@ -46,7 +50,6 @@ import secrets
 import warnings
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Tuple
@@ -58,7 +61,7 @@ from .mcmc import McmcConfig, PosteriorEnsemble
 from .model import EmissionParams, EntityHistory, KernelParams
 from .svi import SviConfig, VariationalState
 
-SCHEMA_VERSION = 4            # the fit artifact's layout, the one load_fit reads
+SCHEMA_VERSION = 5            # the fit artifact's layout, the one load_fit reads
 MANIFEST_VERSION = 1          # the dataset manifest's layout, versioned apart
 DAYS_PER_YEAR = 365.25
 
@@ -418,10 +421,11 @@ def ingest(path, fmt: str = None, covariate_columns=None,
     """Read a review file into sorted per-entity histories plus a manifest.
 
     ``covariate_columns`` names the covariate columns; None means
-    ``DEFAULT_COVARIATES``, and an empty list or a blank name is an
-    InvalidInputError. Ratings outside 1..n_r are dropped with a warning that
-    counts them and names the lines of the first ``_NAMED_DROPS``; anything
-    unparsable is a hard error, naming the first bad row. Missing
+    ``DEFAULT_COVARIATES``, and a string (not a list of names), an empty
+    list or a blank name is an InvalidInputError. Ratings outside 1..n_r
+    are dropped with a warning that counts them and names the lines of the
+    first ``_NAMED_DROPS``; anything unparsable is a hard error, naming the
+    first bad row. Missing
     covariate values impute to zero (also warned). Count columns
     (``LOG_COLUMNS``) enter as log1p(count). Timestamps may be ISO-8601 or
     real-valued years and come out as fractional years since the earliest
@@ -451,6 +455,9 @@ def ingest(path, fmt: str = None, covariate_columns=None,
     if covariate_columns is None:
         names = DEFAULT_COVARIATES
     else:
+        if isinstance(covariate_columns, str):
+            raise InvalidInputError("covariate_columns must be a list of column names, "
+                                    f"not the string {covariate_columns!r}")
         names = tuple(covariate_columns)
         if not (names and all(name.strip() for name in names)):
             raise InvalidInputError("covariate_columns must name at least one column and "
@@ -543,15 +550,31 @@ _FLOAT = "<f8"
 _INT = "<i8"
 
 
-def _pack(a, code=_FLOAT):
-    """An array as {dtype, shape, data}: little-endian raw bytes, base64-encoded."""
-    a = np.asarray(a, dtype=code)
-    return {"dtype": code, "shape": list(a.shape),
-            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+# bytes base64-encoded per piece of a packed array; a multiple of 3, so the
+# pieces' text joins into the text of the whole
+_B64_CHUNK = 3 << 16
+
+
+class _Packed(NamedTuple):
+    """An array that :func:`_write_json` stores as {data, dtype, shape}."""
+
+    array: np.ndarray
+    code: str = _FLOAT
+
+
+def _write_packed(fh, a, code):
+    """Write ``a`` as {"data", "dtype", "shape"}, keys in ``sort_keys``
+    order: its little-endian bytes, base64-encoded ``_B64_CHUNK`` bytes at
+    a time, so the text of the whole array is never held."""
+    raw = np.ascontiguousarray(a, dtype=code).reshape(-1).view(np.uint8)
+    fh.write('{"data":"')
+    for lo in range(0, raw.size, _B64_CHUNK):
+        fh.write(base64.b64encode(raw[lo:lo + _B64_CHUNK]).decode("ascii"))
+    fh.write(f'","dtype":{_dumps(code)},"shape":{_dumps(list(np.shape(a)))}}}')
 
 
 def _unpack(doc, field, path, code=_FLOAT):
-    """Inverse of :func:`_pack`; any mismatch is a DataError naming ``field``."""
+    """Inverse of :func:`_write_packed`; any mismatch is a DataError naming ``field``."""
     if not isinstance(doc, dict):
         raise DataError(f"{path}: field {field} is not a packed array")
     if doc.get("dtype") != code:
@@ -573,13 +596,21 @@ def _unpack(doc, field, path, code=_FLOAT):
 
 
 def _unlist(value, field, path):
-    """One entity's ``latents`` or ``q_mean``: a JSON list of numbers."""
+    """One entity's ``latents`` or ``q_mean``: a JSON list of numbers.
+
+    The dtype is inferred before the cast, so JSON strings (which
+    ``float`` would parse), booleans, nulls and ragged lists are a
+    DataError naming ``field``.
+    """
     if not isinstance(value, list):
         raise DataError(f"{path}: field {field} is not a JSON list")
     try:
-        return np.asarray(value, dtype=float)
-    except ValueError:
+        a = np.asarray(value)
+        if a.dtype.kind not in "fi":     # text, booleans or nulls
+            raise ValueError
+    except ValueError:                   # or a ragged list
         raise DataError(f"{path}: field {field} is not a numeric array") from None
+    return a.astype(float, copy=False)
 
 
 def _dumps(value) -> str:
@@ -591,13 +622,16 @@ def _write_json(fh, value) -> None:
     """Write ``value`` to ``fh`` as :func:`_dumps` would, one piece at a time.
 
     A dict is written key by key in sorted order, as ``sort_keys`` orders
-    it; any other value is encoded whole by one :func:`_dumps` call, a
-    callable first being called, so a packed array is built only when it
-    is written. Only the piece being written is held as text. (``json.dump``
-    to the file would stream too, but through the pure-Python encoder.)
+    it, and a :class:`_Packed` array by :func:`_write_packed`; any other
+    value is encoded whole by one :func:`_dumps` call. Only the piece being
+    written is held as text. (``json.dump`` to the file would stream too,
+    but through the pure-Python encoder.)
     """
+    if isinstance(value, _Packed):
+        _write_packed(fh, *value)
+        return
     if not isinstance(value, dict):
-        fh.write(_dumps(value() if callable(value) else value))
+        fh.write(_dumps(value))
         return
     fh.write("{")
     for k, key in enumerate(sorted(value)):
@@ -613,7 +647,8 @@ def save_fit(fit, path) -> None:
 
     The numeric arrays of the payload are stored as {dtype, shape, data}:
     their little-endian bytes ("<f8", or "<i8" for latent_draw_indices),
-    base64-encoded, so the round trip is bit for bit. ``latents`` and
+    base64-encoded, so the round trip is bit for bit; ``last_latent`` is one
+    of them. ``latents`` (each entity's mean path, one row) and
     ``q_mean`` stay JSON lists (see the module docstring); ``repr``
     round-trips every finite float and -0.0 exactly, but a NaN there comes
     back as the plain NaN.
@@ -621,25 +656,27 @@ def save_fit(fit, path) -> None:
 
     The bytes are those of ``json.dumps(doc, sort_keys=True,
     separators=(",", ":"))`` and a newline, but the document is streamed:
-    each entity's ``latents`` or ``q_mean`` becomes a list, and each array is
-    packed, only as it is written, so memory is bounded by one entity's
-    block, not by the artifact. The text goes to a temporary file beside
-    ``path``, which then replaces ``path`` in one step; a save that fails
-    removes it, leaving any earlier file at ``path`` as it was.
+    each entity's ``latents`` or ``q_mean`` becomes a list only as it is
+    written, and each packed array is encoded a piece at a time, so memory
+    is bounded by one entity's list or one piece, not by the artifact. The
+    text goes to a temporary file beside ``path``, which then replaces
+    ``path`` in one step; a save that fails removes it, leaving any earlier
+    file at ``path`` as it was.
     """
     backend = getattr(fit, "backend", None)
     if backend == "mcmc":
         payload = {
             "entity_ids": list(fit.entity_ids),
-            "theta": partial(_pack, fit.theta),
-            "rho": partial(_pack, fit.rho),
-            "sigma": partial(_pack, fit.sigma),
-            "kappa": partial(_pack, fit.kappa),
-            "eta": partial(_pack, fit.eta),
+            "theta": _Packed(fit.theta),
+            "rho": _Packed(fit.rho),
+            "sigma": _Packed(fit.sigma),
+            "kappa": _Packed(fit.kappa),
+            "eta": _Packed(fit.eta),
             "latents": fit.latents,
-            "latent_draw_indices": partial(_pack, fit.latent_draw_indices, _INT),
-            "lppd": partial(_pack, fit.lppd),
-            "p_waic": partial(_pack, fit.p_waic),
+            "last_latent": _Packed(fit.last_latent),
+            "latent_draw_indices": _Packed(fit.latent_draw_indices, _INT),
+            "lppd": _Packed(fit.lppd),
+            "p_waic": _Packed(fit.p_waic),
             "diagnostics": fit.diagnostics,
             "converged": bool(fit.converged),
             "metadata": fit.metadata,
@@ -648,14 +685,14 @@ def save_fit(fit, path) -> None:
         payload = {
             "entity_ids": list(fit.entity_ids),
             "q_mean": fit.q_mean,
-            "site_precision": {e: partial(_pack, v) for e, v in fit.site_precision.items()},
+            "site_precision": {e: _Packed(v) for e, v in fit.site_precision.items()},
             "last_variance": dict(fit.last_variance),
-            "theta": partial(_pack, fit.theta),
+            "theta": _Packed(fit.theta),
             "kernel": {e: {"rho": kp.rho, "sigma": kp.sigma}
                        for e, kp in fit.kernel.items()},
-            "emission": {e: {"kappa": ep.kappa, "eta": partial(_pack, ep.eta)}
+            "emission": {e: {"kappa": ep.kappa, "eta": _Packed(ep.eta)}
                          for e, ep in fit.emission.items()},
-            "elbo_trace": partial(_pack, fit.elbo_trace),
+            "elbo_trace": _Packed(fit.elbo_trace),
             "metadata": fit.metadata,
         }
     else:
@@ -684,12 +721,14 @@ def save_fit(fit, path) -> None:
 
 
 def load_fit(path, expect_backend: str = None):
-    """Load a fit artifact in the one format save_fit writes (schema 4).
+    """Load a fit artifact in the one format save_fit writes (schema 5).
 
     Each packed array field must be a {dtype, shape, data} dict, and each
-    entity's ``latents`` or ``q_mean`` a JSON list; a field in the other
-    form is a DataError naming it. Raises DataError too for truncated or
-    corrupt files, files that are not UTF-8 text, undecodable array fields,
+    entity's ``latents`` or ``q_mean`` a JSON list of numbers; a field in
+    the other form is a DataError naming it. So is a ``latents`` entry that
+    is not one row, or a ``last_latent`` of the wrong shape or with a
+    non-finite value, which the fit's class rejects. Raises DataError too
+    for truncated or corrupt files, files that are not UTF-8 text, undecodable array fields,
     any schema version but ``SCHEMA_VERSION``, config keys that are not
     settings of the backend's config class, and backend tags that don't
     match ``expect_backend``. An artifact of another schema, or one that
@@ -742,6 +781,7 @@ def load_fit(path, expect_backend: str = None):
                 kappa=arr("kappa"),
                 eta=arr("eta"),
                 latents=per_entity("latents", _unlist),
+                last_latent=arr("last_latent"),
                 latent_draw_indices=arr("latent_draw_indices", _INT),
                 lppd=arr("lppd"),
                 p_waic=arr("p_waic"),

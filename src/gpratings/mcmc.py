@@ -11,7 +11,10 @@ counts) plus an (n_entities, n_r - 1) table of standardized
 cutpoints; the whitened latents, the path, its mean, the pointwise
 log-likelihood and the kernel factor are vectors over all ratings.  Each
 retained draw's pointwise log-likelihood is folded into per-rating WAIC
-terms as it is drawn (``_WaicStream``) and not kept.
+terms as it is drawn (``_WaicStream``) and not kept.  Nor is the path: a
+running sum gives the posterior mean path, and only each entity's value at
+its last rating is stored per thinned draw, so a fit's memory is the
+ratings plus draws times entities, never draws times ratings.
 
 One sampler iteration cycles these block updates, each run once per chain
 for all entities together:
@@ -94,7 +97,9 @@ _BLOCKS = ("rho_sigma", "kappa", "cutpoints", "shift", "rescale")
 class McmcConfig:
     """Sampler run configuration (paper-default chain layout). Every draw
     after ``warmup`` is kept: thinning inside the sampler only throws draws
-    away (Link & Eaton 2012, Methods Ecol. Evol. 3, 112-115)."""
+    away (Link & Eaton 2012, Methods Ecol. Evol. 3, 112-115).
+    ``latent_thin`` thins only the last latents that prediction reads
+    (``PosteriorEnsemble.last_latent``); the mean path is over every draw."""
 
     chains: int = 2
     iterations: int = 2500
@@ -683,17 +688,23 @@ class _WaicStream:
 def _run_chain(panel, log_rho0, config, seed, flat, waic_stream):
     """Run one chain from its SeedSequence; return its retained draws and
     report.  Each retained draw's pointwise log-likelihood is folded into
-    ``waic_stream``, which the chains share."""
+    ``waic_stream``, which the chains share.  Of the path it keeps only
+    ``path_sum``, the sum of every retained draw's path, and
+    ``last_latent``, each entity's path value at its last rating on every
+    ``latent_thin``-th retained draw: memory in ratings plus draws times
+    entities, not draws times ratings."""
     n_e = panel.n_entities
     ch = _Chain(panel, log_rho0, np.random.default_rng(seed), flat)
     per_chain = config.draws_per_chain
+    last_rows = panel.offsets[1:] - 1
     draws = {
         "theta": np.empty((per_chain, panel.q_star.shape[1])),
         "rho": np.empty((per_chain, n_e)),
         "sigma": np.empty((per_chain, n_e)),
         "kappa": np.empty((per_chain, n_e)),
         "eta": np.empty((per_chain, n_e, panel.n_r)),
-        "latents": np.empty((-(-per_chain // config.latent_thin), panel.n_rows)),
+        "path_sum": np.zeros(panel.n_rows),
+        "last_latent": np.empty((-(-per_chain // config.latent_thin), n_e)),
     }
     keep = 0
     for it in range(config.iterations):
@@ -706,8 +717,9 @@ def _run_chain(panel, log_rho0, config, seed, flat, waic_stream):
             draws["kappa"][keep] = ch.kappa
             draws["eta"][keep] = eta_from_cutpoints(ch.z_cuts, 1.0)
             waic_stream.update(ch.ll)
+            draws["path_sum"] += ch.f
             if keep % config.latent_thin == 0:
-                draws["latents"][keep // config.latent_thin] = ch.f
+                draws["last_latent"][keep // config.latent_thin] = ch.f[last_rows]
             keep += 1
     draws["report"] = dict(ch.report, scale=ch.scale, scale_theta=ch.scale_theta)
     return draws
@@ -721,12 +733,20 @@ def _run_chain(panel, log_rho0, config, seed, flat, waic_stream):
 class PosteriorEnsemble:
     """Retained MCMC draws of every parameter plus diagnostics.
 
-    Latent vectors are stored for every ``latent_thin``-th retained draw
-    (``latent_draw_indices`` maps them back).  The pointwise log-likelihood
-    is not stored: each rating keeps its two WAIC terms over all retained
-    draws, in panel order (the entities of ``entity_ids``, each in time
-    order), as :func:`waic_terms` defines them: ``lppd``, the log of the
-    draw-mean of exp(ll), and ``p_waic``, the draw variance of ll (ddof 1).
+    The latent path is not kept draw by draw.  ``latents[e]`` is a (1, n_i)
+    array, entity e's posterior mean path over every retained draw of every
+    chain.  ``last_latent`` (S_lat, n_entities) holds each entity's path
+    value at its last rating on every ``latent_draw_indices`` draw (every
+    ``latent_thin``-th retained draw of each chain), which is all that
+    prediction reads of the path.  So the fit grows with ratings plus draws
+    times entities, not with draws times ratings.  Each ``latents[e]`` must
+    hold exactly one row, and ``last_latent`` must be finite with one row
+    per latent draw index and one column per entity.  The pointwise
+    log-likelihood is not stored: each rating keeps its two WAIC terms over
+    all retained draws, in panel order (the entities of ``entity_ids``, each
+    in time order), as :func:`waic_terms` defines them: ``lppd``, the log of
+    the draw-mean of exp(ll), and ``p_waic``, the draw variance of ll (ddof
+    1).
     The sampler accumulates them draw by draw, so they cost memory in
     ratings, not in draws times ratings; ``waic`` is their deviance.  Both
     must hold one term per rating, and every p_waic term must be finite and
@@ -746,7 +766,8 @@ class PosteriorEnsemble:
     sigma: np.ndarray            # (S, n_entities)
     kappa: np.ndarray            # (S, n_entities)
     eta: np.ndarray              # (S, n_entities, n_r)
-    latents: dict                # entity_id -> (S_lat, n_i)
+    latents: dict                # entity_id -> (1, n_i) posterior mean path
+    last_latent: np.ndarray      # (S_lat, n_entities)
     latent_draw_indices: np.ndarray
     lppd: np.ndarray             # (total points,)
     p_waic: np.ndarray           # (total points,)
@@ -756,7 +777,15 @@ class PosteriorEnsemble:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n_rows = sum(np.shape(self.latents[e])[1] for e in self.entity_ids)
+        shapes = [np.shape(self.latents[e]) for e in self.entity_ids]
+        if any(len(s) != 2 or s[0] != 1 for s in shapes):
+            raise InvalidInputError("each latents entry must hold one row, the mean path")
+        n_rows = sum(s[1] for s in shapes)
+        lat_shape = (np.size(self.latent_draw_indices), len(self.entity_ids))
+        if np.shape(self.last_latent) != lat_shape:
+            raise InvalidInputError(f"last_latent must have shape {lat_shape}")
+        if not np.isfinite(self.last_latent).all():
+            raise InvalidInputError("last_latent must be finite")
         for name in ("lppd", "p_waic"):
             if np.shape(getattr(self, name)) != (n_rows,):
                 raise InvalidInputError(f"{name} must hold one term per rating ({n_rows})")
@@ -818,6 +847,7 @@ def run_mcmc(histories, config: McmcConfig, *, n_r: int | None = None,
     latent_idx = np.concatenate([c * per_chain + np.arange(0, per_chain, config.latent_thin)
                                  for c in range(config.chains)])
 
+    path_mean = sum(c["path_sum"] for c in chains) / theta_draws.shape[0]
     lppd, p_waic = waic_stream.terms()
     diagnostics = _compute_diagnostics(
         panel.entity_ids, config, theta_draws, rho_draws, sigma_draws, kappa_draws, eta_draws)
@@ -826,8 +856,8 @@ def run_mcmc(histories, config: McmcConfig, *, n_r: int | None = None,
         entity_ids=list(panel.entity_ids),
         theta=theta_draws, rho=rho_draws, sigma=sigma_draws, kappa=kappa_draws,
         eta=eta_draws,
-        latents={e: np.concatenate([c["latents"][:, panel.segment(i)] for c in chains])
-                 for i, e in enumerate(panel.entity_ids)},
+        latents={e: path_mean[None, panel.segment(i)] for i, e in enumerate(panel.entity_ids)},
+        last_latent=stacked("last_latent"),
         latent_draw_indices=latent_idx,
         lppd=lppd, p_waic=p_waic, diagnostics=diagnostics, config=config,
         converged=bool(worst <= 1.02),

@@ -135,7 +135,7 @@ def _query_distribution(history, fit, times, xs):
         raise InvalidInputError("fit holds no latent draws for prediction")
     mu, nu2 = _mcmc_draw_moments(
         history, fit.theta[sel], fit.rho[sel, idx], fit.sigma[sel, idx],
-        fit.latents[history.entity_id][:, -1], times, xs)
+        fit.last_latent[:, idx], times, xs)
     kappa = fit.kappa[sel, idx]
     cuts = cutpoints_from_eta(fit.eta[sel, idx, :], kappa[:, None])
     return _probs_from_moments(mu, nu2, kappa, cuts)

@@ -108,6 +108,9 @@ def reference_ingest(path, fmt=None, covariate_columns=None, n_r=5):
     if covariate_columns is None:
         names = DEFAULT_COVARIATES
     else:
+        if isinstance(covariate_columns, str):
+            raise InvalidInputError("covariate_columns must be a list of column names, "
+                                    f"not the string {covariate_columns!r}")
         names = tuple(covariate_columns)
         if not names or any(name.strip() == "" for name in names):
             raise InvalidInputError("covariate_columns must name at least one column and "

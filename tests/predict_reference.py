@@ -44,7 +44,8 @@ def draw_moments(history, theta, rho, sigma, f_last, query_time, x):
 
 def per_draw_moments(history, fit, times, xs):
     """(S, L) moments of an MCMC fit's latent draws at each query, one
-    :func:`draw_moments` call per draw and query."""
+    :func:`draw_moments` call per draw and query, each from the draw's last
+    latent (``last_latent``)."""
     eid = history.entity_id
     idx = fit.entity_index(eid)
     sel = fit.latent_draw_indices
@@ -54,5 +55,5 @@ def per_draw_moments(history, fit, times, xs):
         for j, (t, x) in enumerate(zip(times, xs)):
             mu[s, j], nu2[s, j] = draw_moments(
                 history, fit.theta[g], fit.rho[g, idx], fit.sigma[g, idx],
-                fit.latents[eid][s, -1], float(t), x)
+                fit.last_latent[s, idx], float(t), x)
     return mu, nu2

@@ -137,9 +137,10 @@ class TestIngestCsv:
                            + ", ".join(map(str, range(3, 13))) + " and 19990 more)")
         assert len(message) < 300
 
-    @pytest.mark.parametrize("columns", [[], (), ["x1", ""], ["  "]])
+    @pytest.mark.parametrize("columns", [[], (), ["x1", ""], ["  "], "x1"])
     def test_no_covariate_or_a_blank_one_is_invalid(self, tmp_path, columns):
-        # only None means the default columns
+        # only None means the default columns; a string is not read as its
+        # characters, the columns ('x', '1')
         p = tmp_path / "toy.csv"
         write_csv(p, [("a", 4, 2013.0, 0.5)], ("entity_id", "rating", "timestamp", "x1"))
         with pytest.raises(InvalidInputError, match="covariate_columns"):
@@ -384,14 +385,20 @@ class TestFitArtifacts:
             value = getattr(fit, f.name)
             if isinstance(value, np.ndarray):
                 assert value.size < full, f.name
+        # the path is kept as one mean row per entity and one last latent
+        # per entity and thinned draw
+        assert {e: v.shape for e, v in fit.latents.items()} == {
+            h.entity_id: (1, h.n) for h in histories}
+        assert fit.last_latent.shape == (fit.latent_draw_indices.size, len(histories))
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         payload = json.loads(p.read_text(encoding="utf-8"))["payload"]
         packed = {k: v for k, v in payload.items() if isinstance(v, dict) and "data" in v}
-        assert {"theta", "rho", "sigma", "kappa", "eta", "latent_draw_indices",
+        assert {"theta", "rho", "sigma", "kappa", "eta", "last_latent", "latent_draw_indices",
                 "lppd", "p_waic"} == set(packed)
         for key, value in packed.items():
             assert math.prod(value["shape"]) < full, key
+        assert all(len(rows) == 1 for rows in payload["latents"].values())
         assert "pointwise_loglik" not in payload
 
     @pytest.mark.parametrize("backend", ["mcmc", "svi"])
@@ -401,7 +408,7 @@ class TestFitArtifacts:
         p = tmp_path / "fit.json"
         save_fit(fit, p)
         assert fit_differences(fit, load_fit(p)) == []
-        assert json.loads(p.read_text(encoding="utf-8"))["schema_version"] == 4
+        assert json.loads(p.read_text(encoding="utf-8"))["schema_version"] == 5
 
     @pytest.mark.parametrize("backend", ["mcmc", "svi"])
     def test_saved_bytes_are_one_sorted_compact_json_document(self, tmp_path, small_mcmc_fit,
@@ -414,16 +421,19 @@ class TestFitArtifacts:
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_save_holds_much_less_than_the_artifact(self, tmp_path):
-        # 24 entities of 40 ratings, 300 latent draws each: the save holds one
-        # entity's block at a time, a small share of the artifact
+        # 60 entities of 2,500 ratings and 300 draws: the save holds one
+        # entity's mean path or one piece of a packed array at a time, a
+        # small share of the artifact
         rng = np.random.default_rng(0)
-        ids = [f"e{i:02d}" for i in range(24)]
-        draws, n_i, n_rows = 300, 40, 24 * 40
+        n_e, draws, n_i = 60, 300, 2500
+        ids = [f"e{i:02d}" for i in range(n_e)]
+        n_rows = n_e * n_i
         fit = PosteriorEnsemble(
             entity_ids=ids, theta=rng.normal(size=(draws, 2)),
-            rho=rng.random((draws, 24)), sigma=rng.random((draws, 24)),
-            kappa=rng.random((draws, 24)), eta=rng.dirichlet(np.ones(5), (draws, 24)),
-            latents={e: rng.normal(size=(draws, n_i)) for e in ids},
+            rho=rng.random((draws, n_e)), sigma=rng.random((draws, n_e)),
+            kappa=rng.random((draws, n_e)), eta=rng.dirichlet(np.ones(5), (draws, n_e)),
+            latents={e: rng.normal(size=(1, n_i)) for e in ids},
+            last_latent=rng.normal(size=(draws, n_e)),
             latent_draw_indices=np.arange(draws), lppd=-rng.random(n_rows),
             p_waic=rng.random(n_rows), diagnostics={}, config=McmcConfig(),
             converged=True)
@@ -524,6 +534,28 @@ class TestFitArtifacts:
         with pytest.raises(DataError, match=f"malformed artifact.*{message}"):
             load_fit(p)
 
+    @pytest.mark.parametrize("edit, message", [
+        (stored_as(lambda d: packed(np.array(unpacked(d))[:-1]), "last_latent"),
+         r"last_latent must have shape \(20, 2\)"),
+        (stored_as(lambda d: packed(np.array(unpacked(d))[:, :1]), "last_latent"),
+         r"last_latent must have shape \(20, 2\)"),
+        (stored_as(lambda d: packed(np.array(unpacked(d)) + [np.nan, 0.0]), "last_latent"),
+         "last_latent must be finite"),
+        (stored_as(lambda rows: rows * 2, "latents", "e0"), "latents entry must hold one row"),
+        (stored_as(lambda rows: rows[0], "latents", "e1"), "latents entry must hold one row"),
+    ], ids=["short_last_latent", "narrow_last_latent", "nan_last_latent", "two_latent_rows",
+            "flat_latents"])
+    def test_invalid_latent_fields_are_a_data_error(self, tmp_path, small_mcmc_fit,
+                                                    edit, message):
+        _, fit = small_mcmc_fit
+        p = tmp_path / "fit.json"
+        save_fit(fit, p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        edit(doc)
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"malformed artifact.*{message}"):
+            load_fit(p)
+
     def test_invalid_stored_values_are_a_data_error(self, tmp_path, small_svi_fit):
         _, state = small_svi_fit
         p = tmp_path / "fit.json"
@@ -563,7 +595,7 @@ class TestFitArtifacts:
     @pytest.mark.parametrize("backend, edit, message", [
         *[(backend, partial(dict.update, schema_version=version),
            f"schema version {version} needs migration.*refit")
-          for backend in ("mcmc", "svi") for version in (1, 2, 3)],
+          for backend in ("mcmc", "svi") for version in (1, 2, 3, 4)],
         ("mcmc", lambda doc: doc["config"].update(thin=2), "config key 'thin'.*refit"),
         ("svi", lambda doc: doc["config"].update(minibatch=None), "config key 'minibatch'.*refit"),
         ("svi", lambda doc: doc["config"].update(quadrature_nodes=20),
@@ -572,10 +604,21 @@ class TestFitArtifacts:
           for backend in ("mcmc", "svi")],
         ("mcmc", stored_as(packed, "latents", "e0"), r"field latents\['e0'\] is not a JSON list"),
         ("svi", stored_as(packed, "q_mean", "v0"), r"field q_mean\['v0'\] is not a JSON list"),
-    ], ids=[*[f"{b}-schema_{v}" for b in ("mcmc", "svi") for v in (1, 2, 3)],
+        ("mcmc", stored_as(unpacked, "last_latent"), "field last_latent is not a packed array"),
+        # JSON strings of numbers are not numbers, though float() parses them
+        ("mcmc", stored_as(lambda rows: [list(map(repr, rows[0]))], "latents", "e0"),
+         r"field latents\['e0'\] is not a numeric array"),
+        ("svi", stored_as(lambda row: [row[0], str(row[1]), *row[2:]], "q_mean", "v0"),
+         r"field q_mean\['v0'\] is not a numeric array"),
+        ("mcmc", stored_as(lambda rows: [rows[0][:3], rows[0][3:]], "latents", "e0"),
+         r"field latents\['e0'\] is not a numeric array"),
+        ("svi", stored_as(lambda row: [None, *row[1:]], "q_mean", "v0"),
+         r"field q_mean\['v0'\] is not a numeric array"),
+    ], ids=[*[f"{b}-schema_{v}" for b in ("mcmc", "svi") for v in (1, 2, 3, 4)],
             "mcmc-thin", "svi-minibatch", "svi-quadrature_nodes",
             "mcmc-theta_as_list", "svi-theta_as_list", "mcmc-latents_packed",
-            "svi-q_mean_packed"])
+            "svi-q_mean_packed", "mcmc-last_latent_as_list", "mcmc-latents_as_strings",
+            "svi-q_mean_string", "mcmc-latents_ragged", "svi-q_mean_null"])
     def test_only_what_save_fit_writes_loads(self, tmp_path, small_mcmc_fit, small_svi_fit,
                                              backend, edit, message):
         # older schemas, retired settings and the other form of a field

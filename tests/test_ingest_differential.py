@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from gpratings import dataio
 from gpratings.dataio import DEFAULT_COVARIATES, ingest
+from gpratings.errors import InvalidInputError
 
 from ingest_reference import reference_ingest
 
@@ -300,6 +301,14 @@ def test_named_case_is_a_data_error(suffix, case, message):
     text = (CASES if suffix == ".csv" else JSONL_CASES)[case]
     (kind, *error), _ = _check(text, suffix, 2)
     assert kind == "error" and error == [dataio.DataError, message]
+
+
+def test_a_string_of_covariate_columns_is_invalid(tmp_path):
+    # a str is not read as its characters: "x1" is not the columns ('x', '1')
+    p = tmp_path / "reviews.csv"
+    p.write_text(_lines("entity_id,rating,timestamp,x1", "a,3,2013,0.5"), encoding="utf-8")
+    (kind, error, message), _ = assert_same(p, covariate_columns="x1")
+    assert (kind, error) == ("error", InvalidInputError) and "'x1'" in message
 
 
 def test_json_true_stays_an_error(tmp_path):

@@ -507,6 +507,22 @@ def run_mcmc_recording_rows(*args, **kwargs):
     return fit, np.array(rows)
 
 
+def run_mcmc_recording_paths(histories, config, **kwargs):
+    """``run_mcmc`` plus every retained draw's full path, (S, ratings) in
+    stacked chain order, captured after each sweep."""
+    paths = []
+    sweep = mcmc._sweep
+
+    def recorded(ch, gamma):
+        sweep(ch, gamma)
+        paths.append(ch.f.copy())
+
+    with mock.patch.object(mcmc, "_sweep", recorded):
+        fit = run_mcmc(histories, config, **kwargs)
+    paths = np.array(paths).reshape(config.chains, config.iterations, -1)
+    return fit, paths[:, config.warmup:].reshape(fit.n_draws, -1)
+
+
 def test_run_mcmc_shapes_and_draw_invariants():
     hs = small_dataset()
     fit, rows = run_mcmc_recording_rows(hs, small_config())
@@ -525,14 +541,30 @@ def test_run_mcmc_shapes_and_draw_invariants():
         for i in range(2):
             cuts = fit.kappa[s, i] * stats.norm.ppf(np.cumsum(fit.eta[s, i])[:-1])
             assert np.all(np.diff(cuts) > 0)
-    # latent bookkeeping
+    # latent bookkeeping: one mean path per entity, and each entity's last
+    # latent on every 4th retained draw
     for h in hs:
-        assert fit.latents[h.entity_id].shape == (2 * 8, h.n)
+        assert fit.latents[h.entity_id].shape == (1, h.n)
+    assert fit.last_latent.shape == (16, 2)
     assert fit.latent_draw_indices.shape == (16,)
     assert np.all(fit.latent_draw_indices < S)
     assert fit.metadata["n_r"] == 5
     assert "theta[0]" in fit.diagnostics
     assert f"rho[{hs[0].entity_id}]" in fit.diagnostics
+
+
+def test_latent_summaries_match_the_captured_paths():
+    # last_latent is each entity's path value at its last rating on the
+    # thinned draws, bit for bit; latents[e] its mean path over every
+    # retained draw of both chains
+    hs = small_dataset(n_entities=3)
+    fit, paths = run_mcmc_recording_paths(hs, small_config(latent_thin=3))
+    assert fit.entity_ids == [h.entity_id for h in hs]
+    ends = np.cumsum([h.n for h in hs])
+    assert fit.latent_draw_indices.tolist() == [*range(0, 30, 3), *range(30, 60, 3)]
+    assert np.array_equal(fit.last_latent, paths[fit.latent_draw_indices][:, ends - 1])
+    for h, mean in zip(hs, np.split(paths.mean(axis=0), ends[:-1])):
+        np.testing.assert_allclose(fit.latents[h.entity_id][0], mean, rtol=1e-12, atol=0.0)
 
 
 def test_run_mcmc_is_deterministic():
@@ -544,6 +576,7 @@ def test_run_mcmc_is_deterministic():
     assert np.array_equal(rows_a, rows_b)
     assert np.array_equal(a.lppd, b.lppd)
     assert np.array_equal(a.p_waic, b.p_waic)
+    assert np.array_equal(a.last_latent, b.last_latent)
     for eid in a.latents:
         assert np.array_equal(a.latents[eid], b.latents[eid])
 
@@ -555,6 +588,7 @@ def test_run_mcmc_thread_count_does_not_change_results():
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.rho, b.rho)
     assert np.array_equal(a.eta, b.eta)
+    assert np.array_equal(a.last_latent, b.last_latent)
     for eid in a.latents:
         assert np.array_equal(a.latents[eid], b.latents[eid])
 
@@ -599,7 +633,7 @@ def test_flat_likelihood_run_matches_prior_for_latents():
     rng = np.random.default_rng(31)
     hs = [random_history(rng, 5, "only")]
     cfg = McmcConfig(chains=2, iterations=1100, warmup=100, seed=7, latent_thin=1)
-    fit = run_mcmc(hs, cfg, flat_likelihood=True)
+    fit, paths = run_mcmc_recording_paths(hs, cfg, flat_likelihood=True)
     h = hs[0]
     X = h.covariates
     white = np.empty((fit.n_draws, h.n))
@@ -607,7 +641,7 @@ def test_flat_likelihood_run_matches_prior_for_latents():
         kp = KernelParams(rho=float(fit.rho[s, 0]), sigma=float(fit.sigma[s, 0]))
         L = np.linalg.cholesky(kernel_matrix(h, kp))
         m = X @ fit.theta[s]
-        white[s] = whiten(fit.latents["only"][s], L, m)
+        white[s] = whiten(paths[s], L, m)
     flat = white.reshape(-1)
     ess = max(effective_sample_size(white[:, 0].reshape(2, -1)), 50.0)
     se_mean = 1.0 / math.sqrt(ess * h.n)
@@ -683,6 +717,7 @@ def test_run_report_counts_without_changing_draws(monkeypatch):
     for key in ("theta", "rho", "sigma", "kappa", "eta", "lppd", "p_waic"):
         assert np.array_equal(getattr(fit, key), getattr(bare, key)), key
     assert np.array_equal(rows, bare_rows)
+    assert np.array_equal(fit.last_latent, bare.last_latent)
     for eid in fit.latents:
         assert np.array_equal(fit.latents[eid], bare.latents[eid])
 
@@ -713,8 +748,10 @@ def test_run_mcmc_mixed_panel_invariants():
             cuts = fit.kappa[s, i] * stats.norm.ppf(np.cumsum(fit.eta[s, i])[:-1])
             assert np.all(np.diff(cuts) > 0)
     for h in hs:
-        assert fit.latents[h.entity_id].shape == (2 * 8, h.n)
+        assert fit.latents[h.entity_id].shape == (1, h.n)
         assert np.all(np.isfinite(fit.latents[h.entity_id]))
+    assert fit.last_latent.shape == (16, 3)
+    assert np.all(np.isfinite(fit.last_latent))
     assert fit.latent_draw_indices.shape == (16,)
     assert np.all(fit.latent_draw_indices < S)
     assert fit.metadata["n_r"] == 7
