@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, logsumexp, ndtr
+from scipy.special import logsumexp, ndtr, ndtri
 
 from .errors import InvalidInputError, NumericalError
 from .model import (
@@ -77,10 +77,10 @@ from .model import (
     _check_count,
     _halfcauchy_logpdf,
     _halfnormal_logpdf,
-    _invgamma_logpdf,
 )
 
-DEFAULT_TAIL_MASS = 0.01
+# the length-scale prior puts 0.5% of its mass below each anchor: z_0.995
+_TAIL_Z = float(ndtri(0.995))
 
 # acceptance-rate target for all adaptive Metropolis blocks; the adaptation
 # band in the contract is 23..40%, and 0.30 sits comfortably inside it
@@ -128,9 +128,11 @@ class McmcConfig:
 class PriorSpec:
     """Per-entity length-scale priors plus the coefficient whitening map.
 
-    The remaining hyperpriors are fixed by the model: half-normal(0,1) for
-    sigma, half-Cauchy(0,1) for kappa, flat Dirichlet for eta, standard
-    normal for the whitened latents and whitened coefficients.
+    ``lengthscale[e]`` is the (mean, sd) of log rho for entity e: rho is
+    log-normal.  The remaining hyperpriors are fixed by the model:
+    half-normal(0,1) for sigma, half-Cauchy(0,1) for kappa, flat Dirichlet
+    for eta, standard normal for the whitened latents and whitened
+    coefficients.
     """
 
     lengthscale: dict
@@ -142,130 +144,32 @@ class PriorSpec:
         return np.linalg.solve(self.r_star, theta_t)
 
 
-def _solve_interval_prior(l, u, tail_mass):
-    """Inverse-gamma (shape, scale) placing ~tail_mass/2 below ``l`` and
-    above ``u``: an entity's smallest gap between ratings and its span."""
-    if not 0.0 < tail_mass < 1.0:
-        raise InvalidInputError("tail_mass must lie strictly between 0 and 1")
-    if l <= 0 or u <= 0 or not (np.isfinite(l) and np.isfinite(u)):
-        raise InvalidInputError("distance interval must be positive and finite")
-    if l > u:
-        l, u = u, l
-    if l == u:
-        # all pairwise gaps equal; widen before solving
-        l, u = 0.8 * l, 1.2 * u
-    half = tail_mass / 2.0
-
-    # Lower-tail condition pins the scale as a function of the shape:
-    # P(rho < l) = Q(a, b/l) = half  =>  b(a) = l * Qinv(a, half).
-    # The upper-tail condition then becomes one increasing function of a.
-    def upper_gap(a):
-        b = l * gammainccinv(a, half)
-        return gammaincc(a, b / u) - (1.0 - half)
-
-    lo, hi = 1e-3, 10.0
-    while upper_gap(hi) < 0.0:
-        hi *= 4.0
-        if hi > 1e8:
-            raise NumericalError("length-scale prior solve failed to bracket")
-    while upper_gap(lo) > 0.0:
-        lo /= 4.0
-        if lo < 1e-12:
-            raise NumericalError("length-scale prior solve failed to bracket")
-    shape = _brentq(upper_gap, lo, hi, xtol=1e-13, rtol=1e-12)
-    scale = float(l * gammainccinv(shape, half))
-    return float(shape), scale
+def build_prior_spec(histories) -> PriorSpec:
+    """Every entity's length-scale prior and the theta whitening map."""
+    return _prior_spec(Panel(histories))
 
 
-def _signbit(x):
-    return math.copysign(1.0, x) < 0.0
+def _prior_spec(panel):
+    """:func:`build_prior_spec` on a built panel.
 
-
-def _brentq(f, a, b, xtol, rtol, maxiter=100):
-    """A root of ``f`` in the bracket [a, b] by Brent's method.
-
-    A line-for-line port of the C ``brentq`` behind ``scipy.optimize.brentq``
-    (``scipy/optimize/Zeros/brentq.c``): the same iterates, tolerance test
-    ``|(b - x) / 2| < (xtol + rtol |x|) / 2`` and ``maxiter`` cap, so the
-    root agrees bit for bit, without importing ``scipy.optimize`` (about
-    0.2 s and 17 MB of a cold start on a 2-core host). ``f`` returns a float.
-    Raises :class:`NumericalError` where SciPy raises: a NaN function value,
-    f(a) and f(b) of one sign, or no convergence within ``maxiter``
-    iterations.
+    log rho ~ N(mean, sd^2) puts 0.5% of its mass below the entity's median
+    gap l between ratings and 0.5% above its span u: mean = log sqrt(l u),
+    which is :meth:`~gpratings.model.Panel.log_rho_start`, and
+    sd = log(u / l) / (2 z_0.995) = (log u - mean) / z_0.995.  A two-rating
+    entity has l = u; its interval is widened about the same mean to the
+    log-width of (0.8 l, 1.2 u), log 1.5.  A single-rating entity takes the
+    medians of the others' mean and sd, so it starts where SVI starts it.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericalError(f"the function value at x={x} is NaN; "
-                                 "solver cannot continue")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if _signbit(fpre) == _signbit(fcur):
-        raise NumericalError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            # C's MIN(a, b), which returns b on ties
-            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
-            if 2 * abs(stry) < bound:
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise NumericalError(
-        f"failed to converge after {maxiter} iterations, value is {xcur!r}")
-
-
-def build_prior_spec(histories, tail_mass: float = DEFAULT_TAIL_MASS) -> PriorSpec:
-    """Solve every entity's length-scale prior and the theta whitening map."""
-    return _prior_spec(Panel(histories), tail_mass)
-
-
-def _prior_spec(panel, tail_mass=DEFAULT_TAIL_MASS):
-    """:func:`build_prior_spec` on a built panel: each entity's prior spans
-    its :meth:`~gpratings.model.Panel.gap_interval`."""
-    lo, hi = panel.gap_interval()
-    if np.isnan(lo).any():
+    mean = panel.log_rho_start()
+    multi = ~np.isnan(mean)
+    if not multi.any():
         raise InvalidInputError(
             f"entity {panel.entity_ids[0]!r} has one rating and no fallback interval")
-    lengthscale = {e: _solve_interval_prior(l, u, tail_mass)
-                   for e, l, u in zip(panel.entity_ids, lo.tolist(), hi.tolist())}
+    sd = np.empty_like(mean)
+    sd[multi] = np.maximum(np.log(panel.span[multi]) - mean[multi],
+                           0.5 * math.log(1.5)) / _TAIL_Z
+    mean[~multi], sd[~multi] = np.median(mean[multi]), np.median(sd[multi])
+    lengthscale = dict(zip(panel.entity_ids, zip(mean.tolist(), sd.tolist())))
     return PriorSpec(lengthscale=lengthscale, r_star=_whitening_matrix(panel.X))
 
 
@@ -306,8 +210,9 @@ class _Rows(NamedTuple):
 class _Panel(Panel):
     """The shared row layout plus what the sampler reads of it.
 
-    ``priors`` are the given priors, or those solved from the panel when
-    None; ``q_star`` holds the covariate rows whitened by them,
+    ``priors`` are the given priors, or those built from the panel when
+    None, and ``rho_prior`` their (mean, sd) of log rho as two arrays over
+    the entities; ``q_star`` holds the covariate rows whitened by them,
     ``everything`` all rows gathered once, ``cell_at`` each row's upper cell
     edge in a flattened :func:`~gpratings.model.cell_edges` table and
     ``cut_rows[j]`` the rows whose likelihood reads cutpoint j.
@@ -316,6 +221,8 @@ class _Panel(Panel):
     def __init__(self, histories, n_r=None, priors=None):
         super().__init__(histories, n_r)
         self.priors = _prior_spec(self) if priors is None else priors
+        self.rho_prior = tuple(np.array([self.priors.lengthscale[e][k] for e in self.entity_ids])
+                               for k in (0, 1))
         r_star = self.priors.r_star
         self.q_star = self.X if r_star is None else np.linalg.solve(r_star.T, self.X.T).T
         self.everything = self.rows(np.arange(self.n_rows))
@@ -355,9 +262,6 @@ class _Chain:
         self.rng = rng
         self.flat = flat
         n_e = panel.n_entities
-        lengthscale = panel.priors.lengthscale
-        self.prior = tuple(np.array([lengthscale[e][k] for e in panel.entity_ids])
-                           for k in (0, 1))
         eta = (panel.level_counts + 1.0) / (panel.sizes[:, None] + panel.n_r)
         self.z_cuts = cutpoints_from_eta(eta, 1.0)
         self.log_kappa = 0.1 * rng.standard_normal(n_e)
@@ -412,13 +316,15 @@ class _Chain:
 def _rho_sigma_log_target(ll_sum, log_rho, log_sigma, prior):
     """Posterior target density in the sampled (log rho, log sigma) coords.
 
-    The log-scale change of variables contributes the + log_rho + log_sigma
-    Jacobian terms; proposals are symmetric Gaussians in these coordinates.
-    Works elementwise over entities.
+    log rho's prior is the Gaussian ``prior`` = (mean, sd) in its own
+    coordinate; sigma's half-normal gains the + log_sigma Jacobian term of
+    the log-scale change of variables.  Proposals are symmetric Gaussians in
+    these coordinates.  Works elementwise over entities.
     """
-    shape, scale = prior
-    return (ll_sum + _invgamma_logpdf(np.exp(log_rho), shape, scale)
-            + _halfnormal_logpdf(np.exp(log_sigma)) + log_rho + log_sigma)
+    mean, sd = prior
+    z = (log_rho - mean) / sd
+    return (ll_sum - 0.5 * z * z - np.log(sd) - 0.5 * math.log(2.0 * math.pi)
+            + _halfnormal_logpdf(np.exp(log_sigma)) + log_sigma)
 
 
 def _kappa_log_target(ll_sum, log_kappa):
@@ -468,8 +374,8 @@ def _update_kernel_params(ch: _Chain, gamma):
     f_new = factor.unwhiten(ch.f_tilde, p.pos) + ch.mean
     ll_new = ch.loglik(f_new)
     ll_sum_new = p.per_entity_sum(ll_new)
-    cur = _rho_sigma_log_target(ch.ll_sum, ch.log_rho, ch.log_sigma, ch.prior)
-    new = _rho_sigma_log_target(ll_sum_new, lr_new, ls_new, ch.prior)
+    cur = _rho_sigma_log_target(ch.ll_sum, ch.log_rho, ch.log_sigma, p.rho_prior)
+    new = _rho_sigma_log_target(ll_sum_new, lr_new, ls_new, p.rho_prior)
     acc = ok & (log_u[:, 0] < new - cur)
     rows = p.per_row(acc)
     ch.log_rho = np.where(acc, lr_new, ch.log_rho)
@@ -642,20 +548,10 @@ def _sweep(ch: _Chain, gamma):
 
 def _initial_log_rho(panel):
     """Each entity's centre of the initial log length scale, before each
-    chain's jitter.
-
-    It starts at :meth:`~gpratings.model.Panel.log_rho_start`, the geometric
-    middle of the scales the data can resolve; the solved prior is anchored
-    at the minimum gap, which for dense histories sits far below any
-    identifiable length, and chains started there must climb out of a
-    near-white-noise regime during warmup.  A single-rating entity starts at
-    its prior's mode.
-    """
-    out = panel.log_rho_start()
-    for i in np.flatnonzero(np.isnan(out)):
-        shape, scale = panel.priors.lengthscale[panel.entity_ids[i]]
-        out[i] = math.log(scale / (shape + 1.0))
-    return out
+    chain's jitter: its prior's mean of log rho.  For the prior built for an
+    entity with two or more ratings that is
+    :meth:`~gpratings.model.Panel.log_rho_start`, where SVI starts too."""
+    return panel.rho_prior[0]
 
 
 class _WaicStream:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import InvalidInputError, NumericalError
 
@@ -492,22 +492,12 @@ class Panel(Segments):
                                          self.per_row(np.exp(log_sigma)))
         return factor, np.logical_and.reduceat(factor.c > 0.0, self.starts)
 
-    def gap_interval(self):
-        """Per entity, the smallest gap between consecutive ratings and the
-        span: the time scales its ratings can resolve.  A single-rating entity
-        gets the medians over the others, or NaN when no entity has two."""
-        lo, hi = np.minimum.reduceat(self.gaps, self.starts), self.span.copy()
-        single = self.sizes == 1
-        if single.all():
-            return np.full(lo.size, np.nan), np.full(lo.size, np.nan)
-        lo[single], hi[single] = np.median(lo[~single]), np.median(hi[~single])
-        return lo, hi
-
     def log_rho_start(self):
-        """Per entity, the log length scale both backends start from:
-        log sqrt(median gap x span), the geometric middle of the scales its
-        ratings resolve.  Unlike the smallest gap, the median does not sit at
-        a tie that ingest nudged apart.  NaN for a single-rating entity."""
+        """Per entity, the log length scale both backends start from and
+        MCMC's length-scale prior centres on: log sqrt(median gap x span), the
+        geometric middle of the scales its ratings resolve.  Unlike the
+        smallest gap, the median does not sit at a tie that ingest nudged
+        apart.  NaN for a single-rating entity."""
         out = np.full(self.n_entities, np.nan)
         for i in np.flatnonzero(self.sizes > 1):
             gaps = self.gaps[self.segment(i)][1:]
@@ -610,9 +600,3 @@ def _halfnormal_logpdf(x):
 
 def _halfcauchy_logpdf(x):
     return np.where(x > 0, math.log(2.0 / math.pi) - np.log1p(x * x), -np.inf)
-
-
-def _invgamma_logpdf(x, shape, scale):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = shape * np.log(scale) - gammaln(shape) - (shape + 1) * np.log(x) - scale / x
-    return np.where(x > 0, logpdf, -np.inf)
